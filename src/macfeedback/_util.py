@@ -8,6 +8,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import xlogy
 
+from .errors import InputError
+
 LN2 = math.log(2.0)
 
 # Entries whose magnitude falls below this are treated as exact zeros when
@@ -18,9 +20,17 @@ ZERO_CLAMP = 1e-15
 SUPPORT_EPS = 1e-10
 
 
-def clamp_tiny(arr: np.ndarray) -> np.ndarray:
-    """Return a float64 copy with magnitudes below ZERO_CLAMP set to 0."""
+def clamp_tiny(arr: np.ndarray, where: str) -> np.ndarray:
+    """Return a float64 copy with magnitudes below ZERO_CLAMP set to 0.
+
+    Raises InputError, naming ``where``, on any NaN or infinite entry:
+    every range and sum check downstream would let NaN through.
+    """
     out = np.array(arr, dtype=np.float64)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise InputError(f"{where}: non-finite entry {float(out[idx])!r} at index {list(idx)}")
     out[np.abs(out) < ZERO_CLAMP] = 0.0
     return out
 
@@ -102,8 +112,3 @@ def fresh_symbol(taken, base: str = "e") -> str:
     while f"{base}{k}" in taken:
         k += 1
     return f"{base}{k}"
-
-
-def as_float(x) -> float:
-    """Convert numpy scalars to plain floats for JSON-friendly reports."""
-    return float(x)

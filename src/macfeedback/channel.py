@@ -52,7 +52,7 @@ class Pmf:
 
     def __post_init__(self):
         alphabet = _check_alphabet(self.alphabet, "Pmf")
-        probs = clamp_tiny(self.probs)
+        probs = clamp_tiny(self.probs, "Pmf")
         if probs.ndim != 1 or probs.shape[0] != len(alphabet):
             raise InputError(
                 f"Pmf: got {probs.shape} weights for {len(alphabet)} symbols"
@@ -101,7 +101,7 @@ class ConditionalPmf:
     def __post_init__(self):
         ia = _check_alphabet(self.input_alphabet, "ConditionalPmf input")
         oa = _check_alphabet(self.output_alphabet, "ConditionalPmf output")
-        rows = clamp_tiny(self.rows)
+        rows = clamp_tiny(self.rows, "ConditionalPmf")
         if rows.shape != (len(ia), len(oa)):
             raise InputError(
                 f"ConditionalPmf: rows shape {rows.shape} does not match "
@@ -149,7 +149,7 @@ class Mac:
         a1 = _check_alphabet(self.x1_alphabet, "Mac x1")
         a2 = _check_alphabet(self.x2_alphabet, "Mac x2")
         ay = _check_alphabet(self.y_alphabet, "Mac y")
-        pmf = clamp_tiny(self.pmf)
+        pmf = clamp_tiny(self.pmf, "Mac")
         if pmf.shape != (len(a1), len(a2), len(ay)):
             raise InputError(
                 f"Mac: pmf shape {pmf.shape} does not match alphabets "
@@ -178,7 +178,7 @@ class JointDist:
         names = [n for n, _ in axes]
         if len(set(names)) != len(names):
             raise InputError("JointDist: duplicate axis name")
-        table = clamp_tiny(self.table)
+        table = clamp_tiny(self.table, "JointDist")
         want = tuple(len(a) for _, a in axes)
         if table.shape != want:
             raise InputError(

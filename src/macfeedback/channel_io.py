@@ -15,6 +15,7 @@ message naming the offending path into the document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +70,10 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
                     raise ChannelFormatError(f"pmf[{i}][{j}][{k}]: not a number")
                 v = float(v)
+                if not math.isfinite(v):
+                    raise ChannelFormatError(
+                        f"pmf[{i}][{j}][{k}]: non-finite probability {v!r}"
+                    )
                 if abs(v) < ZERO_CLAMP:
                     v = 0.0
                 if v < 0.0:

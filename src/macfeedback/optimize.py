@@ -85,7 +85,9 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
         pos = r > 0.0  # div is finite wherever r is positive
         new_lower = float(r[pos] @ div[pos])
         new_upper = float(div.max())
-        assert new_lower >= lower - 1e-12, "capacity lower bound decreased"
+        if new_lower < lower - 1e-12:
+            raise RuntimeError(
+                f"capacity lower bound decreased from {lower!r} to {new_lower!r}")
         lower, upper = new_lower, new_upper
         if upper - lower <= tol:
             converged = True

@@ -8,11 +8,14 @@ satisfying, for some auxiliary distribution ``p(u) p(x1|u) p(x2|u)``,
     R1 + R2 <= I(X1, X2; Y).
 
 Frontier points are found by weighted-sum scalarization over the two
-non-trivial corners of each pentagon, maximized by projected coordinate
-ascent with finite-difference gradients over the factored simplices.
-Ascent may stop at a local optimum; every emitted point is nevertheless a
-certified achievable point because its pentagon is re-evaluated exactly
-from the stored auxiliary input.
+non-trivial corners of each pentagon, maximized by projected gradient
+ascent over the factored simplices. The corner value is the minimum of
+two linear combinations of the pentagon bounds; each step follows the
+exact analytic gradient of the active one, centred on the support of
+every simplex row, and tries a fixed ladder of step lengths. Ascent may
+stop at a local optimum; every emitted point is nevertheless a certified
+achievable point because its pentagon is re-evaluated exactly from the
+stored auxiliary input.
 
 Outer bounds are the cut-set values: per-user bounds that give the free
 user one or two looks at the output depending on the feedback model, and
@@ -215,11 +218,24 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
 
 
 # ---------------------------------------------------------------------------
-# Projected finite-difference ascent over (p_u, p_x1|u, p_x2|u).
+# Projected gradient ascent over (p_u, p_x1|u, p_x2|u).
 
-_FD_STEP = 1e-4
 _STEP_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 _IMPROVE_TOL = 1e-11
+# Conditional output masses are floored here before taking log2. Mass
+# moved onto a zero-mass symbol that alone reaches some output has an
+# infinite partial derivative; the floor caps it at a large finite one.
+_LOG_FLOOR = 1e-300
+
+
+def _log2_floored(p: np.ndarray) -> np.ndarray:
+    return np.log2(np.maximum(p, _LOG_FLOOR))
+
+
+def _centre_on_support(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Subtract from each simplex row of ``g`` its mean over the support of ``p``."""
+    on = p > 0.0
+    return g - (g * on).sum(axis=-1, keepdims=True) / on.sum(axis=-1, keepdims=True)
 
 
 class _AscentProblem:
@@ -229,7 +245,8 @@ class _AscentProblem:
         self.n1, self.n2, _ = mac.shape
         self.w1 = w1
         self.w2 = w2
-        self.dim = u_card * (1 + self.n1 + self.n2)
+        # sum_y W log2 W for every input pair, i.e. -H(Y | x1, x2).
+        self.neg_h_w = -entropy_bits(self.pmf, axis=2)
 
     def split(self, theta: np.ndarray):
         b = theta.shape[0]
@@ -254,6 +271,54 @@ class _AscentProblem:
         value, _, _ = pentagon_corners(b1, b2, bsum, self.w1, self.w2)
         return value
 
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Tangent gradient of the active corner piece at projected rows ``theta``.
+
+        The corner value is ``c1 b1 + c2 b2 + cs bsum`` with coefficients
+        set by which pentagon corner and which of its two rate bounds
+        ``pentagon_corners`` picks. With the joint mass ``q(u, x1, x2)``
+        as free variables its partial derivative is
+
+            sum_y W(y|x1,x2) [(c1 + c2 + cs) log2 W(y|x1,x2)
+                              - c1 log2 p(y|u,x2) - c2 log2 p(y|u,x1)
+                              - cs log2 p(y)]
+
+        up to a constant, chained through ``q = p(u) p(x1|u) p(x2|u)``.
+        Conditionals given U are the rows themselves, so every partial is
+        exact and finite, also where p(u) = 0; the one infinite case (an
+        output reached only through a zero-mass symbol) is capped by
+        ``_LOG_FLOOR``. Each simplex row is centred on its support, which
+        removes the per-row constants.
+        """
+        b = theta.shape[0]
+        p_u, p1, p2 = self.split(theta)
+        b1, b2, bsum = batch_pentagon(self.pmf, p_u, p1, p2)
+        _, r1, r2 = pentagon_corners(b1, b2, bsum, self.w1, self.w2)
+        # Each corner rate is its own bound or bsum minus the other bound.
+        s1 = r1 == b1
+        s2 = r2 == b2
+        c1 = np.where(s1, self.w1, 0.0) - np.where(s2, 0.0, self.w2)
+        c2 = np.where(s2, self.w2, 0.0) - np.where(s1, 0.0, self.w1)
+        cs = np.where(s1, 0.0, self.w1) + np.where(s2, 0.0, self.w2)
+
+        w = self.pmf
+        p_y_ux1 = np.einsum("buj,ijy->buiy", p2, w)
+        log_y_ux1 = _log2_floored(p_y_ux1)
+        log_y_ux2 = _log2_floored(np.einsum("bui,ijy->bujy", p1, w))
+        log_y = _log2_floored(np.einsum("bu,bui,buiy->by", p_u, p1, p_y_ux1))
+        d = ((c1 + c2 + cs)[:, None, None, None] * self.neg_h_w
+             - c1[:, None, None, None] * np.einsum("ijy,bujy->buij", w, log_y_ux2)
+             - c2[:, None, None, None] * np.einsum("ijy,buiy->buij", w, log_y_ux1)
+             - cs[:, None, None, None] * np.einsum("ijy,by->bij", w, log_y)[:, None])
+        g_u = np.einsum("bui,buj,buij->bu", p1, p2, d)
+        g1 = p_u[:, :, None] * np.einsum("buj,buij->bui", p2, d)
+        g2 = p_u[:, :, None] * np.einsum("bui,buij->buj", p1, d)
+        return np.concatenate([
+            _centre_on_support(p_u, g_u),
+            _centre_on_support(p1, g1).reshape(b, -1),
+            _centre_on_support(p2, g2).reshape(b, -1),
+        ], axis=1)
+
     def ascend_many(self, theta0: np.ndarray,
                     max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
         """Run one independent ascent per row of ``theta0``, in lockstep.
@@ -268,16 +333,13 @@ class _AscentProblem:
         theta = self.project(theta0)
         best = self.value(theta)
         stall = np.zeros(s, dtype=np.int64)
-        eye = np.eye(dim)
         ladder = np.asarray(_STEP_LADDER)
         for _ in range(max_iter):
             idx = np.flatnonzero(stall < 2)
             if idx.size == 0:
                 break
             th = theta[idx]
-            probes = (th[:, None, :] + _FD_STEP * eye[None, :, :]).reshape(-1, dim)
-            grads = (self.value(probes).reshape(idx.size, dim)
-                     - best[idx, None]) / _FD_STEP
+            grads = self.gradient(th)
             scale = np.abs(grads).max(axis=1)
             alive = scale > 0.0
             dirs = grads / np.maximum(scale, 1e-300)[:, None]
@@ -301,7 +363,6 @@ def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
     from .channel import induced_channel
 
     n1, n2, _ = mac.shape
-    dim = u_card * (1 + n1 + n2)
     starts = []
 
     uniform = np.concatenate([
@@ -329,7 +390,6 @@ def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
             row1[sym_idx] = 1.0
         theta[u_card:u_card + n1] = row1
         theta[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
-        assert theta.shape == (dim,)
         return theta
 
     for j in range(n2):

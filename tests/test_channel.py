@@ -1,12 +1,13 @@
 """Channel model construction, derived joints and the file format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from macfeedback import (ChannelFormatError, ErasureSpec, InputError, JointDist,
-                         Mac, Pmf, erasure_extend, independent_copy_joint,
+from macfeedback import (ChannelFormatError, ConditionalPmf, ErasureSpec, InputError,
+                         JointDist, Mac, Pmf, erasure_extend, independent_copy_joint,
                          induced_channel, load_channel, load_channel_file,
                          save_channel, validate_mac)
 from macfeedback import catalog
@@ -35,6 +36,22 @@ class TestPmf:
         p = Pmf.uniform(("a", "b"))
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError, match="Pmf: non-finite"):
+            Pmf(("a", "b"), [bad, 1.0])
+
+    def test_non_finite_rejected_by_every_table(self):
+        rows = np.array([[0.5, 0.5], [math.nan, 1.0]])
+        with pytest.raises(InputError, match="ConditionalPmf: non-finite"):
+            ConditionalPmf(("a", "b"), ("0", "1"), rows)
+        with pytest.raises(InputError, match="JointDist: non-finite"):
+            JointDist((("a", ("0", "1")), ("b", ("0", "1"))), rows / 2)
+        pmf = catalog.adder_mac().pmf.copy()
+        pmf[1, 0, 1] = math.inf
+        with pytest.raises(InputError, match=r"Mac: non-finite entry inf at index \[1, 0, 1\]"):
+            Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
 
 class TestValidateMac:
@@ -255,6 +272,14 @@ class TestChannelFiles:
         path = tmp_path / "neg.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ChannelFormatError, match="negative"):
+            load_channel(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_probability_rejected(self, tmp_path, token):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"x1": ["0"], "x2": ["0", "1"], "y": ["0", "1"], '
+                        f'"pmf": [[[0.5, 0.5], [{token}, 1.0]]]}}')
+        with pytest.raises(ChannelFormatError, match=r"pmf\[0\]\[1\]\[0\]: non-finite"):
             load_channel(path)
 
 

@@ -63,6 +63,17 @@ class TestSinglerate:
         assert code == 2
         assert "row" in json.loads(err)["message"]
 
+    def test_nan_channel_exit_two(self, capsys, tmp_path, groupless_file):
+        # A NaN probability used to pass every check and yield a bogus 0.0.
+        path = tmp_path / "nan.json"
+        with open(groupless_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["pmf"][0][0][0] = math.nan
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "singlerate", "--channel", str(path))
+        assert code == 2 and out == ""
+        assert "pmf[0][0][0]: non-finite" in json.loads(err)["message"]
+
     def test_verify_passes(self, capsys, adder_file):
         code, _, _ = run_cli(capsys, "singlerate", "--channel", adder_file, "--verify")
         assert code == 0

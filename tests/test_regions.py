@@ -10,9 +10,10 @@ from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
                          mutual_information, single_rate_capacity,
                          two_look_channel)
-from macfeedback import catalog
+from macfeedback import ErasureSpec, catalog, erasure_extend
+from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity
-from macfeedback.regions import pentagon_corners
+from macfeedback.regions import _AscentProblem, batch_pentagon, pentagon_corners
 
 from _gen import random_mac
 
@@ -170,6 +171,85 @@ class TestFrontier:
             values.append([pt.value for pt in f.points])
         for lo, hi in zip(values[1], values[0]):
             assert lo <= hi + 1e-6
+
+
+class TestAscentGradient:
+    """The analytic tangent gradient against centred finite differences."""
+
+    @staticmethod
+    def _tangent(rng, problem, theta):
+        """A random direction that keeps every simplex row on its support."""
+        rows = []
+        for part in problem.split(theta):
+            part = part[0].reshape(-1, part.shape[-1])
+            on = part > 0.0
+            d = rng.normal(size=part.shape) * on
+            d -= on * (d.sum(axis=1, keepdims=True) / on.sum(axis=1, keepdims=True))
+            rows.append(d.ravel())
+        d = np.concatenate(rows)
+        return d / np.abs(d).max()
+
+    @pytest.mark.parametrize("n1,erased", [(2, False), (3, False), (2, True)])
+    @pytest.mark.parametrize("w1,w2", [(0.8, 0.3), (0.5, 0.5), (0.25, 0.9)])
+    def test_directional_derivative_matches_finite_difference(self, n1, erased, w1, w2):
+        rng = np.random.default_rng(100 * n1 + int(erased))
+        u_card, h = 3, 1e-6
+        pieces = set()
+        for trial in range(12):
+            mac = random_mac(rng, n1=n1, ny=3)
+            if erased:
+                mac = erasure_extend(mac, ErasureSpec(0.3, "e"))
+            problem = _AscentProblem(mac, u_card, w1, w2)
+            # Inputs nearly fixed by U leave the sum bound slack (first piece
+            # of the min); inputs independent of U make it bind (second).
+            peaked = trial % 4 < 2
+
+            def rows(n, k):
+                if not peaked:
+                    return np.tile(rng.dirichlet(np.full(n, 2.0)), (k, 1))
+                hot = np.eye(n)[rng.integers(n, size=k)]
+                return 0.85 * hot + 0.15 * rng.dirichlet(np.full(n, 2.0), size=k)
+
+            theta = np.concatenate([rows(u_card, 1).ravel(), rows(n1, u_card).ravel(),
+                                    rows(2, u_card).ravel()])[None, :]
+            if trial % 2:
+                # One zero-mass symbol in the first p(x1|u) row.
+                theta[0, u_card] = 0.0
+                theta[0, u_card + 1:u_card + n1] /= theta[0, u_card + 1:u_card + n1].sum()
+            b1, b2, bsum = batch_pentagon(mac.pmf, *problem.split(theta))
+            slack = float(bsum[0] - b1[0] - b2[0])
+            if abs(slack) < 1e-4:
+                continue  # too close to the kink of the min for a difference
+            pieces.add(slack < 0.0)
+            d = self._tangent(rng, problem, theta)
+            analytic = float(problem.gradient(theta)[0] @ d)
+            numeric = float(problem.value(theta + h * d)[0]
+                            - problem.value(theta - h * d)[0]) / (2 * h)
+            assert analytic == pytest.approx(numeric, abs=1e-6)
+        assert pieces == {True, False}  # both pieces of the min were checked
+
+    def test_zero_mass_partials_finite(self):
+        # All mass sits on u0 with both inputs 0, so only adder output 0 is
+        # reached. Mass moved onto x1 = 1 or x2 = 1 given u0 reaches output
+        # 1: an infinite partial, which the gradient caps. The rows of the
+        # massless u1 get exact zero partials.
+        problem = _AscentProblem(catalog.adder_mac(), 2, 1.0, 1.0)
+        theta = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]])
+        grad = problem.gradient(theta)[0]
+        assert np.isfinite(grad).all()
+        assert grad[3] > 100.0 and grad[7] > 100.0
+        assert grad[2] == grad[6] == 0.0  # centred on the support
+        assert not grad[4:6].any() and not grad[8:].any()
+
+    def test_adder_sum_rate_floor(self):
+        f = cover_leung_frontier(catalog.adder_mac(), weights=[(1.0, 1.0)],
+                                 restarts=25, seed=0)
+        assert f.points[0].rates.r1 + f.points[0].rates.r2 >= 1.5818403
+
+    def test_erasure_scaling_invariance(self):
+        report = erasure_scaling_check(catalog.adder_mac(), 0.5,
+                                       weights=default_weight_fan(3))
+        assert report.max_abs_gap < 1e-6
 
 
 class TestCutset:

@@ -6,11 +6,17 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InputError
 
 LN2 = math.log(2.0)
+
+# Probability tables may deviate from 1 (row sums) or exceed it (entries) by
+# this much before they are rejected.
+SUM_TOL = 1e-9
+
+# Entries are floored here before the logarithm, so that 0 log 0 = 0.
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 # Entries whose magnitude falls below this are treated as exact zeros when
 # arrays enter the package; keeps downstream support decisions stable.
@@ -20,19 +26,52 @@ ZERO_CLAMP = 1e-15
 SUPPORT_EPS = 1e-10
 
 
-def clamp_tiny(arr: np.ndarray, where: str) -> np.ndarray:
-    """Return a float64 copy with magnitudes below ZERO_CLAMP set to 0.
-
-    Raises InputError, naming ``where``, on any NaN or infinite entry:
-    every range and sum check downstream would let NaN through.
-    """
+def clamp_tiny(arr) -> np.ndarray:
+    """Return a float64 copy with magnitudes below ZERO_CLAMP set to 0."""
     out = np.array(arr, dtype=np.float64)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise InputError(f"{where}: non-finite entry {float(out[idx])!r} at index {list(idx)}")
     out[np.abs(out) < ZERO_CLAMP] = 0.0
     return out
+
+
+def _indices(mask: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(int(k) for k in idx) for idx in np.argwhere(mask)]
+
+
+def table_faults(t: np.ndarray, sum_axes=None) -> list[tuple[str, tuple[int, ...], float]]:
+    """Every fault of a probability table, as ``(kind, index, value)``.
+
+    Kinds come in this order: "non-finite" entries (when there is one,
+    nothing else is checked: NaN passes every comparison), "negative"
+    entries, entries "above 1" by more than SUM_TOL, and "sum" faults, one
+    per slice over ``sum_axes`` (default: all axes) whose total is off 1
+    by more than SUM_TOL, indexed over the remaining axes. A clean table
+    costs a few reductions and builds no list entries.
+    """
+    bad = ~np.isfinite(t)
+    if bad.any():
+        return [("non-finite", idx, float(t[idx])) for idx in _indices(bad)]
+    sums = t.sum(axis=sum_axes)
+    neg = t < 0.0
+    over = t > 1.0 + SUM_TOL
+    off = np.abs(sums - 1.0) > SUM_TOL
+    if not (neg.any() or over.any() or off.any()):
+        return []
+    return ([("negative", idx, float(t[idx])) for idx in _indices(neg)]
+            + [("above 1", idx, float(t[idx])) for idx in _indices(over)]
+            + [("sum", idx, float(sums[idx])) for idx in _indices(off)])
+
+
+_FAULT_TEXT = {"non-finite": "non-finite entry {!r}", "negative": "negative mass {!r}",
+               "above 1": "mass {!r} above 1", "sum": "mass sums to {!r}, not 1"}
+
+
+def check_table(t: np.ndarray, where: str, sum_axes=None) -> None:
+    """Raise InputError naming ``where`` and the first of :func:`table_faults`."""
+    faults = table_faults(t, sum_axes)
+    if faults:
+        kind, idx, value = faults[0]
+        at = f" at index {list(idx)}" if idx else ""
+        raise InputError(f"{where}: {_FAULT_TEXT[kind].format(value)}{at}")
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -47,8 +86,16 @@ def entropy_bits(table: np.ndarray, axis=None) -> np.ndarray | float:
     Zero entries contribute nothing. With ``axis=None`` the whole array is
     one distribution; otherwise entropy is taken over the given axes.
     """
-    h = -xlogy(table, table).sum(axis=axis) / LN2
-    return h
+    return -(table * np.log(np.maximum(table, _TINY))).sum(axis=axis) / LN2
+
+
+def channel_mi_bits(p: np.ndarray, rows: np.ndarray) -> np.ndarray | float:
+    """I(X; Y) in bits of input ``p`` through the channel matrix ``rows``.
+
+    ``p`` is one input vector or a batch of them along its last axis;
+    ``rows[x]`` is the output distribution given input ``x``.
+    """
+    return entropy_bits(p @ rows, axis=-1) - p @ entropy_bits(rows, axis=1)
 
 
 def binary_entropy(q: float) -> float:

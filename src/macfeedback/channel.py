@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import clamp_tiny, freeze
+from ._util import check_table, clamp_tiny, freeze, table_faults
 from .errors import InputError
-
-SUM_TOL = 1e-9
 
 
 def _check_alphabet(labels, where: str) -> tuple[str, ...]:
@@ -52,20 +50,14 @@ class Pmf:
 
     def __post_init__(self):
         alphabet = _check_alphabet(self.alphabet, "Pmf")
-        probs = clamp_tiny(self.probs, "Pmf")
+        probs = clamp_tiny(self.probs)
         if probs.ndim != 1 or probs.shape[0] != len(alphabet):
             raise InputError(
                 f"Pmf: got {probs.shape} weights for {len(alphabet)} symbols"
             )
-        if np.any(probs < 0.0):
-            raise InputError("Pmf: negative mass")
-        if np.any(probs > 1.0 + SUM_TOL):
-            raise InputError("Pmf: mass above 1")
-        total = probs.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise InputError(f"Pmf: mass sums to {total!r}, not 1")
+        check_table(probs, "Pmf")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "probs", freeze(probs / total))
+        object.__setattr__(self, "probs", freeze(probs / probs.sum()))
 
     def __len__(self) -> int:
         return len(self.alphabet)
@@ -101,24 +93,16 @@ class ConditionalPmf:
     def __post_init__(self):
         ia = _check_alphabet(self.input_alphabet, "ConditionalPmf input")
         oa = _check_alphabet(self.output_alphabet, "ConditionalPmf output")
-        rows = clamp_tiny(self.rows, "ConditionalPmf")
+        rows = clamp_tiny(self.rows)
         if rows.shape != (len(ia), len(oa)):
             raise InputError(
                 f"ConditionalPmf: rows shape {rows.shape} does not match "
                 f"({len(ia)}, {len(oa)})"
             )
-        if np.any(rows < 0.0) or np.any(rows > 1.0 + SUM_TOL):
-            raise InputError("ConditionalPmf: entries outside [0, 1]")
-        sums = rows.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
-        if bad.size:
-            i = int(bad[0])
-            raise InputError(
-                f"ConditionalPmf: row {ia[i]!r} sums to {sums[i]!r}"
-            )
+        check_table(rows, "ConditionalPmf", sum_axes=1)
         object.__setattr__(self, "input_alphabet", ia)
         object.__setattr__(self, "output_alphabet", oa)
-        object.__setattr__(self, "rows", freeze(rows / sums[:, None]))
+        object.__setattr__(self, "rows", freeze(rows / rows.sum(axis=1)[:, None]))
 
     def row(self, symbol: str) -> np.ndarray:
         return self.rows[self.input_alphabet.index(symbol)]
@@ -149,12 +133,14 @@ class Mac:
         a1 = _check_alphabet(self.x1_alphabet, "Mac x1")
         a2 = _check_alphabet(self.x2_alphabet, "Mac x2")
         ay = _check_alphabet(self.y_alphabet, "Mac y")
-        pmf = clamp_tiny(self.pmf, "Mac")
+        pmf = clamp_tiny(self.pmf)
         if pmf.shape != (len(a1), len(a2), len(ay)):
             raise InputError(
                 f"Mac: pmf shape {pmf.shape} does not match alphabets "
                 f"({len(a1)}, {len(a2)}, {len(ay)})"
             )
+        if not np.isfinite(pmf).all():
+            check_table(pmf, "Mac")  # reports the first non-finite entry
         object.__setattr__(self, "x1_alphabet", a1)
         object.__setattr__(self, "x2_alphabet", a2)
         object.__setattr__(self, "y_alphabet", ay)
@@ -178,19 +164,15 @@ class JointDist:
         names = [n for n, _ in axes]
         if len(set(names)) != len(names):
             raise InputError("JointDist: duplicate axis name")
-        table = clamp_tiny(self.table, "JointDist")
+        table = clamp_tiny(self.table)
         want = tuple(len(a) for _, a in axes)
         if table.shape != want:
             raise InputError(
                 f"JointDist: table shape {table.shape} does not match {want}"
             )
-        if np.any(table < 0.0):
-            raise InputError("JointDist: negative mass")
-        total = table.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise InputError(f"JointDist: mass sums to {total!r}, not 1")
+        check_table(table, "JointDist")
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "table", freeze(table / total))
+        object.__setattr__(self, "table", freeze(table / table.sum()))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -255,26 +237,17 @@ def validate_mac(mac: Mac) -> list[str]:
     violation message names the offending ``(x1, x2)`` slice and the
     residual, so this doubles as a lint for hand-written channel files.
     """
+    a1, a2, ay = mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet
     report: list[str] = []
-    pmf = mac.pmf
-    neg = np.argwhere(pmf < 0.0)
-    for i, j, k in neg:
-        report.append(
-            f"negative mass: pmf[{mac.x1_alphabet[i]!r}][{mac.x2_alphabet[j]!r}]"
-            f"[{mac.y_alphabet[k]!r}] = {pmf[i, j, k]!r}"
-        )
-    over = np.argwhere(pmf > 1.0 + SUM_TOL)
-    for i, j, k in over:
-        report.append(
-            f"mass above 1: pmf[{mac.x1_alphabet[i]!r}][{mac.x2_alphabet[j]!r}]"
-            f"[{mac.y_alphabet[k]!r}] = {pmf[i, j, k]!r}"
-        )
-    sums = pmf.sum(axis=2)
-    for i, j in np.argwhere(np.abs(sums - 1.0) > SUM_TOL):
-        report.append(
-            f"row (x1={mac.x1_alphabet[i]!r}, x2={mac.x2_alphabet[j]!r}) "
-            f"sums to {sums[i, j]!r}, residual {sums[i, j] - 1.0:.6g}"
-        )
+    for kind, idx, v in table_faults(mac.pmf, sum_axes=2):
+        if kind == "sum":
+            i, j = idx
+            report.append(f"row (x1={a1[i]!r}, x2={a2[j]!r}) sums to {v!r}, "
+                          f"residual {v - 1.0:.6g}")
+        else:
+            i, j, k = idx
+            what = "negative mass" if kind == "negative" else "mass above 1"
+            report.append(f"{what}: pmf[{a1[i]!r}][{a2[j]!r}][{ay[k]!r}] = {v!r}")
     return report
 
 

@@ -15,14 +15,13 @@ message naming the offending path into the document.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._util import ZERO_CLAMP
-from .channel import Mac, SUM_TOL
+from ._util import clamp_tiny, table_faults
+from .channel import Mac
 from .errors import ChannelFormatError
 from .groups import GroupSpec
 
@@ -69,27 +68,18 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
             for k, v in enumerate(row):
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
                     raise ChannelFormatError(f"pmf[{i}][{j}][{k}]: not a number")
-                v = float(v)
-                if not math.isfinite(v):
-                    raise ChannelFormatError(
-                        f"pmf[{i}][{j}][{k}]: non-finite probability {v!r}"
-                    )
-                if abs(v) < ZERO_CLAMP:
-                    v = 0.0
-                if v < 0.0:
-                    raise ChannelFormatError(
-                        f"pmf[{i}][{j}][{k}]: negative probability {v!r}"
-                    )
-                if v > 1.0 + SUM_TOL:
-                    raise ChannelFormatError(
-                        f"pmf[{i}][{j}][{k}]: probability {v!r} above 1"
-                    )
-                out[i, j, k] = v
-            s = out[i, j].sum()
-            if abs(s - 1.0) > SUM_TOL:
-                raise ChannelFormatError(f"pmf[{i}][{j}]: row sums to {s!r}")
-            out[i, j] /= s
-    return out
+            out[i, j] = row
+    out = clamp_tiny(out)
+    faults = table_faults(out, sum_axes=2)
+    if faults:
+        kind, idx, v = faults[0]
+        path = "pmf" + "".join(f"[{k}]" for k in idx)
+        what = {"non-finite": f"non-finite probability {v!r}",
+                "negative": f"negative probability {v!r}",
+                "above 1": f"probability {v!r} above 1",
+                "sum": f"row sums to {v!r}"}[kind]
+        raise ChannelFormatError(f"{path}: {what}")
+    return out / out.sum(axis=2, keepdims=True)
 
 
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:

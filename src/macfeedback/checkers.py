@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits, fresh_symbol
+from ._util import channel_mi_bits, entropy_bits, fresh_symbol
 from .channel import ErasureSpec, Mac, Pmf, erasure_extend, induced_channel
 from .errors import InputError
 from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
@@ -176,14 +176,6 @@ class GainConditionReport:
         }
 
 
-def _mi_fixed_partner(mac: Mac, user: int, xk_sym: str, p: Pmf) -> float:
-    other = 2 if user == 1 else 1
-    rows = induced_channel(mac, other, xk_sym).rows
-    py = p.probs @ rows
-    val = float(entropy_bits(py) - p.probs @ entropy_bits(rows, axis=1))
-    return max(val, 0.0)
-
-
 def _pair_quantities(mac: Mac, user: int, xk_star: str, xbar_k: str, p_star: Pmf):
     """All ingredients of the gain inequality for one candidate pair."""
     other = 2 if user == 1 else 1
@@ -191,8 +183,8 @@ def _pair_quantities(mac: Mac, user: int, xk_star: str, xbar_k: str, p_star: Pmf
     rows_bar = induced_channel(mac, other, xbar_k).rows
     p = p_star.probs
 
-    rhs = _mi_fixed_partner(mac, user, xk_star, p_star)
-    mi_bar = _mi_fixed_partner(mac, user, xbar_k, p_star)
+    rhs = max(float(channel_mi_bits(p, rows_star)), 0.0)
+    mi_bar = max(float(channel_mi_bits(p, rows_bar)), 0.0)
     divergence = kl_divergence_vec(p @ rows_bar, p @ rows_star)
 
     h_y_given_xj = float(p @ entropy_bits(rows_star, axis=1))

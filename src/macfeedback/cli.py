@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from ._util import entropy_bits
-from .channel import Mac, Pmf, induced_channel, validate_mac
+from ._util import channel_mi_bits
+from .channel import Pmf, induced_channel
 from .channel_io import ChannelFile, load_channel_file
 from .checkers import (classify_additive_gain, compress_forward_curve,
                        erasure_scaling_check, gain_sufficient_condition,
@@ -95,35 +95,21 @@ def _parse_a_grid(spec: str) -> list[float]:
     return [a for a in grid if 0.0 <= a <= 1.0]
 
 
-def _load(args) -> ChannelFile:
-    cf = load_channel_file(args.channel)
-    problems = validate_mac(cf.mac)
-    if problems:
-        raise InputError("invalid channel: " + "; ".join(problems[:3]))
-    return cf
-
-
 def _require_group(cf: ChannelFile):
     if cf.group is None:
         raise InputError("group specification required (no 'group' block in the file)")
     return cf.group
 
 
-def _mi_of(mac: Mac, user: int, xk_star: str, probs: np.ndarray) -> float:
-    rows = induced_channel(mac, 2 if user == 1 else 1, xk_star).rows
-    py = probs @ rows
-    return float(entropy_bits(py) - probs @ entropy_bits(rows, axis=1))
-
-
 def cmd_singlerate(args) -> dict:
-    cf = _load(args)
+    cf = load_channel_file(args.channel)
     out = {"channel": cf.name, "tol": args.tol}
     for user in (1, 2):
         res = single_rate_capacity(cf.mac, user, tol=args.tol)
         out[f"user{user}"] = res.to_dict()
         if args.verify:
-            again = _mi_of(cf.mac, user, res.xk_star,
-                           np.asarray(res.p_star.probs))
+            rows = induced_channel(cf.mac, 2 if user == 1 else 1, res.xk_star).rows
+            again = float(channel_mi_bits(res.p_star.probs, rows))
             if abs(again - res.value) > VERIFY_TOL:
                 raise VerificationError(
                     f"user {user}: stored value {res.value!r} but witness "
@@ -133,7 +119,7 @@ def cmd_singlerate(args) -> dict:
 
 
 def cmd_region(args) -> tuple[dict, str]:
-    cf = _load(args)
+    cf = load_channel_file(args.channel)
     weights = _parse_weights(args.weights) if args.weights else default_weight_fan()
     frontier = cover_leung_frontier(
         cf.mac, weights=weights, restarts=args.restarts,
@@ -170,7 +156,7 @@ def cmd_region(args) -> tuple[dict, str]:
 
 
 def cmd_check(args) -> dict:
-    cf = _load(args)
+    cf = load_channel_file(args.channel)
     which = args.which
     out: dict = {"channel": cf.name, "check": which}
     if which == "additive":
@@ -185,7 +171,7 @@ def cmd_check(args) -> dict:
         out["rows_are_permutations"] = rows_are_permutations(sum_ch)
         for user in (1, 2):
             alpha = cf.mac.x1_alphabet if user == 1 else cf.mac.x2_alphabet
-            spread = conditional_mi_spread(cf.mac, user, Pmf.uniform(alpha), group)
+            spread = conditional_mi_spread(cf.mac, user, Pmf.uniform(alpha))
             out[f"user{user}"] = spread.to_dict()
     elif which == "gain-condition":
         for user in (1, 2):
@@ -209,7 +195,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_cfcurve(args) -> tuple[dict, str]:
-    cf = _load(args)
+    cf = load_channel_file(args.channel)
     user = args.user
     a_grid = _parse_a_grid(args.a_grid)
     auto = args.xk_star is None or args.xbar_k is None

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import SUPPORT_EPS, entropy_bits
-from .channel import ConditionalPmf, Mac, Pmf
+from ._util import SUPPORT_EPS, channel_mi_bits
+from .channel import ConditionalPmf, Mac, Pmf, induced_channel
 from .errors import InputError
 
 EQ38_TOL = 1e-9
@@ -294,14 +294,12 @@ class MiSpreadReport:
         }
 
 
-def conditional_mi_spread(mac: Mac, user: int, p_xj: Pmf,
-                          group: GroupSpec | None = None) -> MiSpreadReport:
+def conditional_mi_spread(mac: Mac, user: int, p_xj: Pmf) -> MiSpreadReport:
     """How much I(X_j; Y | X_k = x_k) varies with the other user's symbol.
 
     For an additive channel the value is the same for every ``x_k``, so
     the spread is a numerical zero; for general channels the spread is
-    simply reported. ``group`` is accepted for symmetry with the additive
-    checkers but does not enter the computation.
+    simply reported.
     """
     if user not in (1, 2):
         raise InputError(f"user must be 1 or 2, got {user!r}")
@@ -309,15 +307,11 @@ def conditional_mi_spread(mac: Mac, user: int, p_xj: Pmf,
     other_alpha = mac.x2_alphabet if user == 1 else mac.x1_alphabet
     p = p_xj.probs
     values: dict[str, float] = {}
-    from .channel import induced_channel
-
     for sym in other_alpha:
         ch = induced_channel(mac, fix_user=other, fixed_symbol=sym)
         if p.shape[0] != len(ch.input_alphabet):
             raise InputError("p_xj length does not match the free user's alphabet")
-        py = p @ ch.rows
-        mi = float(entropy_bits(py) - p @ entropy_bits(ch.rows, axis=1))
-        values[sym] = max(mi, 0.0)
+        values[sym] = max(float(channel_mi_bits(p, ch.rows)), 0.0)
     spread = max(values.values()) - min(values.values())
     return MiSpreadReport(user=user, values=values, max_spread=spread)
 

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from ._util import entropy_bits
+from ._util import binary_entropy  # noqa: F401  (part of this module's API)
+from ._util import check_table, clamp_tiny, entropy_bits
 from .channel import JointDist, Pmf
 from .errors import InputError
 
@@ -29,29 +30,37 @@ def _floor(value: float) -> float:
     return value
 
 
-def _names(joint: JointDist, names) -> tuple[str, ...]:
+def _names(names) -> tuple[str, ...]:
     if names is None:
         return ()
     return (names,) if isinstance(names, str) else tuple(names)
 
 
 def entropy(p: Pmf | np.ndarray) -> float:
-    """Shannon entropy H(p) in bits, with 0 log 0 = 0."""
-    table = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
+    """Shannon entropy H(p) in bits, with 0 log 0 = 0.
+
+    A raw array is one distribution over all its entries and is checked
+    like a :class:`Pmf` table; InputError names the first fault.
+    """
+    if isinstance(p, Pmf):
+        table = p.probs
+    else:
+        table = clamp_tiny(p)
+        check_table(table, "entropy")
     return _floor(float(entropy_bits(table)))
 
 
 def joint_entropy(joint: JointDist, names=None) -> float:
     """Entropy in bits of the marginal over ``names`` (default: all axes)."""
-    names = _names(joint, names)
+    names = _names(names)
     table = joint.table if not names else joint.marginal_table(names)
     return _floor(float(entropy_bits(table)))
 
 
 def conditional_entropy(joint: JointDist, target, given=()) -> float:
     """H(target | given) in bits, both arguments axis names or tuples."""
-    target = _names(joint, target)
-    given = _names(joint, given)
+    target = _names(target)
+    given = _names(given)
     if not given:
         return joint_entropy(joint, target)
     return _floor(joint_entropy(joint, target + given) - joint_entropy(joint, given))
@@ -64,8 +73,8 @@ def mutual_information(joint: JointDist, a=None, b=None) -> float:
     ``b`` may each be one name or a tuple of names; they must not overlap.
     """
     names = joint.names
-    a = _names(joint, a) or names[:1]
-    b = _names(joint, b) or tuple(n for n in names if n not in a)
+    a = _names(a) or names[:1]
+    b = _names(b) or tuple(n for n in names if n not in a)
     if set(a) & set(b):
         raise InputError("mutual_information: axis groups overlap")
     value = (joint_entropy(joint, a) + joint_entropy(joint, b)
@@ -82,9 +91,9 @@ def conditional_mi(joint: JointDist, a=None, b=None, given=None) -> float:
     of zero probability contribute nothing.
     """
     names = joint.names
-    a = _names(joint, a) or names[:1]
-    b = _names(joint, b) or tuple(n for n in names if n not in a)[:1]
-    given = _names(joint, given) or tuple(
+    a = _names(a) or names[:1]
+    b = _names(b) or tuple(n for n in names if n not in a)[:1]
+    given = _names(given) or tuple(
         n for n in names if n not in a and n not in b
     )
     if not given:
@@ -112,10 +121,3 @@ def kl_divergence_vec(p: np.ndarray, q: np.ndarray) -> float:
         return math.inf
     pm, qm = p[mask], q[mask]
     return _floor(float(np.sum(pm * (np.log2(pm) - np.log2(qm)))))
-
-
-def binary_entropy(q: float) -> float:
-    """Entropy in bits of a Bernoulli(q) variable."""
-    from ._util import binary_entropy as _h2
-
-    return _h2(q)

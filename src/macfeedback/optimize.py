@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits
+from ._util import channel_mi_bits
 from .channel import ConditionalPmf, Mac, Pmf
 from .errors import InputError
 
@@ -171,12 +171,11 @@ def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     refined = avg * np.exp2(np.where(finite, shift, 0.0))
     refined = refined / refined.sum()
 
-    py = refined @ rows
-    value = float(entropy_bits(py) - refined @ entropy_bits(rows, axis=1))
+    value = float(channel_mi_bits(refined, rows))
     return OptResult(
         value=value if value > 0.0 else 0.0,
         argmax_input=Pmf(ch.input_alphabet, refined),
-        output_dist=Pmf(ch.output_alphabet, py),
+        output_dist=Pmf(ch.output_alphabet, refined @ rows),
         iterations=total_iters + 1,
         converged=all_converged,
     )

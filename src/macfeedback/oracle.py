@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from ._util import (SUPPORT_EPS, binary_entropy, entropy_bits, lattice_points,
+from ._util import (SUPPORT_EPS, binary_entropy, channel_mi_bits, lattice_points,
                     set_partitions)
 from .channel import ConditionalPmf, Mac
 from .errors import InputError
@@ -76,11 +76,7 @@ def grid_capacity(ch: ConditionalPmf, grid: GridSpec | None = None) -> tuple[flo
         raise InputError(
             f"input alphabet size {d} exceeds the oracle cap {grid.max_dims}"
         )
-    pts = lattice_points(grid.resolution, d)
-    rows = ch.rows
-    h_rows = entropy_bits(rows, axis=1)
-    py = pts @ rows
-    values = entropy_bits(py, axis=1) - pts @ h_rows
+    values = channel_mi_bits(lattice_points(grid.resolution, d), ch.rows)
     best = float(values.max())
     return max(best, 0.0), capacity_gap_bound(ch, grid)
 

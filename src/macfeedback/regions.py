@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import entropy_bits, project_rows_to_simplex
-from .channel import ConditionalPmf, JointDist, Mac, Pmf
+from .channel import ConditionalPmf, JointDist, Mac, Pmf, induced_channel
 from .errors import InputError
 from .infotheory import conditional_mi, mutual_information
 from .optimize import DEFAULT_TOL, blahut_arimoto, max_support_input, maximize_joint_mi
@@ -264,15 +264,17 @@ class _AscentProblem:
             project_rows_to_simplex(p2).reshape(theta.shape[0], -1),
         ], axis=1)
 
-    def value(self, theta: np.ndarray) -> np.ndarray:
-        proj = self.project(theta)
-        p_u, p1, p2 = self.split(proj)
-        b1, b2, bsum = batch_pentagon(self.pmf, p_u, p1, p2)
-        value, _, _ = pentagon_corners(b1, b2, bsum, self.w1, self.w2)
-        return value
+    def value(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Corner values of the projected rows, and their (B, 3) pentagon bounds."""
+        p_u, p1, p2 = self.split(self.project(theta))
+        bounds = np.stack(batch_pentagon(self.pmf, p_u, p1, p2), axis=1)
+        value, _, _ = pentagon_corners(*bounds.T, self.w1, self.w2)
+        return value, bounds
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
+    def gradient(self, theta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """Tangent gradient of the active corner piece at projected rows ``theta``.
+
+        ``bounds`` are the rows' pentagon bounds as :meth:`value` returns them.
 
         The corner value is ``c1 b1 + c2 b2 + cs bsum`` with coefficients
         set by which pentagon corner and which of its two rate bounds
@@ -292,7 +294,7 @@ class _AscentProblem:
         """
         b = theta.shape[0]
         p_u, p1, p2 = self.split(theta)
-        b1, b2, bsum = batch_pentagon(self.pmf, p_u, p1, p2)
+        b1, b2, bsum = bounds.T
         _, r1, r2 = pentagon_corners(b1, b2, bsum, self.w1, self.w2)
         # Each corner rate is its own bound or bsum minus the other bound.
         s1 = r1 == b1
@@ -331,7 +333,7 @@ class _AscentProblem:
         """
         s, dim = theta0.shape
         theta = self.project(theta0)
-        best = self.value(theta)
+        best, bounds = self.value(theta)
         stall = np.zeros(s, dtype=np.int64)
         ladder = np.asarray(_STEP_LADDER)
         for _ in range(max_iter):
@@ -339,19 +341,21 @@ class _AscentProblem:
             if idx.size == 0:
                 break
             th = theta[idx]
-            grads = self.gradient(th)
+            grads = self.gradient(th, bounds[idx])
             scale = np.abs(grads).max(axis=1)
             alive = scale > 0.0
             dirs = grads / np.maximum(scale, 1e-300)[:, None]
             cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-            cvals = self.value(cands.reshape(-1, dim)).reshape(idx.size, -1)
-            kbest = np.argmax(cvals, axis=1)
-            cbest = cvals[np.arange(idx.size), kbest]
+            cvals, cbounds = self.value(cands.reshape(-1, dim))
+            cvals = cvals.reshape(idx.size, -1)
+            pick = (np.arange(idx.size), np.argmax(cvals, axis=1))
+            cbest = cvals[pick]
             improved = alive & (cbest > best[idx] + _IMPROVE_TOL)
-            accepted = self.project(cands[np.arange(idx.size), kbest])
+            accepted = self.project(cands[pick])
             gi = idx[improved]
             theta[gi] = accepted[improved]
             best[gi] = cbest[improved]
+            bounds[gi] = cbounds.reshape(idx.size, -1, 3)[pick][improved]
             stall[gi] = 0
             stall[idx[~improved]] += 1
             stall[idx[~alive]] = 2
@@ -360,8 +364,6 @@ class _AscentProblem:
 
 def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
     """Deterministic ascent seeds: uniform plus one per constant-partner corner."""
-    from .channel import induced_channel
-
     n1, n2, _ = mac.shape
     starts = []
 
@@ -483,8 +485,6 @@ def two_look_channel(mac: Mac, user: int, fixed_symbol: str) -> ConditionalPmf:
     The partner's symbol is held fixed; each output coordinate is an
     independent draw of the channel given the inputs.
     """
-    from .channel import induced_channel
-
     one = induced_channel(mac, fix_user=(2 if user == 1 else 1),
                           fixed_symbol=fixed_symbol)
     rows = one.rows
@@ -512,8 +512,6 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     model = str(model).upper()
     if model not in ("PF", "IF", "DF"):
         raise InputError(f"model must be PF, IF or DF, got {model!r}")
-    from .channel import induced_channel
-
     other = 2 if user == 1 else 1
     other_alpha = mac.x2_alphabet if user == 1 else mac.x1_alphabet
     best = 0.0

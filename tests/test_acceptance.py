@@ -241,7 +241,7 @@ def test_criterion_09_property_suites():
             mac, group = random_cyclic_additive_mac(rng, n)
             assert rows_are_permutations(channel_given_sum(mac, group))
             p = Pmf(mac.x1_alphabet, rng.dirichlet(np.ones(n)))
-            spread = conditional_mi_spread(mac, 1, p, group)
+            spread = conditional_mi_spread(mac, 1, p)
             assert spread.max_spread < 1e-9
         assert perf_counter() - t0 < 60.0
 

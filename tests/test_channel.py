@@ -11,6 +11,7 @@ from macfeedback import (ChannelFormatError, ConditionalPmf, ErasureSpec, InputE
                          induced_channel, load_channel, load_channel_file,
                          save_channel, validate_mac)
 from macfeedback import catalog
+from macfeedback._util import table_faults
 
 from _gen import random_mac
 
@@ -74,6 +75,20 @@ class TestValidateMac:
         mac = Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
         report = validate_mac(mac)
         assert any("negative mass" in r for r in report)
+
+
+class TestTableFaults:
+    def test_kinds_in_order_with_indices(self):
+        t = np.array([[0.5, 0.5], [-0.2, 1.3], [0.3, 0.3]])
+        faults = table_faults(t, sum_axes=1)
+        assert [(kind, idx) for kind, idx, _ in faults] == [
+            ("negative", (1, 0)), ("above 1", (1, 1)), ("sum", (1,)), ("sum", (2,))]
+        assert [v for _, _, v in faults] == pytest.approx([-0.2, 1.3, 1.1, 0.6])
+
+    def test_non_finite_reported_alone(self):
+        t = np.array([[-0.5, math.nan], [math.inf, 0.5]])
+        assert [(kind, idx) for kind, idx, _ in table_faults(t)] == [
+            ("non-finite", (0, 1)), ("non-finite", (1, 0))]
 
 
 class TestInducedChannel:
@@ -274,7 +289,7 @@ class TestChannelFiles:
         with pytest.raises(ChannelFormatError, match="negative"):
             load_channel(path)
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_probability_rejected(self, tmp_path, token):
         path = tmp_path / "nonfinite.json"
         path.write_text('{"x1": ["0"], "x2": ["0", "1"], "y": ["0", "1"], '

@@ -222,9 +222,9 @@ class TestAscentGradient:
                 continue  # too close to the kink of the min for a difference
             pieces.add(slack < 0.0)
             d = self._tangent(rng, problem, theta)
-            analytic = float(problem.gradient(theta)[0] @ d)
-            numeric = float(problem.value(theta + h * d)[0]
-                            - problem.value(theta - h * d)[0]) / (2 * h)
+            analytic = float(problem.gradient(theta, problem.value(theta)[1])[0] @ d)
+            numeric = float(problem.value(theta + h * d)[0][0]
+                            - problem.value(theta - h * d)[0][0]) / (2 * h)
             assert analytic == pytest.approx(numeric, abs=1e-6)
         assert pieces == {True, False}  # both pieces of the min were checked
 
@@ -235,7 +235,7 @@ class TestAscentGradient:
         # massless u1 get exact zero partials.
         problem = _AscentProblem(catalog.adder_mac(), 2, 1.0, 1.0)
         theta = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]])
-        grad = problem.gradient(theta)[0]
+        grad = problem.gradient(theta, problem.value(theta)[1])[0]
         assert np.isfinite(grad).all()
         assert grad[3] > 100.0 and grad[7] > 100.0
         assert grad[2] == grad[6] == 0.0  # centred on the support

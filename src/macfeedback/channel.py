@@ -62,9 +62,6 @@ class Pmf:
     def __len__(self) -> int:
         return len(self.alphabet)
 
-    def prob(self, symbol: str) -> float:
-        return float(self.probs[self.alphabet.index(symbol)])
-
     @staticmethod
     def point_mass(alphabet, symbol: str) -> "Pmf":
         alphabet = tuple(alphabet)
@@ -178,12 +175,6 @@ class JointDist:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.axes)
 
-    def alphabet(self, name: str) -> tuple[str, ...]:
-        for n, a in self.axes:
-            if n == name:
-                return a
-        raise InputError(f"JointDist: no axis named {name!r}")
-
     def _axis_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.axes):
             if n == name:
@@ -199,16 +190,6 @@ class JointDist:
         kept_sorted = sorted(keep)
         perm = [kept_sorted.index(k) for k in keep]
         return t.transpose(perm) if perm != sorted(perm) else t
-
-    def marginal(self, names) -> "JointDist":
-        names = (names,) if isinstance(names, str) else tuple(names)
-        axes = tuple((n, self.alphabet(n)) for n in names)
-        return JointDist(axes, self.marginal_table(names))
-
-    def to_pmf(self) -> Pmf:
-        if len(self.axes) != 1:
-            raise InputError("to_pmf: joint has more than one axis")
-        return Pmf(self.axes[0][1], self.table)
 
     def condition(self, name: str, symbol: str) -> "JointDist":
         """The joint over the remaining axes given ``name == symbol``.

@@ -68,7 +68,10 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
             for k, v in enumerate(row):
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
                     raise ChannelFormatError(f"pmf[{i}][{j}][{k}]: not a number")
-            out[i, j] = row
+                try:
+                    out[i, j, k] = v
+                except OverflowError:  # an integer beyond the float range
+                    out[i, j, k] = np.inf
     out = clamp_tiny(out)
     faults = table_faults(out, sum_axes=2)
     if faults:

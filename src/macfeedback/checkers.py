@@ -62,16 +62,21 @@ class SingleRateResult:
     """Best one-user rate with the partner constant, and how it is achieved.
 
     ``maximizer_set`` lists every partner symbol whose induced capacity
-    ties the best one within the requested tolerance; ``p_star`` is a
-    maximal-support capacity-achieving input for ``xk_star``.
+    ties the best one within the requested tolerance; ``inputs`` holds a
+    maximal-support capacity-achieving input for every partner symbol,
+    and ``p_star`` is the one for ``xk_star``.
     """
 
     user: int
     value: float
-    p_star: Pmf
     xk_star: str
     maximizer_set: tuple[str, ...]
     per_symbol: dict[str, float]
+    inputs: dict[str, Pmf]
+
+    @property
+    def p_star(self) -> Pmf:
+        return self.inputs[self.xk_star]
 
     def to_dict(self) -> dict:
         return {
@@ -90,7 +95,7 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
 
     The inner optimizer runs two orders of magnitude tighter than ``tol``
     so that mathematically tied partner symbols land inside the ``tol``
-    tie window.
+    tie window. The gain condition and its callers reuse ``inputs``.
     """
     _, other_alpha, other = _free_alphabets(mac, user)
     inner_tol = tol / 100.0
@@ -110,10 +115,10 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
     return SingleRateResult(
         user=user,
         value=best_val,
-        p_star=inputs[best_sym],
         xk_star=best_sym,
         maximizer_set=maximizers,
         per_symbol=per_symbol,
+        inputs=inputs,
     )
 
 
@@ -152,6 +157,7 @@ class GainConditionReport:
     rhs: float | None
     degenerate_denominator: bool
     pairs: tuple[PairEvaluation, ...]
+    single_rate: SingleRateResult  # what it was decided from; not serialized
     note: str | None = None
 
     def to_dict(self) -> dict:
@@ -225,8 +231,15 @@ def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
     ``x_k*``; when the condition fails, other capacity-achieving inputs
     might still certify a gain, and the report says so.
     """
+    return _gain_condition(mac, single_rate_capacity(mac, user, tol=tol),
+                           strict_margin)
+
+
+def _gain_condition(mac: Mac, sr: SingleRateResult,
+                    strict_margin: float = STRICT_MARGIN) -> GainConditionReport:
+    """The gain condition evaluated at the inputs ``sr`` already found."""
+    user = sr.user
     _, other_alpha, _ = _free_alphabets(mac, user)
-    sr = single_rate_capacity(mac, user, tol=tol)
     # Capacity descending, then label; capacities are quantized so that
     # numerically tied symbols order by label.
     candidates = sorted(
@@ -236,13 +249,9 @@ def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
     pairs: list[PairEvaluation] = []
     degenerate = False
     winner: PairEvaluation | None = None
-    winner_input: Pmf | None = None
-    inner_tol = tol / 100.0
-    other = 2 if user == 1 else 1
 
     for xk_star in candidates:
-        p_star = max_support_input(induced_channel(mac, other, xk_star),
-                                   tol=inner_tol).argmax_input
+        p_star = sr.inputs[xk_star]
         for xbar in other_alpha:
             rhs, mi_bar, div, h_y_xj, denom = _pair_quantities(
                 mac, user, xk_star, xbar, p_star)
@@ -257,17 +266,17 @@ def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
             pairs.append(ev)
             if winner is None and lhs - rhs > strict_margin:
                 winner = ev
-                winner_input = p_star
         if winner is not None:
             break
 
     if winner is not None:
         return GainConditionReport(
             user=user, holds=True,
-            witness=(winner_input, winner.xk_star, winner.xbar_k),
+            witness=(sr.inputs[winner.xk_star], winner.xk_star, winner.xbar_k),
             lhs=winner.lhs, rhs=winner.rhs,
             degenerate_denominator=degenerate,
             pairs=tuple(pairs),
+            single_rate=sr,
         )
     evaluated = [p for p in pairs if not p.skipped_degenerate]
     best = max(evaluated, key=lambda p: p.lhs - p.rhs, default=None)
@@ -278,6 +287,7 @@ def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
         rhs=None if best is None else best.rhs,
         degenerate_denominator=degenerate,
         pairs=tuple(pairs),
+        single_rate=sr,
         note="representative maximizers only",
     )
 
@@ -539,7 +549,7 @@ def classify_additive_gain(mac: Mac, group: GroupSpec, user: int,
         conclusion = "equal"
     else:
         conclusion = "strictly_greater"
-        gain_report = gain_sufficient_condition(mac, user, tol=cap_tol)
+        gain_report = _gain_condition(mac, sr)
         if not gain_report.holds:
             raise RuntimeError(
                 "inconsistent classification: neither condition holds but the "

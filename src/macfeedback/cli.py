@@ -70,8 +70,6 @@ def _parse_weights(spec: str) -> list[tuple[float, float]]:
             w1, w2 = float(parts[0]), float(parts[1])
         except ValueError:
             raise InputError(f"weight {chunk!r} is not numeric") from None
-        if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-            raise InputError(f"weight {chunk!r} must be nonnegative, not both zero")
         out.append((w1, w2))
     if not out:
         raise InputError("no weights given")
@@ -204,7 +202,7 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
         if gain.witness is not None:
             p_star, xk_star, xbar_k = gain.witness
         else:
-            sr = single_rate_capacity(cf.mac, user, tol=args.tol)
+            sr = gain.single_rate
             xk_star = sr.xk_star
             other_alpha = cf.mac.x2_alphabet if user == 1 else cf.mac.x1_alphabet
             others = [s for s in other_alpha if s != xk_star]

@@ -102,6 +102,9 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
         r = r * np.exp2(shift)
         r = r / r.sum()
 
+    if not converged:
+        # The last update moved r past the input that ``lower`` measured.
+        lower = float(channel_mi_bits(r, rows))
     py = r @ rows
     value = lower if lower > 0.0 else 0.0
     return OptResult(

@@ -19,7 +19,7 @@ from ._util import (SUPPORT_EPS, binary_entropy, channel_mi_bits, lattice_points
 from .channel import ConditionalPmf, Mac
 from .errors import InputError
 from .groups import ROW_TOL
-from .regions import RatePair, batch_pentagon, pentagon_corners
+from .regions import RatePair, batch_pentagon, check_weight, pentagon_corners
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     if not 1 <= u_card <= 2:
         raise InputError("grid_cl_point supports u_card in {1, 2} only")
     w1, w2 = float(weight[0]), float(weight[1])
-    if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-        raise InputError("weight must be nonnegative and not both zero")
+    check_weight(w1, w2)
 
     n = grid.resolution
     pu_lattice = lattice_points(n, u_card)

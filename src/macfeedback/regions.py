@@ -56,10 +56,6 @@ class CLInput:
                 or self.p_x2_given_u.input_alphabet != self.p_u.alphabet):
             raise InputError("CLInput: conditionals not indexed by the U alphabet")
 
-    @property
-    def u_cardinality(self) -> int:
-        return len(self.p_u.alphabet)
-
     def joint_with(self, mac: Mac) -> JointDist:
         """The joint law p(u) p(x1|u) p(x2|u) p(y|x1, x2)."""
         a1 = self.p_x1_given_u.output_alphabet
@@ -151,6 +147,13 @@ def cover_leung_bounds(mac: Mac, q: CLInput) -> tuple[float, float, float]:
 def default_weight_fan(n: int = 17) -> list[tuple[float, float]]:
     """n weight directions sweeping from (1, 0) to (0, 1)."""
     return [(1.0 - k / (n - 1), k / (n - 1)) for k in range(n)]
+
+
+def check_weight(w1: float, w2: float) -> None:
+    """Reject a weight direction that is negative, NaN, infinite or all zero."""
+    if not (0.0 <= w1 < np.inf and 0.0 <= w2 < np.inf and w1 + w2 > 0.0):
+        raise InputError(
+            f"weight ({w1}, {w2}) must be finite, nonnegative and not both zero")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +423,7 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = 25,
         weights = default_weight_fan()
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
     for w1, w2 in weights:
-        if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-            raise InputError(f"weights must be nonnegative and not both zero: ({w1}, {w2})")
+        check_weight(w1, w2)
     n1, n2, _ = mac.shape
     if u_card is None:
         u_card = n1 * n2 + 2

@@ -289,7 +289,8 @@ class TestChannelFiles:
         with pytest.raises(ChannelFormatError, match="negative"):
             load_channel(path)
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
+                                       pytest.param("1" + "0" * 400, id="huge_int")])
     def test_non_finite_probability_rejected(self, tmp_path, token):
         path = tmp_path / "nonfinite.json"
         path.write_text('{"x1": ["0"], "x2": ["0", "1"], "y": ["0", "1"], '

@@ -1,6 +1,7 @@
 """Decision procedures: single-rate capacity, gain condition, curve, scaling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from macfeedback import (InputError, Mac, binary_entropy, classify_additive_gain,
                          compress_forward_curve, cutset_single_rate,
                          erasure_scaling_check, gain_sufficient_condition,
-                         maximize_joint_mi, single_rate_capacity)
-from macfeedback import catalog
+                         load_channel, maximize_joint_mi, single_rate_capacity)
+from macfeedback import catalog, checkers
+from macfeedback.cli import main
 
 from _gen import cyclic_group, random_mac
 
@@ -275,3 +277,43 @@ class TestJointVsSingleRate:
             joint = maximize_joint_mi(mac, tol=1e-10).value
             single = single_rate_capacity(mac, 1, tol=1e-9).value
             assert joint >= single - 1e-8
+
+
+class TestOneSolvePerPartnerSymbol:
+    """Each decision solves every partner-constant capacity exactly once."""
+
+    CHANNELS = Path(__file__).resolve().parent.parent / "channels"
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        calls = []
+        real = checkers.max_support_input
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checkers, "max_support_input", counting)
+        return calls
+
+    def test_gain_condition(self, solves):
+        mac = catalog.erasure_adder_mac(0.5)
+        rep = gain_sufficient_condition(mac, 1)
+        assert rep.holds
+        assert len(solves) == len(mac.x2_alphabet)
+
+    def test_additive_classify(self, solves):
+        mac = catalog.erasure_adder_mac(0.5)
+        cls = classify_additive_gain(mac, catalog.erasure_adder_group(), 1)
+        assert cls.conclusion == "strictly_greater"
+        assert len(solves) == len(mac.x2_alphabet)
+
+    def test_cfcurve_fallback(self, solves, capsys):
+        path = self.CHANNELS / "binary_symmetric_q050.json"
+        mac = load_channel(path)
+        # No witness on this channel, so cfcurve takes the single-rate fallback.
+        assert gain_sufficient_condition(mac, 1).witness is None
+        solves.clear()
+        assert main(["cfcurve", "--channel", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("a,rate,b,flagged\n")
+        assert len(solves) == len(mac.x2_alphabet)

@@ -63,12 +63,14 @@ class TestSinglerate:
         assert code == 2
         assert "row" in json.loads(err)["message"]
 
-    def test_nan_channel_exit_two(self, capsys, tmp_path, groupless_file):
-        # A NaN probability used to pass every check and yield a bogus 0.0.
+    @pytest.mark.parametrize("bad", [math.nan, 10 ** 400], ids=["nan", "huge_int"])
+    def test_nan_channel_exit_two(self, capsys, tmp_path, groupless_file, bad):
+        # A NaN probability used to pass every check and yield a bogus 0.0;
+        # an integer beyond the float range used to crash the loader.
         path = tmp_path / "nan.json"
         with open(groupless_file, encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc["pmf"][0][0][0] = math.nan
+        doc["pmf"][0][0][0] = bad
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "singlerate", "--channel", str(path))
         assert code == 2 and out == ""

@@ -8,6 +8,7 @@ import pytest
 from macfeedback import (ConditionalPmf, InputError, binary_entropy,
                          blahut_arimoto, max_support_input, maximize_joint_mi)
 from macfeedback import catalog
+from macfeedback._util import channel_mi_bits
 from macfeedback.oracle import GridSpec, grid_capacity
 
 from _gen import random_conditional
@@ -93,6 +94,19 @@ class TestBlahutArimoto:
         res = blahut_arimoto(ch, tol=1e-15, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_unconverged_value_describes_returned_input(self, max_iter):
+        # The loop updates the input after measuring it; a run cut off by
+        # max_iter must still report the MI of the input it returns.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            ch = random_conditional(rng, 3, 3)
+            res = blahut_arimoto(ch, tol=1e-15, max_iter=max_iter)
+            assert not res.converged
+            p = res.argmax_input.probs
+            assert abs(res.value - channel_mi_bits(p, ch.rows)) <= 1e-12
+            assert np.abs(res.output_dist.probs - p @ ch.rows).max() <= 1e-15
 
 
 class TestMaximizeJointMi:

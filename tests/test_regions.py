@@ -12,7 +12,7 @@ from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
                          two_look_channel)
 from macfeedback import ErasureSpec, catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
-from macfeedback.oracle import GridSpec, grid_capacity
+from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
 from macfeedback.regions import _AscentProblem, batch_pentagon, pentagon_corners
 
 from _gen import random_mac
@@ -141,6 +141,15 @@ class TestFrontier:
             cover_leung_frontier(mac, weights=[(0.0, 0.0)], restarts=1)
         with pytest.raises(InputError):
             cover_leung_frontier(mac, weights=[(-1.0, 1.0)], restarts=1)
+
+    @pytest.mark.parametrize("weight", [(0.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
+                                        (1.0, math.inf)])
+    def test_bad_weight_rejected_by_frontier_and_lattice(self, weight):
+        mac = catalog.adder_mac()
+        with pytest.raises(InputError, match="weight"):
+            cover_leung_frontier(mac, weights=[weight], restarts=1)
+        with pytest.raises(InputError, match="weight"):
+            grid_cl_point(mac, weight, GridSpec(resolution=4))
 
     def test_inner_below_outer_random(self):
         # Weighted inner value never exceeds the weighted cut-set pentagon.

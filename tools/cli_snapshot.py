@@ -1,0 +1,70 @@
+"""Record the CLI's output on the shipped channels for a byte-level diff.
+
+Usage::
+
+    python tools/cli_snapshot.py OUTDIR
+
+Runs a fixed list of 64 CLI invocations against the checkout that holds
+this script: ``singlerate``, ``region --verify``, ``check gain-condition``,
+``check additive-classify``, ``check symmetry``, ``check additive`` and
+``cfcurve --verify`` on each of the nine ``channels/*.json`` files, plus
+``check erasure-scaling --erasure-p 0.5`` on ``channels/adder.json``.
+Each run is a fresh ``python -m macfeedback`` process with ``src`` on
+``PYTHONPATH``; its stdout, stderr and exit code go to
+``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
+compare with ``diff -r OUTDIR_A OUTDIR_B``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PER_CHANNEL = (
+    ("singlerate", ["singlerate"]),
+    ("region", ["region", "--verify"]),
+    ("gain-condition", ["check", "gain-condition"]),
+    ("additive-classify", ["check", "additive-classify"]),
+    ("symmetry", ["check", "symmetry"]),
+    ("additive", ["check", "additive"]),
+    ("cfcurve", ["cfcurve", "--verify"]),
+)
+
+
+def runs() -> list[tuple[str, list[str]]]:
+    """(name, argv) for every run, channel paths relative to the checkout."""
+    out = []
+    for channel in sorted((ROOT / "channels").glob("*.json")):
+        rel = str(channel.relative_to(ROOT))
+        for name, argv in PER_CHANNEL:
+            out.append((f"{channel.stem}.{name}", argv + ["--channel", rel]))
+    out.append(("adder.erasure-scaling",
+                ["check", "erasure-scaling", "--erasure-p", "0.5",
+                 "--channel", "channels/adder.json"]))
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.stderr.write("usage: python tools/cli_snapshot.py OUTDIR\n")
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    for name, args in runs():
+        proc = subprocess.run([sys.executable, "-m", "macfeedback", *args],
+                              cwd=ROOT, env=env, capture_output=True)
+        (outdir / f"{name}.out").write_bytes(proc.stdout)
+        (outdir / f"{name}.err").write_bytes(proc.stderr)
+        (outdir / f"{name}.code").write_text(f"{proc.returncode}\n")
+        print(f"{proc.returncode} {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

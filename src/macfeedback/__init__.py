@@ -32,8 +32,9 @@ from .groups import (AdditivityReport, EquivClassPartition, GroupSpec,
                      rows_are_permutations, verify_additive)
 from .checkers import (AdditiveClassification, CFCurve, GainConditionReport,
                        ScalingReport, SingleRateResult, classify_additive_gain,
-                       compress_forward_curve, erasure_scaling_check,
-                       gain_sufficient_condition, single_rate_capacity)
+                       compress_forward_curve, compress_forward_rate,
+                       erasure_scaling_check, gain_sufficient_condition,
+                       single_rate_capacity)
 from .oracle import (GridSpec, brute_force_condition2, cl_grid_gap_bound,
                      grid_capacity, grid_cl_point)
 from . import catalog
@@ -46,6 +47,7 @@ __all__ = [
     "ScalingReport", "SingleRateResult", "binary_entropy", "blahut_arimoto",
     "brute_force_condition2", "catalog", "channel_given_sum",
     "cl_grid_gap_bound", "classify_additive_gain", "compress_forward_curve",
+    "compress_forward_rate",
     "conditional_entropy", "conditional_mi", "conditional_mi_spread",
     "cover_leung_bounds", "cover_leung_frontier", "cutset_single_rate",
     "cutset_sum_rate", "default_weight_fan", "entropy", "erasure_extend",

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import channel_mi_bits, entropy_bits, fresh_symbol
-from .channel import ErasureSpec, Mac, Pmf, erasure_extend, induced_channel
+from ._util import entropy_bits, fresh_symbol
+from .channel import (ErasureSpec, JointDist, Mac, Pmf, erasure_extend,
+                      independent_copy_joint, induced_channel)
 from .errors import InputError
 from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
-from .infotheory import kl_divergence_vec
+from .infotheory import (conditional_entropy, conditional_mi, kl_divergence_vec,
+                         mutual_information)
 from .optimize import DEFAULT_TOL, max_support_input, maximize_joint_mi
 from .regions import cover_leung_frontier, default_weight_fan
 
@@ -182,35 +184,39 @@ class GainConditionReport:
         }
 
 
-def _pair_quantities(mac: Mac, user: int, xk_star: str, xbar_k: str, p_star: Pmf):
-    """All ingredients of the gain inequality for one candidate pair."""
-    other = 2 if user == 1 else 1
-    rows_star = induced_channel(mac, other, xk_star).rows
-    rows_bar = induced_channel(mac, other, xbar_k).rows
-    p = p_star.probs
+def _symbol_terms(mac: Mac, user: int, xk: str, p: np.ndarray):
+    """Output terms with the partner fixed at ``xk`` and the free input ``p``.
 
-    rhs = max(float(channel_mi_bits(p, rows_star)), 0.0)
-    mi_bar = max(float(channel_mi_bits(p, rows_bar)), 0.0)
-    divergence = kl_divergence_vec(p @ rows_bar, p @ rows_star)
-
-    h_y_given_xj = float(p @ entropy_bits(rows_star, axis=1))
-    pair = (p[:, None, None] * rows_star[:, :, None] * rows_star[:, None, :]).sum(axis=0)
-    h_yyp = float(entropy_bits(pair))
-    h_y = float(entropy_bits(pair.sum(axis=1)))
-    denominator = max(h_yyp - h_y, 0.0)
-    return rhs, mi_bar, divergence, h_y_given_xj, denominator
-
-
-def _combine(mi_bar: float, divergence: float, factor: float) -> float:
-    """mi_bar + divergence * factor with infinite-divergence semantics.
-
-    A diverging term means the mixed-in symbol reaches outputs the
-    baseline constant cannot; the sign of the parenthesized factor then
-    decides the limit.
+    Returns p(y|x_k), H(Y|x_k), H(Y|X_j, x_k) and H(Y, Y'|x_k), where Y'
+    is a second, conditionally independent look at the same inputs.
     """
+    rows = induced_channel(mac, 2 if user == 1 else 1, xk).rows
+    p_y = p @ rows
+    pair = (p[:, None, None] * rows[:, :, None] * rows[:, None, :]).sum(axis=0)
+    return (p_y, float(entropy_bits(p_y)), float(p @ entropy_bits(rows, axis=1)),
+            float(entropy_bits(pair)))
+
+
+def _pair_quantities(star, bar):
+    """(rhs, lhs, divergence, factor) of the gain inequality for one pair.
+
+    ``star`` and ``bar`` are the :func:`_symbol_terms` of x_k* and
+    xbar_k. ``lhs`` and ``factor`` are None when the denominator
+    H(Y'|Y, x_k*) vanishes. A diverging term means the mixed-in symbol
+    reaches outputs the baseline constant cannot; the sign of the factor
+    then decides ``lhs``.
+    """
+    p_y_star, h_star, h_c_star, h_yy_star = star
+    p_y_bar, h_bar, h_c_bar, _ = bar
+    rhs = max(h_star - h_c_star, 0.0)
+    divergence = kl_divergence_vec(p_y_bar, p_y_star)
+    denominator = max(h_yy_star - h_star, 0.0)
+    if denominator <= DEGENERATE_EPS:
+        return rhs, None, divergence, None
+    factor = 1.0 - h_c_star / denominator
     if math.isinf(divergence):
-        return math.inf if factor > 0.0 else -math.inf
-    return mi_bar + divergence * factor
+        return rhs, (math.inf if factor > 0.0 else -math.inf), divergence, factor
+    return rhs, max(h_bar - h_c_bar, 0.0) + divergence * factor, divergence, factor
 
 
 def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
@@ -251,20 +257,16 @@ def _gain_condition(mac: Mac, sr: SingleRateResult,
     winner: PairEvaluation | None = None
 
     for xk_star in candidates:
-        p_star = sr.inputs[xk_star]
+        p_star = sr.inputs[xk_star].probs
+        star = _symbol_terms(mac, user, xk_star, p_star)
         for xbar in other_alpha:
-            rhs, mi_bar, div, h_y_xj, denom = _pair_quantities(
-                mac, user, xk_star, xbar, p_star)
-            if denom <= DEGENERATE_EPS:
-                degenerate = True
-                pairs.append(PairEvaluation(xk_star, xbar, None, rhs, div,
-                                            None, True))
-                continue
-            factor = 1.0 - h_y_xj / denom
-            lhs = _combine(mi_bar, div, factor)
-            ev = PairEvaluation(xk_star, xbar, lhs, rhs, div, factor, False)
+            rhs, lhs, div, factor = _pair_quantities(
+                star, _symbol_terms(mac, user, xbar, p_star))
+            ev = PairEvaluation(xk_star, xbar, lhs, rhs, div, factor, lhs is None)
             pairs.append(ev)
-            if winner is None and lhs - rhs > strict_margin:
+            if lhs is None:
+                degenerate = True
+            elif winner is None and lhs - rhs > strict_margin:
                 winner = ev
         if winner is not None:
             break
@@ -331,53 +333,25 @@ class CFCurve:
         }
 
 
-def _cf_point(mac: Mac, user: int, xk_star: str, xbar_k: str, p_star: Pmf,
-              a: float) -> tuple[float, float, bool]:
-    """(rate, b, flagged) of the compress-forward bound at mixing weight a."""
-    free_alpha, other_alpha, other = _free_alphabets(mac, user)
-    pk = np.zeros(len(other_alpha))
-    pk[other_alpha.index(xk_star)] += 1.0 - a
-    pk[other_alpha.index(xbar_k)] += a
-
-    if user == 1:
-        w = mac.pmf  # (xj, xk, y)
-    else:
-        w = mac.pmf.transpose(1, 0, 2)
-    pj = p_star.probs
-    joint = (pj[:, None, None, None] * pk[None, :, None, None]
-             * w[:, :, :, None] * w[:, :, None, :])  # (xj, xk, y, y')
-
-    m_jk = joint.sum(axis=(2, 3))
-    m_jky = joint.sum(axis=3)
-    m_ky = m_jky.sum(axis=0)
-    m_kyy = joint.sum(axis=0)
-    m_k = m_jk.sum(axis=0)
-    m_y = m_ky.sum(axis=0)
-
-    h = lambda t: float(entropy_bits(t))
-    i1 = max(h(m_jk) + h(m_ky) - h(m_k) - h(m_jky), 0.0)       # I(Xj;Y|Xk)
-    i2 = max(h(m_k) + h(m_y) - h(m_ky), 0.0)                   # I(Xk;Y)
-    h_c = max(h(m_jky) - h(m_jk), 0.0)                         # H(Y|Xj,Xk)
-    h_yp = max(h(m_kyy) - h(m_ky), 0.0)                        # H(Y'|Xk,Y)
-    i_pp = max(h_yp - h_c, 0.0)                                # I(Xj;Y'|Xk,Y)
-
-    if h_yp <= DEGENERATE_EPS:
-        return i1, 0.0, True
-    b = min(1.0, i2 / h_yp)
-    rate = i1 + min(i2 - b * h_c, b * i_pp)
-    return max(rate, 0.0), b, False
-
-
 def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
                            p_star: Pmf, a_grid) -> CFCurve:
     """Evaluate the relay rate over a grid of partner mixing weights.
 
     ``a_grid`` must be sorted within [0, 1] and contain 0; the first
     point then reproduces the one-user capacity whenever ``p_star`` and
-    ``x_k*`` come from :func:`single_rate_capacity`. The slope at 0 is
-    computed analytically from the same ingredients as the gain
-    condition; it is infinite when the divergence term blows up and NaN
-    when the denominator vanishes.
+    ``x_k*`` come from :func:`single_rate_capacity`. With the partner
+    mixing two constants, every conditional entropy given Xk is affine in
+    ``a`` between its values at ``x_k*`` and ``xbar_k``; only H(Y) is not,
+    so the whole grid is evaluated at once from the two endpoints:
+
+        I(Xj; Y | Xk)      = H(Y | Xk) - H(Y | Xj, Xk)
+        I(Xk; Y)           = H(Y) - H(Y | Xk)
+        H(Y' | Xk, Y)      = H(Y, Y' | Xk) - H(Y | Xk)
+        I(Xj; Y' | Xk, Y)  = H(Y' | Xk, Y) - H(Y | Xj, Xk)
+
+    The slope at 0 is computed analytically from the same ingredients as
+    the gain condition; it is infinite when the divergence term blows up
+    and NaN when the denominator vanishes.
     """
     a_grid = tuple(float(a) for a in a_grid)
     if not a_grid or any(not 0.0 <= a <= 1.0 for a in a_grid):
@@ -391,23 +365,49 @@ def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
         if sym not in other_alpha:
             raise InputError(f"symbol {sym!r} not in the partner alphabet")
 
-    rates, bs, flags = [], [], []
-    for a in a_grid:
-        r, b, f = _cf_point(mac, user, xk_star, xbar_k, p_star, a)
-        rates.append(r)
-        bs.append(b)
-        flags.append(f)
+    star = _symbol_terms(mac, user, xk_star, p_star.probs)
+    bar = _symbol_terms(mac, user, xbar_k, p_star.probs)
+    a = np.asarray(a_grid)
+    mix = np.stack([1.0 - a, a], axis=1)
+    h_k, h_c, h_yy_k = (mix @ np.array([star[1:], bar[1:]])).T
+    h_y = entropy_bits(mix @ np.stack([star[0], bar[0]]), axis=1)
+    i1 = np.maximum(h_k - h_c, 0.0)
+    i2 = np.maximum(h_y - h_k, 0.0)
+    h_yp = np.maximum(h_yy_k - h_k, 0.0)
+    i_pp = np.maximum(h_yp - h_c, 0.0)
+    # Where the look carries nothing given Y, no description is sent.
+    flagged = h_yp <= DEGENERATE_EPS
+    b = np.where(flagged, 0.0, np.minimum(1.0, i2 / np.where(flagged, 1.0, h_yp)))
+    rates = np.maximum(i1 + np.minimum(i2 - b * h_c, b * i_pp), 0.0)
 
-    rhs, mi_bar, div, h_y_xj, denom = _pair_quantities(
-        mac, user, xk_star, xbar_k, p_star)
-    if denom <= DEGENERATE_EPS:
-        deriv = math.nan
-    else:
-        factor = 1.0 - h_y_xj / denom
-        lhs = _combine(mi_bar, div, factor)
-        deriv = lhs - rhs
+    rhs, lhs, _, _ = _pair_quantities(star, bar)
+    deriv = math.nan if lhs is None else lhs - rhs
+    return CFCurve(a_grid, tuple(rates.tolist()), tuple(b.tolist()),
+                   tuple(flagged.tolist()), deriv)
 
-    return CFCurve(a_grid, tuple(rates), tuple(bs), tuple(flags), deriv)
+
+def compress_forward_rate(mac: Mac, user: int, xk_star: str, xbar_k: str,
+                          p_star: Pmf, a: float, b: float) -> float:
+    """One compress-forward rate re-evaluated on the named-axis joint.
+
+    The independent check of :func:`compress_forward_curve`: builds
+    p(xj) p(xk) W(y|x1,x2) W(y'|x1,x2) with :func:`independent_copy_joint`
+    and takes I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)).
+    """
+    _, other_alpha, _ = _free_alphabets(mac, user)
+    pk = np.zeros(len(other_alpha))
+    pk[other_alpha.index(xk_star)] += 1.0 - a
+    pk[other_alpha.index(xbar_k)] += a
+    j, k = ("x1", "x2") if user == 1 else ("x2", "x1")
+    p1, p2 = (p_star.probs, pk) if user == 1 else (pk, p_star.probs)
+    inputs = JointDist((("x1", mac.x1_alphabet), ("x2", mac.x2_alphabet)),
+                       np.outer(p1, p2))
+    joint = independent_copy_joint(mac, inputs, copies=2)
+    i1 = conditional_mi(joint, j, "y", k)
+    i2 = mutual_information(joint, k, "y")
+    h_c = conditional_entropy(joint, "y", (j, k))
+    i_pp = conditional_mi(joint, j, "y'", (k, "y"))
+    return max(i1 + min(i2 - b * h_c, b * i_pp), 0.0)
 
 
 # ---------------------------------------------------------------------------

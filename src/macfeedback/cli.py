@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,8 +27,8 @@ from ._util import channel_mi_bits
 from .channel import Pmf, induced_channel
 from .channel_io import ChannelFile, load_channel_file
 from .checkers import (classify_additive_gain, compress_forward_curve,
-                       erasure_scaling_check, gain_sufficient_condition,
-                       single_rate_capacity)
+                       compress_forward_rate, erasure_scaling_check,
+                       gain_sufficient_condition, single_rate_capacity)
 from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
@@ -37,6 +38,7 @@ from .regions import (cover_leung_bounds, cover_leung_frontier,
                       pentagon_corners)
 
 VERIFY_TOL = 1e-9
+MAX_A_POINTS = 100_000
 
 
 class VerificationError(RuntimeError):
@@ -44,7 +46,7 @@ class VerificationError(RuntimeError):
 
 
 def _emit(obj: dict, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if getattr(args, "json_out", None):
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -84,12 +86,16 @@ def _parse_a_grid(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InputError(f"a-grid {spec!r} is not numeric") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise InputError(f"a-grid {spec!r} must be finite")
     if step <= 0 or stop < start:
         raise InputError(f"a-grid {spec!r} must have positive step and stop >= start")
     if start != 0.0:
         raise InputError("a-grid must start at 0")
-    n = int(round((stop - start) / step))
-    grid = [round(start + k * step, 12) for k in range(n + 1)]
+    steps = (stop - start) / step
+    if steps > MAX_A_POINTS - 1:
+        raise InputError(f"a-grid {spec!r} has more than {MAX_A_POINTS} points")
+    grid = [round(start + k * step, 12) for k in range(int(round(steps)) + 1)]
     return [a for a in grid if 0.0 <= a <= 1.0]
 
 
@@ -217,9 +223,13 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
     curve = compress_forward_curve(cf.mac, user, xk_star, xbar_k, p_star, a_grid)
 
     if args.verify:
-        again = compress_forward_curve(cf.mac, user, xk_star, xbar_k, p_star, a_grid)
-        if any(abs(a - b) > VERIFY_TOL for a, b in zip(again.rates, curve.rates)):
-            raise VerificationError("curve re-evaluation mismatch")
+        for a, b, rate in zip(curve.a_grid, curve.b_values, curve.rates):
+            again = compress_forward_rate(cf.mac, user, xk_star, xbar_k, p_star, a, b)
+            if abs(again - rate) > VERIFY_TOL:
+                raise VerificationError(
+                    f"curve point at a={a!r}, b={b!r} re-evaluates to {again!r}, "
+                    f"stored {rate!r}"
+                )
 
     obj = {
         "channel": cf.name,

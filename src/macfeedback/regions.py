@@ -7,6 +7,16 @@ satisfying, for some auxiliary distribution ``p(u) p(x1|u) p(x2|u)``,
     R2      <= I(X2; Y | U, X1)
     R1 + R2 <= I(X1, X2; Y).
 
+Y depends on U only through the inputs, so the three bounds are
+differences of conditional entropies of the output,
+
+    I(X1; Y | U, X2) = H(Y | U, X2) - H(Y | X1, X2)
+    I(X2; Y | U, X1) = H(Y | U, X1) - H(Y | X1, X2)
+    I(X1, X2; Y)     = H(Y) - H(Y | X1, X2),
+
+and the batched evaluation builds only the output laws p(y|u,x2),
+p(y|u,x1) and p(y) that the ascent gradient also reads.
+
 Frontier points are found by weighted-sum scalarization over the two
 non-trivial corners of each pentagon, maximized by projected gradient
 ascent over the factored simplices. The corner value is the minimum of
@@ -161,8 +171,17 @@ def check_weight(w1: float, w2: float) -> None:
 # both evaluate many auxiliary inputs at once.
 
 
-def _batch_entropy(t: np.ndarray) -> np.ndarray:
-    return entropy_bits(t.reshape(t.shape[0], -1), axis=1)
+def _output_conditionals(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
+                         p_x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Output laws p(y|u,x1) (B, U, n1, ny), p(y|u,x2) (B, U, n2, ny) and p(y) (B, ny).
+
+    Given U the inputs are independent, so each conditional averages the
+    channel over the other input's row; rows with p(u) = 0 still get one.
+    """
+    p_y_ux1 = np.einsum("buj,ijy->buiy", p_x2, mac_pmf)
+    p_y_ux2 = np.einsum("bui,ijy->bujy", p_x1, mac_pmf)
+    p_y = np.einsum("bu,bui,buiy->by", p_u, p_x1, p_y_ux1)
+    return p_y_ux1, p_y_ux2, p_y
 
 
 def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
@@ -170,34 +189,21 @@ def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
     """Pentagon bounds for a batch of factored auxiliary inputs.
 
     Shapes: ``p_u (B, U)``, ``p_x1 (B, U, n1)``, ``p_x2 (B, U, n2)``;
-    returns three length-B arrays (b1, b2, bsum).
+    returns three length-B arrays (b1, b2, bsum). Y depends on U only
+    through the inputs, so with H(Y|X1,X2) the mean entropy of the
+    channel rows under q(u, x1, x2) = p(u) p(x1|u) p(x2|u):
+
+        b1   = H(Y | U, X2) - H(Y | X1, X2)
+        b2   = H(Y | U, X1) - H(Y | X1, X2)
+        bsum = H(Y) - H(Y | X1, X2)
     """
-    j = (p_u[:, :, None, None, None]
-         * p_x1[:, :, :, None, None]
-         * p_x2[:, :, None, :, None]
-         * mac_pmf[None, None, :, :, :])
-    m_ux1x2 = j.sum(axis=4)
-    m_ux2y = j.sum(axis=2)
-    m_ux1y = j.sum(axis=3)
-    m_x1x2y = j.sum(axis=1)
-    m_ux1 = m_ux1x2.sum(axis=3)
-    m_ux2 = m_ux1x2.sum(axis=2)
-    m_x1x2 = m_ux1x2.sum(axis=1)
-    m_y = m_x1x2y.sum(axis=(1, 2))
-
-    h_full = _batch_entropy(j)
-    h_ux1x2 = _batch_entropy(m_ux1x2)
-    h_ux2y = _batch_entropy(m_ux2y)
-    h_ux1y = _batch_entropy(m_ux1y)
-    h_ux1 = _batch_entropy(m_ux1)
-    h_ux2 = _batch_entropy(m_ux2)
-    h_x1x2 = _batch_entropy(m_x1x2)
-    h_x1x2y = _batch_entropy(m_x1x2y)
-    h_y = _batch_entropy(m_y)
-
-    b1 = np.maximum(h_ux1x2 + h_ux2y - h_ux2 - h_full, 0.0)
-    b2 = np.maximum(h_ux1x2 + h_ux1y - h_ux1 - h_full, 0.0)
-    bsum = np.maximum(h_x1x2 + h_y - h_x1x2y, 0.0)
+    p_y_ux1, p_y_ux2, p_y = _output_conditionals(mac_pmf, p_u, p_x1, p_x2)
+    h_c = np.einsum("bu,bui,buj,ij->b", p_u, p_x1, p_x2, entropy_bits(mac_pmf, axis=2))
+    h_ux1 = np.einsum("bu,bui,bui->b", p_u, p_x1, entropy_bits(p_y_ux1, axis=3))
+    h_ux2 = np.einsum("bu,buj,buj->b", p_u, p_x2, entropy_bits(p_y_ux2, axis=3))
+    b1 = np.maximum(h_ux2 - h_c, 0.0)
+    b2 = np.maximum(h_ux1 - h_c, 0.0)
+    bsum = np.maximum(entropy_bits(p_y, axis=1) - h_c, 0.0)
     return b1, b2, bsum
 
 
@@ -267,12 +273,12 @@ class _AscentProblem:
             project_rows_to_simplex(p2).reshape(theta.shape[0], -1),
         ], axis=1)
 
-    def value(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Corner values of the projected rows, and their (B, 3) pentagon bounds."""
-        p_u, p1, p2 = self.split(self.project(theta))
-        bounds = np.stack(batch_pentagon(self.pmf, p_u, p1, p2), axis=1)
+    def value(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The projected rows, their corner values and their (B, 3) pentagon bounds."""
+        proj = self.project(theta)
+        bounds = np.stack(batch_pentagon(self.pmf, *self.split(proj)), axis=1)
         value, _, _ = pentagon_corners(*bounds.T, self.w1, self.w2)
-        return value, bounds
+        return proj, value, bounds
 
     def gradient(self, theta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """Tangent gradient of the active corner piece at projected rows ``theta``.
@@ -307,10 +313,8 @@ class _AscentProblem:
         cs = np.where(s1, 0.0, self.w1) + np.where(s2, 0.0, self.w2)
 
         w = self.pmf
-        p_y_ux1 = np.einsum("buj,ijy->buiy", p2, w)
-        log_y_ux1 = _log2_floored(p_y_ux1)
-        log_y_ux2 = _log2_floored(np.einsum("bui,ijy->bujy", p1, w))
-        log_y = _log2_floored(np.einsum("bu,bui,buiy->by", p_u, p1, p_y_ux1))
+        log_y_ux1, log_y_ux2, log_y = (
+            _log2_floored(p) for p in _output_conditionals(w, p_u, p1, p2))
         d = ((c1 + c2 + cs)[:, None, None, None] * self.neg_h_w
              - c1[:, None, None, None] * np.einsum("ijy,bujy->buij", w, log_y_ux2)
              - c2[:, None, None, None] * np.einsum("ijy,buiy->buij", w, log_y_ux1)
@@ -335,8 +339,7 @@ class _AscentProblem:
         their objective values.
         """
         s, dim = theta0.shape
-        theta = self.project(theta0)
-        best, bounds = self.value(theta)
+        theta, best, bounds = self.value(theta0)
         stall = np.zeros(s, dtype=np.int64)
         ladder = np.asarray(_STEP_LADDER)
         for _ in range(max_iter):
@@ -349,14 +352,13 @@ class _AscentProblem:
             alive = scale > 0.0
             dirs = grads / np.maximum(scale, 1e-300)[:, None]
             cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-            cvals, cbounds = self.value(cands.reshape(-1, dim))
+            cthetas, cvals, cbounds = self.value(cands.reshape(-1, dim))
             cvals = cvals.reshape(idx.size, -1)
             pick = (np.arange(idx.size), np.argmax(cvals, axis=1))
             cbest = cvals[pick]
             improved = alive & (cbest > best[idx] + _IMPROVE_TOL)
-            accepted = self.project(cands[pick])
             gi = idx[improved]
-            theta[gi] = accepted[improved]
+            theta[gi] = cthetas.reshape(idx.size, -1, dim)[pick][improved]
             best[gi] = cbest[improved]
             bounds[gi] = cbounds.reshape(idx.size, -1, 3)[pick][improved]
             stall[gi] = 0

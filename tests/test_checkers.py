@@ -6,14 +6,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macfeedback import (InputError, Mac, binary_entropy, classify_additive_gain,
-                         compress_forward_curve, cutset_single_rate,
+from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
+                         classify_additive_gain, compress_forward_curve,
+                         conditional_entropy, conditional_mi, cutset_single_rate,
                          erasure_scaling_check, gain_sufficient_condition,
-                         load_channel, maximize_joint_mi, single_rate_capacity)
+                         independent_copy_joint, kl_divergence, load_channel,
+                         maximize_joint_mi, mutual_information, single_rate_capacity)
 from macfeedback import catalog, checkers
 from macfeedback.cli import main
 
 from _gen import cyclic_group, random_mac
+
+
+def _cf_joint(mac, user, xk_star, xbar_k, p_star, a):
+    """(free axis, partner axis, two-look named-axis joint) at mixing weight a."""
+    other_alpha = mac.x2_alphabet if user == 1 else mac.x1_alphabet
+    pk = np.zeros(len(other_alpha))
+    pk[other_alpha.index(xk_star)] += 1.0 - a
+    pk[other_alpha.index(xbar_k)] += a
+    p1, p2 = (p_star.probs, pk) if user == 1 else (pk, p_star.probs)
+    inputs = JointDist((("x1", mac.x1_alphabet), ("x2", mac.x2_alphabet)),
+                       np.outer(p1, p2))
+    j, k = ("x1", "x2") if user == 1 else ("x2", "x1")
+    return j, k, independent_copy_joint(mac, inputs, copies=2)
 
 
 def blurred_erasure_adder(p, blur):
@@ -181,6 +196,59 @@ class TestCompressForwardCurve:
         lines = curve.to_csv().splitlines()
         assert lines[0] == "a,rate,b,flagged"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_matches_named_axis_rate(self, user):
+        # Every grid point against the named-axis re-evaluation at its stored
+        # b, and b against its closed form there, including xbar_k = xk_star.
+        # Y copying the partner's input saturates b at a = 0.3.
+        rng = np.random.default_rng(60 + user)
+        copy = np.tile([[[0.99, 0.01], [0.01, 0.99]]], (2, 1, 1))
+        if user == 2:
+            copy = copy.transpose(1, 0, 2)
+        macs = [catalog.erasure_adder_mac(0.5), blurred_erasure_adder(0.3, 0.05),
+                Mac(("0", "1"), ("0", "1"), ("0", "1"), copy)]
+        macs += [random_mac(rng, n1=3, n2=3, ny=4) for _ in range(4)]
+        grid = [0.0, 1e-4, 0.3, 1.0]
+        for mac in macs:
+            sr = single_rate_capacity(mac, user)
+            for xbar in sr.inputs:
+                curve = compress_forward_curve(mac, user, sr.xk_star, xbar, sr.p_star, grid)
+                for a, b, rate, flagged in zip(grid, curve.b_values, curve.rates,
+                                               curve.flagged):
+                    again = checkers.compress_forward_rate(
+                        mac, user, sr.xk_star, xbar, sr.p_star, a, b)
+                    assert rate == pytest.approx(again, abs=1e-12)
+                    j, k, joint = _cf_joint(mac, user, sr.xk_star, xbar, sr.p_star, a)
+                    h_yp = conditional_entropy(joint, "y'", (k, "y"))
+                    assert flagged == (h_yp <= checkers.DEGENERATE_EPS)
+                    if not flagged:
+                        want = min(1.0, mutual_information(joint, k, "y") / h_yp)
+                        assert b == pytest.approx(want, abs=1e-12)
+            assert curve.rates[0] == pytest.approx(sr.value, abs=1e-12)
+
+    def test_pair_quantities_match_infotheory(self):
+        rng = np.random.default_rng(7)
+        macs = [catalog.erasure_adder_mac(0.5), blurred_erasure_adder(0.5, 0.05)]
+        macs += [random_mac(rng, n1=3, n2=2, ny=3) for _ in range(4)]
+        for mac in macs:
+            for user in (1, 2):
+                sr = single_rate_capacity(mac, user)
+                p = sr.p_star
+                star = checkers._symbol_terms(mac, user, sr.xk_star, p.probs)
+                for xbar in sr.inputs:
+                    got = checkers._pair_quantities(
+                        star, checkers._symbol_terms(mac, user, xbar, p.probs))
+                    j, k, at_star = _cf_joint(mac, user, sr.xk_star, xbar, p, 0.0)
+                    _, _, at_bar = _cf_joint(mac, user, sr.xk_star, xbar, p, 1.0)
+                    y = mac.y_alphabet
+                    div = kl_divergence(Pmf(y, at_bar.marginal_table("y")),
+                                        Pmf(y, at_star.marginal_table("y")))
+                    factor = 1.0 - (conditional_entropy(at_star, "y", (j, k))
+                                    / conditional_entropy(at_star, "y'", (k, "y")))
+                    lhs = conditional_mi(at_bar, j, "y", k) + div * factor
+                    want = (conditional_mi(at_star, j, "y", k), lhs, div, factor)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestErasureScaling:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, verification."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from macfeedback import catalog, save_channel
+from macfeedback import cli
 from macfeedback.cli import main
 
 
@@ -207,6 +209,40 @@ class TestCfCurve:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "0:nan:0.1", "0:1:1e-12"])
+    def test_unbounded_grid_rejected(self, capsys, adder_file, grid):
+        # The last grid would hold 10^12 points; it is refused before any is built.
+        code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file,
+                               "--a-grid", grid)
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
+    def test_verify_passes(self, capsys, adder_file):
+        code, _, _ = run_cli(capsys, "cfcurve", "--channel", adder_file, "--verify")
+        assert code == 0
+
+    def test_verify_catches_tampered_rate(self, capsys, adder_file, monkeypatch):
+        real = cli.compress_forward_curve
+
+        def tampered(*args, **kwargs):
+            curve = real(*args, **kwargs)
+            rates = list(curve.rates)
+            rates[3] += 1e-6
+            return dataclasses.replace(curve, rates=tuple(rates))
+
+        monkeypatch.setattr(cli, "compress_forward_curve", tampered)
+        code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file, "--verify")
+        assert code == 1
+        assert json.loads(err)["error"] == "VerificationError"
+
+
+def test_nan_in_report_exits_one(capsys, adder_file, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_singlerate", lambda args: {"value": math.nan})
+    code, out, err = run_cli(capsys, "singlerate", "--channel", adder_file)
+    assert code == 1
+    assert out == ""
+    assert "NaN" not in err
 
 
 def test_console_entry_point_smoke(tmp_path):

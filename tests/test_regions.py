@@ -77,6 +77,35 @@ class TestPentagonBounds:
             without = mutual_information(joint, ("x1", "x2"), "y")
             assert abs(with_u - without) < 1e-9
 
+    @pytest.mark.parametrize("n1,erased", [(2, False), (3, False), (2, True)])
+    def test_batch_matches_named_axis_oracle(self, n1, erased):
+        # The conditional-entropy batch against the named-axis joint, one
+        # auxiliary input at a time; every other input has p(u) = 0 on u2
+        # and zero entries in its conditional rows.
+        rng = np.random.default_rng(40 + n1 + 10 * int(erased))
+        u_card = 3
+        u = tuple(f"u{k}" for k in range(u_card))
+        for trial in range(16):
+            mac = random_mac(rng, n1=n1, ny=3)
+            if erased:
+                mac = erasure_extend(mac, ErasureSpec(0.4, "e"))
+            p_u = rng.dirichlet(np.ones(u_card))
+            rows1 = rng.dirichlet(np.ones(n1), size=u_card)
+            rows2 = rng.dirichlet(np.ones(2), size=u_card)
+            if trial % 2:
+                p_u[2] = 0.0
+                rows1[0, 0] = 0.0
+                rows2[1] = [1.0, 0.0]
+            q = CLInput(Pmf(u, p_u / p_u.sum()),
+                        ConditionalPmf(u, mac.x1_alphabet,
+                                       rows1 / rows1.sum(axis=1, keepdims=True)),
+                        ConditionalPmf(u, mac.x2_alphabet, rows2))
+            batch = batch_pentagon(mac.pmf, q.p_u.probs[None], q.p_x1_given_u.rows[None],
+                                   q.p_x2_given_u.rows[None])
+            oracle = cover_leung_bounds(mac, q)
+            for got, want in zip(batch, oracle):
+                assert got[0] == pytest.approx(want, abs=1e-13)
+
 
 class TestFrontier:
     def test_weight_on_user1_matches_single_rate(self):
@@ -231,9 +260,9 @@ class TestAscentGradient:
                 continue  # too close to the kink of the min for a difference
             pieces.add(slack < 0.0)
             d = self._tangent(rng, problem, theta)
-            analytic = float(problem.gradient(theta, problem.value(theta)[1])[0] @ d)
-            numeric = float(problem.value(theta + h * d)[0][0]
-                            - problem.value(theta - h * d)[0][0]) / (2 * h)
+            analytic = float(problem.gradient(theta, problem.value(theta)[2])[0] @ d)
+            numeric = float(problem.value(theta + h * d)[1][0]
+                            - problem.value(theta - h * d)[1][0]) / (2 * h)
             assert analytic == pytest.approx(numeric, abs=1e-6)
         assert pieces == {True, False}  # both pieces of the min were checked
 
@@ -244,7 +273,7 @@ class TestAscentGradient:
         # massless u1 get exact zero partials.
         problem = _AscentProblem(catalog.adder_mac(), 2, 1.0, 1.0)
         theta = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]])
-        grad = problem.gradient(theta, problem.value(theta)[1])[0]
+        grad = problem.gradient(theta, problem.value(theta)[2])[0]
         assert np.isfinite(grad).all()
         assert grad[3] > 100.0 and grad[7] > 100.0
         assert grad[2] == grad[6] == 0.0  # centred on the support

@@ -18,7 +18,7 @@ and information quantities are in bits.
 
 from .channel import (ConditionalPmf, ErasureSpec, JointDist, Mac, Pmf,
                       erasure_extend, independent_copy_joint, induced_channel,
-                      validate_mac)
+                      partner_channels, two_look_channel, validate_mac)
 from .channel_io import ChannelFile, load_channel, load_channel_file, save_channel
 from .errors import ChannelFormatError, InputError
 from .infotheory import (binary_entropy, conditional_entropy, conditional_mi,
@@ -26,7 +26,7 @@ from .infotheory import (binary_entropy, conditional_entropy, conditional_mi,
 from .optimize import OptResult, blahut_arimoto, max_support_input, maximize_joint_mi
 from .regions import (CLInput, RatePair, RegionFrontier, cover_leung_bounds,
                       cover_leung_frontier, cutset_single_rate, cutset_sum_rate,
-                      default_weight_fan, two_look_channel)
+                      default_weight_fan)
 from .groups import (AdditivityReport, EquivClassPartition, GroupSpec,
                      channel_given_sum, conditional_mi_spread, equivalence_classes,
                      rows_are_permutations, verify_additive)
@@ -55,6 +55,7 @@ __all__ = [
     "grid_capacity", "grid_cl_point", "independent_copy_joint",
     "induced_channel", "joint_entropy", "kl_divergence", "load_channel",
     "load_channel_file", "max_support_input", "maximize_joint_mi",
-    "mutual_information", "rows_are_permutations", "save_channel",
-    "single_rate_capacity", "two_look_channel", "validate_mac", "verify_additive",
+    "mutual_information", "partner_channels", "rows_are_permutations",
+    "save_channel", "single_rate_capacity", "two_look_channel", "validate_mac",
+    "verify_additive",
 ]

@@ -232,6 +232,25 @@ def validate_mac(mac: Mac) -> list[str]:
     return report
 
 
+def partner_channels(mac: Mac, user: int) -> dict[str, ConditionalPmf]:
+    """Point-to-point channels of ``user`` with the partner held at each constant.
+
+    Keys are the partner's symbols in alphabet order; each channel maps the
+    free user's alphabet to the output alphabet. This is the one place
+    where a user number picks axes of ``mac.pmf``.
+    """
+    if user not in (1, 2):
+        raise InputError(f"user must be 1 or 2, got {user!r}")
+    if user == 1:
+        free, partner = mac.x1_alphabet, mac.x2_alphabet
+        by_partner = mac.pmf.transpose(1, 0, 2)
+    else:
+        free, partner = mac.x2_alphabet, mac.x1_alphabet
+        by_partner = mac.pmf
+    return {sym: ConditionalPmf(free, mac.y_alphabet, rows)
+            for sym, rows in zip(partner, by_partner)}
+
+
 def induced_channel(mac: Mac, fix_user: int, fixed_symbol: str) -> ConditionalPmf:
     """Point-to-point channel seen by one user when the other sends a constant.
 
@@ -240,19 +259,26 @@ def induced_channel(mac: Mac, fix_user: int, fixed_symbol: str) -> ConditionalPm
     """
     if fix_user not in (1, 2):
         raise InputError(f"fix_user must be 1 or 2, got {fix_user!r}")
-    fixed_alpha = mac.x1_alphabet if fix_user == 1 else mac.x2_alphabet
-    if fixed_symbol not in fixed_alpha:
+    channels = partner_channels(mac, 3 - fix_user)
+    if fixed_symbol not in channels:
         raise InputError(
             f"symbol {fixed_symbol!r} not in user {fix_user} alphabet"
         )
-    k = fixed_alpha.index(fixed_symbol)
-    if fix_user == 1:
-        rows = mac.pmf[k, :, :]
-        free_alpha = mac.x2_alphabet
-    else:
-        rows = mac.pmf[:, k, :]
-        free_alpha = mac.x1_alphabet
-    return ConditionalPmf(free_alpha, mac.y_alphabet, rows)
+    return channels[fixed_symbol]
+
+
+def two_look_channel(one: ConditionalPmf) -> ConditionalPmf:
+    """Channel from the free user to a pair of independent looks at the output.
+
+    ``one`` is a partner-constant channel (see :func:`partner_channels`);
+    each coordinate of the pair output is an independent draw of it.
+    """
+    rows = one.rows
+    ny = rows.shape[1]
+    pair_rows = (rows[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], ny * ny)
+    pair_alpha = tuple(f"({a},{b})" for a in one.output_alphabet
+                       for b in one.output_alphabet)
+    return ConditionalPmf(one.input_alphabet, pair_alpha, pair_rows)
 
 
 def independent_copy_joint(mac: Mac, input_dist: JointDist, copies: int = 1) -> JointDist:
@@ -261,7 +287,6 @@ def independent_copy_joint(mac: Mac, input_dist: JointDist, copies: int = 1) -> 
     With ``copies=2`` the result is ``p(x1, x2) p(y|x1, x2) p(y'|x1, x2)``:
     the second output axis (named ``y'``) is a statistically identical,
     conditionally independent draw of the channel given the same inputs.
-    This is the building block for every two-look quantity.
     """
     if copies not in (1, 2):
         raise InputError(f"copies must be 1 or 2, got {copies!r}")

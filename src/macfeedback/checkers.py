@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import entropy_bits, fresh_symbol
-from .channel import (ErasureSpec, JointDist, Mac, Pmf, erasure_extend,
-                      independent_copy_joint, induced_channel)
+from .channel import (ConditionalPmf, ErasureSpec, JointDist, Mac, Pmf,
+                      erasure_extend, partner_channels, two_look_channel)
 from .errors import InputError
 from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
@@ -49,14 +49,6 @@ def _json_num(v):
     if math.isnan(v):
         return "nan"
     return float(v)
-
-
-def _free_alphabets(mac: Mac, user: int):
-    if user not in (1, 2):
-        raise InputError(f"user must be 1 or 2, got {user!r}")
-    if user == 1:
-        return mac.x1_alphabet, mac.x2_alphabet, 2
-    return mac.x2_alphabet, mac.x1_alphabet, 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +91,20 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
     so that mathematically tied partner symbols land inside the ``tol``
     tie window. The gain condition and its callers reuse ``inputs``.
     """
-    _, other_alpha, other = _free_alphabets(mac, user)
+    channels = partner_channels(mac, user)
     inner_tol = tol / 100.0
     per_symbol: dict[str, float] = {}
     inputs: dict[str, Pmf] = {}
-    for sym in other_alpha:
-        res = max_support_input(induced_channel(mac, other, sym), tol=inner_tol)
+    for sym, ch in channels.items():
+        res = max_support_input(ch, tol=inner_tol)
         per_symbol[sym] = res.value
         inputs[sym] = res.argmax_input
     best_val = max(per_symbol.values())
     # First symbol in alphabet order within noise of the maximum, so ties
     # resolve by label rather than by which float came out a hair larger.
-    best_sym = next(s for s in other_alpha
+    best_sym = next(s for s in channels
                     if per_symbol[s] >= best_val - 1e-13)
-    maximizers = tuple(s for s in other_alpha
+    maximizers = tuple(s for s in channels
                        if per_symbol[s] >= best_val - (tol + 1e-12))
     return SingleRateResult(
         user=user,
@@ -184,17 +176,15 @@ class GainConditionReport:
         }
 
 
-def _symbol_terms(mac: Mac, user: int, xk: str, p: np.ndarray):
-    """Output terms with the partner fixed at ``xk`` and the free input ``p``.
+def _symbol_terms(ch: ConditionalPmf, p: np.ndarray):
+    """Output terms of the partner-constant channel ``ch`` at free input ``p``.
 
     Returns p(y|x_k), H(Y|x_k), H(Y|X_j, x_k) and H(Y, Y'|x_k), where Y'
     is a second, conditionally independent look at the same inputs.
     """
-    rows = induced_channel(mac, 2 if user == 1 else 1, xk).rows
-    p_y = p @ rows
-    pair = (p[:, None, None] * rows[:, :, None] * rows[:, None, :]).sum(axis=0)
-    return (p_y, float(entropy_bits(p_y)), float(p @ entropy_bits(rows, axis=1)),
-            float(entropy_bits(pair)))
+    p_y = p @ ch.rows
+    return (p_y, float(entropy_bits(p_y)), float(p @ entropy_bits(ch.rows, axis=1)),
+            float(entropy_bits(p @ two_look_channel(ch).rows)))
 
 
 def _pair_quantities(star, bar):
@@ -245,7 +235,8 @@ def _gain_condition(mac: Mac, sr: SingleRateResult,
                     strict_margin: float = STRICT_MARGIN) -> GainConditionReport:
     """The gain condition evaluated at the inputs ``sr`` already found."""
     user = sr.user
-    _, other_alpha, _ = _free_alphabets(mac, user)
+    channels = partner_channels(mac, user)
+    other_alpha = tuple(channels)
     # Capacity descending, then label; capacities are quantized so that
     # numerically tied symbols order by label.
     candidates = sorted(
@@ -258,10 +249,9 @@ def _gain_condition(mac: Mac, sr: SingleRateResult,
 
     for xk_star in candidates:
         p_star = sr.inputs[xk_star].probs
-        star = _symbol_terms(mac, user, xk_star, p_star)
-        for xbar in other_alpha:
-            rhs, lhs, div, factor = _pair_quantities(
-                star, _symbol_terms(mac, user, xbar, p_star))
+        terms = {sym: _symbol_terms(ch, p_star) for sym, ch in channels.items()}
+        for xbar in channels:
+            rhs, lhs, div, factor = _pair_quantities(terms[xk_star], terms[xbar])
             ev = PairEvaluation(xk_star, xbar, lhs, rhs, div, factor, lhs is None)
             pairs.append(ev)
             if lhs is None:
@@ -360,13 +350,13 @@ def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
         raise InputError("a_grid must be sorted")
     if a_grid[0] != 0.0:
         raise InputError("a_grid must contain 0")
-    _, other_alpha, _ = _free_alphabets(mac, user)
+    channels = partner_channels(mac, user)
     for sym in (xk_star, xbar_k):
-        if sym not in other_alpha:
+        if sym not in channels:
             raise InputError(f"symbol {sym!r} not in the partner alphabet")
 
-    star = _symbol_terms(mac, user, xk_star, p_star.probs)
-    bar = _symbol_terms(mac, user, xbar_k, p_star.probs)
+    star = _symbol_terms(channels[xk_star], p_star.probs)
+    bar = _symbol_terms(channels[xbar_k], p_star.probs)
     a = np.asarray(a_grid)
     mix = np.stack([1.0 - a, a], axis=1)
     h_k, h_c, h_yy_k = (mix @ np.array([star[1:], bar[1:]])).T
@@ -391,22 +381,24 @@ def compress_forward_rate(mac: Mac, user: int, xk_star: str, xbar_k: str,
     """One compress-forward rate re-evaluated on the named-axis joint.
 
     The independent check of :func:`compress_forward_curve`: builds
-    p(xj) p(xk) W(y|x1,x2) W(y'|x1,x2) with :func:`independent_copy_joint`
-    and takes I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)).
+    p(xk) p(xj) W(y|xj,xk) W(y'|xj,xk) over named axes from the partner
+    channels and takes
+    I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)).
     """
-    _, other_alpha, _ = _free_alphabets(mac, user)
+    channels = partner_channels(mac, user)
+    other_alpha = tuple(channels)
     pk = np.zeros(len(other_alpha))
     pk[other_alpha.index(xk_star)] += 1.0 - a
     pk[other_alpha.index(xbar_k)] += a
-    j, k = ("x1", "x2") if user == 1 else ("x2", "x1")
-    p1, p2 = (p_star.probs, pk) if user == 1 else (pk, p_star.probs)
-    inputs = JointDist((("x1", mac.x1_alphabet), ("x2", mac.x2_alphabet)),
-                       np.outer(p1, p2))
-    joint = independent_copy_joint(mac, inputs, copies=2)
-    i1 = conditional_mi(joint, j, "y", k)
-    i2 = mutual_information(joint, k, "y")
-    h_c = conditional_entropy(joint, "y", (j, k))
-    i_pp = conditional_mi(joint, j, "y'", (k, "y"))
+    w = np.stack([ch.rows for ch in channels.values()])  # w[xk, xj, y]
+    table = (pk[:, None, None, None] * p_star.probs[None, :, None, None]
+             * w[:, :, :, None] * w[:, :, None, :])
+    joint = JointDist((("xk", other_alpha), ("xj", p_star.alphabet),
+                       ("y", mac.y_alphabet), ("y'", mac.y_alphabet)), table)
+    i1 = conditional_mi(joint, "xj", "y", "xk")
+    i2 = mutual_information(joint, "xk", "y")
+    h_c = conditional_entropy(joint, "y", ("xj", "xk"))
+    i_pp = conditional_mi(joint, "xj", "y'", ("xk", "y"))
     return max(i1 + min(i2 - b * h_c, b * i_pp), 0.0)
 
 

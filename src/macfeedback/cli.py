@@ -21,10 +21,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from ._util import channel_mi_bits
-from .channel import Pmf, induced_channel
+from .channel import Pmf, partner_channels
 from .channel_io import ChannelFile, load_channel_file
 from .checkers import (classify_additive_gain, compress_forward_curve,
                        compress_forward_rate, erasure_scaling_check,
@@ -32,10 +30,8 @@ from .checkers import (classify_additive_gain, compress_forward_curve,
 from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
-from .optimize import max_support_input
-from .regions import (cover_leung_bounds, cover_leung_frontier,
-                      cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                      pentagon_corners)
+from .regions import (batch_pentagon, cover_leung_frontier, cutset_single_rate,
+                      cutset_sum_rate, default_weight_fan, pentagon_corners)
 
 VERIFY_TOL = 1e-9
 MAX_A_POINTS = 100_000
@@ -112,7 +108,7 @@ def cmd_singlerate(args) -> dict:
         res = single_rate_capacity(cf.mac, user, tol=args.tol)
         out[f"user{user}"] = res.to_dict()
         if args.verify:
-            rows = induced_channel(cf.mac, 2 if user == 1 else 1, res.xk_star).rows
+            rows = partner_channels(cf.mac, user)[res.xk_star].rows
             again = float(channel_mi_bits(res.p_star.probs, rows))
             if abs(again - res.value) > VERIFY_TOL:
                 raise VerificationError(
@@ -133,11 +129,14 @@ def cmd_region(args) -> tuple[dict, str]:
     csum = cutset_sum_rate(cf.mac, tol=args.tol)
 
     if args.verify:
+        # Re-evaluated with the batched kernel, independently of the
+        # named-axis evaluation that produced the stored value.
         for pt in frontier.points:
-            b1, b2, bsum = cover_leung_bounds(cf.mac, pt.witness)
+            q = pt.witness
             val, r1, r2 = pentagon_corners(
-                np.array([b1]), np.array([b2]), np.array([bsum]),
-                pt.weights[0], pt.weights[1])
+                *batch_pentagon(cf.mac.pmf, q.p_u.probs[None],
+                                q.p_x1_given_u.rows[None], q.p_x2_given_u.rows[None]),
+                *pt.weights)
             if (abs(val[0] - pt.value) > VERIFY_TOL
                     or abs(r1[0] - pt.rates.r1) > VERIFY_TOL
                     or abs(r2[0] - pt.rates.r2) > VERIFY_TOL):
@@ -202,7 +201,9 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
     cf = load_channel_file(args.channel)
     user = args.user
     a_grid = _parse_a_grid(args.a_grid)
-    auto = args.xk_star is None or args.xbar_k is None
+    if (args.xk_star is None) != (args.xbar_k is None):
+        raise InputError("--xk-star and --xbar-k must be given together")
+    auto = args.xk_star is None
     if auto:
         gain = gain_sufficient_condition(cf.mac, user, tol=args.tol)
         if gain.witness is not None:
@@ -210,16 +211,15 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
         else:
             sr = gain.single_rate
             xk_star = sr.xk_star
-            other_alpha = cf.mac.x2_alphabet if user == 1 else cf.mac.x1_alphabet
-            others = [s for s in other_alpha if s != xk_star]
+            others = [s for s in sr.inputs if s != xk_star]
             xbar_k = others[0] if others else xk_star
             p_star = sr.p_star
     else:
         xk_star, xbar_k = args.xk_star, args.xbar_k
-        other = 2 if user == 1 else 1
-        p_star = max_support_input(
-            induced_channel(cf.mac, other, xk_star), tol=args.tol / 100.0
-        ).argmax_input
+        inputs = single_rate_capacity(cf.mac, user, tol=args.tol).inputs
+        if xk_star not in inputs:
+            raise InputError(f"symbol {xk_star!r} not in the partner alphabet")
+        p_star = inputs[xk_star]
     curve = compress_forward_curve(cf.mac, user, xk_star, xbar_k, p_star, a_grid)
 
     if args.verify:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import SUPPORT_EPS, channel_mi_bits
-from .channel import ConditionalPmf, Mac, Pmf, induced_channel
+from .channel import ConditionalPmf, Mac, Pmf, partner_channels
 from .errors import InputError
 
 EQ38_TOL = 1e-9
@@ -83,26 +83,6 @@ class GroupSpec:
     def order(self) -> int:
         return len(self.elements)
 
-    def inverse_table(self) -> np.ndarray:
-        """Index of the inverse of each element; raises if one is missing."""
-        n = self.order
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(
-                (self.cayley[a, :] == self.identity)
-                & (self.cayley[:, a] == self.identity)
-            )
-            if hits.size == 0:
-                raise InputError(f"element {self.elements[a]!r} has no inverse")
-            inv[a] = hits[0]
-        return inv
-
-    def diff(self, a: int, b: int, inv: np.ndarray | None = None) -> int:
-        """Index of ``a - b`` = ``a + (-b)``."""
-        if inv is None:
-            inv = self.inverse_table()
-        return int(self.cayley[a, inv[b]])
-
     def to_dict(self) -> dict:
         return {
             "elements": list(self.elements),
@@ -163,9 +143,15 @@ class AdditivityReport:
         return {"additive": self.additive, "violations": list(self.violations)}
 
 
-def _z_index(mac: Mac, g: GroupSpec) -> np.ndarray:
-    """Group index of x1 + x2 for every input pair, shape (|X1|, |X2|)."""
-    return g.cayley[np.ix_(g.embed_x1, g.embed_x2)]
+def _sum_pairs(g: GroupSpec) -> dict[int, np.ndarray]:
+    """Input index pairs (i, j) realizing each reachable sum x1 + x2.
+
+    Keyed by group index in increasing order; each value is an (m, 2)
+    array of pairs in row-major order, so its first row is the first
+    input pair realizing that sum.
+    """
+    zidx = g.cayley[np.ix_(g.embed_x1, g.embed_x2)]
+    return {z: np.argwhere(zidx == z) for z in sorted(set(zidx.ravel().tolist()))}
 
 
 def verify_additive(mac: Mac, g: GroupSpec) -> AdditivityReport:
@@ -223,11 +209,9 @@ def verify_additive(mac: Mac, g: GroupSpec) -> AdditivityReport:
     if violations:
         return AdditivityReport(False, tuple(violations))
 
-    zidx = _z_index(mac, g)
-    z_values = sorted(set(zidx.ravel().tolist()))
+    sum_pairs = _sum_pairs(g)
     rows: dict[int, np.ndarray] = {}
-    for z in z_values:
-        pairs = np.argwhere(zidx == z)
+    for z, pairs in sum_pairs.items():
         i0, j0 = pairs[0]
         rows[z] = mac.pmf[i0, j0]
         for i, j in pairs[1:]:
@@ -241,10 +225,12 @@ def verify_additive(mac: Mac, g: GroupSpec) -> AdditivityReport:
     if violations:
         return AdditivityReport(False, tuple(violations))
 
-    inv = g.inverse_table()
-    for z in z_values:
-        for zp in z_values:
-            d = g.diff(zp, z, inv)
+    # The axioms hold, so every element has a two-sided inverse.
+    c, e = g.cayley, g.identity
+    inv = np.argmax((c == e) & (c.T == e), axis=1)
+    for z in rows:
+        for zp in rows:
+            d = c[zp, inv[z]]  # z' - z
             shifted = rows[zp][ya[:, d]]  # y -> p(y + (z'-z) | z')
             bad_y = np.flatnonzero(np.abs(rows[z] - shifted) > EQ38_TOL)
             for y in bad_y[:3]:
@@ -262,13 +248,9 @@ def channel_given_sum(mac: Mac, g: GroupSpec) -> ConditionalPmf:
     sum is taken from the first input pair realizing it, which is the
     common row whenever :func:`verify_additive` passes.
     """
-    zidx = _z_index(mac, g)
-    z_values = sorted(set(zidx.ravel().tolist()))
-    rows = []
-    for z in z_values:
-        i, j = np.argwhere(zidx == z)[0]
-        rows.append(mac.pmf[i, j])
-    labels = tuple(g.elements[z] for z in z_values)
+    sum_pairs = _sum_pairs(g)
+    rows = [mac.pmf[tuple(pairs[0])] for pairs in sum_pairs.values()]
+    labels = tuple(g.elements[z] for z in sum_pairs)
     return ConditionalPmf(labels, mac.y_alphabet, np.array(rows))
 
 
@@ -301,14 +283,9 @@ def conditional_mi_spread(mac: Mac, user: int, p_xj: Pmf) -> MiSpreadReport:
     the spread is a numerical zero; for general channels the spread is
     simply reported.
     """
-    if user not in (1, 2):
-        raise InputError(f"user must be 1 or 2, got {user!r}")
-    other = 2 if user == 1 else 1
-    other_alpha = mac.x2_alphabet if user == 1 else mac.x1_alphabet
     p = p_xj.probs
     values: dict[str, float] = {}
-    for sym in other_alpha:
-        ch = induced_channel(mac, fix_user=other, fixed_symbol=sym)
+    for sym, ch in partner_channels(mac, user).items():
         if p.shape[0] != len(ch.input_alphabet):
             raise InputError("p_xj length does not match the free user's alphabet")
         values[sym] = max(float(channel_mi_bits(p, ch.rows)), 0.0)

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import entropy_bits, project_rows_to_simplex
-from .channel import ConditionalPmf, JointDist, Mac, Pmf, induced_channel
+from .channel import (ConditionalPmf, JointDist, Mac, Pmf, partner_channels,
+                      two_look_channel)
 from .errors import InputError
 from .infotheory import conditional_mi, mutual_information
 from .optimize import DEFAULT_TOL, blahut_arimoto, max_support_input, maximize_joint_mi
@@ -379,30 +380,19 @@ def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
     ])
     starts.append(uniform)
 
-    def corner(point_user: int, sym_idx: int) -> np.ndarray:
-        theta = uniform.copy()
-        theta[:u_card] = 0.0
-        theta[0] = 1.0
-        if point_user == 2:
-            sym = mac.x2_alphabet[sym_idx]
-            best1 = max_support_input(induced_channel(mac, 2, sym), tol=tol)
-            row1 = best1.argmax_input.probs
-            row2 = np.zeros(n2)
-            row2[sym_idx] = 1.0
-        else:
-            sym = mac.x1_alphabet[sym_idx]
-            best2 = max_support_input(induced_channel(mac, 1, sym), tol=tol)
-            row2 = best2.argmax_input.probs
-            row1 = np.zeros(n1)
-            row1[sym_idx] = 1.0
-        theta[u_card:u_card + n1] = row1
-        theta[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
-        return theta
-
-    for j in range(n2):
-        starts.append(corner(2, j))
-    for i in range(n1):
-        starts.append(corner(1, i))
+    # U is a point mass; the free user sends its best input for the
+    # partner's constant, and the partner sends that constant.
+    for free in (1, 2):
+        channels = partner_channels(mac, free)
+        for ch, point in zip(channels.values(), np.eye(len(channels))):
+            rows = (max_support_input(ch, tol=tol).argmax_input.probs, point)
+            row1, row2 = rows if free == 1 else rows[::-1]
+            theta = uniform.copy()
+            theta[:u_card] = 0.0
+            theta[0] = 1.0
+            theta[u_card:u_card + n1] = row1
+            theta[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
+            starts.append(theta)
     return starts
 
 
@@ -483,22 +473,6 @@ def _theta_to_clinput(theta: np.ndarray, problem: _AscentProblem, mac: Mac) -> C
 # Cut-set outer bounds.
 
 
-def two_look_channel(mac: Mac, user: int, fixed_symbol: str) -> ConditionalPmf:
-    """Channel from the free user to a pair of independent outputs.
-
-    The partner's symbol is held fixed; each output coordinate is an
-    independent draw of the channel given the inputs.
-    """
-    one = induced_channel(mac, fix_user=(2 if user == 1 else 1),
-                          fixed_symbol=fixed_symbol)
-    rows = one.rows
-    ny = rows.shape[1]
-    pair_rows = (rows[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], ny * ny)
-    pair_alpha = tuple(f"({a},{b})" for a in one.output_alphabet
-                       for b in one.output_alphabet)
-    return ConditionalPmf(one.input_alphabet, pair_alpha, pair_rows)
-
-
 def cutset_single_rate(mac: Mac, user: int, model: str,
                        tol: float = DEFAULT_TOL) -> float:
     """Cut-set bound on one user's rate under the given feedback model.
@@ -511,19 +485,14 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     models give the same number because only the partner's feedback
     signal enters this cut.
     """
-    if user not in (1, 2):
-        raise InputError(f"user must be 1 or 2, got {user!r}")
+    channels = partner_channels(mac, user)
     model = str(model).upper()
     if model not in ("PF", "IF", "DF"):
         raise InputError(f"model must be PF, IF or DF, got {model!r}")
-    other = 2 if user == 1 else 1
-    other_alpha = mac.x2_alphabet if user == 1 else mac.x1_alphabet
     best = 0.0
-    for sym in other_alpha:
-        if model == "PF":
-            ch = induced_channel(mac, fix_user=other, fixed_symbol=sym)
-        else:
-            ch = two_look_channel(mac, user, sym)
+    for ch in channels.values():
+        if model != "PF":
+            ch = two_look_channel(ch)
         best = max(best, blahut_arimoto(ch, tol=tol).value)
     return best
 

@@ -9,7 +9,7 @@ import pytest
 from macfeedback import (ChannelFormatError, ConditionalPmf, ErasureSpec, InputError,
                          JointDist, Mac, Pmf, erasure_extend, independent_copy_joint,
                          induced_channel, load_channel, load_channel_file,
-                         save_channel, validate_mac)
+                         partner_channels, save_channel, validate_mac)
 from macfeedback import catalog
 from macfeedback._util import table_faults
 
@@ -112,6 +112,31 @@ class TestInducedChannel:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(InputError):
             induced_channel(catalog.adder_mac(), fix_user=2, fixed_symbol="7")
+
+
+class TestPartnerChannels:
+    # 3 x 2 inputs with 4 outputs, so a swapped axis changes every shape.
+    MAC = random_mac(np.random.default_rng(11), n1=3, n2=2, ny=4)
+
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_keys_rows_and_induced_channel(self, user):
+        mac = self.MAC
+        free, partner = ((mac.x1_alphabet, mac.x2_alphabet) if user == 1
+                         else (mac.x2_alphabet, mac.x1_alphabet))
+        channels = partner_channels(mac, user)
+        assert tuple(channels) == partner
+        for k, (sym, ch) in enumerate(channels.items()):
+            want = mac.pmf[:, k, :] if user == 1 else mac.pmf[k, :, :]
+            assert ch.input_alphabet == free
+            assert ch.output_alphabet == mac.y_alphabet
+            np.testing.assert_allclose(ch.rows, want, rtol=0.0, atol=1e-15)
+            np.testing.assert_array_equal(
+                induced_channel(mac, 3 - user, sym).rows, ch.rows)
+
+    @pytest.mark.parametrize("user", [0, 3])
+    def test_bad_user_rejected(self, user):
+        with pytest.raises(InputError, match="user must be 1 or 2"):
+            partner_channels(self.MAC, user)
 
 
 class TestIndependentCopyJoint:

@@ -11,7 +11,8 @@ from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
                          conditional_entropy, conditional_mi, cutset_single_rate,
                          erasure_scaling_check, gain_sufficient_condition,
                          independent_copy_joint, kl_divergence, load_channel,
-                         maximize_joint_mi, mutual_information, single_rate_capacity)
+                         maximize_joint_mi, mutual_information, partner_channels,
+                         single_rate_capacity)
 from macfeedback import catalog, checkers
 from macfeedback.cli import main
 
@@ -235,10 +236,11 @@ class TestCompressForwardCurve:
             for user in (1, 2):
                 sr = single_rate_capacity(mac, user)
                 p = sr.p_star
-                star = checkers._symbol_terms(mac, user, sr.xk_star, p.probs)
+                channels = partner_channels(mac, user)
+                star = checkers._symbol_terms(channels[sr.xk_star], p.probs)
                 for xbar in sr.inputs:
                     got = checkers._pair_quantities(
-                        star, checkers._symbol_terms(mac, user, xbar, p.probs))
+                        star, checkers._symbol_terms(channels[xbar], p.probs))
                     j, k, at_star = _cf_joint(mac, user, sr.xk_star, xbar, p, 0.0)
                     _, _, at_bar = _cf_joint(mac, user, sr.xk_star, xbar, p, 1.0)
                     y = mac.y_alphabet

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from macfeedback import catalog, save_channel
+import macfeedback
+from macfeedback import catalog, regions, save_channel
 from macfeedback import cli
 from macfeedback.cli import main
 
@@ -112,6 +113,23 @@ class TestRegion:
         assert code == 2
         assert "weight" in json.loads(err)["message"]
 
+    def test_verify_catches_shifted_bound(self, capsys, groupless_file, monkeypatch):
+        # The stored points come from cover_leung_bounds; --verify must not
+        # re-evaluate them with the same function, or this shift goes unseen.
+        real = regions.cover_leung_bounds
+
+        def shifted(mac, q):
+            b1, b2, bsum = real(mac, q)
+            return b1 + 1e-6, b2, bsum
+
+        for module in (macfeedback, regions, cli):
+            if hasattr(module, "cover_leung_bounds"):
+                monkeypatch.setattr(module, "cover_leung_bounds", shifted)
+        code, _, err = run_cli(capsys, "region", "--channel", groupless_file,
+                               "--weights", "1:0", "--restarts", "0", "--verify")
+        assert code == 1
+        assert json.loads(err)["error"] == "VerificationError"
+
     def test_determinism(self, capsys, groupless_file):
         args = ("region", "--channel", groupless_file, "--weights", "1:1,2:1",
                 "--restarts", "5", "--seed", "3")
@@ -198,6 +216,21 @@ class TestCfCurve:
         rates = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert rates[0] == pytest.approx(0.5, abs=1e-8)
         assert rates[-1] > rates[0]
+
+    @pytest.mark.parametrize("flag", ["--xk-star", "--xbar-k"])
+    def test_one_symbol_flag_alone_rejected(self, capsys, adder_file, flag):
+        code, out, err = run_cli(capsys, "cfcurve", "--channel", adder_file,
+                                 flag, "1")
+        assert code == 2 and out == ""
+        message = json.loads(err)["message"]
+        assert "--xk-star" in message and "--xbar-k" in message
+
+    @pytest.mark.parametrize("xk_star,xbar_k", [("7", "1"), ("0", "7")])
+    def test_unknown_symbol_rejected(self, capsys, adder_file, xk_star, xbar_k):
+        code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file,
+                               "--xk-star", xk_star, "--xbar-k", xbar_k)
+        assert code == 2
+        assert "'7'" in json.loads(err)["message"]
 
     def test_bad_grid_rejected(self, capsys, adder_file):
         code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file,

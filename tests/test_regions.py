@@ -8,8 +8,8 @@ import pytest
 from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
                          cover_leung_bounds, cover_leung_frontier,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                         mutual_information, single_rate_capacity,
-                         two_look_channel)
+                         mutual_information, partner_channels,
+                         single_rate_capacity, two_look_channel)
 from macfeedback import ErasureSpec, catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
@@ -302,7 +302,7 @@ class TestCutset:
         mac = catalog.erasure_adder_mac(0.5)
         value = cutset_single_rate(mac, 1, "IF", tol=1e-10)
         assert value == pytest.approx(0.75, abs=1e-8)
-        ch = two_look_channel(mac, 1, "0")
+        ch = two_look_channel(partner_channels(mac, 1)["0"])
         oracle, gap = grid_capacity(ch, GridSpec(resolution=64, max_dims=2))
         assert oracle - 1e-9 <= value <= oracle + gap
 

@@ -4,11 +4,14 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 64 CLI invocations against the checkout that holds
-this script: ``singlerate``, ``region --verify``, ``check gain-condition``,
-``check additive-classify``, ``check symmetry``, ``check additive`` and
-``cfcurve --verify`` on each of the nine ``channels/*.json`` files, plus
-``check erasure-scaling --erasure-p 0.5`` on ``channels/adder.json``.
+Runs a fixed list of 91 CLI invocations against the checkout that holds
+this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
+the two-look cut-set ``region --model IF --weights 1:1 --restarts 0
+--verify``, ``check gain-condition``, ``check additive-classify``,
+``check symmetry``, ``check additive``, ``cfcurve --verify`` and the
+explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
+nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
+0.5`` on ``channels/adder.json``.
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
@@ -26,12 +29,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PER_CHANNEL = (
     ("singlerate", ["singlerate"]),
+    ("singlerate-verify", ["singlerate", "--verify"]),
     ("region", ["region", "--verify"]),
+    ("region-if", ["region", "--model", "IF", "--weights", "1:1",
+                   "--restarts", "0", "--verify"]),
     ("gain-condition", ["check", "gain-condition"]),
     ("additive-classify", ["check", "additive-classify"]),
     ("symmetry", ["check", "symmetry"]),
     ("additive", ["check", "additive"]),
     ("cfcurve", ["cfcurve", "--verify"]),
+    ("cfcurve-pair", ["cfcurve", "--xk-star", "0", "--xbar-k", "1", "--verify"]),
 )
 
 

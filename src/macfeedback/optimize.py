@@ -5,6 +5,12 @@ iteration with its two-sided stopping certificate: at every step the
 current mutual information is a lower bound on capacity and the largest
 per-input divergence from the mixture output is an upper bound, so the
 loop can stop with a guaranteed gap instead of mere stagnation.
+
+Channels with two inputs are solved exactly instead: the mutual
+information is a concave function of the one number P(X=1), so bisection
+on the sign of its derivative finds the unique optimum, and the same
+two-sided certificate stops it. Every result carries both ends of the
+certificate: ``value`` (inner) and ``upper`` (outer).
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ class OptResult:
 
     ``value`` is the mutual information of ``argmax_input`` through the
     channel (a certified lower bound on capacity, within the requested
-    tolerance of it when ``converged``); ``output_dist`` is the induced
-    output distribution.
+    tolerance of it when ``converged``); ``upper`` is the largest
+    divergence D(W_x || output_dist) over the inputs x at that same input,
+    a certified upper bound on capacity. Inner values read ``value``,
+    outer bounds read ``upper``. ``output_dist`` is the induced output
+    distribution.
     """
 
     value: float
+    upper: float
     argmax_input: Pmf
     output_dist: Pmf
     iterations: int
@@ -102,13 +112,16 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
         r = r * np.exp2(shift)
         r = r / r.sum()
 
-    if not converged:
-        # The last update moved r past the input that ``lower`` measured.
-        lower = float(channel_mi_bits(r, rows))
     py = r @ rows
+    if not converged:
+        # The last update moved r past the input that ``lower`` and
+        # ``upper`` measured.
+        lower = float(channel_mi_bits(r, rows))
+        upper = float(_divergence_rows(rows, py).max())
     value = lower if lower > 0.0 else 0.0
     return OptResult(
         value=value,
+        upper=upper,
         argmax_input=Pmf(ch.input_alphabet, r),
         output_dist=Pmf(ch.output_alphabet, py),
         iterations=iterations,
@@ -138,21 +151,70 @@ def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL,
     return blahut_arimoto(flat, tol=tol, max_iter=max_iter)
 
 
+def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
+    """Exact capacity of a two-input channel by bisection on a = P(X=1).
+
+    I(a) is concave with derivative D(W1 || p_y) - D(W0 || p_y), so the
+    sign of that difference tells on which side of ``a`` the optimum lies.
+    Starting at a = 1/2, only interior points are evaluated, where both
+    divergences are finite. The loop stops once the two-sided certificate
+    max_x D(W_x || p_y) - I(a) is at most ``tol`` (``converged``), or,
+    unconverged, once the midpoint stops moving. ``iterations`` counts
+    the points evaluated.
+    """
+    rows = ch.rows
+    lo, hi, a = 0.0, 1.0, 0.5
+    iterations = 0
+    while True:
+        iterations += 1
+        r = np.array([1.0 - a, a])
+        py = r @ rows
+        div = _divergence_rows(rows, py)
+        converged = float(div.max() - r @ div) <= tol
+        if converged:
+            break
+        if div[1] > div[0]:
+            lo = a
+        else:
+            hi = a
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        a = mid
+    value = float(channel_mi_bits(r, rows))
+    return OptResult(
+        value=value if value > 0.0 else 0.0,
+        upper=float(div.max()),
+        argmax_input=Pmf(ch.input_alphabet, r),
+        output_dist=Pmf(ch.output_alphabet, py),
+        iterations=iterations,
+        converged=converged,
+    )
+
+
 def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
     """A capacity-achieving input in the relative interior of the optimal face.
 
     The set of capacity-achieving inputs is a convex face of the simplex.
-    One capacity run per input symbol is launched from a start biased
-    toward that symbol's vertex; the uniform average of the resulting
-    maximizers lands in the interior of the face (mutual information is
-    concave in the input, so the average is still within tolerance of
-    capacity), and one final refinement sweep re-tightens the value. The
-    result keeps positive mass on every symbol that any optimum uses,
-    which is what downstream support arguments need.
+    With two inputs the face is a single point: when the rows differ, I
+    is strictly concave in P(X=1) and zero at both ends, so its optimum
+    is unique and interior; when they are equal, every input is optimal
+    and uniform is the interior one. So two-input channels are solved
+    exactly by :func:`_binary_capacity` (``max_iter`` does not apply).
+
+    With more inputs, one capacity run per input symbol is launched from
+    a start biased toward that symbol's vertex; the uniform average of
+    the resulting maximizers lands in the interior of the face (mutual
+    information is concave in the input, so the average is still within
+    tolerance of capacity), and one final refinement sweep re-tightens
+    the value. The result keeps positive mass on every symbol that any
+    optimum uses, which is what downstream support arguments need.
     """
     rows = ch.rows
     m = rows.shape[0]
+    if m == 2:
+        return _binary_capacity(ch, tol)
     beta = 0.1
     total_iters = 0
     all_converged = True
@@ -175,10 +237,12 @@ def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     refined = refined / refined.sum()
 
     value = float(channel_mi_bits(refined, rows))
+    py = refined @ rows
     return OptResult(
         value=value if value > 0.0 else 0.0,
+        upper=float(_divergence_rows(rows, py).max()),
         argmax_input=Pmf(ch.input_alphabet, refined),
-        output_dist=Pmf(ch.output_alphabet, refined @ rows),
+        output_dist=Pmf(ch.output_alphabet, py),
         iterations=total_iters + 1,
         converged=all_converged,
     )

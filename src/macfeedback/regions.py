@@ -232,6 +232,12 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
 
 _STEP_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 _IMPROVE_TOL = 1e-11
+
+# Ascent values within this of the best count as ties when the witness is
+# picked; the first tied start in start order wins, so last-bit noise in
+# the values cannot flip which witness is printed.
+_WITNESS_TIE = 1e-12
+
 # Conditional output masses are floored here before taking log2. Mass
 # moved onto a zero-mass symbol that alone reaches some output has an
 # infinite partial derivative; the floor caps it at a large finite one.
@@ -434,8 +440,8 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = 25,
         for _ in range(restarts):
             starts.append(_random_start(rng, u_card, n1, n2))
         thetas, vals = problem.ascend_many(np.array(starts), max_iter=max_iter)
-        best_theta = thetas[int(np.argmax(vals))]
-        q = _theta_to_clinput(best_theta, problem, mac)
+        first_tied = int(np.flatnonzero(vals >= vals.max() - _WITNESS_TIE)[0])
+        q = _theta_to_clinput(thetas[first_tied], problem, mac)
         b1, b2, bsum = cover_leung_bounds(mac, q)
         vals, r1, r2 = pentagon_corners(
             np.array([b1]), np.array([b2]), np.array([bsum]), w1, w2)
@@ -459,8 +465,8 @@ def _random_start(rng: np.random.Generator, u_card: int, n1: int, n2: int) -> np
 
 
 def _theta_to_clinput(theta: np.ndarray, problem: _AscentProblem, mac: Mac) -> CLInput:
-    proj = problem.project(theta[None, :])
-    p_u, p1, p2 = problem.split(proj)
+    """The witness for an ascent row, which ``ascend_many`` already projected."""
+    p_u, p1, p2 = problem.split(theta[None, :])
     u_labels = tuple(f"u{k}" for k in range(problem.u))
     return CLInput(
         p_u=Pmf(u_labels, p_u[0]),
@@ -484,6 +490,10 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     the bound is the best two-look capacity; the two independent-look
     models give the same number because only the partner's feedback
     signal enters this cut.
+
+    Each capacity is read from the upper end of its certificate (the
+    largest input divergence at the returned input), so the bound holds
+    even when the capacity iteration stops short of ``tol``.
     """
     channels = partner_channels(mac, user)
     model = str(model).upper()
@@ -493,10 +503,14 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     for ch in channels.values():
         if model != "PF":
             ch = two_look_channel(ch)
-        best = max(best, blahut_arimoto(ch, tol=tol).value)
+        best = max(best, blahut_arimoto(ch, tol=tol).upper)
     return best
 
 
 def cutset_sum_rate(mac: Mac, tol: float = DEFAULT_TOL) -> float:
-    """Cut-set bound on the sum rate: the best joint-input information."""
-    return maximize_joint_mi(mac, tol=tol).value
+    """Cut-set bound on the sum rate: the best joint-input information.
+
+    Like :func:`cutset_single_rate`, it reads the upper end of the
+    capacity certificate, so it never lies below the true bound.
+    """
+    return maximize_joint_mi(mac, tol=tol).upper

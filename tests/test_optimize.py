@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from macfeedback import (ConditionalPmf, InputError, binary_entropy,
-                         blahut_arimoto, max_support_input, maximize_joint_mi)
-from macfeedback import catalog
+                         blahut_arimoto, max_support_input, maximize_joint_mi,
+                         single_rate_capacity)
+from macfeedback import catalog, optimize
 from macfeedback._util import channel_mi_bits
 from macfeedback.oracle import GridSpec, grid_capacity
 
-from _gen import random_conditional
+from _gen import random_conditional, random_mac
 
 
 def bsc(q):
@@ -22,6 +23,30 @@ def bsc(q):
 def bec(eps):
     return ConditionalPmf(("0", "1"), ("0", "1", "e"),
                           np.array([[1 - eps, 0.0, eps], [0.0, 1 - eps, eps]]))
+
+
+def max_divergence(rows, p):
+    """max_x D(W_x || p W) in bits, written out term by term."""
+    py = p @ rows
+    return max(sum(w * math.log2(w / q) for w, q in zip(row, py) if w > 0)
+               for row in rows)
+
+
+def random_binary_channels(seed, n):
+    """Two-input channels: a third plain, a third with near-duplicate rows
+    and a third with zero entries."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        ny = int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(ny), size=2)
+        if k % 3 == 1:
+            eps = 10.0 ** rng.uniform(-9, -2)
+            rows[1] = rows[0] + eps * (rng.dirichlet(np.ones(ny)) - rows[0])
+        elif k % 3 == 2:
+            rows = np.where(rng.random((2, ny)) < 0.4, 0.0, rows)
+            rows[:, 0] += rows.sum(axis=1) == 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        yield ConditionalPmf(("0", "1"), tuple(str(i) for i in range(ny)), rows)
 
 
 class TestBlahutArimoto:
@@ -98,7 +123,8 @@ class TestBlahutArimoto:
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_unconverged_value_describes_returned_input(self, max_iter):
         # The loop updates the input after measuring it; a run cut off by
-        # max_iter must still report the MI of the input it returns.
+        # max_iter must still report the MI and the largest divergence of
+        # the input it returns.
         rng = np.random.default_rng(7)
         for _ in range(200):
             ch = random_conditional(rng, 3, 3)
@@ -106,7 +132,22 @@ class TestBlahutArimoto:
             assert not res.converged
             p = res.argmax_input.probs
             assert abs(res.value - channel_mi_bits(p, ch.rows)) <= 1e-12
+            assert abs(res.upper - max_divergence(ch.rows, p)) <= 1e-12
+            assert res.upper >= res.value
             assert np.abs(res.output_dist.probs - p @ ch.rows).max() <= 1e-15
+
+    def test_converged_certificate(self):
+        # Both ends of a converged run bracket capacity within tol, for the
+        # iteration and for the maximal-support input, binary or not.
+        rng = np.random.default_rng(3)
+        tol = 1e-10
+        for n_in in (2, 3):
+            for _ in range(20):
+                ch = random_conditional(rng, n_in, 4, sparsity=0.3)
+                for res in (blahut_arimoto(ch, tol=tol), max_support_input(ch, tol=tol)):
+                    assert res.converged
+                    assert abs(res.upper - max_divergence(ch.rows, res.argmax_input.probs)) <= 1e-12
+                    assert -1e-15 <= res.upper - res.value <= tol
 
 
 class TestMaximizeJointMi:
@@ -124,12 +165,24 @@ class TestMaximizeJointMi:
         assert len(res.argmax_input.alphabet) == 4
         assert res.argmax_input.alphabet[0] == "(0,0)"
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_upper_bounds_single_rates_when_cut_short(self, max_iter):
+        # The joint bound dominates either user's single rate, so its upper
+        # end must too, however early the iteration stops.
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            mac = random_mac(rng, n1=2, n2=3, ny=4)
+            res = maximize_joint_mi(mac, tol=1e-15, max_iter=max_iter)
+            for user in (1, 2):
+                assert res.upper >= single_rate_capacity(mac, user, tol=1e-10).value
+
 
 class TestMaxSupportInput:
     def test_bsc_unique_optimum_is_uniform(self):
-        res = max_support_input(bsc(0.11), tol=1e-10)
-        assert np.abs(res.argmax_input.probs - 0.5).max() < 1e-6
-        assert res.value == pytest.approx(1 - binary_entropy(0.11), abs=1e-8)
+        for q in (0.0, 0.11, 0.3, 0.5):
+            res = max_support_input(bsc(q), tol=1e-12)
+            assert res.argmax_input.probs.tolist() == [0.5, 0.5]
+            assert res.value == pytest.approx(1 - binary_entropy(q), abs=1e-12)
 
     def test_duplicate_rows_keep_both_symbols(self):
         # Two identical rows: any split between them is optimal; the
@@ -156,3 +209,60 @@ class TestMaxSupportInput:
             cap = blahut_arimoto(ch, tol=1e-12).value
             res = max_support_input(ch, tol=tol)
             assert res.value >= cap - 10 * tol
+
+
+class TestBinaryCapacity:
+    """Two-input channels take the exact bisection in max_support_input."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_z_channel_closed_form(self, p):
+        ch = ConditionalPmf(("0", "1"), ("0", "1"), np.array([[1.0, 0.0], [p, 1 - p]]))
+        res = max_support_input(ch, tol=1e-12)
+        assert res.converged
+        assert res.value == pytest.approx(math.log2(1 + (1 - p) * p ** (p / (1 - p))),
+                                          abs=1e-12)
+
+    def test_equal_rows_uniform_in_one_step(self):
+        ch = ConditionalPmf(("0", "1"), ("0", "1", "2"),
+                            np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]))
+        res = max_support_input(ch, tol=1e-12)
+        assert res.argmax_input.probs.tolist() == [0.5, 0.5]
+        assert res.value == 0.0
+        assert res.iterations == 1
+        assert res.converged
+
+    def test_noiseless_one_bit(self):
+        # Disjoint row supports: the output always tells the input apart.
+        ch = ConditionalPmf(("0", "1"), ("0", "1", "2"),
+                            np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+        res = max_support_input(ch, tol=1e-12)
+        assert res.value == 1.0
+        assert res.upper == 1.0
+
+    def test_random_channels_match_iteration(self):
+        # Never below the iteration's certified lower end (run from uniform
+        # at a tight tol), within tol of its own upper end, in few steps.
+        tol = 1e-10
+        for ch in random_binary_channels(11, 500):
+            res = max_support_input(ch, tol=tol)
+            ba = blahut_arimoto(ch, tol=1e-13, max_iter=1000)
+            assert res.converged
+            assert res.value >= ba.value - 1e-12
+            assert res.upper - res.value <= tol
+            assert res.iterations <= 64
+
+    def test_single_rate_skips_iteration_on_binary_mac(self, monkeypatch):
+        calls = []
+        real = optimize.blahut_arimoto
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "blahut_arimoto", counting)
+        mac = catalog.erasure_adder_mac(0.3)
+        for user in (1, 2):
+            single_rate_capacity(mac, user)
+        assert calls == []
+        maximize_joint_mi(mac)
+        assert calls == [1]

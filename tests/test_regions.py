@@ -13,6 +13,7 @@ from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
 from macfeedback import ErasureSpec, catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
+from macfeedback import regions
 from macfeedback.regions import _AscentProblem, batch_pentagon, pentagon_corners
 
 from _gen import random_mac
@@ -156,6 +157,35 @@ class TestFrontier:
         assert f1.points[0].value == f2.points[0].value
         assert np.array_equal(f1.points[0].witness.p_u.probs,
                               f2.points[0].witness.p_u.probs)
+
+    @pytest.mark.parametrize("mac", [catalog.adder_mac(), catalog.binary_symmetric_mac(0.11)],
+                             ids=["adder", "bsc011"])
+    def test_witness_is_first_tied_ascent_row(self, mac, monkeypatch):
+        # The witness is the first start, in start order, within the tie
+        # tolerance of the best ascent value, stored as the ascent left it:
+        # only the table constructors' own normalization comes between.
+        runs = []
+        real = _AscentProblem.ascend_many
+
+        def recording(self, theta0, max_iter=120):
+            out = real(self, theta0, max_iter=max_iter)
+            runs.append((self, *out))
+            return out
+
+        monkeypatch.setattr(_AscentProblem, "ascend_many", recording)
+        weights = [(1.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.0, 1.0)]
+        f = cover_leung_frontier(mac, weights=weights, restarts=4, seed=0)
+        witnesses = {pt.weights: pt.witness for pt in f.points}
+        for problem, thetas, vals in runs:
+            pick = np.flatnonzero(vals >= vals.max() - regions._WITNESS_TIE)[0]
+            p_u, p1, p2 = problem.split(thetas[pick][None, :])
+            q = witnesses[(problem.w1, problem.w2)]
+            u = q.p_u.alphabet
+            assert np.array_equal(q.p_u.probs, Pmf(u, p_u[0]).probs)
+            assert np.array_equal(q.p_x1_given_u.rows,
+                                  ConditionalPmf(u, mac.x1_alphabet, p1[0]).rows)
+            assert np.array_equal(q.p_x2_given_u.rows,
+                                  ConditionalPmf(u, mac.x2_alphabet, p2[0]).rows)
 
     def test_sorted_by_direction(self):
         mac = catalog.adder_mac()
@@ -327,6 +357,22 @@ class TestCutset:
     def test_bad_model_rejected(self):
         with pytest.raises(InputError):
             cutset_single_rate(catalog.adder_mac(), 1, "XX")
+
+    def test_cut_short_bounds_stay_above_inner_rates(self, monkeypatch):
+        # Outer values read the upper end of the capacity certificate, so
+        # an iteration stopped after one step still bounds the inner rates.
+        rng = np.random.default_rng(8)
+        macs = [random_mac(rng, n1=2, n2=2, ny=3) for _ in range(5)]
+        inner = [[single_rate_capacity(mac, user).value for user in (1, 2)] for mac in macs]
+        ba, joint = regions.blahut_arimoto, regions.maximize_joint_mi
+        monkeypatch.setattr(regions, "blahut_arimoto",
+                            lambda ch, tol: ba(ch, tol=tol, max_iter=1))
+        monkeypatch.setattr(regions, "maximize_joint_mi",
+                            lambda mac, tol: joint(mac, tol=tol, max_iter=1))
+        for mac, (s1, s2) in zip(macs, inner):
+            assert cutset_single_rate(mac, 1, "PF") >= s1
+            assert cutset_single_rate(mac, 2, "PF") >= s2
+            assert cutset_sum_rate(mac) >= max(s1, s2)
 
 
 class TestRatePair:

@@ -15,7 +15,8 @@ nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
-compare with ``diff -r OUTDIR_A OUTDIR_B``.
+compare with ``diff -r OUTDIR_A OUTDIR_B``; ``tools/snapshot_delta.py``
+summarizes the differences value by value.
 """
 
 from __future__ import annotations

@@ -106,16 +106,17 @@ def binary_entropy(q: float) -> float:
 
 
 def project_rows_to_simplex(arr: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each trailing-axis row onto the simplex."""
+    """Euclidean projection of each trailing-axis row onto the simplex.
+
+    The projection is max(v - tau, 0) with one threshold tau per row: the
+    largest of the partial averages (sum of the k largest entries - 1) / k
+    over k = 1..d.
+    """
     v = np.asarray(arr, dtype=np.float64)
     d = v.shape[-1]
-    u = -np.sort(-v, axis=-1)
-    css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, d + 1, dtype=np.float64)
-    cond = u - css / idx > 0
-    rho = d - 1 - np.argmax(cond[..., ::-1], axis=-1)
-    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho + 1)[..., None]
-    return np.maximum(v - theta, 0.0)
+    css = np.cumsum(-np.sort(-v, axis=-1), axis=-1) - 1.0
+    tau = (css / np.arange(1, d + 1, dtype=np.float64)).max(axis=-1, keepdims=True)
+    return np.maximum(v - tau, 0.0)
 
 
 def compositions(total: int, parts: int):

@@ -34,7 +34,7 @@ from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
 from .infotheory import (conditional_entropy, conditional_mi, kl_divergence_vec,
                          mutual_information)
-from .optimize import DEFAULT_TOL, max_support_input, maximize_joint_mi
+from .optimize import DEFAULT_TOL, check_tol, max_support_input, maximize_joint_mi
 from .regions import cover_leung_frontier, default_weight_fan
 
 DEGENERATE_EPS = 1e-12
@@ -91,6 +91,7 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
     so that mathematically tied partner symbols land inside the ``tol``
     tie window. The gain condition and its callers reuse ``inputs``.
     """
+    check_tol(tol)
     channels = partner_channels(mac, user)
     inner_tol = tol / 100.0
     per_symbol: dict[str, float] = {}

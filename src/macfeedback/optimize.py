@@ -48,6 +48,12 @@ class OptResult:
     converged: bool
 
 
+def check_tol(tol: float) -> None:
+    """Reject a stopping tolerance that is not positive and finite (NaN included)."""
+    if not 0.0 < tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
     """D(row_x || py) in bits for every input x, with 0 log 0 = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -73,8 +79,7 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     ``init`` optionally replaces the uniform starting input; it must be
     strictly positive for the iteration to be able to grow every symbol.
     """
-    if tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol!r}")
+    check_tol(tol)
     rows = ch.rows
     m = rows.shape[0]
     if init is None:
@@ -211,6 +216,7 @@ def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     the value. The result keeps positive mass on every symbol that any
     optimum uses, which is what downstream support arguments need.
     """
+    check_tol(tol)
     rows = ch.rows
     m = rows.shape[0]
     if m == 2:

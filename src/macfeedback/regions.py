@@ -15,7 +15,12 @@ differences of conditional entropies of the output,
     I(X1, X2; Y)     = H(Y) - H(Y | X1, X2),
 
 and the batched evaluation builds only the output laws p(y|u,x2),
-p(y|u,x1) and p(y) that the ascent gradient also reads.
+p(y|u,x1) and p(y) that the ascent gradient also reads. Those kernels are
+matrix products: each conditional output law is one (B U, n) @ (n, m)
+matmul over all B batch rows and U auxiliary symbols, p(y) and the
+conditional entropy H(Y | X1, X2) are products with the weights
+p(u) p(x1|u), and the gradient sums its partials against p(x1|u) and
+p(x2|u) by matmuls with W and by output laws times their logarithms.
 
 Frontier points are found by weighted-sum scalarization over the two
 non-trivial corners of each pentagon, maximized by projected gradient
@@ -172,17 +177,31 @@ def check_weight(w1: float, w2: float) -> None:
 # both evaluate many auxiliary inputs at once.
 
 
+def _rows_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` over the last axis of ``a``, as one 2-D matrix product."""
+    return (a.reshape(-1, a.shape[-1]) @ m).reshape(*a.shape[:-1], m.shape[1])
+
+
 def _output_conditionals(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
                          p_x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output laws p(y|u,x1) (B, U, n1, ny), p(y|u,x2) (B, U, n2, ny) and p(y) (B, ny).
 
     Given U the inputs are independent, so each conditional averages the
     channel over the other input's row; rows with p(u) = 0 still get one.
+    Each conditional is one matrix product over all B U rows,
+
+        p(y|u,x1) = p(x2|u) (B U, n2) @ W(y|x1,x2) as (n2, n1 ny)
+        p(y|u,x2) = p(x1|u) (B U, n1) @ W(y|x1,x2) as (n1, n2 ny),
+
+    and p(y) is, per batch row, p(u) p(x1|u) as (1, U n1) @ p(y|u,x1) as (U n1, ny).
     """
-    p_y_ux1 = np.einsum("buj,ijy->buiy", p_x2, mac_pmf)
-    p_y_ux2 = np.einsum("bui,ijy->bujy", p_x1, mac_pmf)
-    p_y = np.einsum("bu,bui,buiy->by", p_u, p_x1, p_y_ux1)
-    return p_y_ux1, p_y_ux2, p_y
+    b, u, n1 = p_x1.shape
+    n2, ny = mac_pmf.shape[1:]
+    p_y_ux1 = _rows_matmul(p_x2, mac_pmf.transpose(1, 0, 2).reshape(n2, n1 * ny))
+    p_y_ux2 = _rows_matmul(p_x1, mac_pmf.reshape(n1, n2 * ny))
+    p_ux1 = (p_u[:, :, None] * p_x1).reshape(b, 1, u * n1)
+    p_y = (p_ux1 @ p_y_ux1.reshape(b, u * n1, ny))[:, 0]
+    return p_y_ux1.reshape(b, u, n1, ny), p_y_ux2.reshape(b, u, n2, ny), p_y
 
 
 def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
@@ -197,11 +216,21 @@ def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
         b1   = H(Y | U, X2) - H(Y | X1, X2)
         b2   = H(Y | U, X1) - H(Y | X1, X2)
         bsum = H(Y) - H(Y | X1, X2)
+
+    Each weighted entropy sum is a product summed over the (u, x) axes:
+
+        H(Y | X1, X2) = sum (p(u) p(x1|u) as (B U, n1) @ H(W) (n1, n2)) * p(x2|u)
+        H(Y | U, X1)  = sum p(u) p(x1|u) * H(p(y|u,x1))
+        H(Y | U, X2)  = sum p(u) p(x2|u) * H(p(y|u,x2))
+
+    with H(W)[x1, x2] the entropy of the channel row W(.|x1,x2).
     """
     p_y_ux1, p_y_ux2, p_y = _output_conditionals(mac_pmf, p_u, p_x1, p_x2)
-    h_c = np.einsum("bu,bui,buj,ij->b", p_u, p_x1, p_x2, entropy_bits(mac_pmf, axis=2))
-    h_ux1 = np.einsum("bu,bui,bui->b", p_u, p_x1, entropy_bits(p_y_ux1, axis=3))
-    h_ux2 = np.einsum("bu,buj,buj->b", p_u, p_x2, entropy_bits(p_y_ux2, axis=3))
+    p_ux1 = p_u[:, :, None] * p_x1
+    p_ux2 = p_u[:, :, None] * p_x2
+    h_c = (_rows_matmul(p_ux1, entropy_bits(mac_pmf, axis=2)) * p_x2).sum(axis=(1, 2))
+    h_ux1 = (p_ux1 * entropy_bits(p_y_ux1, axis=3)).sum(axis=(1, 2))
+    h_ux2 = (p_ux2 * entropy_bits(p_y_ux2, axis=3)).sum(axis=(1, 2))
     b1 = np.maximum(h_ux2 - h_c, 0.0)
     b2 = np.maximum(h_ux1 - h_c, 0.0)
     bsum = np.maximum(entropy_bits(p_y, axis=1) - h_c, 0.0)
@@ -263,6 +292,9 @@ class _AscentProblem:
         self.w2 = w2
         # sum_y W log2 W for every input pair, i.e. -H(Y | x1, x2).
         self.neg_h_w = -entropy_bits(self.pmf, axis=2)
+        # W(y|x1,x2) as (n2 ny, n1) and (n1 ny, n2) matrices.
+        self.w_by_x2 = self.pmf.transpose(1, 2, 0).reshape(-1, self.n1)
+        self.w_by_x1 = self.pmf.transpose(0, 2, 1).reshape(-1, self.n2)
 
     def split(self, theta: np.ndarray):
         b = theta.shape[0]
@@ -307,6 +339,19 @@ class _AscentProblem:
         output reached only through a zero-mass symbol) is capped by
         ``_LOG_FLOOR``. Each simplex row is centred on its support, which
         removes the per-row constants.
+
+        Only the partials' sums against p(x2|u) (over x2) and against
+        p(x1|u) (over x1) are needed, so the (B, U, n1, n2) array of
+        partials is never formed. Summed over x2, with ``p(x2|u) (B U, n2)``:
+
+            (c1 + c2 + cs) p(x2|u) @ (sum_y W log2 W)^T          (n2, n1)
+            - c1 (p(x2|u) log2 p(y|u,x2)) as (B U, n2 ny) @ W as (n2 ny, n1)
+            - sum_y p(y|u,x1) [c2 log2 p(y|u,x1) + cs log2 p(y)],
+
+        since summing W against p(x2|u) gives p(y|u,x1); the sum over x1
+        is the same with the users swapped. The gradient in p(x1|u) is
+        p(u) times the first sum, in p(x2|u) p(u) times the second, and
+        in p(u) the first sum's p(x1|u)-weighted total.
         """
         b = theta.shape[0]
         p_u, p1, p2 = self.split(theta)
@@ -319,16 +364,22 @@ class _AscentProblem:
         c2 = np.where(s2, self.w2, 0.0) - np.where(s1, 0.0, self.w1)
         cs = np.where(s1, 0.0, self.w1) + np.where(s2, 0.0, self.w2)
 
-        w = self.pmf
-        log_y_ux1, log_y_ux2, log_y = (
-            _log2_floored(p) for p in _output_conditionals(w, p_u, p1, p2))
-        d = ((c1 + c2 + cs)[:, None, None, None] * self.neg_h_w
-             - c1[:, None, None, None] * np.einsum("ijy,bujy->buij", w, log_y_ux2)
-             - c2[:, None, None, None] * np.einsum("ijy,buiy->buij", w, log_y_ux1)
-             - cs[:, None, None, None] * np.einsum("ijy,by->bij", w, log_y)[:, None])
-        g_u = np.einsum("bui,buj,buij->bu", p1, p2, d)
-        g1 = p_u[:, :, None] * np.einsum("buj,buij->bui", p2, d)
-        g2 = p_u[:, :, None] * np.einsum("bui,buij->buj", p1, d)
+        p_y_ux1, p_y_ux2, p_y = _output_conditionals(self.pmf, p_u, p1, p2)
+        log_y_ux1, log_y_ux2 = _log2_floored(p_y_ux1), _log2_floored(p_y_ux2)
+        log_y = _log2_floored(p_y)[:, None, None, :]
+        # d_x2 and d_x1 are the partials summed over x2 and over x1.
+        c1, c2, cs = c1[:, None, None], c2[:, None, None], cs[:, None, None]
+        d_x2 = ((c1 + c2 + cs) * _rows_matmul(p2, self.neg_h_w.T)
+                - c1 * _rows_matmul((p2[..., None] * log_y_ux2).reshape(b, self.u, -1),
+                                    self.w_by_x2)
+                - (p_y_ux1 * (c2[..., None] * log_y_ux1 + cs[..., None] * log_y)).sum(axis=3))
+        d_x1 = ((c1 + c2 + cs) * _rows_matmul(p1, self.neg_h_w)
+                - c2 * _rows_matmul((p1[..., None] * log_y_ux1).reshape(b, self.u, -1),
+                                    self.w_by_x1)
+                - (p_y_ux2 * (c1[..., None] * log_y_ux2 + cs[..., None] * log_y)).sum(axis=3))
+        g_u = (p1 * d_x2).sum(axis=2)
+        g1 = p_u[:, :, None] * d_x2
+        g2 = p_u[:, :, None] * d_x1
         return np.concatenate([
             _centre_on_support(p_u, g_u),
             _centre_on_support(p1, g1).reshape(b, -1),
@@ -416,7 +467,11 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = 25,
 
     The default auxiliary cardinality is ``|X1| |X2| + 2``, a standard
     support-size heuristic with slack; override ``u_card`` to taste.
+    ``restarts`` and ``seed`` must be nonnegative.
     """
+    for name, v in (("restarts", restarts), ("seed", seed)):
+        if v < 0:
+            raise InputError(f"{name} must be nonnegative, got {v!r}")
     if weights is None:
         weights = default_weight_fan()
     weights = [(float(w1), float(w2)) for w1, w2 in weights]

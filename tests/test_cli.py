@@ -270,6 +270,28 @@ class TestCfCurve:
         assert json.loads(err)["error"] == "VerificationError"
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", [["singlerate"], ["check", "gain-condition"],
+                                     ["cfcurve"], ["region", "--weights", "1:1"]])
+def test_bad_tol_exits_two(capsys, adder_file, command, tol):
+    code, out, err = run_cli(capsys, *command, "--channel", adder_file, "--tol", tol)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "tol" in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [["region", "--restarts", "-3"], ["region", "--seed", "-1"],
+                                  ["check", "erasure-scaling", "--erasure-p", "0.5",
+                                   "--restarts", "-2"],
+                                  ["check", "erasure-scaling", "--erasure-p", "0.5",
+                                   "--seed", "-1"]])
+def test_negative_restarts_or_seed_exits_two(capsys, groupless_file, argv):
+    code, out, err = run_cli(capsys, *argv, "--channel", groupless_file)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and argv[-2].lstrip("-") in doc["message"]
+
+
 def test_nan_in_report_exits_one(capsys, adder_file, monkeypatch):
     monkeypatch.setattr(cli, "cmd_singlerate", lambda args: {"value": math.nan})
     code, out, err = run_cli(capsys, "singlerate", "--channel", adder_file)

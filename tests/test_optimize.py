@@ -110,8 +110,13 @@ class TestBlahutArimoto:
             assert value <= oracle + gap
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(InputError):
-            blahut_arimoto(bsc(0.1), tol=0.0)
+        # The exact two-input solve and the iteration share one check.
+        three = random_conditional(np.random.default_rng(0), 3, 3)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            for solve in (blahut_arimoto, max_support_input):
+                for ch in (bsc(0.1), three):
+                    with pytest.raises(InputError, match="tol"):
+                        solve(ch, tol=tol)
 
     def test_max_iter_flag(self):
         ch = ConditionalPmf(("0", "1"), ("0", "1"),

@@ -78,34 +78,66 @@ class TestPentagonBounds:
             without = mutual_information(joint, ("x1", "x2"), "y")
             assert abs(with_u - without) < 1e-9
 
+    @staticmethod
+    def _random_inputs(rng, mac, u_card, count):
+        """``count`` auxiliary inputs; every other one has p(u) = 0 on the
+        last symbol (when U > 1) and zero entries in its conditional rows."""
+        n1, n2 = len(mac.x1_alphabet), len(mac.x2_alphabet)
+        u = tuple(f"u{k}" for k in range(u_card))
+        out = []
+        for trial in range(count):
+            p_u = rng.dirichlet(np.ones(u_card))
+            rows1 = rng.dirichlet(np.ones(n1), size=u_card)
+            rows2 = rng.dirichlet(np.ones(n2), size=u_card)
+            if trial % 2:
+                if u_card > 1:
+                    p_u[-1] = 0.0
+                rows1[0, 0] = 0.0
+                rows2[-1] = np.eye(n2)[0]
+            out.append(CLInput(Pmf(u, p_u / p_u.sum()),
+                               ConditionalPmf(u, mac.x1_alphabet,
+                                              rows1 / rows1.sum(axis=1, keepdims=True)),
+                               ConditionalPmf(u, mac.x2_alphabet, rows2)))
+        return out
+
+    def _check_against_oracle(self, rng, mac, u_card):
+        # The conditional-entropy batch against the named-axis joint: one
+        # auxiliary input at a time (B = 1), all of them in one batch, and
+        # with p(u) and p(x1|u) shared by stride-0 broadcasts across the
+        # batch, as the lattice oracle passes them.
+        qs = self._random_inputs(rng, mac, u_card, 8)
+        oracle = np.array([cover_leung_bounds(mac, q) for q in qs])
+        p_u = np.array([q.p_u.probs for q in qs])
+        p1 = np.array([q.p_x1_given_u.rows for q in qs])
+        p2 = np.array([q.p_x2_given_u.rows for q in qs])
+        for k in range(len(qs)):
+            one = batch_pentagon(mac.pmf, p_u[k:k + 1], p1[k:k + 1], p2[k:k + 1])
+            np.testing.assert_allclose(np.ravel(one), oracle[k], rtol=0, atol=1e-13)
+        batch = np.stack(batch_pentagon(mac.pmf, p_u, p1, p2), axis=1)
+        np.testing.assert_allclose(batch, oracle, rtol=0, atol=1e-13)
+        shared = [CLInput(qs[0].p_u, qs[0].p_x1_given_u, q.p_x2_given_u) for q in qs]
+        broadcast = np.stack(batch_pentagon(
+            mac.pmf, np.broadcast_to(p_u[0], p_u.shape), np.broadcast_to(p1[0], p1.shape),
+            p2), axis=1)
+        np.testing.assert_allclose(
+            broadcast, [cover_leung_bounds(mac, q) for q in shared], rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("n1,erased", [(2, False), (3, False), (2, True)])
     def test_batch_matches_named_axis_oracle(self, n1, erased):
-        # The conditional-entropy batch against the named-axis joint, one
-        # auxiliary input at a time; every other input has p(u) = 0 on u2
-        # and zero entries in its conditional rows.
         rng = np.random.default_rng(40 + n1 + 10 * int(erased))
-        u_card = 3
-        u = tuple(f"u{k}" for k in range(u_card))
-        for trial in range(16):
+        for _ in range(16):
             mac = random_mac(rng, n1=n1, ny=3)
             if erased:
                 mac = erasure_extend(mac, ErasureSpec(0.4, "e"))
-            p_u = rng.dirichlet(np.ones(u_card))
-            rows1 = rng.dirichlet(np.ones(n1), size=u_card)
-            rows2 = rng.dirichlet(np.ones(2), size=u_card)
-            if trial % 2:
-                p_u[2] = 0.0
-                rows1[0, 0] = 0.0
-                rows2[1] = [1.0, 0.0]
-            q = CLInput(Pmf(u, p_u / p_u.sum()),
-                        ConditionalPmf(u, mac.x1_alphabet,
-                                       rows1 / rows1.sum(axis=1, keepdims=True)),
-                        ConditionalPmf(u, mac.x2_alphabet, rows2))
-            batch = batch_pentagon(mac.pmf, q.p_u.probs[None], q.p_x1_given_u.rows[None],
-                                   q.p_x2_given_u.rows[None])
-            oracle = cover_leung_bounds(mac, q)
-            for got, want in zip(batch, oracle):
-                assert got[0] == pytest.approx(want, abs=1e-13)
+            self._check_against_oracle(rng, mac, 3)
+
+    @pytest.mark.parametrize("n1,n2,u_card", [(2, 3, 3), (3, 2, 1), (2, 3, 1), (2, 2, 1)])
+    def test_batch_matches_oracle_on_uneven_inputs_and_single_u(self, n1, n2, u_card):
+        # A transposed W or swapped x1/x2 block stays hidden on square
+        # input alphabets; U = 1 leaves a length-1 axis in every product.
+        rng = np.random.default_rng(70 + 10 * n1 + n2 + u_card)
+        for _ in range(4):
+            self._check_against_oracle(rng, random_mac(rng, n1=n1, n2=n2, ny=4), u_card)
 
 
 class TestFrontier:
@@ -201,6 +233,15 @@ class TestFrontier:
         with pytest.raises(InputError):
             cover_leung_frontier(mac, weights=[(-1.0, 1.0)], restarts=1)
 
+    @pytest.mark.parametrize("name,value", [("restarts", -3), ("seed", -1), ("tol", -1.0),
+                                            ("tol", math.nan)])
+    def test_bad_options_rejected(self, name, value):
+        with pytest.raises(InputError, match=name):
+            cover_leung_frontier(catalog.adder_mac(), weights=[(1.0, 1.0)], **{name: value})
+        with pytest.raises(InputError, match=name):
+            erasure_scaling_check(catalog.adder_mac(), 0.5, weights=[(1.0, 1.0)],
+                                  **{name: value})
+
     @pytest.mark.parametrize("weight", [(0.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
                                         (1.0, math.inf)])
     def test_bad_weight_rejected_by_frontier_and_lattice(self, weight):
@@ -257,14 +298,13 @@ class TestAscentGradient:
         d = np.concatenate(rows)
         return d / np.abs(d).max()
 
-    @pytest.mark.parametrize("n1,erased", [(2, False), (3, False), (2, True)])
-    @pytest.mark.parametrize("w1,w2", [(0.8, 0.3), (0.5, 0.5), (0.25, 0.9)])
-    def test_directional_derivative_matches_finite_difference(self, n1, erased, w1, w2):
-        rng = np.random.default_rng(100 * n1 + int(erased))
-        u_card, h = 3, 1e-6
+    def _check_finite_differences(self, rng, n1, n2, erased, u_card, w1, w2):
+        """Directional derivatives at 12 random points; returns which pieces
+        of the min (sum bound binding or slack) were checked."""
+        h = 1e-6
         pieces = set()
         for trial in range(12):
-            mac = random_mac(rng, n1=n1, ny=3)
+            mac = random_mac(rng, n1=n1, n2=n2, ny=3)
             if erased:
                 mac = erasure_extend(mac, ErasureSpec(0.3, "e"))
             problem = _AscentProblem(mac, u_card, w1, w2)
@@ -279,7 +319,7 @@ class TestAscentGradient:
                 return 0.85 * hot + 0.15 * rng.dirichlet(np.full(n, 2.0), size=k)
 
             theta = np.concatenate([rows(u_card, 1).ravel(), rows(n1, u_card).ravel(),
-                                    rows(2, u_card).ravel()])[None, :]
+                                    rows(n2, u_card).ravel()])[None, :]
             if trial % 2:
                 # One zero-mass symbol in the first p(x1|u) row.
                 theta[0, u_card] = 0.0
@@ -294,7 +334,95 @@ class TestAscentGradient:
             numeric = float(problem.value(theta + h * d)[1][0]
                             - problem.value(theta - h * d)[1][0]) / (2 * h)
             assert analytic == pytest.approx(numeric, abs=1e-6)
+        return pieces
+
+    @pytest.mark.parametrize("n1,erased", [(2, False), (3, False), (2, True)])
+    @pytest.mark.parametrize("w1,w2", [(0.8, 0.3), (0.5, 0.5), (0.25, 0.9)])
+    def test_directional_derivative_matches_finite_difference(self, n1, erased, w1, w2):
+        rng = np.random.default_rng(100 * n1 + int(erased))
+        pieces = self._check_finite_differences(rng, n1, 2, erased, 3, w1, w2)
         assert pieces == {True, False}  # both pieces of the min were checked
+
+    @pytest.mark.parametrize("w1,w2", [(0.8, 0.3), (0.25, 0.9)])
+    def test_directional_derivative_on_uneven_inputs(self, w1, w2):
+        # |X1| = 2, |X2| = 3: a swapped x1/x2 block cannot hide.
+        rng = np.random.default_rng(123)
+        pieces = self._check_finite_differences(rng, 2, 3, False, 3, w1, w2)
+        assert pieces == {True, False}
+
+    def test_directional_derivative_single_u(self):
+        # With U = 1 the inputs are independent, so the sum bound never
+        # binds alone (bsum <= b1 + b2) and only one piece exists.
+        rng = np.random.default_rng(124)
+        for n1, n2 in ((2, 3), (3, 2)):
+            assert self._check_finite_differences(rng, n1, n2, False, 1, 0.6, 0.7)
+
+    @staticmethod
+    def _reference_gradient(problem, theta):
+        """The docstring's partials formed in full as a (B, U, n1, n2) array."""
+        w = problem.pmf
+        p_u, p1, p2 = problem.split(theta)
+        b1, b2, bsum = batch_pentagon(w, p_u, p1, p2)
+        w1, w2 = problem.w1, problem.w2
+        # The corner value is linear in (b1, b2, bsum) away from ties.
+        coef = []
+        for k in range(len(b1)):
+            tight2 = b2[k] <= bsum[k] - b1[k]
+            corner_a = (w1, w2, 0.0) if tight2 else (w1 - w2, 0.0, w2)
+            corner_b = (w1, w2, 0.0) if b1[k] <= bsum[k] - b2[k] else (0.0, w2 - w1, w1)
+            value = lambda c: c[0] * b1[k] + c[1] * b2[k] + c[2] * bsum[k]
+            coef.append(corner_a if value(corner_a) >= value(corner_b) else corner_b)
+        c1, c2, cs = (np.array(c)[:, None, None, None, None] for c in zip(*coef))
+        p_y_ux1 = (p2[:, :, None, :, None] * w).sum(axis=3)
+        p_y_ux2 = (p1[:, :, :, None, None] * w).sum(axis=2)
+        p_y = (p_u[:, :, None, None, None] * p1[:, :, :, None, None]
+               * p2[:, :, None, :, None] * w).sum(axis=(1, 2, 3))
+        log = lambda p: np.log2(np.maximum(p, 1e-300))
+        d = (w * ((c1 + c2 + cs) * np.where(w > 0.0, log(w), 0.0)
+                  - c1 * log(p_y_ux2)[:, :, None, :, :]
+                  - c2 * log(p_y_ux1)[:, :, :, None, :]
+                  - cs * log(p_y)[:, None, None, None, :])).sum(axis=4)
+        g_u = (p1[..., :, None] * p2[..., None, :] * d).sum(axis=(2, 3))
+        g1 = p_u[..., None] * (p2[..., None, :] * d).sum(axis=3)
+        g2 = p_u[..., None] * (p1[..., :, None] * d).sum(axis=2)
+        b = theta.shape[0]
+        return np.concatenate([regions._centre_on_support(p_u, g_u),
+                               regions._centre_on_support(p1, g1).reshape(b, -1),
+                               regions._centre_on_support(p2, g2).reshape(b, -1)], axis=1)
+
+    @pytest.mark.parametrize("n1,n2,u_card", [(2, 2, 3), (3, 2, 3), (2, 3, 3), (2, 3, 1),
+                                              (3, 3, 2)])
+    def test_matches_full_partials_on_batches(self, n1, n2, u_card):
+        # Batches of several rows, one row, and stride-0 broadcast rows, with
+        # zero-mass symbols and a zero-mass U symbol in every other row.
+        rng = np.random.default_rng(200 + 10 * n1 + n2 + u_card)
+        for trial in range(6):
+            mac = random_mac(rng, n1=n1, n2=n2, ny=4)
+            if trial % 3 == 2:
+                mac = erasure_extend(mac, ErasureSpec(0.5, "e"))
+            problem = _AscentProblem(mac, u_card, *rng.uniform(0.1, 1.0, size=2))
+            starts = [np.concatenate([rng.dirichlet(np.ones(u_card)),
+                                      rng.dirichlet(np.ones(n1), size=u_card).ravel(),
+                                      rng.dirichlet(np.ones(n2), size=u_card).ravel()])
+                      for _ in range(7)]
+            theta = np.array(starts)
+            theta[1::2, u_card] = 0.0  # a zero-mass x1 symbol given u0
+            x1_u0 = theta[1::2, u_card:u_card + n1]  # a view: divided in place
+            x1_u0 /= x1_u0.sum(axis=1, keepdims=True)
+            if u_card > 1:
+                theta[::3, u_card - 1] = 0.0  # a zero-mass U symbol
+                theta[::3, :u_card] /= theta[::3, :u_card].sum(axis=1, keepdims=True)
+            want = self._reference_gradient(problem, theta)
+            scale = max(1.0, np.abs(want).max())
+            got = problem.gradient(theta, problem.value(theta)[2])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+            one = problem.gradient(theta[:1], problem.value(theta[:1])[2])
+            np.testing.assert_allclose(one, want[:1], rtol=0, atol=1e-12 * scale)
+            shared = np.broadcast_to(theta[1], theta.shape)
+            got = problem.gradient(shared, np.broadcast_to(problem.value(theta[1:2])[2],
+                                                           (len(theta), 3)))
+            np.testing.assert_allclose(got, np.broadcast_to(want[1], want.shape),
+                                       rtol=0, atol=1e-12 * scale)
 
     def test_zero_mass_partials_finite(self):
         # All mass sits on u0 with both inputs 0, so only adder output 0 is

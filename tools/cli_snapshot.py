@@ -4,14 +4,18 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 91 CLI invocations against the checkout that holds
+Runs a fixed list of 110 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
 the two-look cut-set ``region --model IF --weights 1:1 --restarts 0
 --verify``, ``check gain-condition``, ``check additive-classify``,
 ``check symmetry``, ``check additive``, ``cfcurve --verify`` and the
 explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
 nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
-0.5`` on ``channels/adder.json``.
+0.5`` on ``channels/adder.json``. On ``channels/adder.json`` it also runs
+the flag values the CLI must reject with exit code 2: ``--tol`` at -1, 0,
+nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
+``region --weights 1:1``, ``region --restarts -3``, ``region --seed -1``
+and ``check erasure-scaling --erasure-p 0.5 --restarts -2``.
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
@@ -42,6 +46,21 @@ PER_CHANNEL = (
     ("cfcurve-pair", ["cfcurve", "--xk-star", "0", "--xbar-k", "1", "--verify"]),
 )
 
+# Flag values the CLI must reject with exit code 2, run on the adder.
+BAD_TOLS = (("neg1", "-1"), ("0", "0"), ("nan", "nan"), ("inf", "inf"))
+INVALID_FLAGS = tuple(
+    [(f"{name}-tol-{label}", argv + ["--tol", tol])
+     for name, argv in (("singlerate", ["singlerate"]),
+                        ("gain-condition", ["check", "gain-condition"]),
+                        ("cfcurve", ["cfcurve"]),
+                        ("region", ["region", "--weights", "1:1"]))
+     for label, tol in BAD_TOLS]
+    + [("region-restarts-neg3", ["region", "--restarts", "-3"]),
+       ("region-seed-neg1", ["region", "--seed", "-1"]),
+       ("erasure-scaling-restarts-neg2",
+        ["check", "erasure-scaling", "--erasure-p", "0.5", "--restarts", "-2"])]
+)
+
 
 def runs() -> list[tuple[str, list[str]]]:
     """(name, argv) for every run, channel paths relative to the checkout."""
@@ -53,6 +72,8 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("adder.erasure-scaling",
                 ["check", "erasure-scaling", "--erasure-p", "0.5",
                  "--channel", "channels/adder.json"]))
+    for name, argv in INVALID_FLAGS:
+        out.append((f"adder.{name}", argv + ["--channel", "channels/adder.json"]))
     return out
 
 

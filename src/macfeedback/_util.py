@@ -110,10 +110,21 @@ def project_rows_to_simplex(arr: np.ndarray) -> np.ndarray:
 
     The projection is max(v - tau, 0) with one threshold tau per row: the
     largest of the partial averages (sum of the k largest entries - 1) / k
-    over k = 1..d.
+    over k = 1..d. Two-symbol rows (a, b) take it in closed form, without
+    a sort: tau = max(hi - 1, ((a + b) - 1) / 2) with hi the larger entry,
+    the same operations in the same order as the sorted partial sums, so
+    the result is bitwise the same.
     """
     v = np.asarray(arr, dtype=np.float64)
     d = v.shape[-1]
+    if d == 2:
+        # Column by column: elementwise passes over all rows at once.
+        a, b = v[..., 0], v[..., 1]
+        tau = np.maximum(np.maximum(a, b) - 1.0, (a + b - 1.0) / 2.0)
+        out = np.empty(v.shape)
+        np.maximum(a - tau, 0.0, out=out[..., 0])
+        np.maximum(b - tau, 0.0, out=out[..., 1])
+        return out
     css = np.cumsum(-np.sort(-v, axis=-1), axis=-1) - 1.0
     tau = (css / np.arange(1, d + 1, dtype=np.float64)).max(axis=-1, keepdims=True)
     return np.maximum(v - tau, 0.0)

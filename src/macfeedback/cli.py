@@ -36,6 +36,9 @@ from .regions import (batch_pentagon, cover_leung_frontier, cutset_single_rate,
 VERIFY_TOL = 1e-9
 MAX_A_POINTS = 100_000
 
+# Defaults of the common numeric flags.
+COMMON_DEFAULTS = {"seed": 0, "tol": 1e-9, "restarts": 25}
+
 
 class VerificationError(RuntimeError):
     """A stored witness failed re-evaluation under --verify."""
@@ -158,7 +161,34 @@ def cmd_region(args) -> tuple[dict, str]:
     return obj, csv_text
 
 
+# The flags each check reads; any other flag given to `check` exits 2.
+CHECK_FLAGS = {
+    "gain-condition": ("tol",),
+    "additive-classify": (),
+    "symmetry": (),
+    "additive": (),
+    "erasure-scaling": ("erasure_p", "weights", "restarts", "seed", "tol"),
+}
+
+
+def _check_flags(args) -> None:
+    """Reject a flag the chosen check does not read, then fill in defaults.
+
+    `check` parses every common flag as None, so that a given flag is told
+    apart from one left at its default.
+    """
+    reads = CHECK_FLAGS[args.which]
+    for name in ("tol", "seed", "restarts", "weights", "erasure_p", "verify"):
+        if getattr(args, name) is not None and name not in reads:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"check {args.which} does not read {flag}")
+    for name, default in COMMON_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def cmd_check(args) -> dict:
+    _check_flags(args)
     cf = load_channel_file(args.channel)
     which = args.which
     out: dict = {"channel": cf.name, "check": which}
@@ -253,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, csv=False):
         p.add_argument("--channel", required=True, help="channel JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--restarts", type=int, default=25)
+        p.add_argument("--seed", type=int, default=COMMON_DEFAULTS["seed"])
+        p.add_argument("--tol", type=float, default=COMMON_DEFAULTS["tol"])
+        p.add_argument("--restarts", type=int, default=COMMON_DEFAULTS["restarts"])
         p.add_argument("--json-out", default=None)
         p.add_argument("--verify", action="store_true",
                        help="re-evaluate all emitted witnesses")
@@ -277,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--weights", default=None)
     p.add_argument("--erasure-p", type=float, default=None)
+    p.set_defaults(verify=None, **dict.fromkeys(COMMON_DEFAULTS))
 
     p = sub.add_parser("cfcurve", help="compress-forward rate curve")
     common(p, csv=True)

@@ -21,6 +21,9 @@ matmul over all B batch rows and U auxiliary symbols, p(y) and the
 conditional entropy H(Y | X1, X2) are products with the weights
 p(u) p(x1|u), and the gradient sums its partials against p(x1|u) and
 p(x2|u) by matmuls with W and by output laws times their logarithms.
+Sums over the short output and input axes (length 2 to about 6) add one
+column at a time across the whole batch rather than reduce row by row,
+which costs numpy a loop per row.
 
 Frontier points are found by weighted-sum scalarization over the two
 non-trivial corners of each pentagon, maximized by projected gradient
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits, project_rows_to_simplex
+from ._util import _TINY, LN2, project_rows_to_simplex
 from .channel import (ConditionalPmf, JointDist, Mac, Pmf, partner_channels,
                       two_look_channel)
 from .errors import InputError
@@ -182,13 +185,35 @@ def _rows_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[-1]) @ m).reshape(*a.shape[:-1], m.shape[1])
 
 
-def _output_conditionals(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, one column added at a time.
+
+    For rows shorter than 8 this is the order ``a.sum(axis=-1)`` takes, so
+    the result is bitwise the same, but each add is one elementwise pass
+    over all rows instead of a reduction per row. Unlike a matrix product
+    with a ones vector, whose order depends on how the BLAS blocks the
+    rows, the result does not depend on the batch shape: a row sums to
+    the same bits alone or in a batch.
+    """
+    total = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        total = total + a[..., k]
+    return total
+
+
+def _entropy_y(p: np.ndarray) -> np.ndarray:
+    """``entropy_bits(p, axis=-1)``, with the sum over y taken by :func:`_sum_last`."""
+    return -_sum_last(p * np.log(np.maximum(p, _TINY))) / LN2
+
+
+def _output_conditionals(mac_pmf: np.ndarray, p_ux1: np.ndarray, p_x1: np.ndarray,
                          p_x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output laws p(y|u,x1) (B, U, n1, ny), p(y|u,x2) (B, U, n2, ny) and p(y) (B, ny).
 
-    Given U the inputs are independent, so each conditional averages the
-    channel over the other input's row; rows with p(u) = 0 still get one.
-    Each conditional is one matrix product over all B U rows,
+    ``p_ux1`` is p(u) p(x1|u) (B, U, n1). Given U the inputs are
+    independent, so each conditional averages the channel over the other
+    input's row; rows with p(u) = 0 still get one. Each conditional is one
+    matrix product over all B U rows,
 
         p(y|u,x1) = p(x2|u) (B U, n2) @ W(y|x1,x2) as (n2, n1 ny)
         p(y|u,x2) = p(x1|u) (B U, n1) @ W(y|x1,x2) as (n1, n2 ny),
@@ -199,13 +224,13 @@ def _output_conditionals(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
     n2, ny = mac_pmf.shape[1:]
     p_y_ux1 = _rows_matmul(p_x2, mac_pmf.transpose(1, 0, 2).reshape(n2, n1 * ny))
     p_y_ux2 = _rows_matmul(p_x1, mac_pmf.reshape(n1, n2 * ny))
-    p_ux1 = (p_u[:, :, None] * p_x1).reshape(b, 1, u * n1)
-    p_y = (p_ux1 @ p_y_ux1.reshape(b, u * n1, ny))[:, 0]
+    p_y = (p_ux1.reshape(b, 1, u * n1) @ p_y_ux1.reshape(b, u * n1, ny))[:, 0]
     return p_y_ux1.reshape(b, u, n1, ny), p_y_ux2.reshape(b, u, n2, ny), p_y
 
 
 def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
-                   p_x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   p_x2: np.ndarray, *, h_w: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pentagon bounds for a batch of factored auxiliary inputs.
 
     Shapes: ``p_u (B, U)``, ``p_x1 (B, U, n1)``, ``p_x2 (B, U, n2)``;
@@ -217,23 +242,32 @@ def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
         b2   = H(Y | U, X1) - H(Y | X1, X2)
         bsum = H(Y) - H(Y | X1, X2)
 
-    Each weighted entropy sum is a product summed over the (u, x) axes:
+    Each weighted entropy sum is a product summed over the (u, x) axes,
+    one flat row of U n entries per batch row:
 
         H(Y | X1, X2) = sum (p(u) p(x1|u) as (B U, n1) @ H(W) (n1, n2)) * p(x2|u)
         H(Y | U, X1)  = sum p(u) p(x1|u) * H(p(y|u,x1))
         H(Y | U, X2)  = sum p(u) p(x2|u) * H(p(y|u,x2))
 
-    with H(W)[x1, x2] the entropy of the channel row W(.|x1,x2).
+    with H(W)[x1, x2] the entropy of the channel row W(.|x1,x2). Every
+    entropy here, H(W) included, sums p log p over y by :func:`_sum_last`,
+    one column of all B U n rows at a time, so an output law equal to a
+    channel row (a point-mass input) has bitwise the row's entropy.
+    ``h_w`` is H(W) when the caller already holds it (the ascent does);
+    by default it is computed from ``mac_pmf``.
     """
-    p_y_ux1, p_y_ux2, p_y = _output_conditionals(mac_pmf, p_u, p_x1, p_x2)
+    if h_w is None:
+        h_w = _entropy_y(mac_pmf)
+    b = p_u.shape[0]
     p_ux1 = p_u[:, :, None] * p_x1
     p_ux2 = p_u[:, :, None] * p_x2
-    h_c = (_rows_matmul(p_ux1, entropy_bits(mac_pmf, axis=2)) * p_x2).sum(axis=(1, 2))
-    h_ux1 = (p_ux1 * entropy_bits(p_y_ux1, axis=3)).sum(axis=(1, 2))
-    h_ux2 = (p_ux2 * entropy_bits(p_y_ux2, axis=3)).sum(axis=(1, 2))
+    p_y_ux1, p_y_ux2, p_y = _output_conditionals(mac_pmf, p_ux1, p_x1, p_x2)
+    h_c = (_rows_matmul(p_ux1, h_w) * p_x2).reshape(b, -1).sum(axis=1)
+    h_ux1 = (p_ux1 * _entropy_y(p_y_ux1)).reshape(b, -1).sum(axis=1)
+    h_ux2 = (p_ux2 * _entropy_y(p_y_ux2)).reshape(b, -1).sum(axis=1)
     b1 = np.maximum(h_ux2 - h_c, 0.0)
     b2 = np.maximum(h_ux1 - h_c, 0.0)
-    bsum = np.maximum(entropy_bits(p_y, axis=1) - h_c, 0.0)
+    bsum = np.maximum(_entropy_y(p_y) - h_c, 0.0)
     return b1, b2, bsum
 
 
@@ -280,7 +314,7 @@ def _log2_floored(p: np.ndarray) -> np.ndarray:
 def _centre_on_support(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Subtract from each simplex row of ``g`` its mean over the support of ``p``."""
     on = p > 0.0
-    return g - (g * on).sum(axis=-1, keepdims=True) / on.sum(axis=-1, keepdims=True)
+    return g - (_sum_last(g * on) / _sum_last(on.astype(np.float64)))[..., None]
 
 
 class _AscentProblem:
@@ -290,8 +324,8 @@ class _AscentProblem:
         self.n1, self.n2, _ = mac.shape
         self.w1 = w1
         self.w2 = w2
-        # sum_y W log2 W for every input pair, i.e. -H(Y | x1, x2).
-        self.neg_h_w = -entropy_bits(self.pmf, axis=2)
+        # H(W)[x1, x2], the entropy of the channel row W(.|x1,x2).
+        self.h_w = _entropy_y(self.pmf)
         # W(y|x1,x2) as (n2 ny, n1) and (n1 ny, n2) matrices.
         self.w_by_x2 = self.pmf.transpose(1, 2, 0).reshape(-1, self.n1)
         self.w_by_x1 = self.pmf.transpose(0, 2, 1).reshape(-1, self.n2)
@@ -304,19 +338,17 @@ class _AscentProblem:
         p2 = theta[:, u + u * n1:].reshape(b, u, n2)
         return p_u, p1, p2
 
-    def project(self, theta: np.ndarray) -> np.ndarray:
-        p_u, p1, p2 = self.split(theta)
-        return np.concatenate([
-            project_rows_to_simplex(p_u),
-            project_rows_to_simplex(p1).reshape(theta.shape[0], -1),
-            project_rows_to_simplex(p2).reshape(theta.shape[0], -1),
-        ], axis=1)
-
     def value(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The projected rows, their corner values and their (B, 3) pentagon bounds."""
-        proj = self.project(theta)
-        bounds = np.stack(batch_pentagon(self.pmf, *self.split(proj)), axis=1)
+        """The projected rows, their corner values and their (B, 3) pentagon bounds.
+
+        The pentagon is evaluated on the projected simplex rows as they
+        come back, contiguous, before they are joined into parameter rows.
+        """
+        b = theta.shape[0]
+        p_u, p1, p2 = (project_rows_to_simplex(part) for part in self.split(theta))
+        bounds = np.stack(batch_pentagon(self.pmf, p_u, p1, p2, h_w=self.h_w), axis=1)
         value, _, _ = pentagon_corners(*bounds.T, self.w1, self.w2)
+        proj = np.concatenate([p_u, p1.reshape(b, -1), p2.reshape(b, -1)], axis=1)
         return proj, value, bounds
 
     def gradient(self, theta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -351,7 +383,9 @@ class _AscentProblem:
         since summing W against p(x2|u) gives p(y|u,x1); the sum over x1
         is the same with the users swapped. The gradient in p(x1|u) is
         p(u) times the first sum, in p(x2|u) p(u) times the second, and
-        in p(u) the first sum's p(x1|u)-weighted total.
+        in p(u) the first sum's p(x1|u)-weighted total. The sums over y
+        and over x1, and the support means, add columns by
+        :func:`_sum_last`.
         """
         b = theta.shape[0]
         p_u, p1, p2 = self.split(theta)
@@ -364,20 +398,21 @@ class _AscentProblem:
         c2 = np.where(s2, self.w2, 0.0) - np.where(s1, 0.0, self.w1)
         cs = np.where(s1, 0.0, self.w1) + np.where(s2, 0.0, self.w2)
 
-        p_y_ux1, p_y_ux2, p_y = _output_conditionals(self.pmf, p_u, p1, p2)
+        p_y_ux1, p_y_ux2, p_y = _output_conditionals(self.pmf, p_u[:, :, None] * p1, p1, p2)
         log_y_ux1, log_y_ux2 = _log2_floored(p_y_ux1), _log2_floored(p_y_ux2)
         log_y = _log2_floored(p_y)[:, None, None, :]
         # d_x2 and d_x1 are the partials summed over x2 and over x1.
         c1, c2, cs = c1[:, None, None], c2[:, None, None], cs[:, None, None]
-        d_x2 = ((c1 + c2 + cs) * _rows_matmul(p2, self.neg_h_w.T)
+        neg_c = -(c1 + c2 + cs)
+        d_x2 = (neg_c * _rows_matmul(p2, self.h_w.T)
                 - c1 * _rows_matmul((p2[..., None] * log_y_ux2).reshape(b, self.u, -1),
                                     self.w_by_x2)
-                - (p_y_ux1 * (c2[..., None] * log_y_ux1 + cs[..., None] * log_y)).sum(axis=3))
-        d_x1 = ((c1 + c2 + cs) * _rows_matmul(p1, self.neg_h_w)
+                - _sum_last(p_y_ux1 * (c2[..., None] * log_y_ux1 + cs[..., None] * log_y)))
+        d_x1 = (neg_c * _rows_matmul(p1, self.h_w)
                 - c2 * _rows_matmul((p1[..., None] * log_y_ux1).reshape(b, self.u, -1),
                                     self.w_by_x1)
-                - (p_y_ux2 * (c1[..., None] * log_y_ux2 + cs[..., None] * log_y)).sum(axis=3))
-        g_u = (p1 * d_x2).sum(axis=2)
+                - _sum_last(p_y_ux2 * (c1[..., None] * log_y_ux2 + cs[..., None] * log_y)))
+        g_u = _sum_last(p1 * d_x2)
         g1 = p_u[:, :, None] * d_x2
         g2 = p_u[:, :, None] * d_x1
         return np.concatenate([
@@ -546,9 +581,13 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     models give the same number because only the partner's feedback
     signal enters this cut.
 
-    Each capacity is read from the upper end of its certificate (the
-    largest input divergence at the returned input), so the bound holds
-    even when the capacity iteration stops short of ``tol``.
+    When the free user has two inputs, each capacity is solved exactly by
+    :func:`~macfeedback.optimize.max_support_input`, which bisects on
+    P(X=1); with more inputs it runs :func:`~macfeedback.optimize.blahut_arimoto`
+    (max_support_input would average several runs, and the certificate
+    at an averaged input is looser). Each capacity is read from the upper
+    end of its certificate (the largest input divergence at the returned
+    input), so the bound holds even when the solve stops short of ``tol``.
     """
     channels = partner_channels(mac, user)
     model = str(model).upper()
@@ -558,7 +597,8 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     for ch in channels.values():
         if model != "PF":
             ch = two_look_channel(ch)
-        best = max(best, blahut_arimoto(ch, tol=tol).upper)
+        solve = max_support_input if len(ch.input_alphabet) == 2 else blahut_arimoto
+        best = max(best, solve(ch, tol=tol).upper)
     return best
 
 

@@ -292,6 +292,30 @@ def test_negative_restarts_or_seed_exits_two(capsys, groupless_file, argv):
     assert doc["error"] == "input" and argv[-2].lstrip("-") in doc["message"]
 
 
+@pytest.mark.parametrize("which,flag", [
+    ("additive-classify", ["--tol", "-1"]), ("additive-classify", ["--tol", "1e-9"]),
+    ("symmetry", ["--tol", "nan"]), ("symmetry", ["--erasure-p", "7"]),
+    ("symmetry", ["--verify"]), ("additive", ["--restarts", "-5"]),
+    ("additive", ["--seed", "-3"]), ("additive", ["--seed", "0"]),
+    ("additive", ["--weights", "1:1"]), ("gain-condition", ["--restarts", "-5"]),
+    ("gain-condition", ["--seed", "1"]), ("gain-condition", ["--erasure-p", "0.5"]),
+])
+def test_check_rejects_flags_it_does_not_read(capsys, adder_file, which, flag):
+    # Also at a flag's default value: the check would ignore it either way.
+    code, out, err = run_cli(capsys, "check", which, *flag, "--channel", adder_file)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and flag[0] in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [["gain-condition", "--tol", "1e-8"],
+                                  ["erasure-scaling", "--erasure-p", "0.5", "--weights", "1:1",
+                                   "--restarts", "2", "--seed", "1", "--tol", "1e-8"]])
+def test_check_accepts_flags_it_reads(capsys, adder_file, argv):
+    code, out, _ = run_cli(capsys, "check", *argv, "--channel", adder_file)
+    assert code == 0 and json.loads(out)["check"] == argv[0]
+
+
 def test_nan_in_report_exits_one(capsys, adder_file, monkeypatch):
     monkeypatch.setattr(cli, "cmd_singlerate", lambda args: {"value": math.nan})
     code, out, err = run_cli(capsys, "singlerate", "--channel", adder_file)

@@ -13,7 +13,8 @@ from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
 from macfeedback import ErasureSpec, catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
-from macfeedback import regions
+from macfeedback import optimize, regions
+from macfeedback._util import entropy_bits
 from macfeedback.regions import _AscentProblem, batch_pentagon, pentagon_corners
 
 from _gen import random_mac
@@ -138,6 +139,30 @@ class TestPentagonBounds:
         rng = np.random.default_rng(70 + 10 * n1 + n2 + u_card)
         for _ in range(4):
             self._check_against_oracle(rng, random_mac(rng, n1=n1, n2=n2, ny=4), u_card)
+
+
+class TestShortAxisSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_bitwise_equal_to_numpy_sum_alone_or_batched(self, n):
+        # Rows shorter than 8 sum in numpy's order; a row sums to the same
+        # bits alone as in a batch or in a strided view.
+        rng = np.random.default_rng(n)
+        a = rng.random((9, 6, 2, n)) * rng.choice([1e-3, 1.0, 1e3], size=(9, 6, 2, 1))
+        a[0] = 0.0
+        total = regions._sum_last(a)
+        np.testing.assert_array_equal(total, a.sum(axis=-1))
+        for k in range(len(a)):
+            np.testing.assert_array_equal(regions._sum_last(a[k:k + 1]), total[k:k + 1])
+        wide = np.zeros((9, 6, 2, n + 3))
+        wide[..., 1:n + 1] = a
+        np.testing.assert_array_equal(regions._sum_last(wide[..., 1:n + 1]), total)
+
+    @pytest.mark.parametrize("ny", [2, 3, 4, 5])
+    def test_entropy_matches_kernel(self, ny):
+        rng = np.random.default_rng(ny)
+        p = rng.dirichlet(np.ones(ny), size=(7, 3))
+        p[0, 0] = np.eye(ny)[0]
+        np.testing.assert_array_equal(regions._entropy_y(p), entropy_bits(p, axis=-1))
 
 
 class TestFrontier:
@@ -424,6 +449,14 @@ class TestAscentGradient:
             np.testing.assert_allclose(got, np.broadcast_to(want[1], want.shape),
                                        rtol=0, atol=1e-12 * scale)
 
+    def test_centre_on_support(self):
+        # Each row loses its mean over the support of p, off-support
+        # entries included.
+        p = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
+        g = np.array([[1.0, 5.0, 3.0], [2.0, 4.0, 8.0], [1.0, 2.0, 6.0]])
+        np.testing.assert_array_equal(regions._centre_on_support(p, g),
+                                      [[-1.0, 3.0, 1.0], [-2.0, 0.0, 4.0], [-2.0, -1.0, 3.0]])
+
     def test_zero_mass_partials_finite(self):
         # All mass sits on u0 with both inputs 0, so only adder output 0 is
         # reached. Mass moved onto x1 = 1 or x2 = 1 given u0 reaches output
@@ -488,11 +521,18 @@ class TestCutset:
 
     def test_cut_short_bounds_stay_above_inner_rates(self, monkeypatch):
         # Outer values read the upper end of the capacity certificate, so
-        # an iteration stopped after one step still bounds the inner rates.
+        # a solve stopped after one step still bounds the inner rates. A
+        # two-input channel's gap at P(X=1) = 1/2 is at most one bit, so at
+        # tol 1 the exact solve stops at its first point; the 3x3 MACs
+        # take the iteration, cut to one step.
         rng = np.random.default_rng(8)
-        macs = [random_mac(rng, n1=2, n2=2, ny=3) for _ in range(5)]
+        macs = ([random_mac(rng, n1=2, n2=2, ny=3) for _ in range(5)]
+                + [random_mac(rng, n1=3, n2=3, ny=4) for _ in range(3)])
         inner = [[single_rate_capacity(mac, user).value for user in (1, 2)] for mac in macs]
-        ba, joint = regions.blahut_arimoto, regions.maximize_joint_mi
+        single, ba = regions.max_support_input, regions.blahut_arimoto
+        joint = regions.maximize_joint_mi
+        monkeypatch.setattr(regions, "max_support_input",
+                            lambda ch, tol: single(ch, tol=1.0))
         monkeypatch.setattr(regions, "blahut_arimoto",
                             lambda ch, tol: ba(ch, tol=tol, max_iter=1))
         monkeypatch.setattr(regions, "maximize_joint_mi",
@@ -501,6 +541,27 @@ class TestCutset:
             assert cutset_single_rate(mac, 1, "PF") >= s1
             assert cutset_single_rate(mac, 2, "PF") >= s2
             assert cutset_sum_rate(mac) >= max(s1, s2)
+
+    def test_binary_inputs_run_no_iteration(self, monkeypatch):
+        # One- and two-look channels of a binary-input MAC have two inputs,
+        # so the per-user bounds take the exact solve; the joint-input
+        # sum-rate bound still iterates.
+        calls = []
+        real = optimize.blahut_arimoto
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (optimize, regions):
+            monkeypatch.setattr(module, "blahut_arimoto", counting)
+        mac = catalog.erasure_adder_mac(0.5)
+        for user in (1, 2):
+            for model in ("PF", "IF", "DF"):
+                cutset_single_rate(mac, user, model)
+        assert calls == []
+        cutset_sum_rate(mac)
+        assert calls == [1]
 
 
 class TestRatePair:

@@ -14,22 +14,23 @@ from macfeedback._util import project_rows_to_simplex
 def brute_force_projection(v):
     """Projection of one row by trying every support set of every size.
 
-    For a support S the unconstrained optimum on the face is
-    v_S - (sum v_S - 1) / |S|; the projection is the feasible candidate
-    (all entries on S nonnegative) closest to v.
+    For a support S the optimum on the face is v_S - tau with
+    tau = (sum v_S - 1) / |S|; the projection is the candidate that meets
+    the optimality conditions: every entry on S is nonnegative and every
+    entry off S is at most tau. The candidate that violates them least
+    is taken, so rounding near a tie cannot pick a wrong support (squared
+    distances to v can tie in floating point while the supports differ).
     """
     d = len(v)
-    best, best_dist = None, np.inf
+    best, best_viol = None, np.inf
     for k in range(1, d + 1):
         for support in itertools.combinations(range(d), k):
-            s = list(support)
-            x = np.zeros(d)
-            x[s] = v[s] - (v[s].sum() - 1.0) / k
-            if (x[s] >= -1e-12).all():
-                x = np.maximum(x, 0.0)
-                dist = float(((x - v) ** 2).sum())
-                if dist < best_dist:
-                    best, best_dist = x, dist
+            on = np.zeros(d, dtype=bool)
+            on[list(support)] = True
+            tau = (v[on].sum() - 1.0) / k
+            viol = max(0.0, (tau - v[on]).max(), (v[~on] - tau).max(initial=0.0))
+            if viol < best_viol:
+                best, best_viol = np.where(on, v - tau, 0.0), viol
     return best
 
 
@@ -93,3 +94,53 @@ class TestProjectRowsToSimplex:
         v = rng.normal(size=(4, 5, 3))
         np.testing.assert_array_equal(project_rows_to_simplex(v),
                                       project_rows_to_simplex(v.reshape(-1, 3)).reshape(v.shape))
+
+
+def sort_formula_projection(v):
+    """The sorted partial-average rule for any row length: tau is the
+    largest (sum of the k largest entries - 1) / k over k = 1..d."""
+    d = v.shape[-1]
+    css = np.cumsum(-np.sort(-v, axis=-1), axis=-1) - 1.0
+    tau = (css / np.arange(1, d + 1, dtype=np.float64)).max(axis=-1, keepdims=True)
+    return np.maximum(v - tau, 0.0)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# Two-symbol rows: grid entries (ties, exact zeros, negatives) or free
+# floats, times one scale per example, under one to three leading axes.
+two_symbol_rows = st.tuples(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.sampled_from([1e-3, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0]),
+).flatmap(lambda lead_scale: arrays(
+    np.float64, (*lead_scale[0], 2),
+    elements=st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                       st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False)),
+).map(lambda v, s=lead_scale[1]: v * s))
+
+
+class TestTwoSymbolProjection:
+    @settings(max_examples=400, deadline=None)
+    @given(two_symbol_rows)
+    def test_bitwise_equal_to_sort_formula(self, v):
+        assert_bitwise_equal(project_rows_to_simplex(v), sort_formula_projection(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_symbol_rows)
+    def test_bitwise_equal_on_strided_views(self, v):
+        # The ascent passes p(x|u) as views into its parameter rows.
+        wide = np.zeros((*v.shape[:-1], 5))
+        wide[..., 1:3] = v
+        view = wide[..., 1:3]
+        assert_bitwise_equal(project_rows_to_simplex(view), sort_formula_projection(v))
+
+    def test_ties_zeros_and_negatives(self):
+        v = np.array([[0.5, 0.5], [0.0, 0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                      [2.0, -1.0], [-3.0, -3.0], [1.5, 1.5], [1e-3, -1e-3], [10.0, 10.0]])
+        out = project_rows_to_simplex(v)
+        assert_bitwise_equal(out, sort_formula_projection(v))
+        np.testing.assert_array_equal(out[:6], [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5],
+                                                [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 110 CLI invocations against the checkout that holds
+Runs a fixed list of 117 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
 the two-look cut-set ``region --model IF --weights 1:1 --restarts 0
 --verify``, ``check gain-condition``, ``check additive-classify``,
@@ -15,7 +15,12 @@ nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
 the flag values the CLI must reject with exit code 2: ``--tol`` at -1, 0,
 nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
 ``region --weights 1:1``, ``region --restarts -3``, ``region --seed -1``
-and ``check erasure-scaling --erasure-p 0.5 --restarts -2``.
+and ``check erasure-scaling --erasure-p 0.5 --restarts -2``. On
+``channels/erasure_adder_p050.json``, which has a group block, it runs
+flags a check does not read, which must also exit 2: ``check
+additive-classify --tol -1``, ``check symmetry`` with ``--tol nan`` or
+``--erasure-p 7``, ``check additive`` with ``--restarts -5``, ``--seed
+-3`` or ``--weights 1:1``, and ``check gain-condition --restarts -5``.
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
@@ -61,6 +66,18 @@ INVALID_FLAGS = tuple(
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--restarts", "-2"])]
 )
 
+# Flags a check does not read, run on a channel with a group block so that
+# only the flag can make the check fail.
+UNREAD_FLAGS = (
+    ("additive-classify-tol-neg1", ["check", "additive-classify", "--tol", "-1"]),
+    ("symmetry-tol-nan", ["check", "symmetry", "--tol", "nan"]),
+    ("symmetry-erasure-p-7", ["check", "symmetry", "--erasure-p", "7"]),
+    ("additive-restarts-neg5", ["check", "additive", "--restarts", "-5"]),
+    ("additive-seed-neg3", ["check", "additive", "--seed", "-3"]),
+    ("additive-weights", ["check", "additive", "--weights", "1:1"]),
+    ("gain-condition-restarts-neg5", ["check", "gain-condition", "--restarts", "-5"]),
+)
+
 
 def runs() -> list[tuple[str, list[str]]]:
     """(name, argv) for every run, channel paths relative to the checkout."""
@@ -74,6 +91,9 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--channel", "channels/adder.json"]))
     for name, argv in INVALID_FLAGS:
         out.append((f"adder.{name}", argv + ["--channel", "channels/adder.json"]))
+    for name, argv in UNREAD_FLAGS:
+        out.append((f"erasure_adder_p050.{name}",
+                    argv + ["--channel", "channels/erasure_adder_p050.json"]))
     return out
 
 

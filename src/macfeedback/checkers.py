@@ -450,8 +450,8 @@ def erasure_scaling_check(mac: Mac, p: float, weights=None, restarts: int = 25,
     """Compare the frontier of the erasure-extended channel to the scaled base."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"erasure probability must lie in [0, 1], got {p!r}")
-    if weights is None:
-        weights = default_weight_fan()
+    # Both frontiers read the directions, so a one-shot iterable is listed once.
+    weights = default_weight_fan() if weights is None else list(weights)
     base = cover_leung_frontier(mac, weights=weights, restarts=restarts,
                                 u_card=u_card, seed=seed, tol=tol)
     extended_mac = erasure_extend(

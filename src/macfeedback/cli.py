@@ -62,6 +62,8 @@ def _emit_csv(text: str, args) -> None:
 
 
 def _parse_weights(spec: str) -> list[tuple[float, float]]:
+    if not spec.strip():
+        raise InputError("no weights given")
     out = []
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
@@ -72,8 +74,6 @@ def _parse_weights(spec: str) -> list[tuple[float, float]]:
         except ValueError:
             raise InputError(f"weight {chunk!r} is not numeric") from None
         out.append((w1, w2))
-    if not out:
-        raise InputError("no weights given")
     return out
 
 
@@ -123,7 +123,7 @@ def cmd_singlerate(args) -> dict:
 
 def cmd_region(args) -> tuple[dict, str]:
     cf = load_channel_file(args.channel)
-    weights = _parse_weights(args.weights) if args.weights else default_weight_fan()
+    weights = default_weight_fan() if args.weights is None else _parse_weights(args.weights)
     frontier = cover_leung_frontier(
         cf.mac, weights=weights, restarts=args.restarts,
         u_card=args.u_card, seed=args.seed, tol=args.tol)
@@ -218,7 +218,7 @@ def cmd_check(args) -> dict:
     elif which == "erasure-scaling":
         if args.erasure_p is None:
             raise InputError("erasure-scaling requires --erasure-p")
-        weights = _parse_weights(args.weights) if args.weights else None
+        weights = None if args.weights is None else _parse_weights(args.weights)
         out["report"] = erasure_scaling_check(
             cf.mac, args.erasure_p, weights=weights, restarts=args.restarts,
             seed=args.seed, tol=args.tol).to_dict()

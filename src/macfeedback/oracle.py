@@ -22,6 +22,12 @@ from .groups import ROW_TOL
 from .regions import RatePair, batch_pentagon, check_weight, pentagon_corners
 
 
+# Rows per batch_pentagon call of the lattice frontier sweep: enough to
+# spread numpy's per-call cost, few enough to bound the call's arrays (a
+# resolution-10 sweep in a single call would hold about 8 MB).
+_LATTICE_BLOCK_ROWS = 1500
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Lattice resolution: probabilities live on multiples of 1/resolution."""
@@ -87,6 +93,11 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     The search space is every lattice distribution for ``p(u)`` and every
     lattice row for each conditional, so the cost grows as
     ``B^(2 u_card)``; hence the caps on binary inputs and ``u_card <= 2``.
+    The (p(u), p(x1|u)) pairs are taken in lattice order, several at a
+    time: each ``batch_pentagon`` call stacks a block of pairs, each
+    against every p(x2|u) configuration, about ``_LATTICE_BLOCK_ROWS`` rows
+    in all, which bounds the call's arrays. The first best row in that
+    order wins, as in a sweep one row at a time.
     """
     n1, n2, _ = mac.shape
     if n1 > 2 or n2 > 2:
@@ -104,18 +115,20 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     conf2 = np.array(list(product(range(rows2.shape[0]), repeat=u_card)))
     px1_all = rows1[conf1]  # (C1, U, n1)
     px2_all = rows2[conf2]  # (C2, U, n2)
-    c2 = px2_all.shape[0]
+    c1, c2 = px1_all.shape[0], px2_all.shape[0]
+    n_pairs = pu_lattice.shape[0] * c1
+    per_block = max(1, _LATTICE_BLOCK_ROWS // c2)
 
     best = (-np.inf, 0.0, 0.0)
-    for pu in pu_lattice:
-        pu_b = np.broadcast_to(pu, (c2, u_card))
-        for px1 in px1_all:
-            px1_b = np.broadcast_to(px1, (c2, u_card, n1))
-            b1, b2, bsum = batch_pentagon(mac.pmf, pu_b, px1_b, px2_all)
-            vals, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
-            k = int(np.argmax(vals))
-            if vals[k] > best[0]:
-                best = (float(vals[k]), float(r1[k]), float(r2[k]))
+    for lo in range(0, n_pairs, per_block):
+        pu_idx, x1_idx = np.divmod(np.arange(lo, min(lo + per_block, n_pairs)), c1)
+        b1, b2, bsum = batch_pentagon(mac.pmf, np.repeat(pu_lattice[pu_idx], c2, axis=0),
+                                      np.repeat(px1_all[x1_idx], c2, axis=0),
+                                      np.tile(px2_all, (pu_idx.size, 1, 1)))
+        vals, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
+        k = int(np.argmax(vals))
+        if vals[k] > best[0]:
+            best = (float(vals[k]), float(r1[k]), float(r2[k]))
     return RatePair(best[1], best[2])
 
 

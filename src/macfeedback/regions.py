@@ -30,10 +30,16 @@ non-trivial corners of each pentagon, maximized by projected gradient
 ascent over the factored simplices. The corner value is the minimum of
 two linear combinations of the pentagon bounds; each step follows the
 exact analytic gradient of the active one, centred on the support of
-every simplex row, and tries a fixed ladder of step lengths. Ascent may
-stop at a local optimum; every emitted point is nevertheless a certified
-achievable point because its pentagon is re-evaluated exactly from the
-stored auxiliary input.
+every simplex row, and tries a fixed ladder of step lengths. Weights are
+per-row arrays, so all (direction, start) rows of a fan run as one ascent
+over a bounded pool of slots: every step moves the rows in the slots at
+once, and a row that stops hands its slot to the next queued start. Each
+row takes the steps it would take alone, so the pool changes no result;
+it pays numpy's fixed per-call cost once per step of the fan rather than
+once per step of every direction, and the slot count bounds each step's
+arrays. Ascent may stop at a local optimum; every emitted point is
+nevertheless a certified achievable point because its pentagon is
+re-evaluated exactly from the stored auxiliary input.
 
 Outer bounds are the cut-set values: per-user bounds that give the free
 user one or two looks at the output depending on the feedback model, and
@@ -43,6 +49,7 @@ the joint-input sum-rate bound.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,30 +209,42 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
 
 
 def _entropy_y(p: np.ndarray) -> np.ndarray:
-    """``entropy_bits(p, axis=-1)``, with the sum over y taken by :func:`_sum_last`."""
-    return -_sum_last(p * np.log(np.maximum(p, _TINY))) / LN2
+    """``entropy_bits(p, axis=-1)``, with the sum over y taken by :func:`_sum_last`.
+
+    The terms p log p are formed in one scratch array, so a batch of output
+    laws costs one temporary of its size rather than three.
+    """
+    terms = np.maximum(p, _TINY)
+    np.log(terms, out=terms)
+    terms *= p
+    return -_sum_last(terms) / LN2
 
 
-def _output_conditionals(mac_pmf: np.ndarray, p_ux1: np.ndarray, p_x1: np.ndarray,
-                         p_x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Output laws p(y|u,x1) (B, U, n1, ny), p(y|u,x2) (B, U, n2, ny) and p(y) (B, ny).
+def _output_given_x1(mac_pmf: np.ndarray, p_ux1: np.ndarray,
+                     p_x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output laws p(y|u,x1) (B, U, n1, ny) and p(y) (B, ny).
 
     ``p_ux1`` is p(u) p(x1|u) (B, U, n1). Given U the inputs are
-    independent, so each conditional averages the channel over the other
-    input's row; rows with p(u) = 0 still get one. Each conditional is one
-    matrix product over all B U rows,
+    independent, so a conditional averages the channel over the other
+    input's row; rows with p(u) = 0 still get one. It is one matrix
+    product over all B U rows,
 
-        p(y|u,x1) = p(x2|u) (B U, n2) @ W(y|x1,x2) as (n2, n1 ny)
-        p(y|u,x2) = p(x1|u) (B U, n1) @ W(y|x1,x2) as (n1, n2 ny),
+        p(y|u,x1) = p(x2|u) (B U, n2) @ W(y|x1,x2) as (n2, n1 ny),
 
     and p(y) is, per batch row, p(u) p(x1|u) as (1, U n1) @ p(y|u,x1) as (U n1, ny).
     """
-    b, u, n1 = p_x1.shape
+    b, u, n1 = p_ux1.shape
     n2, ny = mac_pmf.shape[1:]
     p_y_ux1 = _rows_matmul(p_x2, mac_pmf.transpose(1, 0, 2).reshape(n2, n1 * ny))
-    p_y_ux2 = _rows_matmul(p_x1, mac_pmf.reshape(n1, n2 * ny))
     p_y = (p_ux1.reshape(b, 1, u * n1) @ p_y_ux1.reshape(b, u * n1, ny))[:, 0]
-    return p_y_ux1.reshape(b, u, n1, ny), p_y_ux2.reshape(b, u, n2, ny), p_y
+    return p_y_ux1.reshape(b, u, n1, ny), p_y
+
+
+def _output_given_x2(mac_pmf: np.ndarray, p_x1: np.ndarray) -> np.ndarray:
+    """Output law p(y|u,x2) (B, U, n2, ny) = p(x1|u) (B U, n1) @ W as (n1, n2 ny)."""
+    b, u, n1 = p_x1.shape
+    n2, ny = mac_pmf.shape[1:]
+    return _rows_matmul(p_x1, mac_pmf.reshape(n1, n2 * ny)).reshape(b, u, n2, ny)
 
 
 def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
@@ -261,10 +280,12 @@ def batch_pentagon(mac_pmf: np.ndarray, p_u: np.ndarray, p_x1: np.ndarray,
     b = p_u.shape[0]
     p_ux1 = p_u[:, :, None] * p_x1
     p_ux2 = p_u[:, :, None] * p_x2
-    p_y_ux1, p_y_ux2, p_y = _output_conditionals(mac_pmf, p_ux1, p_x1, p_x2)
     h_c = (_rows_matmul(p_ux1, h_w) * p_x2).reshape(b, -1).sum(axis=1)
+    # One output law of B U n ny entries is held at a time.
+    p_y_ux1, p_y = _output_given_x1(mac_pmf, p_ux1, p_x2)
     h_ux1 = (p_ux1 * _entropy_y(p_y_ux1)).reshape(b, -1).sum(axis=1)
-    h_ux2 = (p_ux2 * _entropy_y(p_y_ux2)).reshape(b, -1).sum(axis=1)
+    del p_y_ux1
+    h_ux2 = (p_ux2 * _entropy_y(_output_given_x2(mac_pmf, p_x1))).reshape(b, -1).sum(axis=1)
     b1 = np.maximum(h_ux2 - h_c, 0.0)
     b2 = np.maximum(h_ux1 - h_c, 0.0)
     bsum = np.maximum(_entropy_y(p_y) - h_c, 0.0)
@@ -296,6 +317,12 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
 _STEP_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 _IMPROVE_TOL = 1e-11
 
+# Rows the pooled ascent moves at once. A step evaluates one pentagon per
+# slot and ladder rung, so this bounds a step's arrays, and so peak memory,
+# whatever the number of directions and starts; fewer slots mean more steps,
+# each paying numpy's fixed per-call cost.
+_SLOTS = 64
+
 # Ascent values within this of the best count as ties when the witness is
 # picked; the first tied start in start order wins, so last-bit noise in
 # the values cannot flip which witness is printed.
@@ -318,12 +345,17 @@ def _centre_on_support(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class _AscentProblem:
-    def __init__(self, mac: Mac, u_card: int, w1: float, w2: float):
+    """The corner objective of one channel and auxiliary cardinality.
+
+    Weights are arguments, not state: ``w1`` and ``w2`` are per-row arrays
+    (or scalars) that broadcast against the batch, so one problem serves
+    every direction of a fan.
+    """
+
+    def __init__(self, mac: Mac, u_card: int):
         self.pmf = mac.pmf
         self.u = u_card
         self.n1, self.n2, _ = mac.shape
-        self.w1 = w1
-        self.w2 = w2
         # H(W)[x1, x2], the entropy of the channel row W(.|x1,x2).
         self.h_w = _entropy_y(self.pmf)
         # W(y|x1,x2) as (n2 ny, n1) and (n1 ny, n2) matrices.
@@ -338,8 +370,10 @@ class _AscentProblem:
         p2 = theta[:, u + u * n1:].reshape(b, u, n2)
         return p_u, p1, p2
 
-    def value(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def value(self, theta: np.ndarray, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The projected rows, their corner values and their (B, 3) pentagon bounds.
+
+        Row k's corner value is taken at weights ``(w1[k], w2[k])``.
 
         The pentagon is evaluated on the projected simplex rows as they
         come back, contiguous, before they are joined into parameter rows.
@@ -347,14 +381,15 @@ class _AscentProblem:
         b = theta.shape[0]
         p_u, p1, p2 = (project_rows_to_simplex(part) for part in self.split(theta))
         bounds = np.stack(batch_pentagon(self.pmf, p_u, p1, p2, h_w=self.h_w), axis=1)
-        value, _, _ = pentagon_corners(*bounds.T, self.w1, self.w2)
+        value, _, _ = pentagon_corners(*bounds.T, w1, w2)
         proj = np.concatenate([p_u, p1.reshape(b, -1), p2.reshape(b, -1)], axis=1)
         return proj, value, bounds
 
-    def gradient(self, theta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    def gradient(self, theta: np.ndarray, bounds: np.ndarray, w1, w2) -> np.ndarray:
         """Tangent gradient of the active corner piece at projected rows ``theta``.
 
-        ``bounds`` are the rows' pentagon bounds as :meth:`value` returns them.
+        ``bounds`` are the rows' pentagon bounds as :meth:`value` returns
+        them, and ``w1``, ``w2`` the rows' weights.
 
         The corner value is ``c1 b1 + c2 b2 + cs bsum`` with coefficients
         set by which pentagon corner and which of its two rate bounds
@@ -390,15 +425,16 @@ class _AscentProblem:
         b = theta.shape[0]
         p_u, p1, p2 = self.split(theta)
         b1, b2, bsum = bounds.T
-        _, r1, r2 = pentagon_corners(b1, b2, bsum, self.w1, self.w2)
+        _, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
         # Each corner rate is its own bound or bsum minus the other bound.
         s1 = r1 == b1
         s2 = r2 == b2
-        c1 = np.where(s1, self.w1, 0.0) - np.where(s2, 0.0, self.w2)
-        c2 = np.where(s2, self.w2, 0.0) - np.where(s1, 0.0, self.w1)
-        cs = np.where(s1, 0.0, self.w1) + np.where(s2, 0.0, self.w2)
+        c1 = np.where(s1, w1, 0.0) - np.where(s2, 0.0, w2)
+        c2 = np.where(s2, w2, 0.0) - np.where(s1, 0.0, w1)
+        cs = np.where(s1, 0.0, w1) + np.where(s2, 0.0, w2)
 
-        p_y_ux1, p_y_ux2, p_y = _output_conditionals(self.pmf, p_u[:, :, None] * p1, p1, p2)
+        p_y_ux1, p_y = _output_given_x1(self.pmf, p_u[:, :, None] * p1, p2)
+        p_y_ux2 = _output_given_x2(self.pmf, p1)
         log_y_ux1, log_y_ux2 = _log2_floored(p_y_ux1), _log2_floored(p_y_ux2)
         log_y = _log2_floored(p_y)[:, None, None, :]
         # d_x2 and d_x1 are the partials summed over x2 and over x1.
@@ -421,42 +457,79 @@ class _AscentProblem:
             _centre_on_support(p2, g2).reshape(b, -1),
         ], axis=1)
 
-    def ascend_many(self, theta0: np.ndarray,
-                    max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
-        """Run one independent ascent per row of ``theta0``, in lockstep.
+    def ascend(self, theta0: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+               max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
+        """Run one independent ascent per row of ``theta0``, row k at weights
+        ``(w1[k], w2[k])``, over a pool of at most ``_SLOTS`` rows.
 
-        Rows never interact; batching exists purely to amortize array
-        overhead. Each row stops after two consecutive non-improving
-        iterations (or a vanishing gradient) and the loop ends when every
-        row has stopped. Returns the final (projected) parameter rows and
-        their objective values.
+        Rows never interact; pooling exists purely to amortize numpy's
+        per-call overhead. Each slot holds one live row, and every step
+        moves all live rows at once. A row stops after two consecutive
+        non-improving steps, a vanishing gradient or ``max_iter`` steps of
+        its own; its result goes back under its start index, its slot takes
+        the next start in start order, and the pool drains once no start is
+        left. The kernels give a row the same bits in any batch, so every
+        row ends exactly where it would alone, and the slot count bounds a
+        step's arrays whatever the number of rows. Returns the final
+        (projected) parameter rows and their objective values, in start
+        order.
         """
-        s, dim = theta0.shape
-        theta, best, bounds = self.value(theta0)
-        stall = np.zeros(s, dtype=np.int64)
+        n, dim = theta0.shape
         ladder = np.asarray(_STEP_LADDER)
-        for _ in range(max_iter):
-            idx = np.flatnonzero(stall < 2)
-            if idx.size == 0:
-                break
-            th = theta[idx]
-            grads = self.gradient(th, bounds[idx])
+        w = np.stack([w1, w2])
+        # Projected starts, their values and bounds; each row's result
+        # overwrites its start when the row stops.
+        theta, best, bounds = np.empty_like(theta0), np.empty(n), np.empty((n, 3))
+        for lo in range(0, n, _SLOTS * ladder.size):
+            rows = slice(lo, lo + _SLOTS * ladder.size)
+            theta[rows], best[rows], bounds[rows] = self.value(theta0[rows], *w[:, rows])
+        # Slot state: the start each slot holds, its current row, value,
+        # bounds and weights, and its step and stall counts.
+        k = min(_SLOTS, n) if max_iter > 0 else 0
+        slot_rows = np.arange(k)
+        th, val, bd, sw = theta[:k].copy(), best[:k].copy(), bounds[:k].copy(), w[:, :k].copy()
+        sw_ladder = np.repeat(sw, ladder.size, axis=1)
+        steps = np.zeros(k, dtype=np.int64)
+        stall = np.zeros(k, dtype=np.int64)
+        queued = k
+        while k:
+            grads = self.gradient(th, bd, *sw)
             scale = np.abs(grads).max(axis=1)
             alive = scale > 0.0
             dirs = grads / np.maximum(scale, 1e-300)[:, None]
             cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-            cthetas, cvals, cbounds = self.value(cands.reshape(-1, dim))
-            cvals = cvals.reshape(idx.size, -1)
-            pick = (np.arange(idx.size), np.argmax(cvals, axis=1))
+            cthetas, cvals, cbounds = self.value(cands.reshape(-1, dim), *sw_ladder)
+            cvals = cvals.reshape(k, -1)
+            pick = (np.arange(k), np.argmax(cvals, axis=1))
             cbest = cvals[pick]
-            improved = alive & (cbest > best[idx] + _IMPROVE_TOL)
-            gi = idx[improved]
-            theta[gi] = cthetas.reshape(idx.size, -1, dim)[pick][improved]
-            best[gi] = cbest[improved]
-            bounds[gi] = cbounds.reshape(idx.size, -1, 3)[pick][improved]
-            stall[gi] = 0
-            stall[idx[~improved]] += 1
-            stall[idx[~alive]] = 2
+            improved = alive & (cbest > val + _IMPROVE_TOL)
+            th[improved] = cthetas.reshape(k, -1, dim)[pick][improved]
+            val[improved] = cbest[improved]
+            bd[improved] = cbounds.reshape(k, -1, 3)[pick][improved]
+            del cthetas, cbounds  # not held through the next step's candidates
+            stall = np.where(improved, 0, np.where(alive, stall + 1, 2))
+            steps += 1
+            done = np.flatnonzero((stall >= 2) | (steps >= max_iter))
+            if not done.size:
+                continue
+            # Stopped rows go back under their start index; queued starts
+            # take their slots, and slots left without a start close.
+            theta[slot_rows[done]], best[slot_rows[done]] = th[done], val[done]
+            refill = done[:n - queued]
+            new = np.arange(queued, queued + refill.size)
+            queued += refill.size
+            slot_rows[refill], sw[:, refill] = new, w[:, new]
+            th[refill], val[refill], bd[refill] = theta[new], best[new], bounds[new]
+            steps[refill] = 0
+            stall[refill] = 0
+            if refill.size < done.size:
+                keep = np.ones(k, dtype=bool)
+                keep[done[refill.size:]] = False
+                slot_rows, sw, th, val, bd = (slot_rows[keep], sw[:, keep], th[keep],
+                                              val[keep], bd[keep])
+                steps, stall = steps[keep], stall[keep]
+                k = slot_rows.size
+            sw_ladder = np.repeat(sw, ladder.size, axis=1)
         return theta, best
 
 
@@ -496,49 +569,65 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = 25,
 
     For each weight direction the pentagon corner objective is maximized
     by projected ascent from deterministic structured starts plus
-    ``restarts`` seeded random starts. Every returned point re-evaluates
-    its pentagon exactly from the stored witness, so points are certified
-    achievable regardless of how well the ascent did.
+    ``restarts`` random starts seeded per direction. The (direction, start)
+    rows of the whole fan run as one pooled ascent with per-row weights
+    (:meth:`_AscentProblem.ascend`); each row takes the steps it would take
+    alone, so a direction's point does not depend on the rest of the fan.
+    Every returned point re-evaluates its pentagon exactly from the stored
+    witness, so points are certified achievable regardless of how well the
+    ascent did.
 
     The default auxiliary cardinality is ``|X1| |X2| + 2``, a standard
     support-size heuristic with slack; override ``u_card`` to taste.
-    ``restarts`` and ``seed`` must be nonnegative.
+    ``restarts``, ``seed`` and ``max_iter`` must be nonnegative integers,
+    ``u_card`` a positive one, and ``weights`` must name at least one
+    direction.
     """
-    for name, v in (("restarts", restarts), ("seed", seed)):
-        if v < 0:
-            raise InputError(f"{name} must be nonnegative, got {v!r}")
+    if u_card is None:
+        u_card = mac.shape[0] * mac.shape[1] + 2
+    for name, v, least in (("restarts", restarts, 0), ("seed", seed, 0),
+                           ("max_iter", max_iter, 0), ("u_card", u_card, 1)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {v!r}")
+        if v < least:
+            bound = "at least 1" if least else "nonnegative"
+            raise InputError(f"{name} must be {bound}, got {v!r}")
     if weights is None:
         weights = default_weight_fan()
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
+    if not weights:
+        raise InputError("no weight directions given")
     for w1, w2 in weights:
         check_weight(w1, w2)
     n1, n2, _ = mac.shape
-    if u_card is None:
-        u_card = n1 * n2 + 2
-    if u_card < 1:
-        raise InputError("u_card must be at least 1")
 
-    structured = _structured_starts(mac, u_card, tol)
-    root = np.random.SeedSequence(seed)
-    weight_seeds = root.spawn(len(weights))
+    structured = np.array(_structured_starts(mac, u_card, tol))
+    per_dir = len(structured) + restarts
+    # One block of start rows per direction: the structured starts, then
+    # the direction's seeded random starts.
+    starts = np.empty((len(weights), per_dir, structured.shape[1]))
+    starts[:, :len(structured)] = structured
+    for block, wseed in zip(starts, np.random.SeedSequence(seed).spawn(len(weights))):
+        rng = np.random.default_rng(wseed)
+        for row in block[len(structured):]:
+            row[:] = _random_start(rng, u_card, n1, n2)
+    w1s, w2s = np.repeat(np.array(weights), per_dir, axis=0).T
+    problem = _AscentProblem(mac, u_card)
+    thetas, vals = problem.ascend(starts.reshape(-1, starts.shape[2]), w1s, w2s,
+                                  max_iter=max_iter)
 
     points = []
-    for (w1, w2), wseed in zip(weights, weight_seeds):
-        problem = _AscentProblem(mac, u_card, w1, w2)
-        rng = np.random.default_rng(wseed)
-        starts = list(structured)
-        for _ in range(restarts):
-            starts.append(_random_start(rng, u_card, n1, n2))
-        thetas, vals = problem.ascend_many(np.array(starts), max_iter=max_iter)
-        first_tied = int(np.flatnonzero(vals >= vals.max() - _WITNESS_TIE)[0])
-        q = _theta_to_clinput(thetas[first_tied], problem, mac)
+    for (w1, w2), dir_thetas, dir_vals in zip(weights, thetas.reshape(starts.shape),
+                                              vals.reshape(len(weights), per_dir)):
+        first_tied = int(np.flatnonzero(dir_vals >= dir_vals.max() - _WITNESS_TIE)[0])
+        q = _theta_to_clinput(dir_thetas[first_tied], problem, mac)
         b1, b2, bsum = cover_leung_bounds(mac, q)
-        vals, r1, r2 = pentagon_corners(
+        pt_vals, r1, r2 = pentagon_corners(
             np.array([b1]), np.array([b2]), np.array([bsum]), w1, w2)
         points.append(FrontierPoint(
             weights=(w1, w2),
             rates=RatePair(float(r1[0]), float(r2[0])),
-            value=float(vals[0]),
+            value=float(pt_vals[0]),
             witness=q,
         ))
 
@@ -555,7 +644,7 @@ def _random_start(rng: np.random.Generator, u_card: int, n1: int, n2: int) -> np
 
 
 def _theta_to_clinput(theta: np.ndarray, problem: _AscentProblem, mac: Mac) -> CLInput:
-    """The witness for an ascent row, which ``ascend_many`` already projected."""
+    """The witness for an ascent row, which ``ascend`` already projected."""
     p_u, p1, p2 = problem.split(theta[None, :])
     u_labels = tuple(f"u{k}" for k in range(problem.u))
     return CLInput(

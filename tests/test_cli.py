@@ -292,6 +292,15 @@ def test_negative_restarts_or_seed_exits_two(capsys, groupless_file, argv):
     assert doc["error"] == "input" and argv[-2].lstrip("-") in doc["message"]
 
 
+@pytest.mark.parametrize("argv", [["region"], ["check", "erasure-scaling", "--erasure-p", "0.5"]])
+def test_empty_weights_exits_two(capsys, groupless_file, argv):
+    # An empty list is an input error, not a request for the default fan.
+    code, out, err = run_cli(capsys, *argv, "--weights", "", "--channel", groupless_file)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and doc["message"] == "no weights given"
+
+
 @pytest.mark.parametrize("which,flag", [
     ("additive-classify", ["--tol", "-1"]), ("additive-classify", ["--tol", "1e-9"]),
     ("symmetry", ["--tol", "nan"]), ("symmetry", ["--erasure-p", "7"]),

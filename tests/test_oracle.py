@@ -1,16 +1,19 @@
 """Lattice sweeps and partition enumeration against the fast paths."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from macfeedback import (ConditionalPmf, GridSpec, InputError, blahut_arimoto,
+from macfeedback import (ConditionalPmf, GridSpec, InputError, RatePair, blahut_arimoto,
                          brute_force_condition2, channel_given_sum,
                          cl_grid_gap_bound, cover_leung_frontier,
                          equivalence_classes, grid_capacity, grid_cl_point,
                          induced_channel, single_rate_capacity)
-from macfeedback import catalog
+from macfeedback import catalog, oracle
+from macfeedback._util import lattice_points
+from macfeedback.regions import batch_pentagon, pentagon_corners
 
 from _gen import random_conditional, random_mac
 
@@ -93,6 +96,40 @@ class TestGridClPoint:
                           u_card=3)
         with pytest.raises(InputError):
             grid_cl_point(catalog.adder_mac(), (0.0, 0.0), GridSpec(resolution=8))
+
+
+def _grid_cl_point_by_row(mac, weight, resolution, u_card):
+    """The lattice frontier sweep with one batch_pentagon call per
+    (p(u), p(x1|u)) lattice row, as it ran before rows were blocked."""
+    n1, n2, _ = mac.shape
+    rows1, rows2 = lattice_points(resolution, n1), lattice_points(resolution, n2)
+    px1_all = rows1[np.array(list(product(range(len(rows1)), repeat=u_card)))]
+    px2_all = rows2[np.array(list(product(range(len(rows2)), repeat=u_card)))]
+    c2 = len(px2_all)
+    best = (-np.inf, 0.0, 0.0)
+    for pu in lattice_points(resolution, u_card):
+        for px1 in px1_all:
+            b1, b2, bsum = batch_pentagon(mac.pmf, np.broadcast_to(pu, (c2, u_card)),
+                                          np.broadcast_to(px1, (c2, u_card, n1)), px2_all)
+            vals, r1, r2 = pentagon_corners(b1, b2, bsum, *weight)
+            k = int(np.argmax(vals))
+            if vals[k] > best[0]:
+                best = (float(vals[k]), float(r1[k]), float(r2[k]))
+    return RatePair(best[1], best[2])
+
+
+class TestGridClPointBlocks:
+    @pytest.mark.parametrize("block_rows", [None, 10])
+    @pytest.mark.parametrize("u_card", [1, 2])
+    @pytest.mark.parametrize("weight", [(1.0, 1.0), (0.7, 0.2)])
+    def test_blocks_equal_row_sweep(self, weight, u_card, block_rows, monkeypatch):
+        if block_rows is not None:  # fewer rows than one p(x2|u) sweep
+            monkeypatch.setattr(oracle, "_LATTICE_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(9)
+        for mac in (catalog.adder_mac(), catalog.binary_symmetric_mac(0.11),
+                    random_mac(rng, n1=2, n2=2, ny=3)):
+            got = grid_cl_point(mac, weight, GridSpec(resolution=6), u_card=u_card)
+            assert got == _grid_cl_point_by_row(mac, weight, 6, u_card)
 
 
 class TestBruteForceCondition2:

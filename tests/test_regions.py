@@ -218,25 +218,29 @@ class TestFrontier:
     @pytest.mark.parametrize("mac", [catalog.adder_mac(), catalog.binary_symmetric_mac(0.11)],
                              ids=["adder", "bsc011"])
     def test_witness_is_first_tied_ascent_row(self, mac, monkeypatch):
-        # The witness is the first start, in start order, within the tie
-        # tolerance of the best ascent value, stored as the ascent left it:
-        # only the table constructors' own normalization comes between.
+        # The witness is the first start of its direction, in start order,
+        # within the tie tolerance of the direction's best ascent value,
+        # stored as the ascent left it: only the table constructors' own
+        # normalization comes between.
         runs = []
-        real = _AscentProblem.ascend_many
+        real = _AscentProblem.ascend
 
-        def recording(self, theta0, max_iter=120):
-            out = real(self, theta0, max_iter=max_iter)
-            runs.append((self, *out))
+        def recording(self, theta0, w1, w2, max_iter=120):
+            out = real(self, theta0, w1, w2, max_iter=max_iter)
+            runs.append((self, w1, w2, *out))
             return out
 
-        monkeypatch.setattr(_AscentProblem, "ascend_many", recording)
+        monkeypatch.setattr(_AscentProblem, "ascend", recording)
         weights = [(1.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.0, 1.0)]
         f = cover_leung_frontier(mac, weights=weights, restarts=4, seed=0)
         witnesses = {pt.weights: pt.witness for pt in f.points}
-        for problem, thetas, vals in runs:
+        (problem, w1, w2, all_thetas, all_vals), = runs
+        for weight in weights:
+            mine = (w1 == weight[0]) & (w2 == weight[1])
+            thetas, vals = all_thetas[mine], all_vals[mine]
             pick = np.flatnonzero(vals >= vals.max() - regions._WITNESS_TIE)[0]
             p_u, p1, p2 = problem.split(thetas[pick][None, :])
-            q = witnesses[(problem.w1, problem.w2)]
+            q = witnesses[weight]
             u = q.p_u.alphabet
             assert np.array_equal(q.p_u.probs, Pmf(u, p_u[0]).probs)
             assert np.array_equal(q.p_x1_given_u.rows,
@@ -275,6 +279,30 @@ class TestFrontier:
             cover_leung_frontier(mac, weights=[weight], restarts=1)
         with pytest.raises(InputError, match="weight"):
             grid_cl_point(mac, weight, GridSpec(resolution=4))
+
+    @pytest.mark.parametrize("name,value", [("restarts", 2.5), ("restarts", "3"),
+                                            ("u_card", 2.0), ("max_iter", 1.5),
+                                            ("max_iter", -1), ("u_card", 0)])
+    def test_bad_counts_rejected(self, name, value):
+        with pytest.raises(InputError, match=name):
+            cover_leung_frontier(catalog.adder_mac(), weights=[(1.0, 1.0)], **{name: value})
+        if name != "max_iter":
+            with pytest.raises(InputError, match=name):
+                erasure_scaling_check(catalog.adder_mac(), 0.5, weights=[(1.0, 1.0)],
+                                      **{name: value})
+
+    def test_scaling_check_reads_weights_once(self):
+        # A generator of directions serves both frontiers of the check.
+        fan = [(1.0, 1.0), (1.0, 0.0)]
+        listed = erasure_scaling_check(catalog.adder_mac(), 0.5, weights=fan, restarts=1)
+        once = erasure_scaling_check(catalog.adder_mac(), 0.5, weights=iter(fan), restarts=1)
+        assert once == listed
+
+    def test_empty_weights_rejected(self):
+        with pytest.raises(InputError, match="no weight directions"):
+            cover_leung_frontier(catalog.adder_mac(), weights=[])
+        with pytest.raises(InputError, match="no weight directions"):
+            erasure_scaling_check(catalog.adder_mac(), 0.5, weights=[])
 
     def test_inner_below_outer_random(self):
         # Weighted inner value never exceeds the weighted cut-set pentagon.
@@ -332,7 +360,7 @@ class TestAscentGradient:
             mac = random_mac(rng, n1=n1, n2=n2, ny=3)
             if erased:
                 mac = erasure_extend(mac, ErasureSpec(0.3, "e"))
-            problem = _AscentProblem(mac, u_card, w1, w2)
+            problem = _AscentProblem(mac, u_card)
             # Inputs nearly fixed by U leave the sum bound slack (first piece
             # of the min); inputs independent of U make it bind (second).
             peaked = trial % 4 < 2
@@ -355,9 +383,10 @@ class TestAscentGradient:
                 continue  # too close to the kink of the min for a difference
             pieces.add(slack < 0.0)
             d = self._tangent(rng, problem, theta)
-            analytic = float(problem.gradient(theta, problem.value(theta)[2])[0] @ d)
-            numeric = float(problem.value(theta + h * d)[1][0]
-                            - problem.value(theta - h * d)[1][0]) / (2 * h)
+            analytic = float(problem.gradient(theta, problem.value(theta, w1, w2)[2],
+                                              w1, w2)[0] @ d)
+            numeric = float(problem.value(theta + h * d, w1, w2)[1][0]
+                            - problem.value(theta - h * d, w1, w2)[1][0]) / (2 * h)
             assert analytic == pytest.approx(numeric, abs=1e-6)
         return pieces
 
@@ -383,12 +412,11 @@ class TestAscentGradient:
             assert self._check_finite_differences(rng, n1, n2, False, 1, 0.6, 0.7)
 
     @staticmethod
-    def _reference_gradient(problem, theta):
+    def _reference_gradient(problem, theta, w1, w2):
         """The docstring's partials formed in full as a (B, U, n1, n2) array."""
         w = problem.pmf
         p_u, p1, p2 = problem.split(theta)
         b1, b2, bsum = batch_pentagon(w, p_u, p1, p2)
-        w1, w2 = problem.w1, problem.w2
         # The corner value is linear in (b1, b2, bsum) away from ties.
         coef = []
         for k in range(len(b1)):
@@ -425,7 +453,8 @@ class TestAscentGradient:
             mac = random_mac(rng, n1=n1, n2=n2, ny=4)
             if trial % 3 == 2:
                 mac = erasure_extend(mac, ErasureSpec(0.5, "e"))
-            problem = _AscentProblem(mac, u_card, *rng.uniform(0.1, 1.0, size=2))
+            problem = _AscentProblem(mac, u_card)
+            w1, w2 = rng.uniform(0.1, 1.0, size=2)
             starts = [np.concatenate([rng.dirichlet(np.ones(u_card)),
                                       rng.dirichlet(np.ones(n1), size=u_card).ravel(),
                                       rng.dirichlet(np.ones(n2), size=u_card).ravel()])
@@ -437,15 +466,15 @@ class TestAscentGradient:
             if u_card > 1:
                 theta[::3, u_card - 1] = 0.0  # a zero-mass U symbol
                 theta[::3, :u_card] /= theta[::3, :u_card].sum(axis=1, keepdims=True)
-            want = self._reference_gradient(problem, theta)
+            want = self._reference_gradient(problem, theta, w1, w2)
             scale = max(1.0, np.abs(want).max())
-            got = problem.gradient(theta, problem.value(theta)[2])
+            got = problem.gradient(theta, problem.value(theta, w1, w2)[2], w1, w2)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
-            one = problem.gradient(theta[:1], problem.value(theta[:1])[2])
+            one = problem.gradient(theta[:1], problem.value(theta[:1], w1, w2)[2], w1, w2)
             np.testing.assert_allclose(one, want[:1], rtol=0, atol=1e-12 * scale)
             shared = np.broadcast_to(theta[1], theta.shape)
-            got = problem.gradient(shared, np.broadcast_to(problem.value(theta[1:2])[2],
-                                                           (len(theta), 3)))
+            got = problem.gradient(shared, np.broadcast_to(problem.value(theta[1:2], w1, w2)[2],
+                                                           (len(theta), 3)), w1, w2)
             np.testing.assert_allclose(got, np.broadcast_to(want[1], want.shape),
                                        rtol=0, atol=1e-12 * scale)
 
@@ -462,9 +491,9 @@ class TestAscentGradient:
         # reached. Mass moved onto x1 = 1 or x2 = 1 given u0 reaches output
         # 1: an infinite partial, which the gradient caps. The rows of the
         # massless u1 get exact zero partials.
-        problem = _AscentProblem(catalog.adder_mac(), 2, 1.0, 1.0)
+        problem = _AscentProblem(catalog.adder_mac(), 2)
         theta = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]])
-        grad = problem.gradient(theta, problem.value(theta)[2])[0]
+        grad = problem.gradient(theta, problem.value(theta, 1.0, 1.0)[2], 1.0, 1.0)[0]
         assert np.isfinite(grad).all()
         assert grad[3] > 100.0 and grad[7] > 100.0
         assert grad[2] == grad[6] == 0.0  # centred on the support
@@ -479,6 +508,134 @@ class TestAscentGradient:
         report = erasure_scaling_check(catalog.adder_mac(), 0.5,
                                        weights=default_weight_fan(3))
         assert report.max_abs_gap < 1e-6
+
+
+def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short):
+    """One direction's ascent with every row in lockstep, as it ran before
+    directions were pooled; appends to ``cut_short`` whether ``max_iter``
+    stopped rows that were still improving."""
+    s, dim = theta0.shape
+    theta, best, bounds = problem.value(theta0, w1, w2)
+    stall = np.zeros(s, dtype=np.int64)
+    ladder = np.asarray(regions._STEP_LADDER)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(stall < 2)
+        if idx.size == 0:
+            break
+        th = theta[idx]
+        grads = problem.gradient(th, bounds[idx], w1, w2)
+        scale = np.abs(grads).max(axis=1)
+        alive = scale > 0.0
+        dirs = grads / np.maximum(scale, 1e-300)[:, None]
+        cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
+        cthetas, cvals, cbounds = problem.value(cands.reshape(-1, dim), w1, w2)
+        cvals = cvals.reshape(idx.size, -1)
+        pick = (np.arange(idx.size), np.argmax(cvals, axis=1))
+        cbest = cvals[pick]
+        improved = alive & (cbest > best[idx] + regions._IMPROVE_TOL)
+        gi = idx[improved]
+        theta[gi] = cthetas.reshape(idx.size, -1, dim)[pick][improved]
+        best[gi] = cbest[improved]
+        bounds[gi] = cbounds.reshape(idx.size, -1, 3)[pick][improved]
+        stall[gi] = 0
+        stall[idx[~improved]] += 1
+        stall[idx[~alive]] = 2
+    cut_short.append(bool((stall < 2).any()))
+    return theta, best
+
+
+def _frontier_by_direction(monkeypatch, mac, **kwargs):
+    """cover_leung_frontier with each direction's rows ascended on their own,
+    in lockstep; returns the frontier, the number of ascent rows and the
+    per-direction cut-short flags."""
+    n_rows, cut_short = [], []
+
+    def by_direction(self, theta0, w1, w2, max_iter=120):
+        n_rows.append(len(theta0))
+        thetas, vals = np.empty_like(theta0), np.empty(len(theta0))
+        w = np.stack([w1, w2], axis=1)
+        firsts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1)) + 1
+        for rows in np.split(np.arange(len(theta0)), firsts):
+            thetas[rows], vals[rows] = _lockstep_ascent(
+                self, theta0[rows], w1[rows[0]], w2[rows[0]], max_iter, cut_short)
+        return thetas, vals
+
+    with monkeypatch.context() as m:
+        m.setattr(_AscentProblem, "ascend", by_direction)
+        return cover_leung_frontier(mac, **kwargs), sum(n_rows), cut_short
+
+
+class TestPooledAscent:
+    """The pooled fan against one lockstep ascent per direction, bit for bit."""
+
+    @staticmethod
+    def _assert_same_points(got, want):
+        assert len(got.points) == len(want.points)
+        for a, b in zip(got.points, want.points):
+            assert a.weights == b.weights
+            assert a.value == b.value and a.rates == b.rates
+            for part in ("p_x1_given_u", "p_x2_given_u"):
+                assert np.array_equal(getattr(a.witness, part).rows,
+                                      getattr(b.witness, part).rows)
+            assert np.array_equal(a.witness.p_u.probs, b.witness.p_u.probs)
+
+    @pytest.mark.parametrize("case,slots", [("adder17", None), ("erased_adder7", None),
+                                            ("erased_adder7", 7), ("random_max_iter", None),
+                                            ("random_max_iter", 7)])
+    def test_pool_equals_per_direction_runs(self, case, slots, monkeypatch):
+        if case == "adder17":
+            mac, kwargs = catalog.adder_mac(), dict(weights=default_weight_fan(17), restarts=25)
+        elif case == "erased_adder7":
+            mac = erasure_extend(catalog.adder_mac(), ErasureSpec(0.5, "e"))
+            kwargs = dict(weights=default_weight_fan(7), restarts=25, seed=4)
+        else:
+            mac = random_mac(np.random.default_rng(11), n1=3, n2=3, ny=4)
+            kwargs = dict(weights=default_weight_fan(5), restarts=10, seed=2, max_iter=20)
+        if slots is not None:
+            monkeypatch.setattr(regions, "_SLOTS", slots)
+        evaluated = []  # pentagon rows evaluated by each run
+        real = regions.batch_pentagon
+
+        def counting(mac_pmf, p_u, *args, **kw):
+            evaluated[-1] += len(p_u)
+            return real(mac_pmf, p_u, *args, **kw)
+
+        monkeypatch.setattr(regions, "batch_pentagon", counting)
+        evaluated.append(0)
+        want, n_rows, cut_short = _frontier_by_direction(monkeypatch, mac, **kwargs)
+        evaluated.append(0)
+        got = cover_leung_frontier(mac, **kwargs)
+        self._assert_same_points(got, want)
+        # Every row takes the steps it takes alone, no more and no fewer.
+        assert evaluated[0] == evaluated[1]
+        # The pool is exercised: its rows outnumber the slots, and on the
+        # random MAC max_iter stops still-improving rows, which the slots
+        # started at different steps.
+        assert n_rows > (slots or regions._SLOTS)
+        if case == "random_max_iter":
+            assert any(cut_short)
+
+    def test_lone_row_takes_the_same_steps(self, monkeypatch):
+        # Rows that start late in a small pool end where they end alone.
+        mac = random_mac(np.random.default_rng(12), n1=2, n2=3, ny=3)
+        problem = _AscentProblem(mac, 3)
+        rng = np.random.default_rng(5)
+        theta0 = np.array([regions._random_start(rng, 3, 2, 3) for _ in range(9)])
+        w1 = rng.uniform(0.1, 1.0, size=9)
+        w2 = rng.uniform(0.1, 1.0, size=9)
+        monkeypatch.setattr(regions, "_SLOTS", 2)
+        thetas, vals = problem.ascend(theta0, w1, w2, max_iter=6)
+        for k in range(9):
+            alone, val = problem.ascend(theta0[k:k + 1], w1[k:k + 1], w2[k:k + 1], max_iter=6)
+            assert np.array_equal(thetas[k], alone[0]) and vals[k] == val[0]
+
+    def test_max_iter_zero_returns_projected_starts(self):
+        mac = catalog.adder_mac()
+        problem = _AscentProblem(mac, 2)
+        theta0 = np.array([regions._random_start(np.random.default_rng(1), 2, 2, 2)])
+        thetas, vals = problem.ascend(theta0, np.array([1.0]), np.array([1.0]), max_iter=0)
+        proj, want, _ = problem.value(theta0, 1.0, 1.0)
+        assert np.array_equal(thetas, proj) and np.array_equal(vals, want)
 
 
 class TestCutset:

@@ -11,7 +11,8 @@ These answer the operational questions about a channel:
   toward a second symbol, with the analytic slope at the start;
 * the (1 - p) scaling of the achievable frontier under output erasure;
 * for additive channels, the exact classification of when the extra look
-  helps, via the joint-input bound and the support-partition condition.
+  helps, via the joint-input bound and the support-partition condition
+  (the CLI computes that bound and the sum channel once for both users).
 
 All capacities and bounds are in bits. Reports serialize to plain dicts
 with stable field names; ``inf`` values are emitted as the string "inf"
@@ -39,6 +40,7 @@ from .regions import cover_leung_frontier, default_weight_fan
 
 DEGENERATE_EPS = 1e-12
 STRICT_MARGIN = 1e-9
+CLASSIFY_TOL = 1e-6
 
 
 def _json_num(v):
@@ -509,7 +511,7 @@ class AdditiveClassification:
 
 
 def classify_additive_gain(mac: Mac, group: GroupSpec, user: int,
-                           tol: float = 1e-6) -> AdditiveClassification:
+                           tol: float = CLASSIFY_TOL) -> AdditiveClassification:
     """Decide whether independent looks help a user of an additive channel.
 
     Requires ``group`` to certify additivity (raises otherwise).
@@ -520,6 +522,12 @@ def classify_additive_gain(mac: Mac, group: GroupSpec, user: int,
     the coarse classes implies it in the refined ones). On a strict
     conclusion the gain condition is re-checked and must agree.
     """
+    return _classify_user(mac, group, user, _additive_evidence(mac, group, tol))
+
+
+def _additive_evidence(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL):
+    """The part of :func:`classify_additive_gain` both users share: checks
+    additivity, returns ``(tol, cap_tol, joint-input bound, sum channel)``."""
     report = verify_additive(mac, group)
     if not report.additive:
         raise InputError(
@@ -527,11 +535,16 @@ def classify_additive_gain(mac: Mac, group: GroupSpec, user: int,
             + "; ".join(report.violations[:3])
         )
     cap_tol = min(tol / 100.0, DEFAULT_TOL)
-    joint = maximize_joint_mi(mac, tol=cap_tol).value
+    return tol, cap_tol, maximize_joint_mi(mac, tol=cap_tol).value, channel_given_sum(mac, group)
+
+
+def _classify_user(mac: Mac, group: GroupSpec, user: int,
+                   evidence) -> AdditiveClassification:
+    """One user's classification from :func:`_additive_evidence`."""
+    tol, cap_tol, joint, sum_channel = evidence
     sr = single_rate_capacity(mac, user, tol=cap_tol)
     condition1 = (joint - sr.value) <= tol
 
-    sum_channel = channel_given_sum(mac, group)
     embed = group.embed_x1 if user == 1 else group.embed_x2
     support = tuple(group.elements[i] for i in embed)
     partition = equivalence_classes(sum_channel, support=support)

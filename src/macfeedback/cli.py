@@ -17,6 +17,7 @@ on stderr. Identical configuration and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import sys
 from ._util import channel_mi_bits
 from .channel import Pmf, partner_channels
 from .channel_io import ChannelFile, load_channel_file
-from .checkers import (classify_additive_gain, compress_forward_curve,
+from .checkers import (_additive_evidence, _classify_user, compress_forward_curve,
                        compress_forward_rate, erasure_scaling_check,
                        gain_sufficient_condition, single_rate_capacity)
 from .errors import InputError
@@ -91,6 +92,8 @@ def _parse_a_grid(spec: str) -> list[float]:
         raise InputError(f"a-grid {spec!r} must have positive step and stop >= start")
     if start != 0.0:
         raise InputError("a-grid must start at 0")
+    if stop > 1.0:
+        raise InputError(f"--a-grid {spec!r} must stop at or below 1")
     steps = (stop - start) / step
     if steps > MAX_A_POINTS - 1:
         raise InputError(f"a-grid {spec!r} has more than {MAX_A_POINTS} points")
@@ -212,9 +215,9 @@ def cmd_check(args) -> dict:
                 cf.mac, user, tol=args.tol).to_dict()
     elif which == "additive-classify":
         group = _require_group(cf)
+        evidence = _additive_evidence(cf.mac, group)
         for user in (1, 2):
-            out[f"user{user}"] = classify_additive_gain(
-                cf.mac, group, user).to_dict()
+            out[f"user{user}"] = _classify_user(cf.mac, group, user, evidence).to_dict()
     elif which == "erasure-scaling":
         if args.erasure_p is None:
             raise InputError("erasure-scaling requires --erasure-p")
@@ -274,7 +277,9 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
     return obj, curve.to_csv()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="macfeedback",
         description="Feedback-capacity bounds for two-user multiple-access channels",

@@ -464,15 +464,15 @@ class _AscentProblem:
 
         Rows never interact; pooling exists purely to amortize numpy's
         per-call overhead. Each slot holds one live row, and every step
-        moves all live rows at once. A row stops after two consecutive
-        non-improving steps, a vanishing gradient or ``max_iter`` steps of
-        its own; its result goes back under its start index, its slot takes
-        the next start in start order, and the pool drains once no start is
-        left. The kernels give a row the same bits in any batch, so every
-        row ends exactly where it would alone, and the slot count bounds a
-        step's arrays whatever the number of rows. Returns the final
-        (projected) parameter rows and their objective values, in start
-        order.
+        moves all live rows at once. A row stops at its first step that does
+        not improve (the next would repeat it bit for bit) or after
+        ``max_iter`` steps of its own; its result goes back under its start
+        index, its slot takes the next start in start order, and the pool
+        drains once no start is left. The kernels give a row the same bits in
+        any batch, so every row ends exactly where it would alone, and the
+        slot count bounds a step's arrays whatever the number of rows.
+        Returns the final (projected) parameter rows and their objective
+        values, in start order.
         """
         n, dim = theta0.shape
         ladder = np.asarray(_STEP_LADDER)
@@ -484,13 +484,12 @@ class _AscentProblem:
             rows = slice(lo, lo + _SLOTS * ladder.size)
             theta[rows], best[rows], bounds[rows] = self.value(theta0[rows], *w[:, rows])
         # Slot state: the start each slot holds, its current row, value,
-        # bounds and weights, and its step and stall counts.
+        # bounds and weights, and its step count.
         k = min(_SLOTS, n) if max_iter > 0 else 0
         slot_rows = np.arange(k)
         th, val, bd, sw = theta[:k].copy(), best[:k].copy(), bounds[:k].copy(), w[:, :k].copy()
         sw_ladder = np.repeat(sw, ladder.size, axis=1)
         steps = np.zeros(k, dtype=np.int64)
-        stall = np.zeros(k, dtype=np.int64)
         queued = k
         while k:
             grads = self.gradient(th, bd, *sw)
@@ -507,9 +506,8 @@ class _AscentProblem:
             val[improved] = cbest[improved]
             bd[improved] = cbounds.reshape(k, -1, 3)[pick][improved]
             del cthetas, cbounds  # not held through the next step's candidates
-            stall = np.where(improved, 0, np.where(alive, stall + 1, 2))
             steps += 1
-            done = np.flatnonzero((stall >= 2) | (steps >= max_iter))
+            done = np.flatnonzero(~improved | (steps >= max_iter))
             if not done.size:
                 continue
             # Stopped rows go back under their start index; queued starts
@@ -521,13 +519,12 @@ class _AscentProblem:
             slot_rows[refill], sw[:, refill] = new, w[:, new]
             th[refill], val[refill], bd[refill] = theta[new], best[new], bounds[new]
             steps[refill] = 0
-            stall[refill] = 0
             if refill.size < done.size:
                 keep = np.ones(k, dtype=bool)
                 keep[done[refill.size:]] = False
                 slot_rows, sw, th, val, bd = (slot_rows[keep], sw[:, keep], th[keep],
                                               val[keep], bd[keep])
-                steps, stall = steps[keep], stall[keep]
+                steps = steps[keep]
                 k = slot_rows.size
             sw_ladder = np.repeat(sw, ladder.size, axis=1)
         return theta, best

@@ -6,12 +6,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import macfeedback
-from macfeedback import catalog, regions, save_channel
+from macfeedback import catalog, checkers, classify_additive_gain, regions, save_channel
 from macfeedback import cli
 from macfeedback.cli import main
+
+from _gen import random_mac
 
 
 @pytest.fixture()
@@ -237,6 +240,15 @@ class TestCfCurve:
                                "--a-grid", "0.1:0.2:0.05")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0:3:1", "0:1.5:0.5", "0:1.0000001:0.5"])
+    def test_grid_past_one_rejected(self, capsys, adder_file, grid):
+        # Points above 1 used to be dropped silently, with exit 0.
+        code, out, err = run_cli(capsys, "cfcurve", "--channel", adder_file,
+                                 "--a-grid", grid)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input" and "--a-grid" in doc["message"]
+
     def test_determinism(self, capsys, adder_file):
         args = ("cfcurve", "--channel", adder_file, "--a-grid", "0:0.1:0.02")
         _, out1, _ = run_cli(capsys, *args)
@@ -331,6 +343,103 @@ def test_nan_in_report_exits_one(capsys, adder_file, monkeypatch):
     assert code == 1
     assert out == ""
     assert "NaN" not in err
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process."""
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "made = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *a, **k):\n"
+                "    made.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import macfeedback, macfeedback.cli\n"
+                "print(len(made), macfeedback.cli.build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_no_state_carried_between_calls(self, capsys, adder_file, groupless_file):
+        calls = [
+            ["singlerate", "--channel", adder_file, "--tol", "1e-6"],
+            ["singlerate", "--channel", adder_file],
+            ["region", "--channel", groupless_file, "--weights", "1:1", "--restarts", "0"],
+            ["check", "gain-condition", "--channel", adder_file, "--tol", "1e-6"],
+            ["check", "gain-condition", "--channel", adder_file],
+            ["check", "additive-classify", "--channel", adder_file],
+            ["check", "symmetry", "--channel", adder_file],
+            ["check", "additive", "--seed", "0", "--channel", adder_file],
+            ["check", "additive", "--channel", adder_file],
+            ["check", "erasure-scaling", "--channel", groupless_file, "--erasure-p", "0.5",
+             "--weights", "1:1", "--restarts", "0", "--seed", "3"],
+            ["check", "erasure-scaling", "--channel", groupless_file, "--erasure-p", "0.5",
+             "--weights", "1:1", "--restarts", "0"],
+            ["cfcurve", "--channel", adder_file, "--a-grid", "0:0.02:0.01"],
+            ["cfcurve", "--channel", adder_file, "--nope"],
+            ["region"],
+            ["--help"],
+        ]
+        cli.build_parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [0] * 7 + [2] + [0] * 4 + [2, 2, 0]
+        # Flags given to one call do not reach the next.
+        assert json.loads(shared[0][1])["tol"] == 1e-6
+        assert json.loads(shared[1][1])["tol"] == cli.COMMON_DEFAULTS["tol"]
+        assert shared[-1][1].startswith("usage: macfeedback")
+
+
+class TestAdditiveClassifyShared:
+    """`check additive-classify` does the user-independent work once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"maximize_joint_mi": 0, "verify_additive": 0}
+        for name in counts:
+            real = getattr(checkers, name)
+
+            def counting(*args, name=name, real=real, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(checkers, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("mac,group", [
+        (catalog.erasure_adder_mac(0.0), catalog.erasure_adder_group()),
+        (catalog.erasure_adder_mac(0.3), catalog.erasure_adder_group()),
+        (catalog.erasure_adder_mac(1.0), catalog.erasure_adder_group()),
+        (catalog.binary_symmetric_mac(0.11), catalog.binary_symmetric_group()),
+    ], ids=["erasure_adder_p0", "erasure_adder_p03", "erasure_adder_p1", "bsc_q011"])
+    def test_once_and_equal_to_library(self, capsys, tmp_path, counts, mac, group):
+        path = tmp_path / "ch.json"
+        save_channel(mac, path, group=group)
+        code, out, err = run_cli(capsys, "check", "additive-classify", "--channel", str(path))
+        assert code == 0 and err == ""
+        assert counts == {"maximize_joint_mi": 1, "verify_additive": 1}
+        doc = json.loads(out)
+        for user in (1, 2):
+            want = classify_additive_gain(mac, group, user).to_dict()
+            assert doc[f"user{user}"] == json.loads(json.dumps(want))
+
+    def test_non_additive_exits_two(self, capsys, tmp_path, counts):
+        path = tmp_path / "ch.json"
+        save_channel(random_mac(np.random.default_rng(3), ny=2), path,
+                     group=catalog.binary_symmetric_group())
+        code, out, err = run_cli(capsys, "check", "additive-classify", "--channel", str(path))
+        assert code == 2 and out == ""
+        assert "not additive" in json.loads(err)["message"]
+        assert counts["maximize_joint_mi"] == 0
 
 
 def test_console_entry_point_smoke(tmp_path):

@@ -510,16 +510,17 @@ class TestAscentGradient:
         assert report.max_abs_gap < 1e-6
 
 
-def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short):
+def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short, stalls=1):
     """One direction's ascent with every row in lockstep, as it ran before
-    directions were pooled; appends to ``cut_short`` whether ``max_iter``
+    directions were pooled; a row stops after ``stalls`` consecutive
+    non-improving steps. Appends to ``cut_short`` whether ``max_iter``
     stopped rows that were still improving."""
     s, dim = theta0.shape
     theta, best, bounds = problem.value(theta0, w1, w2)
     stall = np.zeros(s, dtype=np.int64)
     ladder = np.asarray(regions._STEP_LADDER)
     for _ in range(max_iter):
-        idx = np.flatnonzero(stall < 2)
+        idx = np.flatnonzero(stall < stalls)
         if idx.size == 0:
             break
         th = theta[idx]
@@ -539,15 +540,16 @@ def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short):
         bounds[gi] = cbounds.reshape(idx.size, -1, 3)[pick][improved]
         stall[gi] = 0
         stall[idx[~improved]] += 1
-        stall[idx[~alive]] = 2
-    cut_short.append(bool((stall < 2).any()))
+        stall[idx[~alive]] = stalls
+    cut_short.append(bool((stall < stalls).any()))
     return theta, best
 
 
-def _frontier_by_direction(monkeypatch, mac, **kwargs):
+def _frontier_by_direction(monkeypatch, mac, stalls=1, **kwargs):
     """cover_leung_frontier with each direction's rows ascended on their own,
-    in lockstep; returns the frontier, the number of ascent rows and the
-    per-direction cut-short flags."""
+    in lockstep, stopping a row after ``stalls`` non-improving steps; returns
+    the frontier, the number of ascent rows and the per-direction cut-short
+    flags."""
     n_rows, cut_short = [], []
 
     def by_direction(self, theta0, w1, w2, max_iter=120):
@@ -557,7 +559,8 @@ def _frontier_by_direction(monkeypatch, mac, **kwargs):
         firsts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1)) + 1
         for rows in np.split(np.arange(len(theta0)), firsts):
             thetas[rows], vals[rows] = _lockstep_ascent(
-                self, theta0[rows], w1[rows[0]], w2[rows[0]], max_iter, cut_short)
+                self, theta0[rows], w1[rows[0]], w2[rows[0]], max_iter, cut_short,
+                stalls)
         return thetas, vals
 
     with monkeypatch.context() as m:
@@ -579,21 +582,22 @@ class TestPooledAscent:
                                       getattr(b.witness, part).rows)
             assert np.array_equal(a.witness.p_u.probs, b.witness.p_u.probs)
 
-    @pytest.mark.parametrize("case,slots", [("adder17", None), ("erased_adder7", None),
-                                            ("erased_adder7", 7), ("random_max_iter", None),
-                                            ("random_max_iter", 7)])
-    def test_pool_equals_per_direction_runs(self, case, slots, monkeypatch):
+    @staticmethod
+    def _case(case):
         if case == "adder17":
-            mac, kwargs = catalog.adder_mac(), dict(weights=default_weight_fan(17), restarts=25)
-        elif case == "erased_adder7":
+            return catalog.adder_mac(), dict(weights=default_weight_fan(17), restarts=25)
+        if case == "erased_adder7":
             mac = erasure_extend(catalog.adder_mac(), ErasureSpec(0.5, "e"))
-            kwargs = dict(weights=default_weight_fan(7), restarts=25, seed=4)
-        else:
-            mac = random_mac(np.random.default_rng(11), n1=3, n2=3, ny=4)
-            kwargs = dict(weights=default_weight_fan(5), restarts=10, seed=2, max_iter=20)
-        if slots is not None:
-            monkeypatch.setattr(regions, "_SLOTS", slots)
-        evaluated = []  # pentagon rows evaluated by each run
+            return mac, dict(weights=default_weight_fan(7), restarts=25, seed=4)
+        if case == "bsc17":
+            return catalog.binary_symmetric_mac(0.11), dict(weights=default_weight_fan(17))
+        mac = random_mac(np.random.default_rng(11), n1=3, n2=3, ny=4)
+        return mac, dict(weights=default_weight_fan(5), restarts=10, seed=2, max_iter=20)
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        """Pentagon rows evaluated; append 0 to the list to start a count."""
+        evaluated = []
         real = regions.batch_pentagon
 
         def counting(mac_pmf, p_u, *args, **kw):
@@ -601,6 +605,16 @@ class TestPooledAscent:
             return real(mac_pmf, p_u, *args, **kw)
 
         monkeypatch.setattr(regions, "batch_pentagon", counting)
+        return evaluated
+
+    @pytest.mark.parametrize("case,slots", [("adder17", None), ("erased_adder7", None),
+                                            ("erased_adder7", 7), ("random_max_iter", None),
+                                            ("random_max_iter", 7)])
+    def test_pool_equals_per_direction_runs(self, case, slots, monkeypatch):
+        mac, kwargs = self._case(case)
+        if slots is not None:
+            monkeypatch.setattr(regions, "_SLOTS", slots)
+        evaluated = self._count_rows(monkeypatch)  # by each run
         evaluated.append(0)
         want, n_rows, cut_short = _frontier_by_direction(monkeypatch, mac, **kwargs)
         evaluated.append(0)
@@ -614,6 +628,19 @@ class TestPooledAscent:
         assert n_rows > (slots or regions._SLOTS)
         if case == "random_max_iter":
             assert any(cut_short)
+
+    @pytest.mark.parametrize("case", ["adder17", "erased_adder7", "bsc17", "random_max_iter"])
+    def test_two_stall_rule_gives_the_same_points(self, case, monkeypatch):
+        # A step that does not improve leaves its row as it was, so the
+        # second non-improving step the old rule waited for repeated the
+        # first bit for bit: stopping at the first one only saves rows.
+        mac, kwargs = self._case(case)
+        evaluated = self._count_rows(monkeypatch)
+        evaluated.append(0)
+        old, _, _ = _frontier_by_direction(monkeypatch, mac, stalls=2, **kwargs)
+        evaluated.append(0)
+        self._assert_same_points(cover_leung_frontier(mac, **kwargs), old)
+        assert evaluated[1] < evaluated[0]
 
     def test_lone_row_takes_the_same_steps(self, monkeypatch):
         # Rows that start late in a small pool end where they end alone.

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 119 CLI invocations against the checkout that holds
+Runs a fixed list of 120 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
 the two-look cut-set ``region --model IF --weights 1:1 --restarts 0
 --verify``, ``check gain-condition``, ``check additive-classify``,
@@ -15,9 +15,9 @@ nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
 the flag values the CLI must reject with exit code 2: ``--tol`` at -1, 0,
 nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
 ``region --weights 1:1``, ``region --restarts -3``, ``region --seed -1``,
-``check erasure-scaling --erasure-p 0.5 --restarts -2``, and an empty
+``check erasure-scaling --erasure-p 0.5 --restarts -2``, an empty
 ``--weights ""`` for ``region`` and ``check erasure-scaling --erasure-p
-0.5``. On
+0.5``, and ``cfcurve --a-grid 0:3:1``, whose grid runs past 1. On
 ``channels/erasure_adder_p050.json``, which has a group block, it runs
 flags a check does not read, which must also exit 2: ``check
 additive-classify --tol -1``, ``check symmetry`` with ``--tol nan`` or
@@ -68,7 +68,8 @@ INVALID_FLAGS = tuple(
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--restarts", "-2"]),
        ("region-weights-empty", ["region", "--weights", ""]),
        ("erasure-scaling-weights-empty",
-        ["check", "erasure-scaling", "--erasure-p", "0.5", "--weights", ""])]
+        ["check", "erasure-scaling", "--erasure-p", "0.5", "--weights", ""]),
+       ("cfcurve-a-grid-past-1", ["cfcurve", "--a-grid", "0:3:1"])]
 )
 
 # Flags a check does not read, run on a channel with a group block so that

@@ -62,6 +62,9 @@ class Pmf:
     def __len__(self) -> int:
         return len(self.alphabet)
 
+    def to_dict(self) -> dict:
+        return {"alphabet": list(self.alphabet), "probs": [float(v) for v in self.probs]}
+
     @staticmethod
     def point_mass(alphabet, symbol: str) -> "Pmf":
         alphabet = tuple(alphabet)

@@ -78,8 +78,7 @@ class SingleRateResult:
         return {
             "user": self.user,
             "value": self.value,
-            "p_star": {"alphabet": list(self.p_star.alphabet),
-                       "probs": [float(v) for v in self.p_star.probs]},
+            "p_star": self.p_star.to_dict(),
             "xk_star": self.xk_star,
             "maximizer_set": list(self.maximizer_set),
             "per_symbol": {k: float(v) for k, v in self.per_symbol.items()},
@@ -162,8 +161,7 @@ class GainConditionReport:
         if self.witness is not None:
             p_star, xk_star, xbar_k = self.witness
             witness = {
-                "p_star": {"alphabet": list(p_star.alphabet),
-                           "probs": [float(v) for v in p_star.probs]},
+                "p_star": p_star.to_dict(),
                 "xk_star": xk_star,
                 "xbar_k": xbar_k,
             }
@@ -212,8 +210,8 @@ def _pair_quantities(star, bar):
     return rhs, max(h_bar - h_c_bar, 0.0) + divergence * factor, divergence, factor
 
 
-def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
-                              strict_margin: float = STRICT_MARGIN) -> GainConditionReport:
+def gain_sufficient_condition(mac: Mac, user: int,
+                              tol: float = DEFAULT_TOL) -> GainConditionReport:
     """Does one relayed independent look strictly beat the one-user capacity?
 
     Evaluates, for every tied best partner constant ``x_k*`` (by capacity
@@ -224,18 +222,16 @@ def gain_sufficient_condition(mac: Mac, user: int, tol: float = DEFAULT_TOL,
             >  I(Xj; Y | Xk = xk*)
 
     at the maximal-support capacity-achieving input for ``x_k*``. The
-    first strict success (margin ``strict_margin``) wins; pairs whose
+    first strict success (margin ``STRICT_MARGIN``) wins; pairs whose
     denominator H(Y' | Y, Xk = xk*) vanishes are skipped and flagged.
     Only the maximal-support representative input is tried per
     ``x_k*``; when the condition fails, other capacity-achieving inputs
     might still certify a gain, and the report says so.
     """
-    return _gain_condition(mac, single_rate_capacity(mac, user, tol=tol),
-                           strict_margin)
+    return _gain_condition(mac, single_rate_capacity(mac, user, tol=tol))
 
 
-def _gain_condition(mac: Mac, sr: SingleRateResult,
-                    strict_margin: float = STRICT_MARGIN) -> GainConditionReport:
+def _gain_condition(mac: Mac, sr: SingleRateResult) -> GainConditionReport:
     """The gain condition evaluated at the inputs ``sr`` already found."""
     user = sr.user
     channels = partner_channels(mac, user)
@@ -259,7 +255,7 @@ def _gain_condition(mac: Mac, sr: SingleRateResult,
             pairs.append(ev)
             if lhs is None:
                 degenerate = True
-            elif winner is None and lhs - rhs > strict_margin:
+            elif winner is None and lhs - rhs > STRICT_MARGIN:
                 winner = ev
         if winner is not None:
             break

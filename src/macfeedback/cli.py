@@ -1,17 +1,25 @@
 """Command-line surface: every analysis as one scriptable subcommand.
 
-Subcommands::
+Subcommands, each with the flags it reads::
 
-    macfeedback singlerate --channel ch.json
-    macfeedback region     --channel ch.json [--weights 1:0,1:1] [--csv-out f]
-    macfeedback check gain-condition|additive-classify|symmetry|additive|erasure-scaling ...
-    macfeedback cfcurve    --channel ch.json [--xk-star S --xbar-k S] [--a-grid 0:0.2:0.005]
+    macfeedback singlerate --channel ch.json [--tol X] [--verify]
+    macfeedback region     --channel ch.json [--weights 1:0,1:1] [--restarts N] [--seed N]
+                           [--tol X] [--u-card N] [--model PF|IF|DF] [--verify] [--csv-out f]
+    macfeedback check gain-condition --channel ch.json [--tol X]
+    macfeedback check additive-classify|symmetry|additive --channel ch.json
+    macfeedback check erasure-scaling --channel ch.json --erasure-p P [--weights 1:1]
+                           [--restarts N] [--seed N] [--tol X]
+    macfeedback cfcurve    --channel ch.json [--user 1|2] [--xk-star S --xbar-k S]
+                           [--a-grid 0:0.2:0.005] [--tol X] [--verify] [--csv-out f]
 
-Results are JSON on stdout (CSV for curve and frontier data, to a file
-via ``--csv-out`` or to stdout otherwise). Exit codes: 0 for success
-including negative analysis outcomes, 1 for internal errors, 2 for
-input or validation errors; errors are mirrored as machine-readable JSON
-on stderr. Identical configuration and seed give byte-identical output.
+Every subcommand also reads ``--json-out``. Each parser declares only the
+flags its handler reads, so any other flag is a usage error; a ``check``
+analysis takes its flags after its name. Results are JSON on stdout (CSV
+for curve and frontier data, to a file via ``--csv-out`` or to stdout
+otherwise). Exit codes: 0 for success including negative analysis
+outcomes, 1 for internal errors, 2 for usage, input or validation errors;
+errors are mirrored as one line of machine-readable JSON on stderr.
+Identical configuration and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -40,26 +48,30 @@ MAX_A_POINTS = 100_000
 # Defaults of the common numeric flags.
 COMMON_DEFAULTS = {"seed": 0, "tol": 1e-9, "restarts": 25}
 
+# Flags read by more than one subcommand; a parser declares those it reads.
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=COMMON_DEFAULTS["seed"]),
+    "--tol": dict(type=float, default=COMMON_DEFAULTS["tol"]),
+    "--restarts": dict(type=int, default=COMMON_DEFAULTS["restarts"]),
+    "--weights": dict(default=None, help='e.g. "1:0,1:1,0:1"'),
+    "--verify": dict(action="store_true", help="re-evaluate all emitted witnesses"),
+    "--csv-out": dict(default=None),
+}
+
 
 class VerificationError(RuntimeError):
     """A stored witness failed re-evaluation under --verify."""
 
 
-def _emit(obj: dict, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(out: dict | str, path: str | None) -> None:
+    """Write a JSON report or CSV text to the file ``path``, else to stdout."""
+    if isinstance(out, dict):
+        out = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(out)
     else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(text: str, args) -> None:
-    if getattr(args, "csv_out", None):
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
 
 
 def _parse_weights(spec: str) -> list[tuple[float, float]]:
@@ -79,6 +91,7 @@ def _parse_weights(spec: str) -> list[tuple[float, float]]:
 
 
 def _parse_a_grid(spec: str) -> list[float]:
+    """start, start + step, ... up to the last point that does not pass stop."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise InputError(f"a-grid {spec!r} is not of the form start:stop:step")
@@ -97,8 +110,7 @@ def _parse_a_grid(spec: str) -> list[float]:
     steps = (stop - start) / step
     if steps > MAX_A_POINTS - 1:
         raise InputError(f"a-grid {spec!r} has more than {MAX_A_POINTS} points")
-    grid = [round(start + k * step, 12) for k in range(int(round(steps)) + 1)]
-    return [a for a in grid if 0.0 <= a <= 1.0]
+    return [round(start + k * step, 12) for k in range(math.floor(steps + 1e-9) + 1)]
 
 
 def _require_group(cf: ChannelFile):
@@ -164,34 +176,7 @@ def cmd_region(args) -> tuple[dict, str]:
     return obj, csv_text
 
 
-# The flags each check reads; any other flag given to `check` exits 2.
-CHECK_FLAGS = {
-    "gain-condition": ("tol",),
-    "additive-classify": (),
-    "symmetry": (),
-    "additive": (),
-    "erasure-scaling": ("erasure_p", "weights", "restarts", "seed", "tol"),
-}
-
-
-def _check_flags(args) -> None:
-    """Reject a flag the chosen check does not read, then fill in defaults.
-
-    `check` parses every common flag as None, so that a given flag is told
-    apart from one left at its default.
-    """
-    reads = CHECK_FLAGS[args.which]
-    for name in ("tol", "seed", "restarts", "weights", "erasure_p", "verify"):
-        if getattr(args, name) is not None and name not in reads:
-            flag = "--" + name.replace("_", "-")
-            raise InputError(f"check {args.which} does not read {flag}")
-    for name, default in COMMON_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-
-
 def cmd_check(args) -> dict:
-    _check_flags(args)
     cf = load_channel_file(args.channel)
     which = args.which
     out: dict = {"channel": cf.name, "check": which}
@@ -218,15 +203,11 @@ def cmd_check(args) -> dict:
         evidence = _additive_evidence(cf.mac, group)
         for user in (1, 2):
             out[f"user{user}"] = _classify_user(cf.mac, group, user, evidence).to_dict()
-    elif which == "erasure-scaling":
-        if args.erasure_p is None:
-            raise InputError("erasure-scaling requires --erasure-p")
+    else:  # erasure-scaling
         weights = None if args.weights is None else _parse_weights(args.weights)
         out["report"] = erasure_scaling_check(
             cf.mac, args.erasure_p, weights=weights, restarts=args.restarts,
             seed=args.seed, tol=args.tol).to_dict()
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown check {which!r}")
     return out
 
 
@@ -270,52 +251,54 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
         "xk_star": xk_star,
         "xbar_k": xbar_k,
         "auto_selected": auto,
-        "p_star": {"alphabet": list(p_star.alphabet),
-                   "probs": [float(v) for v in p_star.probs]},
+        "p_star": p_star.to_dict(),
         "curve": curve.to_dict(),
     }
     return obj, curve.to_csv()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError: one JSON line on stderr, exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each parse fills a fresh Namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="macfeedback",
         description="Feedback-capacity bounds for two-user multiple-access channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csv=False):
+    def command(subparsers, name, *flags, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
         p.add_argument("--channel", required=True, help="channel JSON file")
-        p.add_argument("--seed", type=int, default=COMMON_DEFAULTS["seed"])
-        p.add_argument("--tol", type=float, default=COMMON_DEFAULTS["tol"])
-        p.add_argument("--restarts", type=int, default=COMMON_DEFAULTS["restarts"])
         p.add_argument("--json-out", default=None)
-        p.add_argument("--verify", action="store_true",
-                       help="re-evaluate all emitted witnesses")
-        if csv:
-            p.add_argument("--csv-out", default=None)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("singlerate", help="single-user capacities for both users")
-    common(p)
+    command(sub, "singlerate", "--tol", "--verify",
+            help="single-user capacities for both users")
 
-    p = sub.add_parser("region", help="achievable frontier plus cut-set lines")
-    common(p, csv=True)
-    p.add_argument("--weights", default=None, help='e.g. "1:0,1:1,0:1"')
+    p = command(sub, "region", "--weights", "--restarts", "--seed", "--tol", "--verify",
+                "--csv-out", help="achievable frontier plus cut-set lines")
     p.add_argument("--u-card", type=int, default=None)
     p.add_argument("--model", choices=["PF", "IF", "DF"], default="PF")
 
-    p = sub.add_parser("check", help="run one analysis and report JSON")
-    p.add_argument("which", choices=["gain-condition", "additive-classify",
-                                     "symmetry", "additive", "erasure-scaling"])
-    common(p)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--erasure-p", type=float, default=None)
-    p.set_defaults(verify=None, **dict.fromkeys(COMMON_DEFAULTS))
+    checks = sub.add_parser("check", help="run one analysis and report JSON")
+    checks = checks.add_subparsers(dest="which", required=True)
+    command(checks, "gain-condition", "--tol")
+    for which in ("additive-classify", "symmetry", "additive"):
+        command(checks, which)
+    p = command(checks, "erasure-scaling", "--weights", "--restarts", "--seed", "--tol")
+    p.add_argument("--erasure-p", type=float, required=True)
 
-    p = sub.add_parser("cfcurve", help="compress-forward rate curve")
-    common(p, csv=True)
+    p = command(sub, "cfcurve", "--tol", "--verify", "--csv-out",
+                help="compress-forward rate curve")
     p.add_argument("--user", type=int, choices=[1, 2], default=1)
     p.add_argument("--xk-star", default=None)
     p.add_argument("--xbar-k", default=None)
@@ -325,27 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "singlerate":
-            _emit(cmd_singlerate(args), args)
+            _emit(cmd_singlerate(args), args.json_out)
         elif args.command == "region":
             obj, csv_text = cmd_region(args)
             if args.csv_out:
-                _emit_csv(csv_text, args)
-            _emit(obj, args)
+                _emit(csv_text, args.csv_out)
+            _emit(obj, args.json_out)
         elif args.command == "check":
-            _emit(cmd_check(args), args)
-        elif args.command == "cfcurve":
+            _emit(cmd_check(args), args.json_out)
+        else:
             obj, csv_text = cmd_cfcurve(args)
-            _emit_csv(csv_text, args)
+            _emit(csv_text, args.csv_out)
             if args.json_out or args.csv_out:
-                _emit(obj, args)
+                _emit(obj, args.json_out)
         return 0
+    except SystemExit as exc:  # --help printed the usage text
+        return int(exc.code or 0)
     except InputError as exc:
         sys.stderr.write(json.dumps(
             {"error": "input", "message": str(exc)}) + "\n")

@@ -25,6 +25,7 @@ from .errors import InputError
 
 EQ38_TOL = 1e-9
 ROW_TOL = 1e-10
+PERMUTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,10 +255,10 @@ def channel_given_sum(mac: Mac, g: GroupSpec) -> ConditionalPmf:
     return ConditionalPmf(labels, mac.y_alphabet, np.array(rows))
 
 
-def rows_are_permutations(ch: ConditionalPmf, tol: float = 1e-12) -> bool:
+def rows_are_permutations(ch: ConditionalPmf) -> bool:
     """True when every row of the channel matrix is a permutation of every other."""
     sorted_rows = np.sort(ch.rows, axis=1)
-    return bool(np.all(np.abs(sorted_rows - sorted_rows[0]) <= tol))
+    return bool(np.all(np.abs(sorted_rows - sorted_rows[0]) <= PERMUTATION_TOL))
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,11 @@ class EquivClassPartition:
         }
 
 
-def equivalence_classes(ch: ConditionalPmf, support=None,
-                        eps: float = SUPPORT_EPS) -> EquivClassPartition:
+def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition:
     """Partition the supported inputs by overlapping output supports.
 
     Two inputs are related when some output symbol has positive mass
-    (above ``eps``) under both; classes are the transitive closure.
+    (above ``SUPPORT_EPS``) under both; classes are the transitive closure.
     """
     if support is None:
         support = ch.input_alphabet
@@ -346,7 +346,7 @@ def equivalence_classes(ch: ConditionalPmf, support=None,
         raise InputError("equivalence_classes: empty support")
     idx = [ch.input_alphabet.index(s) for s in support]
     rows = ch.rows[idx]
-    supp = rows > eps
+    supp = rows > SUPPORT_EPS
 
     parent = list(range(len(support)))
 

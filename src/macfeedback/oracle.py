@@ -148,8 +148,7 @@ def cl_grid_gap_bound(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> floa
     return (w1 + w2) * 2.0 * 4.0 * per_entropy
 
 
-def brute_force_condition2(ch: ConditionalPmf, support=None,
-                           eps: float = SUPPORT_EPS) -> bool:
+def brute_force_condition2(ch: ConditionalPmf, support=None) -> bool:
     """Exhaustively decide the shielding-variable condition.
 
     Looks for a variable K that is a deterministic function of the input
@@ -168,7 +167,7 @@ def brute_force_condition2(ch: ConditionalPmf, support=None,
         raise InputError("brute_force_condition2: output cap is 6 symbols")
     idx = [ch.input_alphabet.index(s) for s in support]
     rows = ch.rows[idx]
-    supp = rows > eps
+    supp = rows > SUPPORT_EPS
     ny = rows.shape[1]
 
     for partition in set_partitions(list(range(len(support)))):

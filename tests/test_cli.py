@@ -249,6 +249,22 @@ class TestCfCurve:
         doc = json.loads(err)
         assert doc["error"] == "input" and "--a-grid" in doc["message"]
 
+    @pytest.mark.parametrize("grid,want", [
+        ("0:0.1:0.02", [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]),
+        ("0:0.2:0.005", [round(k * 0.005, 12) for k in range(41)]),
+        ("0:0.02:0.01", [0.0, 0.01, 0.02]),
+        ("0:1:0.1", [k / 10 for k in range(11)]),
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+        ("0:0.5:0.05", [round(k * 0.05, 12) for k in range(11)]),
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0:0.16:0.1", [0.0, 0.1]),
+    ])
+    def test_grid_ends_at_last_point_not_past_stop(self, capsys, adder_file, grid, want):
+        code, out, _ = run_cli(capsys, "cfcurve", "--channel", adder_file, "--a-grid", grid)
+        assert code == 0
+        a_values = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert a_values == pytest.approx(want, rel=0, abs=1e-12)
+
     def test_determinism(self, capsys, adder_file):
         args = ("cfcurve", "--channel", adder_file, "--a-grid", "0:0.1:0.02")
         _, out1, _ = run_cli(capsys, *args)
@@ -327,6 +343,52 @@ def test_check_rejects_flags_it_does_not_read(capsys, adder_file, which, flag):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "input" and flag[0] in doc["message"]
+
+
+def assert_one_json_input_error(code, out, err, flag=None):
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "input"
+    if flag is not None:
+        assert flag in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["singlerate", "--restarts", "-5"], ["singlerate", "--seed", "0"],
+    ["singlerate", "--weights", "1:1"], ["singlerate", "--csv-out", "x.csv"],
+    ["cfcurve", "--seed", "1"], ["cfcurve", "--restarts", "3"],
+    ["region", "--erasure-p", "0.5"], ["region", "--user", "2"],
+])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, adder_file, argv):
+    code, out, err = run_cli(capsys, *argv, "--channel", adder_file)
+    assert_one_json_input_error(code, out, err, argv[1])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["singlerate"], "--channel"),
+    (["check", "additive"], "--channel"),
+    (["region", "--restarts", "abc", "--channel", "CH"], "--restarts"),
+    (["cfcurve", "--user", "3", "--channel", "CH"], "--user"),
+    (["check", "erasure-scaling", "--channel", "CH"], "--erasure-p"),
+    (["check", "--channel", "CH"], None),
+    # A check's flags come after its name.
+    (["check", "--channel", "CH", "additive"], None),
+    (["check"], None),
+    (["frontier", "--channel", "CH"], None),
+    ([], None),
+])
+def test_usage_error_is_one_json_line(capsys, adder_file, argv, flag):
+    argv = [adder_file if a == "CH" else a for a in argv]
+    assert_one_json_input_error(*run_cli(capsys, *argv), flag)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "-h"],
+                                  ["check", "erasure-scaling", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: macfeedback " + " ".join(argv[:-1]))
 
 
 @pytest.mark.parametrize("argv", [["gain-condition", "--tol", "1e-8"],

@@ -4,20 +4,23 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 120 CLI invocations against the checkout that holds
+Runs a fixed list of 123 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
 the two-look cut-set ``region --model IF --weights 1:1 --restarts 0
 --verify``, ``check gain-condition``, ``check additive-classify``,
 ``check symmetry``, ``check additive``, ``cfcurve --verify`` and the
 explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
 nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
-0.5`` on ``channels/adder.json``. On ``channels/adder.json`` it also runs
+0.5`` and ``cfcurve --a-grid 0:0.16:0.1``, whose grid ends at 0.1, on
+``channels/adder.json``. On ``channels/adder.json`` it also runs
 the flag values the CLI must reject with exit code 2: ``--tol`` at -1, 0,
 nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
 ``region --weights 1:1``, ``region --restarts -3``, ``region --seed -1``,
 ``check erasure-scaling --erasure-p 0.5 --restarts -2``, an empty
 ``--weights ""`` for ``region`` and ``check erasure-scaling --erasure-p
-0.5``, and ``cfcurve --a-grid 0:3:1``, whose grid runs past 1. On
+0.5``, ``cfcurve --a-grid 0:3:1``, whose grid runs past 1, and the flags
+those subcommands do not read, ``singlerate --restarts -5`` and
+``cfcurve --seed 1``. On
 ``channels/erasure_adder_p050.json``, which has a group block, it runs
 flags a check does not read, which must also exit 2: ``check
 additive-classify --tol -1``, ``check symmetry`` with ``--tol nan`` or
@@ -69,7 +72,9 @@ INVALID_FLAGS = tuple(
        ("region-weights-empty", ["region", "--weights", ""]),
        ("erasure-scaling-weights-empty",
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--weights", ""]),
-       ("cfcurve-a-grid-past-1", ["cfcurve", "--a-grid", "0:3:1"])]
+       ("cfcurve-a-grid-past-1", ["cfcurve", "--a-grid", "0:3:1"]),
+       ("singlerate-restarts-neg5", ["singlerate", "--restarts", "-5"]),
+       ("cfcurve-seed-1", ["cfcurve", "--seed", "1"])]
 )
 
 # Flags a check does not read, run on a channel with a group block so that
@@ -95,6 +100,8 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("adder.erasure-scaling",
                 ["check", "erasure-scaling", "--erasure-p", "0.5",
                  "--channel", "channels/adder.json"]))
+    out.append(("adder.cfcurve-a-grid-0.16",
+                ["cfcurve", "--a-grid", "0:0.16:0.1", "--channel", "channels/adder.json"]))
     for name, argv in INVALID_FLAGS:
         out.append((f"adder.{name}", argv + ["--channel", "channels/adder.json"]))
     for name, argv in UNREAD_FLAGS:

@@ -60,7 +60,8 @@ class SingleRateResult:
     ``maximizer_set`` lists every partner symbol whose induced capacity
     ties the best one within the requested tolerance; ``inputs`` holds a
     maximal-support capacity-achieving input for every partner symbol,
-    and ``p_star`` is the one for ``xk_star``.
+    and ``p_star`` is the one for ``xk_star``. ``upper`` is the largest
+    outer end of the per-symbol certificates, so ``value <= rate <= upper``.
     """
 
     user: int
@@ -69,6 +70,7 @@ class SingleRateResult:
     maximizer_set: tuple[str, ...]
     per_symbol: dict[str, float]
     inputs: dict[str, Pmf]
+    upper: float
 
     @property
     def p_star(self) -> Pmf:
@@ -94,13 +96,8 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
     """
     check_tol(tol)
     channels = partner_channels(mac, user)
-    inner_tol = tol / 100.0
-    per_symbol: dict[str, float] = {}
-    inputs: dict[str, Pmf] = {}
-    for sym, ch in channels.items():
-        res = max_support_input(ch, tol=inner_tol)
-        per_symbol[sym] = res.value
-        inputs[sym] = res.argmax_input
+    solves = {sym: max_support_input(ch, tol=tol / 100.0) for sym, ch in channels.items()}
+    per_symbol = {sym: res.value for sym, res in solves.items()}
     best_val = max(per_symbol.values())
     # First symbol in alphabet order within noise of the maximum, so ties
     # resolve by label rather than by which float came out a hair larger.
@@ -114,7 +111,8 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
         xk_star=best_sym,
         maximizer_set=maximizers,
         per_symbol=per_symbol,
-        inputs=inputs,
+        inputs={sym: res.argmax_input for sym, res in solves.items()},
+        upper=max(res.upper for res in solves.values()),
     )
 
 
@@ -523,7 +521,7 @@ def classify_additive_gain(mac: Mac, group: GroupSpec, user: int,
 
 def _additive_evidence(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL):
     """The part of :func:`classify_additive_gain` both users share: checks
-    additivity, returns ``(tol, cap_tol, joint-input bound, sum channel)``."""
+    additivity, returns ``(tol, cap_tol, joint-input solve, sum channel)``."""
     report = verify_additive(mac, group)
     if not report.additive:
         raise InputError(
@@ -531,15 +529,20 @@ def _additive_evidence(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL):
             + "; ".join(report.violations[:3])
         )
     cap_tol = min(tol / 100.0, DEFAULT_TOL)
-    return tol, cap_tol, maximize_joint_mi(mac, tol=cap_tol).value, channel_given_sum(mac, group)
+    return tol, cap_tol, maximize_joint_mi(mac, tol=cap_tol), channel_given_sum(mac, group)
 
 
 def _classify_user(mac: Mac, group: GroupSpec, user: int,
                    evidence) -> AdditiveClassification:
-    """One user's classification from :func:`_additive_evidence`."""
+    """One user's classification from :func:`_additive_evidence`; refuses when
+    a certificate is looser than ``cap_tol``, as ``condition1`` compares inner ends."""
     tol, cap_tol, joint, sum_channel = evidence
     sr = single_rate_capacity(mac, user, tol=cap_tol)
-    condition1 = (joint - sr.value) <= tol
+    gaps = (joint.upper - joint.value, sr.upper - sr.value)
+    if not max(gaps) <= cap_tol:
+        raise RuntimeError(f"cannot classify: certificate gaps {gaps[0]!r} (joint input) and "
+                           f"{gaps[1]!r} (single rate), above the solve tolerance {cap_tol!r}")
+    condition1 = (joint.value - sr.value) <= tol
 
     embed = group.embed_x1 if user == 1 else group.embed_x2
     support = tuple(group.elements[i] for i in embed)
@@ -563,7 +566,7 @@ def _classify_user(mac: Mac, group: GroupSpec, user: int,
         condition1=condition1,
         condition2=condition2,
         conclusion=conclusion,
-        joint_mi=joint,
+        joint_mi=joint.value,
         single_rate=sr.value,
         partition=partition,
         gain_report=gain_report,

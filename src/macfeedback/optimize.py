@@ -1,43 +1,40 @@
-"""Capacity maximization over input simplices.
+"""Capacity maximization over input simplices, stopped on two-sided certificates.
 
-The workhorse is the classical alternating-maximization capacity
-iteration with its two-sided stopping certificate: at every step the
-current mutual information is a lower bound on capacity and the largest
-per-input divergence from the mixture output is an upper bound, so the
-loop can stop with a guaranteed gap instead of mere stagnation.
-
-Channels with two inputs are solved exactly instead: the mutual
-information is a concave function of the one number P(X=1), so bisection
-on the sign of its derivative finds the unique optimum, and the same
-two-sided certificate stops it. Every result carries both ends of the
-certificate: ``value`` (inner) and ``upper`` (outer).
+The mutual information of the input bounds capacity from below, the largest
+per-input divergence from its output law from above; results carry both,
+``value`` (inner) and ``upper`` (outer). Two-input channels are solved by
+bisection, larger ones by Newton's method on the KKT conditions, with the
+alternating iteration (:func:`blahut_arimoto`) as fallback and reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
-from ._util import channel_mi_bits
+from ._util import LN2, channel_mi_bits, clamp_tiny
 from .channel import ConditionalPmf, Mac, Pmf
 from .errors import InputError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
+_WARM_STEPS = 4
+_NEWTON_STEPS = 60
+_DEP_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
     """Outcome of a capacity maximization.
 
-    ``value`` is the mutual information of ``argmax_input`` through the
-    channel (a certified lower bound on capacity, within the requested
-    tolerance of it when ``converged``); ``upper`` is the largest
-    divergence D(W_x || output_dist) over the inputs x at that same input,
-    a certified upper bound on capacity. Inner values read ``value``,
-    outer bounds read ``upper``. ``output_dist`` is the induced output
-    distribution.
+    ``value`` is the mutual information of ``argmax_input`` (a certified
+    lower bound on capacity, within the tolerance of it when ``converged``);
+    ``upper`` is the largest divergence D(W_x || output_dist) over inputs x,
+    a certified upper bound. Inner values read ``value``, outer bounds read
+    ``upper``. ``output_dist`` is the induced output distribution.
     """
 
     value: float
@@ -54,14 +51,21 @@ def check_tol(tol: float) -> None:
         raise InputError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _result(ch: ConditionalPmf, p: np.ndarray, value, upper, iterations, converged):
+    """The OptResult of input ``p``, its inner end floored at 0."""
+    return OptResult(value if value > 0.0 else 0.0, upper, Pmf(ch.input_alphabet, p),
+                     Pmf(ch.output_alphabet, p @ ch.rows), iterations, converged)
+
+
 def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
     """D(row_x || py) in bits for every input x, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rows > 0.0, rows / np.where(py > 0.0, py, 1.0), 1.0)
-        terms = np.where(rows > 0.0, rows * np.log2(ratio), 0.0)
+    pos = rows > 0.0
+    # Every logarithm taken is of a positive ratio, so nothing warns.
+    ratio = np.where(pos, rows / np.where(py > 0.0, py, 1.0), 1.0)
+    terms = np.where(pos, rows * np.log2(ratio), 0.0)
+    if (py <= 0.0).any():
         # An output reachable from x but not under py means infinite gain.
-        blown = (rows > 0.0) & (py <= 0.0)
-        terms = np.where(blown, np.inf, terms)
+        terms[pos & (py <= 0.0)] = np.inf
     return terms.sum(axis=1)
 
 
@@ -73,87 +77,56 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     Stops once the gap between the per-input divergence maximum (upper
     bound) and its average under the current input (lower bound) falls
     below ``tol`` bits; ``converged`` is False when ``max_iter`` is
-    exhausted first. The returned value is the exact mutual information
-    of the returned input, so it never overshoots capacity.
-
-    ``init`` optionally replaces the uniform starting input; it must be
-    strictly positive for the iteration to be able to grow every symbol.
+    exhausted first. The value is the mutual information of the returned
+    input, so it never overshoots capacity. ``init`` optionally replaces the
+    uniform start; it must be positive and finite, so every symbol can grow.
     """
     check_tol(tol)
-    rows = ch.rows
-    m = rows.shape[0]
+    rows, m = ch.rows, len(ch.input_alphabet)
     if init is None:
         r = np.full(m, 1.0 / m)
     else:
         r = np.asarray(init, dtype=np.float64)
-        if r.shape != (m,) or np.any(r <= 0.0):
-            raise InputError("init must be a strictly positive vector over the inputs")
+        if r.shape != (m,) or not np.all((r > 0.0) & (r < np.inf)):  # NaN fails both
+            raise InputError("init must be a strictly positive, finite vector over the inputs")
         r = r / r.sum()
-
-    lower = -np.inf
-    upper = np.inf
-    iterations = 0
-    converged = False
+    lower, upper, iterations, converged = -np.inf, np.inf, 0, False
     for iterations in range(1, max_iter + 1):
-        py = r @ rows
-        div = _divergence_rows(rows, py)
+        div = _divergence_rows(rows, r @ rows)
         pos = r > 0.0  # div is finite wherever r is positive
-        new_lower = float(r[pos] @ div[pos])
-        new_upper = float(div.max())
+        new_lower, upper = float(r[pos] @ div[pos]), float(div.max())
         if new_lower < lower - 1e-12:
-            raise RuntimeError(
-                f"capacity lower bound decreased from {lower!r} to {new_lower!r}")
-        lower, upper = new_lower, new_upper
-        if upper - lower <= tol:
-            converged = True
+            raise RuntimeError(f"capacity lower bound decreased from {lower!r} to {new_lower!r}")
+        lower = new_lower
+        converged = upper - lower <= tol
+        if converged:
             break
         finite = np.isfinite(div)
         if not finite.all():
-            # An input underflowed to zero mass yet reaches an otherwise
-            # unreachable output; give it a large finite boost instead of
-            # propagating inf - inf.
+            # An input underflowed to zero mass yet reaches an otherwise unreachable
+            # output; give it a large finite boost instead of propagating inf - inf.
             div = np.where(finite, div, div[finite].max(initial=0.0) + 64.0)
-        shift = div - div.max()
-        r = r * np.exp2(shift)
+        r = r * np.exp2(div - div.max())
         r = r / r.sum()
 
-    py = r @ rows
     if not converged:
-        # The last update moved r past the input that ``lower`` and
-        # ``upper`` measured.
+        # The last update moved r past the input ``lower`` and ``upper`` measured.
         lower = float(channel_mi_bits(r, rows))
-        upper = float(_divergence_rows(rows, py).max())
-    value = lower if lower > 0.0 else 0.0
-    return OptResult(
-        value=value,
-        upper=upper,
-        argmax_input=Pmf(ch.input_alphabet, r),
-        output_dist=Pmf(ch.output_alphabet, py),
-        iterations=iterations,
-        converged=converged,
-    )
-
-
-def product_labels(a1, a2) -> tuple[str, ...]:
-    """Labels for the flattened product alphabet, row-major in (x1, x2)."""
-    return tuple(f"({s},{t})" for s in a1 for t in a2)
+        upper = float(_divergence_rows(rows, r @ rows).max())
+    return _result(ch, r, lower, upper, iterations, converged)
 
 
 def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
     """max over joint inputs p(x1, x2) of I(X1, X2; Y).
 
-    Treats the input pair as one super-symbol and runs the capacity
-    iteration on the flattened channel; the maximizing joint comes back
-    as a distribution over the product alphabet, row-major in (x1, x2).
+    Solves the channel from the input pair, as one super-symbol, to Y with
+    :func:`_kkt_capacity` (``max_iter`` bounds each of its phases); the
+    maximizing joint is over the product alphabet, row-major in (x1, x2).
     """
-    n1, n2, ny = mac.shape
-    flat = ConditionalPmf(
-        product_labels(mac.x1_alphabet, mac.x2_alphabet),
-        mac.y_alphabet,
-        mac.pmf.reshape(n1 * n2, ny),
-    )
-    return blahut_arimoto(flat, tol=tol, max_iter=max_iter)
+    pairs = tuple(f"({s},{t})" for s in mac.x1_alphabet for t in mac.x2_alphabet)
+    flat = ConditionalPmf(pairs, mac.y_alphabet, mac.pmf.reshape(len(pairs), -1))
+    return _kkt_capacity(flat, tol, max_iter)
 
 
 def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
@@ -168,87 +141,113 @@ def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
     the points evaluated.
     """
     rows = ch.rows
-    lo, hi, a = 0.0, 1.0, 0.5
-    iterations = 0
+    lo, hi, a, iterations = 0.0, 1.0, 0.5, 0
     while True:
         iterations += 1
         r = np.array([1.0 - a, a])
-        py = r @ rows
-        div = _divergence_rows(rows, py)
+        div = _divergence_rows(rows, r @ rows)
         converged = float(div.max() - r @ div) <= tol
         if converged:
             break
-        if div[1] > div[0]:
-            lo = a
-        else:
-            hi = a
+        lo, hi = (a, hi) if div[1] > div[0] else (lo, a)
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         a = mid
-    value = float(channel_mi_bits(r, rows))
-    return OptResult(
-        value=value if value > 0.0 else 0.0,
-        upper=float(div.max()),
-        argmax_input=Pmf(ch.input_alphabet, r),
-        output_dist=Pmf(ch.output_alphabet, py),
-        iterations=iterations,
-        converged=converged,
-    )
+    return _result(ch, r, float(channel_mi_bits(r, rows)), float(div.max()),
+                   iterations, converged)
+
+
+def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
+    """Capacity by Newton's method on the KKT conditions, BA as the fallback.
+
+    q* is unique; D(W_x || q*) = C on the support of every optimal input and
+    <= C off it (Gallager 1968, Thm 4.5.1). ``_WARM_STEPS`` capacity
+    iterations pick a support S of rows independent to ``_DEP_TOL``. Newton
+    solves D_x(p) = C on S, sum(p) = 1 (Jacobian -W_S diag(1/q) W_S^T / ln 2
+    bordered by ones), halving steps until I does not fall. An input leaves
+    S at zero mass, unless S needs it to reach an output: it shrinks, to no
+    less than 1e-14, which a Pmf keeps. When D on S is within tol/8 of I,
+    the largest D off S joins (a dependent row by moving mass along the
+    dependence, which empties an input of S). A miss (no certificate in
+    ``_NEWTON_STEPS`` or ``max_iter`` steps, or a singular system) runs BA
+    with ``max_iter``, counted in the result.
+    """
+    rows, m = ch.rows, len(ch.input_alphabet)
+    p, S, iterations = np.full(m, 1.0 / m), [], 0
+    with suppress(np.linalg.LinAlgError):
+        for iterations in range(1, min(max_iter, _NEWTON_STEPS) + 1):
+            div = _divergence_rows(rows, p @ rows)
+            value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
+            if upper - value <= tol:
+                return _result(ch, p, min(value, upper), upper, iterations, True)
+            if iterations < _WARM_STEPS:  # a capacity iteration
+                p = p * np.exp2(div - upper)
+            elif not S:  # the starting support: independent rows, by mass
+                for x in sorted(np.flatnonzero(p >= 1e-3 * p.max()), key=lambda x: -p[x]):
+                    if not S or _solve(rows[S], rows[x])[0] > _DEP_TOL:
+                        S.append(int(x))
+                p = np.where(np.isin(np.arange(m), S), p, 0.0)
+            else:
+                if div[S].max() - value > tol / 8:  # a Newton step on S
+                    W, py = rows[S], p @ rows  # A dp = D - C with sum(dp) = 0
+                    A = (W / np.where(py > 0.0, py, np.inf)) @ W.T / LN2
+                    u, v = np.linalg.solve(A, np.stack([div[S], np.ones(len(S))], 1)).T
+                    dp = u - v * u.sum() / v.sum()
+                else:  # the input of largest divergence off S joins
+                    x = int(np.where(np.isin(np.arange(m), S), -np.inf, div).argmax())
+                    error, c = _solve(rows[S], rows[x])  # a dependence: a step <= 1
+                    dp = np.append(-c, 1.0) if error <= _DEP_TOL else 1e-3 * np.append(-p[S], 1.0)
+                    S.append(x)
+                reach = rows[S] > 0.0
+                block = (dp < 0.0) & ~(reach & (reach.sum(axis=0) == 1)).any(axis=1)
+                ratio = np.where(block, p[S] / np.where(block, -dp, 1.0), np.inf)
+                b, t = int(ratio.argmin()), min(1.0, ratio.min())
+                for _ in range(40):
+                    step, new = p[S] + t * dp, p.copy()
+                    new[S] = np.where(step > 0.0, step, np.maximum(1e-4 * p[S], 1e-14))
+                    new[S[b]] = 0.0 if t == ratio[b] else new[S[b]]
+                    if channel_mi_bits(new / new.sum(), rows) >= value - 1e-12:
+                        break
+                    t *= 0.5
+                if t == ratio[b]:
+                    del S[b]
+                p = new
+            p = clamp_tiny(p / p.sum())  # as the result's Pmf holds it
+    res = blahut_arimoto(ch, tol=tol, max_iter=max_iter)
+    return replace(res, iterations=res.iterations + iterations)
+
+
+def _solve(W: np.ndarray, row: np.ndarray):
+    """The least-squares c with c @ W = row, and its largest error, as ``(error, c)``."""
+    c = np.linalg.lstsq(W.T, row, rcond=None)[0]
+    return float(np.abs(c @ W - row).max()), c
 
 
 def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
     """A capacity-achieving input in the relative interior of the optimal face.
 
-    The set of capacity-achieving inputs is a convex face of the simplex.
-    With two inputs the face is a single point: when the rows differ, I
-    is strictly concave in P(X=1) and zero at both ends, so its optimum
-    is unique and interior; when they are equal, every input is optimal
-    and uniform is the interior one. So two-input channels are solved
-    exactly by :func:`_binary_capacity` (``max_iter`` does not apply).
-
-    With more inputs, one capacity run per input symbol is launched from
-    a start biased toward that symbol's vertex; the uniform average of
-    the resulting maximizers lands in the interior of the face (mutual
-    information is concave in the input, so the average is still within
-    tolerance of capacity), and one final refinement sweep re-tightens
-    the value. The result keeps positive mass on every symbol that any
-    optimum uses, which is what downstream support arguments need.
+    With two inputs the face is one point (uniform if the rows are equal),
+    found by :func:`_binary_capacity` (``max_iter`` does not apply). Else
+    :func:`_kkt_capacity` finds q* (``max_iter`` bounds its phases); the
+    face is {p >= 0 on S* = {x : D(W_x || q*) >= upper - tol} : pW = q*},
+    and the mean of its vertices (solutions on subsets of S* of size
+    rank(W_S*)) and the solve's input induces q*, keeps the upper end, and
+    puts mass on every symbol a tol-optimal input or the solve uses.
     """
     check_tol(tol)
-    rows = ch.rows
-    m = rows.shape[0]
-    if m == 2:
+    if len(ch.input_alphabet) == 2:
         return _binary_capacity(ch, tol)
-    beta = 0.1
-    total_iters = 0
-    all_converged = True
-    solutions = []
-    for i in range(m):
-        start = np.full(m, beta / m)
-        start[i] += 1.0 - beta
-        res = blahut_arimoto(ch, tol=tol, max_iter=max_iter, init=start)
-        total_iters += res.iterations
-        all_converged = all_converged and res.converged
-        solutions.append(res.argmax_input.probs)
-    avg = np.mean(solutions, axis=0)
-
-    # One refinement sweep; multiplicative, so it cannot kill support.
-    py = avg @ rows
-    div = _divergence_rows(rows, py)
-    finite = np.isfinite(div)
-    shift = div - div[finite].max() if finite.any() else div
-    refined = avg * np.exp2(np.where(finite, shift, 0.0))
-    refined = refined / refined.sum()
-
-    value = float(channel_mi_bits(refined, rows))
-    py = refined @ rows
-    return OptResult(
-        value=value if value > 0.0 else 0.0,
-        upper=float(_divergence_rows(rows, py).max()),
-        argmax_input=Pmf(ch.input_alphabet, refined),
-        output_dist=Pmf(ch.output_alphabet, py),
-        iterations=total_iters + 1,
-        converged=all_converged,
-    )
+    res = _kkt_capacity(ch, tol, max_iter)
+    rows, q = ch.rows, res.argmax_input.probs @ ch.rows
+    face = np.flatnonzero(_divergence_rows(rows, q) >= res.upper - tol)
+    p = res.argmax_input.probs.copy()  # plus every vertex, each of mass 1
+    for basis in map(list, combinations(face, np.linalg.matrix_rank(rows[face]))):
+        error, c = _solve(rows[basis], q)
+        if error <= 1e-12 and c.min() >= -1e-12:
+            p[basis] += np.maximum(c, 0.0)
+    p = clamp_tiny(p / p.sum())
+    upper = float(_divergence_rows(rows, p @ rows).max())
+    value = min(float(channel_mi_bits(p, rows)), upper)
+    return _result(ch, p, value, upper, res.iterations, res.converged and upper - value <= tol)

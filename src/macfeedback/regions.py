@@ -59,7 +59,7 @@ from .channel import (ConditionalPmf, JointDist, Mac, Pmf, partner_channels,
                       two_look_channel)
 from .errors import InputError
 from .infotheory import conditional_mi, mutual_information
-from .optimize import DEFAULT_TOL, blahut_arimoto, max_support_input, maximize_joint_mi
+from .optimize import DEFAULT_TOL, max_support_input, maximize_joint_mi
 
 RATE_FLOOR = 1e-12
 
@@ -667,13 +667,9 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     models give the same number because only the partner's feedback
     signal enters this cut.
 
-    When the free user has two inputs, each capacity is solved exactly by
-    :func:`~macfeedback.optimize.max_support_input`, which bisects on
-    P(X=1); with more inputs it runs :func:`~macfeedback.optimize.blahut_arimoto`
-    (max_support_input would average several runs, and the certificate
-    at an averaged input is looser). Each capacity is read from the upper
-    end of its certificate (the largest input divergence at the returned
-    input), so the bound holds even when the solve stops short of ``tol``.
+    Each capacity is one :func:`~macfeedback.optimize.max_support_input`
+    solve, read from the upper end of its certificate, so the bound holds
+    even when the solve stops short of ``tol``.
     """
     channels = partner_channels(mac, user)
     model = str(model).upper()
@@ -683,8 +679,7 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     for ch in channels.values():
         if model != "PF":
             ch = two_look_channel(ch)
-        solve = max_support_input if len(ch.input_alphabet) == 2 else blahut_arimoto
-        best = max(best, solve(ch, tol=tol).upper)
+        best = max(best, max_support_input(ch, tol=tol).upper)
     return best
 
 

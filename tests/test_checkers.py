@@ -1,6 +1,8 @@
 """Decision procedures: single-rate capacity, gain condition, curve, scaling."""
 
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
                          erasure_scaling_check, gain_sufficient_condition,
                          independent_copy_joint, kl_divergence, load_channel,
                          maximize_joint_mi, mutual_information, partner_channels,
-                         single_rate_capacity)
+                         save_channel, single_rate_capacity)
 from macfeedback import catalog, checkers
 from macfeedback.cli import main
 
@@ -347,6 +349,51 @@ class TestJointVsSingleRate:
             joint = maximize_joint_mi(mac, tol=1e-10).value
             single = single_rate_capacity(mac, 1, tol=1e-9).value
             assert joint >= single - 1e-8
+
+
+class TestAdditiveClassifyCertificates:
+    """condition1 compares inner ends, so a loose certificate is refused."""
+
+    @staticmethod
+    def widened(solve, gap):
+        def run(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            return replace(res, upper=res.value + gap)
+        return run
+
+    @pytest.mark.parametrize("target", ["maximize_joint_mi", "max_support_input"])
+    def test_wide_gap_is_refused(self, monkeypatch, target):
+        monkeypatch.setattr(checkers, target, self.widened(getattr(checkers, target), 1e-3))
+        mac, group = catalog.erasure_adder_mac(0.5), catalog.erasure_adder_group()
+        with pytest.raises(RuntimeError, match="cannot classify") as info:
+            classify_additive_gain(mac, group, 1)
+        message = str(info.value)
+        assert "(joint input)" in message and "(single rate)" in message
+        assert "0.001" in message
+
+    def test_gap_within_solve_tolerance_passes(self, monkeypatch):
+        # cap_tol is 1e-9 at the default tol; a gap of half of it is certified.
+        monkeypatch.setattr(checkers, "maximize_joint_mi",
+                            self.widened(checkers.maximize_joint_mi, 5e-10))
+        mac, group = catalog.erasure_adder_mac(0.5), catalog.erasure_adder_group()
+        assert classify_additive_gain(mac, group, 1).conclusion == "strictly_greater"
+
+    def test_cli_reports_the_refusal(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(checkers, "maximize_joint_mi",
+                            self.widened(checkers.maximize_joint_mi, 1e-3))
+        path = tmp_path / "ch.json"
+        save_channel(catalog.erasure_adder_mac(0.5), path, group=catalog.erasure_adder_group())
+        assert main(["check", "additive-classify", "--channel", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot classify" in json.loads(err)["message"]
+
+    def test_single_rate_upper_brackets_value(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 3):
+            mac = random_mac(rng, n1=n, n2=n, ny=4)
+            sr = single_rate_capacity(mac, 1, tol=1e-9)
+            assert sr.value <= sr.upper <= sr.value + 1e-9
 
 
 class TestOneSolvePerPartnerSymbol:

@@ -1,6 +1,7 @@
 """Capacity iteration against closed forms and a lattice oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,15 @@ class TestBlahutArimoto:
                     with pytest.raises(InputError, match="tol"):
                         solve(ch, tol=tol)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        # Rejected at the boundary, naming init, before any arithmetic warns.
+        ch = random_conditional(np.random.default_rng(0), 3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="init must be a strictly positive, finite"):
+                blahut_arimoto(ch, init=np.array([bad, 0.5, 0.5]))
+
     def test_max_iter_flag(self):
         ch = ConditionalPmf(("0", "1"), ("0", "1"),
                             np.array([[0.9, 0.1], [0.4, 0.6]]))
@@ -216,6 +226,97 @@ class TestMaxSupportInput:
             assert res.value >= cap - 10 * tol
 
 
+def kkt_channels(seed, n):
+    """Channels with 3-6 inputs, by turns plain, with a duplicate row, with an
+    output no row reaches, and sparse."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        m, ny = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.ones(ny), size=m)
+        if k % 4 == 1:
+            rows[int(rng.integers(1, m))] = rows[0]
+        elif k % 4 == 2:
+            rows = np.concatenate([rows, np.zeros((m, 1))], axis=1)
+        elif k % 4 == 3:
+            rows = np.where(rng.random(rows.shape) < 0.4, 0.0, rows)
+            rows[:, 0] += rows.sum(axis=1) == 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        yield ConditionalPmf(tuple(str(i) for i in range(m)),
+                             tuple(str(j) for j in range(rows.shape[1])), rows)
+
+
+def miss_class_channels():
+    """The channels Newton's method on the KKT conditions is most likely to get
+    wrong: 3x2 channels, where at most two of three rows are independent and
+    the one to drop must be chosen; channels whose best row off the support
+    is a combination of the support's rows, so that it joins by moving mass
+    along the dependence; channels where an input the starting support
+    leaves out is the only way to an output, so that q is 0 where it
+    reaches; and an output reached by one row with tiny mass."""
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        rows = rng.dirichlet(np.ones(2), size=3)
+        yield ConditionalPmf(("a", "b", "c"), ("0", "1"), rows)
+    for rows in ([[0.095, 0.202, 0.703], [0.994, 0.006, 0.0], [0.028, 0.008, 0.964],
+                  [0.806, 0.194, 0.0], [0.0, 0.169, 0.831]],
+                 [[0.722, 0.109, 0.169], [0.519, 0.275, 0.206], [0.445, 0.197, 0.358],
+                  [0.424, 0.004, 0.572], [0.72, 0.027, 0.253]],
+                 [[0.465, 0.053, 0.482], [0.234, 0.014, 0.752], [0.057, 0.051, 0.892],
+                  [0.043, 0.881, 0.076]]):
+        yield ConditionalPmf(tuple("abcde"[:len(rows)]), ("0", "1", "2"), np.array(rows))
+    for delta in (1e-3, 1e-2, 0.1):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5 - delta, 0.5 - delta, 2 * delta],
+                         [0.6, 0.4, 0.0]])
+        yield ConditionalPmf(("a", "b", "c", "d"), ("0", "1", "2"), rows)
+    for _ in range(10):
+        rows = rng.dirichlet(np.ones(3), size=4)
+        rows = np.concatenate([rows, np.zeros((4, 1))], axis=1)
+        rows[3] = [0.5, 0.2, 0.3 - 1e-3, 1e-3]
+        yield ConditionalPmf(("a", "b", "c", "d"), ("0", "1", "2", "3"), rows)
+
+
+class TestKKTCapacity:
+    """The solve behind max_support_input (three or more inputs) and the
+    joint-input bound, checked against the capacity iteration."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("source", ["random", "miss_classes"])
+    def test_certified_and_no_worse_than_iteration(self, tol, source):
+        chans = kkt_channels(21, 80) if source == "random" else miss_class_channels()
+        for ch in chans:
+            res = optimize._kkt_capacity(ch, tol, optimize.DEFAULT_MAX_ITER)
+            ba = blahut_arimoto(ch, tol=tol, max_iter=20000)
+            assert res.converged
+            assert res.iterations <= optimize._NEWTON_STEPS  # no fallback run
+            assert res.value <= res.upper <= res.value + tol
+            assert abs(res.upper - max_divergence(ch.rows, res.argmax_input.probs)) <= 1e-12
+            assert res.value >= ba.value - tol
+            assert res.upper <= ba.upper + tol
+
+    @pytest.mark.parametrize("source", ["random", "miss_classes"])
+    def test_max_support_covers_every_tol_optimal_input(self, source):
+        tol = 1e-10
+        chans = kkt_channels(22, 80) if source == "random" else miss_class_channels()
+        for ch in chans:
+            res = max_support_input(ch, tol=tol)
+            assert res.converged
+            assert res.value <= res.upper <= res.value + tol
+            div = optimize._divergence_rows(ch.rows, res.output_dist.probs)
+            assert np.all(res.argmax_input.probs[div >= res.upper - tol] > 0.0)
+            assert np.abs(res.output_dist.probs - res.argmax_input.probs @ ch.rows).max() <= 1e-15
+
+    def test_fallback_is_counted(self, monkeypatch):
+        # A solve with no certificate within its step budget runs the
+        # iteration and reports its steps and its converged flag.
+        monkeypatch.setattr(optimize, "_NEWTON_STEPS", 2)
+        ch = random_conditional(np.random.default_rng(5), 4, 3)
+        res = optimize._kkt_capacity(ch, 1e-12, 7)
+        ba = blahut_arimoto(ch, tol=1e-12, max_iter=7)
+        assert res.iterations == 2 + ba.iterations
+        assert res.converged == ba.converged
+        assert res.value == ba.value and res.upper == ba.upper
+
+
 class TestBinaryCapacity:
     """Two-input channels take the exact bisection in max_support_input."""
 
@@ -269,5 +370,6 @@ class TestBinaryCapacity:
         for user in (1, 2):
             single_rate_capacity(mac, user)
         assert calls == []
+        # The joint-input bound takes the KKT solve; BA is only its fallback.
         maximize_joint_mi(mac)
-        assert calls == [1]
+        assert calls == []

@@ -707,18 +707,17 @@ class TestCutset:
         # Outer values read the upper end of the capacity certificate, so
         # a solve stopped after one step still bounds the inner rates. A
         # two-input channel's gap at P(X=1) = 1/2 is at most one bit, so at
-        # tol 1 the exact solve stops at its first point; the 3x3 MACs
-        # take the iteration, cut to one step.
+        # tol 1 the exact solve stops at its first point; the 3x3 MACs'
+        # solves stop at their first certificate within tol 1, and the
+        # joint-input solve's fallback is cut to one step.
         rng = np.random.default_rng(8)
         macs = ([random_mac(rng, n1=2, n2=2, ny=3) for _ in range(5)]
                 + [random_mac(rng, n1=3, n2=3, ny=4) for _ in range(3)])
         inner = [[single_rate_capacity(mac, user).value for user in (1, 2)] for mac in macs]
-        single, ba = regions.max_support_input, regions.blahut_arimoto
+        single = regions.max_support_input
         joint = regions.maximize_joint_mi
         monkeypatch.setattr(regions, "max_support_input",
                             lambda ch, tol: single(ch, tol=1.0))
-        monkeypatch.setattr(regions, "blahut_arimoto",
-                            lambda ch, tol: ba(ch, tol=tol, max_iter=1))
         monkeypatch.setattr(regions, "maximize_joint_mi",
                             lambda mac, tol: joint(mac, tol=tol, max_iter=1))
         for mac, (s1, s2) in zip(macs, inner):
@@ -729,7 +728,7 @@ class TestCutset:
     def test_binary_inputs_run_no_iteration(self, monkeypatch):
         # One- and two-look channels of a binary-input MAC have two inputs,
         # so the per-user bounds take the exact solve; the joint-input
-        # sum-rate bound still iterates.
+        # sum-rate bound takes the KKT solve, with BA only as its fallback.
         calls = []
         real = optimize.blahut_arimoto
 
@@ -737,15 +736,14 @@ class TestCutset:
             calls.append(1)
             return real(*args, **kwargs)
 
-        for module in (optimize, regions):
-            monkeypatch.setattr(module, "blahut_arimoto", counting)
+        monkeypatch.setattr(optimize, "blahut_arimoto", counting)
         mac = catalog.erasure_adder_mac(0.5)
         for user in (1, 2):
             for model in ("PF", "IF", "DF"):
                 cutset_single_rate(mac, user, model)
         assert calls == []
         cutset_sum_rate(mac)
-        assert calls == [1]
+        assert calls == []
 
 
 class TestRatePair:

@@ -1,4 +1,4 @@
-"""Euclidean projection onto the probability simplex."""
+"""Euclidean projection onto the probability simplex, and the table validator."""
 
 import itertools
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from macfeedback._util import project_rows_to_simplex
+from macfeedback import InputError
+from macfeedback._util import SUM_TOL, check_table, project_rows_to_simplex, table_faults
 
 
 def brute_force_projection(v):
@@ -144,3 +145,55 @@ class TestTwoSymbolProjection:
         assert_bitwise_equal(out, sort_formula_projection(v))
         np.testing.assert_array_equal(out[:6], [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5],
                                                 [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def listed_faults(t, sum_axes=None):
+    """Every fault of ``t``, found by running every check on every table."""
+    def at(mask):
+        return [tuple(int(k) for k in idx) for idx in np.argwhere(mask)]
+
+    bad = ~np.isfinite(t)
+    if bad.any():
+        return [("non-finite", idx, float(t[idx])) for idx in at(bad)]
+    sums = t.sum(axis=sum_axes)
+    return ([("negative", idx, float(t[idx])) for idx in at(t < 0.0)]
+            + [("above 1", idx, float(t[idx])) for idx in at(t > 1.0 + SUM_TOL)]
+            + [("sum", idx, float(sums[idx])) for idx in at(np.abs(sums - 1.0) > SUM_TOL)])
+
+
+@st.composite
+def tables(draw):
+    """A probability table over some axes, clean or with entries overwritten
+    by NaN, infinities, negatives, masses above 1 or sums off by a hair."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    axes = draw(st.sampled_from([None] + [tuple(range(k, len(shape)))
+                                          for k in range(len(shape))]))
+    mass = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    mass = mass + (mass.sum(axis=axes, keepdims=True) == 0.0)
+    t = mass / mass.sum(axis=axes, keepdims=True)
+    bad = st.sampled_from([np.nan, np.inf, -np.inf, -0.25, -0.0, 0.0, 1.5, 1.0 + 2 * SUM_TOL])
+    for _ in range(draw(st.integers(0, 3))):
+        idx = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        t[idx] = draw(bad) if draw(st.booleans()) else t[idx] + draw(st.floats(-1e-8, 1e-8))
+    return t, axes
+
+
+class TestTableFaults:
+    @settings(max_examples=400, deadline=None)
+    @given(tables())
+    def test_shortcut_agrees_with_every_check(self, drawn):
+        # A clean table returns early; every other table is listed in full,
+        # so the faults and the first one's message are the same either way.
+        t, axes = drawn
+        faults = table_faults(t, axes)
+        assert repr(faults) == repr(listed_faults(t, axes))  # repr: NaN equals NaN
+        if faults:
+            with pytest.raises(InputError, match="^T: "):
+                check_table(t, "T", axes)
+        else:
+            check_table(t, "T", axes)
+
+    def test_nan_takes_the_full_listing(self):
+        t = np.array([[0.5, np.nan], [0.25, 0.75]])
+        assert [f[:2] for f in table_faults(t, 1)] == [("non-finite", (0, 1))]
+        assert table_faults(np.zeros((0, 3)), 1) == []

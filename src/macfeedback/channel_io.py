@@ -85,12 +85,31 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
     return out / out.sum(axis=2, keepdims=True)
 
 
+def _check_indices(value, path: str) -> None:
+    """Reject anything but a JSON integer or nested lists of them.
+
+    numpy would truncate a float index and read ``true`` as 1, so the
+    check is made on the JSON values before any array is built. ``true``
+    loads as a bool, which is not ``int`` by type.
+    """
+    if type(value) is int:
+        return
+    if not isinstance(value, list):
+        raise ChannelFormatError(f"{path}: expected an integer index, got {json.dumps(value)}")
+    for k, v in enumerate(value):
+        if type(v) is not int:
+            _check_indices(v, f"{path}[{k}]")
+
+
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
     if "group" not in obj or obj["group"] is None:
         return None
     raw = obj["group"]
     if not isinstance(raw, dict):
         raise ChannelFormatError("group: expected an object")
+    for key in ("cayley", "identity", "embed_x1", "embed_x2", "y_action"):
+        if key in raw:
+            _check_indices(raw[key], f"group.{key}")
     try:
         g = GroupSpec.from_dict(raw)
     except ChannelFormatError:

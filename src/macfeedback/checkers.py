@@ -258,26 +258,19 @@ def _gain_condition(mac: Mac, sr: SingleRateResult) -> GainConditionReport:
         if winner is not None:
             break
 
-    if winner is not None:
-        return GainConditionReport(
-            user=user, holds=True,
-            witness=(sr.inputs[winner.xk_star], winner.xk_star, winner.xbar_k),
-            lhs=winner.lhs, rhs=winner.rhs,
-            degenerate_denominator=degenerate,
-            pairs=tuple(pairs),
-            single_rate=sr,
-        )
-    evaluated = [p for p in pairs if not p.skipped_degenerate]
-    best = max(evaluated, key=lambda p: p.lhs - p.rhs, default=None)
+    # A failed condition still reports its best evaluated pair.
+    holds = winner is not None
+    shown = winner if holds else max((p for p in pairs if not p.skipped_degenerate),
+                                     key=lambda p: p.lhs - p.rhs, default=None)
     return GainConditionReport(
-        user=user, holds=False,
-        witness=None,
-        lhs=None if best is None else best.lhs,
-        rhs=None if best is None else best.rhs,
+        user=user, holds=holds,
+        witness=(sr.inputs[shown.xk_star], shown.xk_star, shown.xbar_k) if holds else None,
+        lhs=None if shown is None else shown.lhs,
+        rhs=None if shown is None else shown.rhs,
         degenerate_denominator=degenerate,
         pairs=tuple(pairs),
         single_rate=sr,
-        note="representative maximizers only",
+        note=None if holds else "representative maximizers only",
     )
 
 
@@ -441,19 +434,17 @@ class ScalingReport:
 
 
 def erasure_scaling_check(mac: Mac, p: float, weights=None, restarts: int = 25,
-                          seed: int = 0, u_card: int | None = None,
-                          tol: float = DEFAULT_TOL) -> ScalingReport:
+                          seed: int = 0, tol: float = DEFAULT_TOL) -> ScalingReport:
     """Compare the frontier of the erasure-extended channel to the scaled base."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"erasure probability must lie in [0, 1], got {p!r}")
     # Both frontiers read the directions, so a one-shot iterable is listed once.
     weights = default_weight_fan() if weights is None else list(weights)
-    base = cover_leung_frontier(mac, weights=weights, restarts=restarts,
-                                u_card=u_card, seed=seed, tol=tol)
+    base = cover_leung_frontier(mac, weights=weights, restarts=restarts, seed=seed, tol=tol)
     extended_mac = erasure_extend(
         mac, ErasureSpec(p, fresh_symbol(mac.y_alphabet)))
     ext = cover_leung_frontier(extended_mac, weights=weights, restarts=restarts,
-                               u_card=u_card, seed=seed, tol=tol)
+                               seed=seed, tol=tol)
     rows = []
     for pb, pe in zip(base.points, ext.points):
         gap = abs(pe.value - (1.0 - p) * pb.value)

@@ -28,6 +28,14 @@ ROW_TOL = 1e-10
 PERMUTATION_TOL = 1e-12
 
 
+def _index_array(name: str, value) -> np.ndarray:
+    """``value`` as an int64 array; floats and booleans are not indices."""
+    arr = np.asarray(value)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InputError(f"{name} must hold integer indices, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
     """A finite group with input embeddings and an output action.
@@ -56,16 +64,16 @@ class GroupSpec:
     def __post_init__(self):
         elements = tuple(str(s) for s in self.elements)
         n = len(elements)
-        cayley = np.asarray(self.cayley, dtype=np.int64)
+        cayley, e1, e2, ya = (_index_array(name, getattr(self, name)) for name in
+                              ("cayley", "embed_x1", "embed_x2", "y_action"))
         if cayley.shape != (n, n):
             raise InputError(f"cayley table shape {cayley.shape}, expected ({n}, {n})")
         if cayley.min(initial=0) < 0 or cayley.max(initial=0) >= n:
             raise InputError("cayley table has out-of-range indices")
-        if not 0 <= int(self.identity) < n:
+        if isinstance(self.identity, bool) or not isinstance(self.identity, (int, np.integer)):
+            raise InputError(f"identity must be an integer index, got {self.identity!r}")
+        if not 0 <= self.identity < n:
             raise InputError("identity index out of range")
-        e1 = np.asarray(self.embed_x1, dtype=np.int64)
-        e2 = np.asarray(self.embed_x2, dtype=np.int64)
-        ya = np.asarray(self.y_action, dtype=np.int64)
         if ya.ndim != 2 or ya.shape[1] != n:
             raise InputError(f"y_action shape {ya.shape}, expected (|Y|, {n})")
         for name, emb in (("embed_x1", e1), ("embed_x2", e2)):
@@ -100,7 +108,7 @@ class GroupSpec:
             return GroupSpec(
                 elements=tuple(obj["elements"]),
                 cayley=np.asarray(obj["cayley"]),
-                identity=int(obj["identity"]),
+                identity=obj["identity"],
                 embed_x1=np.asarray(obj["embed_x1"]),
                 embed_x2=np.asarray(obj["embed_x2"]),
                 y_action=np.asarray(obj["y_action"]),
@@ -348,33 +356,18 @@ def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition
     rows = ch.rows[idx]
     supp = rows > SUPPORT_EPS
 
-    parent = list(range(len(support)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    ny = rows.shape[1]
-    for y in range(ny):
-        owners = np.flatnonzero(supp[:, y])
-        for k in owners[1:]:
-            union(int(owners[0]), int(k))
-
-    groups: dict[int, list[int]] = {}
-    for k in range(len(support)):
-        groups.setdefault(find(k), []).append(k)
+    # Inputs sharing an output are linked; squaring the boolean link matrix
+    # until it stops changing gives reachability, and the first input each
+    # one reaches is the smallest member of its class, its root.
+    reach = supp @ supp.T
+    while not np.array_equal(reach, wider := reach @ reach):
+        reach = wider
+    root = reach.argmax(axis=1)
 
     classes = []
     markov_ok = True
-    for root in sorted(groups):
-        members = groups[root]
+    for r in np.flatnonzero(root == np.arange(root.size)):
+        members = np.flatnonzero(root == r)
         rep = rows[members[0]]
         for k in members[1:]:
             if not np.allclose(rows[k], rep, atol=ROW_TOL, rtol=0.0):

@@ -70,26 +70,18 @@ def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
 
 
 def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER,
-                   init: np.ndarray | None = None) -> OptResult:
+                   max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
     """Capacity of a point-to-point channel with a convergence certificate.
 
     Stops once the gap between the per-input divergence maximum (upper
     bound) and its average under the current input (lower bound) falls
     below ``tol`` bits; ``converged`` is False when ``max_iter`` is
     exhausted first. The value is the mutual information of the returned
-    input, so it never overshoots capacity. ``init`` optionally replaces the
-    uniform start; it must be positive and finite, so every symbol can grow.
+    input, so it never overshoots capacity.
     """
     check_tol(tol)
     rows, m = ch.rows, len(ch.input_alphabet)
-    if init is None:
-        r = np.full(m, 1.0 / m)
-    else:
-        r = np.asarray(init, dtype=np.float64)
-        if r.shape != (m,) or not np.all((r > 0.0) & (r < np.inf)):  # NaN fails both
-            raise InputError("init must be a strictly positive, finite vector over the inputs")
-        r = r / r.sum()
+    r = np.full(m, 1.0 / m)
     lower, upper, iterations, converged = -np.inf, np.inf, 0, False
     for iterations in range(1, max_iter + 1):
         div = _divergence_rows(rows, r @ rows)

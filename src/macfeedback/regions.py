@@ -31,15 +31,14 @@ ascent over the factored simplices. The corner value is the minimum of
 two linear combinations of the pentagon bounds; each step follows the
 exact analytic gradient of the active one, centred on the support of
 every simplex row, and tries a fixed ladder of step lengths. Weights are
-per-row arrays, so all (direction, start) rows of a fan run as one ascent
-over a bounded pool of slots: every step moves the rows in the slots at
-once, and a row that stops hands its slot to the next queued start. Each
-row takes the steps it would take alone, so the pool changes no result;
-it pays numpy's fixed per-call cost once per step of the fan rather than
-once per step of every direction, and the slot count bounds each step's
-arrays. Ascent may stop at a local optimum; every emitted point is
-nevertheless a certified achievable point because its pentagon is
-re-evaluated exactly from the stored auxiliary input.
+per-row arrays, so all (direction, start) rows of a fan run as one pooled
+ascent: every step moves the first ``_SLOTS`` unfinished rows in start
+order at once. Each row takes the steps it would take alone, so the pool
+changes no result; it pays numpy's fixed per-call cost once per step of
+the fan rather than once per step of every direction, and ``_SLOTS``
+bounds each step's arrays. Ascent may stop at a local optimum; every
+emitted point is nevertheless a certified achievable point because its
+pentagon is re-evaluated exactly from the stored auxiliary input.
 
 Outer bounds are the cut-set values: per-user bounds that give the free
 user one or two looks at the output depending on the feedback model, and
@@ -317,10 +316,11 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
 _STEP_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 _IMPROVE_TOL = 1e-11
 
-# Rows the pooled ascent moves at once. A step evaluates one pentagon per
-# slot and ladder rung, so this bounds a step's arrays, and so peak memory,
-# whatever the number of directions and starts; fewer slots mean more steps,
-# each paying numpy's fixed per-call cost.
+# Rows the pooled ascent moves at once: the first this many unfinished rows
+# in start order. A step evaluates one pentagon per such row and ladder rung,
+# so this bounds a step's arrays, and so peak memory, whatever the number of
+# directions and starts; a smaller pool means more steps, each paying numpy's
+# fixed per-call cost.
 _SLOTS = 64
 
 # Ascent values within this of the best count as ties when the witness is
@@ -460,73 +460,54 @@ class _AscentProblem:
     def ascend(self, theta0: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
         """Run one independent ascent per row of ``theta0``, row k at weights
-        ``(w1[k], w2[k])``, over a pool of at most ``_SLOTS`` rows.
+        ``(w1[k], w2[k])``, stepping at most ``_SLOTS`` rows at once.
 
         Rows never interact; pooling exists purely to amortize numpy's
-        per-call overhead. Each slot holds one live row, and every step
-        moves all live rows at once. A row stops at its first step that does
-        not improve (the next would repeat it bit for bit) or after
-        ``max_iter`` steps of its own; its result goes back under its start
-        index, its slot takes the next start in start order, and the pool
-        drains once no start is left. The kernels give a row the same bits in
-        any batch, so every row ends exactly where it would alone, and the
-        slot count bounds a step's arrays whatever the number of rows.
-        Returns the final (projected) parameter rows and their objective
-        values, in start order.
+        per-call overhead. A row stops at its first step that does not
+        improve (the next would repeat it bit for bit) or after ``max_iter``
+        steps of its own. Every row's point, value, bounds and step count
+        stay in start order; the rows that step together are the first
+        ``_SLOTS`` live ones, gathered and stepped until one of them stops,
+        then written back and gathered again. The kernels give a row the
+        same bits in any batch, so every row ends exactly where it would
+        alone, and ``_SLOTS`` bounds a step's arrays whatever the number of
+        rows. Returns the final (projected) parameter rows and their
+        objective values, in start order.
         """
         n, dim = theta0.shape
         ladder = np.asarray(_STEP_LADDER)
         w = np.stack([w1, w2])
-        # Projected starts, their values and bounds; each row's result
-        # overwrites its start when the row stops.
+        # Projected starts, their values and bounds; each row's latest
+        # point overwrites its start.
         theta, best, bounds = np.empty_like(theta0), np.empty(n), np.empty((n, 3))
         for lo in range(0, n, _SLOTS * ladder.size):
             rows = slice(lo, lo + _SLOTS * ladder.size)
             theta[rows], best[rows], bounds[rows] = self.value(theta0[rows], *w[:, rows])
-        # Slot state: the start each slot holds, its current row, value,
-        # bounds and weights, and its step count.
-        k = min(_SLOTS, n) if max_iter > 0 else 0
-        slot_rows = np.arange(k)
-        th, val, bd, sw = theta[:k].copy(), best[:k].copy(), bounds[:k].copy(), w[:, :k].copy()
-        sw_ladder = np.repeat(sw, ladder.size, axis=1)
-        steps = np.zeros(k, dtype=np.int64)
-        queued = k
-        while k:
-            grads = self.gradient(th, bd, *sw)
-            scale = np.abs(grads).max(axis=1)
-            alive = scale > 0.0
-            dirs = grads / np.maximum(scale, 1e-300)[:, None]
-            cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-            cthetas, cvals, cbounds = self.value(cands.reshape(-1, dim), *sw_ladder)
-            cvals = cvals.reshape(k, -1)
-            pick = (np.arange(k), np.argmax(cvals, axis=1))
-            cbest = cvals[pick]
-            improved = alive & (cbest > val + _IMPROVE_TOL)
-            th[improved] = cthetas.reshape(k, -1, dim)[pick][improved]
-            val[improved] = cbest[improved]
-            bd[improved] = cbounds.reshape(k, -1, 3)[pick][improved]
-            del cthetas, cbounds  # not held through the next step's candidates
-            steps += 1
-            done = np.flatnonzero(~improved | (steps >= max_iter))
-            if not done.size:
-                continue
-            # Stopped rows go back under their start index; queued starts
-            # take their slots, and slots left without a start close.
-            theta[slot_rows[done]], best[slot_rows[done]] = th[done], val[done]
-            refill = done[:n - queued]
-            new = np.arange(queued, queued + refill.size)
-            queued += refill.size
-            slot_rows[refill], sw[:, refill] = new, w[:, new]
-            th[refill], val[refill], bd[refill] = theta[new], best[new], bounds[new]
-            steps[refill] = 0
-            if refill.size < done.size:
-                keep = np.ones(k, dtype=bool)
-                keep[done[refill.size:]] = False
-                slot_rows, sw, th, val, bd = (slot_rows[keep], sw[:, keep], th[keep],
-                                              val[keep], bd[keep])
-                steps = steps[keep]
-                k = slot_rows.size
+        steps = np.zeros(n, dtype=np.int64)
+        live = np.full(n, max_iter > 0)
+        while live.any():
+            rows = np.flatnonzero(live)[:_SLOTS]
+            th, val, bd, st, sw = theta[rows], best[rows], bounds[rows], steps[rows], w[:, rows]
             sw_ladder = np.repeat(sw, ladder.size, axis=1)
+            stop = np.zeros(rows.size, dtype=bool)
+            while not stop.any():
+                grads = self.gradient(th, bd, *sw)
+                dirs = grads / np.maximum(np.abs(grads).max(axis=1), 1e-300)[:, None]
+                cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
+                cthetas, cvals, cbounds = self.value(cands.reshape(-1, dim), *sw_ladder)
+                cvals = cvals.reshape(rows.size, -1)
+                pick = (np.arange(rows.size), np.argmax(cvals, axis=1))
+                cbest = cvals[pick]
+                # A zero gradient re-evaluates the row itself, which never improves.
+                improved = cbest > val + _IMPROVE_TOL
+                th[improved] = cthetas.reshape(rows.size, -1, dim)[pick][improved]
+                val[improved] = cbest[improved]
+                bd[improved] = cbounds.reshape(rows.size, -1, 3)[pick][improved]
+                del cthetas, cbounds  # not held through the next step's candidates
+                st += 1
+                stop = ~improved | (st >= max_iter)
+            theta[rows], best[rows], bounds[rows], steps[rows] = th, val, bd, st
+            live[rows[stop]] = False
         return theta, best
 
 

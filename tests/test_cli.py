@@ -167,6 +167,29 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "additive", "--channel", adder_file)
         assert json.loads(out)["report"]["additive"] is True
 
+    @pytest.mark.parametrize("analysis", ["additive", "additive-classify"])
+    @pytest.mark.parametrize("path,bad", [
+        (("cayley", 0, 1), 1.5), (("identity",), 0.7), (("embed_x1", 1), True),
+        (("y_action", 0, 0), 0.9)], ids=["float_cayley", "float_identity",
+                                        "bool_embedding", "float_action"])
+    def test_non_integer_group_entry_exits_two(self, capsys, tmp_path, adder_file,
+                                               analysis, path, bad):
+        # numpy used to truncate these to valid indices (True reads as 1),
+        # so the table passed as the channel's additive certificate.
+        with open(adder_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        *outer, last = path
+        target = doc["group"]
+        for key in outer:
+            target = target[key]
+        target[last] = bad
+        bad_file = tmp_path / "bad_group.json"
+        bad_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", analysis, "--channel", str(bad_file))
+        where = "group." + path[0] + "".join(f"[{k}]" for k in path[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(f"{where}: expected an integer")
+
     def test_symmetry_report(self, capsys, adder_file):
         code, out, _ = run_cli(capsys, "check", "symmetry", "--channel", adder_file)
         doc = json.loads(out)

@@ -32,6 +32,37 @@ class TestGroupAxioms:
         assert any("inverse" in m or "associativity" in m for m in msgs)
 
 
+class TestGroupSpecIndices:
+    @staticmethod
+    def _fields(**change):
+        g = catalog.binary_symmetric_group()
+        fields = dict(elements=g.elements, cayley=g.cayley, identity=g.identity,
+                      embed_x1=g.embed_x1, embed_x2=g.embed_x2, y_action=g.y_action)
+        return {**fields, **change}
+
+    @pytest.mark.parametrize("change", [
+        dict(cayley=np.array([[0.0, 1.0], [1.0, 0.0]])),
+        dict(embed_x1=np.array([False, True])),
+        dict(embed_x2=[0.0, 1.0]),
+        dict(y_action=np.array([[0, 1], [1, 0]], dtype=bool)),
+        dict(identity=0.0), dict(identity=False), dict(identity="0")])
+    def test_non_integer_indices_rejected(self, change):
+        with pytest.raises(InputError, match="integer"):
+            GroupSpec(**self._fields(**change))
+
+    def test_integer_types_accepted(self):
+        g = GroupSpec(**self._fields(cayley=[[0, 1], [1, 0]], identity=np.int32(0),
+                                     embed_x1=np.array([0, 1], dtype=np.uint8)))
+        assert g.cayley.dtype == np.int64 and g.embed_x1.dtype == np.int64
+        assert type(g.identity) is int
+
+    def test_from_dict_does_not_truncate_identity(self):
+        doc = catalog.binary_symmetric_group().to_dict()
+        doc["identity"] = 0.7
+        with pytest.raises(InputError, match="identity"):
+            GroupSpec.from_dict(doc)
+
+
 class TestVerifyAdditive:
     def test_erasure_adder_order_four_padded(self):
         # Cyclic group of order 4 with the output alphabet extended by the

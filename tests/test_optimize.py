@@ -1,7 +1,6 @@
 """Capacity iteration against closed forms and a lattice oracle."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -118,15 +117,6 @@ class TestBlahutArimoto:
                 for ch in (bsc(0.1), three):
                     with pytest.raises(InputError, match="tol"):
                         solve(ch, tol=tol)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_init_rejected(self, bad):
-        # Rejected at the boundary, naming init, before any arithmetic warns.
-        ch = random_conditional(np.random.default_rng(0), 3, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InputError, match="init must be a strictly positive, finite"):
-                blahut_arimoto(ch, init=np.array([bad, 0.5, 0.5]))
 
     def test_max_iter_flag(self):
         ch = ConditionalPmf(("0", "1"), ("0", "1"),

@@ -286,7 +286,7 @@ class TestFrontier:
     def test_bad_counts_rejected(self, name, value):
         with pytest.raises(InputError, match=name):
             cover_leung_frontier(catalog.adder_mac(), weights=[(1.0, 1.0)], **{name: value})
-        if name != "max_iter":
+        if name == "restarts":  # the only count the scaling check takes
             with pytest.raises(InputError, match=name):
                 erasure_scaling_check(catalog.adder_mac(), 0.5, weights=[(1.0, 1.0)],
                                       **{name: value})
@@ -608,7 +608,8 @@ class TestPooledAscent:
         return evaluated
 
     @pytest.mark.parametrize("case,slots", [("adder17", None), ("erased_adder7", None),
-                                            ("erased_adder7", 7), ("random_max_iter", None),
+                                            ("erased_adder7", 7), ("erased_adder7", 1),
+                                            ("random_max_iter", None),
                                             ("random_max_iter", 7)])
     def test_pool_equals_per_direction_runs(self, case, slots, monkeypatch):
         mac, kwargs = self._case(case)

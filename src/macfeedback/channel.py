@@ -78,6 +78,16 @@ class Pmf:
         return Pmf(alphabet, np.full(len(alphabet), 1.0 / len(alphabet)))
 
 
+def _stochastic_rows(rows, where: str | None = None) -> np.ndarray:
+    """``rows`` as a ConditionalPmf holds them: magnitudes below ZERO_CLAMP
+    set to 0, each row scaled to sum to 1. Given ``where``, the clamped rows
+    are first checked as distributions, errors naming ``where``."""
+    rows = clamp_tiny(rows)
+    if where is not None:
+        check_table(rows, where, sum_axes=1)
+    return rows / rows.sum(axis=1)[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalPmf:
     """A channel matrix: one output distribution per input symbol.
@@ -93,16 +103,15 @@ class ConditionalPmf:
     def __post_init__(self):
         ia = _check_alphabet(self.input_alphabet, "ConditionalPmf input")
         oa = _check_alphabet(self.output_alphabet, "ConditionalPmf output")
-        rows = clamp_tiny(self.rows)
-        if rows.shape != (len(ia), len(oa)):
+        shape = np.shape(self.rows)
+        if shape != (len(ia), len(oa)):
             raise InputError(
-                f"ConditionalPmf: rows shape {rows.shape} does not match "
+                f"ConditionalPmf: rows shape {shape} does not match "
                 f"({len(ia)}, {len(oa)})"
             )
-        check_table(rows, "ConditionalPmf", sum_axes=1)
         object.__setattr__(self, "input_alphabet", ia)
         object.__setattr__(self, "output_alphabet", oa)
-        object.__setattr__(self, "rows", freeze(rows / rows.sum(axis=1)[:, None]))
+        object.__setattr__(self, "rows", freeze(_stochastic_rows(self.rows, "ConditionalPmf")))
 
     def row(self, symbol: str) -> np.ndarray:
         return self.rows[self.input_alphabet.index(symbol)]
@@ -270,18 +279,28 @@ def induced_channel(mac: Mac, fix_user: int, fixed_symbol: str) -> ConditionalPm
     return channels[fixed_symbol]
 
 
+def _look_pairs(rows: np.ndarray) -> np.ndarray:
+    """rows[x, y] * rows[x, y'] at column y * ny + y', before normalization."""
+    m, ny = rows.shape
+    return (rows[:, :, None] * rows[:, None, :]).reshape(m, ny * ny)
+
+
 def two_look_channel(one: ConditionalPmf) -> ConditionalPmf:
     """Channel from the free user to a pair of independent looks at the output.
 
     ``one`` is a partner-constant channel (see :func:`partner_channels`);
     each coordinate of the pair output is an independent draw of it.
     """
-    rows = one.rows
-    ny = rows.shape[1]
-    pair_rows = (rows[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], ny * ny)
     pair_alpha = tuple(f"({a},{b})" for a in one.output_alphabet
                        for b in one.output_alphabet)
-    return ConditionalPmf(one.input_alphabet, pair_alpha, pair_rows)
+    return ConditionalPmf(one.input_alphabet, pair_alpha, _look_pairs(one.rows))
+
+
+def two_look_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows :func:`two_look_channel` holds for a channel with ``rows``,
+    bitwise, without building its ny * ny pair labels or checking products
+    of checked rows again."""
+    return _stochastic_rows(_look_pairs(rows))
 
 
 def independent_copy_joint(mac: Mac, input_dist: JointDist, copies: int = 1) -> JointDist:

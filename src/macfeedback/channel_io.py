@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import clamp_tiny, table_faults
 from .channel import Mac
-from .errors import ChannelFormatError
+from .errors import ChannelFormatError, InputError
 from .groups import GroupSpec
 
 
@@ -85,20 +85,37 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
     return out / out.sum(axis=2, keepdims=True)
 
 
-def _check_indices(value, path: str) -> None:
-    """Reject anything but a JSON integer or nested lists of them.
-
-    numpy would truncate a float index and read ``true`` as 1, so the
-    check is made on the JSON values before any array is built. ``true``
-    loads as a bool, which is not ``int`` by type.
-    """
-    if type(value) is int:
-        return
+def _check_labels(value) -> int:
+    """The number of group element labels, each a distinct JSON string."""
     if not isinstance(value, list):
-        raise ChannelFormatError(f"{path}: expected an integer index, got {json.dumps(value)}")
+        raise ChannelFormatError("group.elements: expected a list of string labels")
     for k, v in enumerate(value):
-        if type(v) is not int:
-            _check_indices(v, f"{path}[{k}]")
+        if not isinstance(v, str):
+            raise ChannelFormatError(f"group.elements[{k}]: expected a string label, "
+                                     f"got {json.dumps(v)}")
+        if v in value[:k]:
+            raise ChannelFormatError(f"group.elements[{k}]: duplicate label {v!r}")
+    return len(value)
+
+
+def _check_indices(value, path: str, shape: tuple[int, ...]) -> None:
+    """Reject anything but nested JSON lists of integers of exactly ``shape``.
+
+    numpy would truncate a float index, read ``true`` as 1 and refuse a
+    ragged table without a path, so the check is made on the JSON values
+    before any array is built. ``true`` loads as a bool, which is not
+    ``int`` by type.
+    """
+    if not shape:
+        if type(value) is not int:
+            raise ChannelFormatError(f"{path}: expected an integer index, got {json.dumps(value)}")
+        return
+    if not isinstance(value, list) or len(value) != shape[0]:
+        got = len(value) if isinstance(value, list) else json.dumps(value)
+        raise ChannelFormatError(f"{path}: expected {shape[0]} entries, got {got}")
+    for k, v in enumerate(value):
+        if len(shape) > 1 or type(v) is not int:
+            _check_indices(v, f"{path}[{k}]", shape[1:])
 
 
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
@@ -107,28 +124,17 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
     raw = obj["group"]
     if not isinstance(raw, dict):
         raise ChannelFormatError("group: expected an object")
-    for key in ("cayley", "identity", "embed_x1", "embed_x2", "y_action"):
-        if key in raw:
-            _check_indices(raw[key], f"group.{key}")
+    for key in ("elements", "cayley", "identity", "embed_x1", "embed_x2", "y_action"):
+        if key not in raw:
+            raise ChannelFormatError(f"group.{key}: missing field")
+    n = _check_labels(raw["elements"])
+    for key, shape in (("cayley", (n, n)), ("identity", ()), ("embed_x1", (n1,)),
+                       ("embed_x2", (n2,)), ("y_action", (ny, n))):
+        _check_indices(raw[key], f"group.{key}", shape)
     try:
-        g = GroupSpec.from_dict(raw)
-    except ChannelFormatError:
-        raise
-    except Exception as exc:
+        return GroupSpec.from_dict(raw)
+    except InputError as exc:  # out-of-range indices
         raise ChannelFormatError(f"group: {exc}") from None
-    if g.embed_x1.shape[0] != n1:
-        raise ChannelFormatError(
-            f"group.embed_x1: expected {n1} entries, got {g.embed_x1.shape[0]}"
-        )
-    if g.embed_x2.shape[0] != n2:
-        raise ChannelFormatError(
-            f"group.embed_x2: expected {n2} entries, got {g.embed_x2.shape[0]}"
-        )
-    if g.y_action.shape[0] != ny:
-        raise ChannelFormatError(
-            f"group.y_action: expected {ny} rows, got {g.y_action.shape[0]}"
-        )
-    return g
 
 
 def load_channel_file(path) -> ChannelFile:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._util import entropy_bits, fresh_symbol
 from .channel import (ConditionalPmf, ErasureSpec, JointDist, Mac, Pmf,
-                      erasure_extend, partner_channels, two_look_channel)
+                      erasure_extend, partner_channels, two_look_rows)
 from .errors import InputError
 from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
@@ -62,6 +62,9 @@ class SingleRateResult:
     maximal-support capacity-achieving input for every partner symbol,
     and ``p_star`` is the one for ``xk_star``. ``upper`` is the largest
     outer end of the per-symbol certificates, so ``value <= rate <= upper``.
+    ``channels`` holds the partner-constant channels those inputs solve,
+    keyed like ``inputs``, so that the gain condition reads them instead
+    of building them again.
     """
 
     user: int
@@ -71,6 +74,7 @@ class SingleRateResult:
     per_symbol: dict[str, float]
     inputs: dict[str, Pmf]
     upper: float
+    channels: dict[str, ConditionalPmf]  # the solved partner channels; not serialized
 
     @property
     def p_star(self) -> Pmf:
@@ -92,7 +96,8 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
 
     The inner optimizer runs two orders of magnitude tighter than ``tol``
     so that mathematically tied partner symbols land inside the ``tol``
-    tie window. The gain condition and its callers reuse ``inputs``.
+    tie window. The partner channels are built once, here; the gain
+    condition and its callers reuse ``inputs`` and ``channels``.
     """
     check_tol(tol)
     channels = partner_channels(mac, user)
@@ -113,6 +118,7 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
         per_symbol=per_symbol,
         inputs={sym: res.argmax_input for sym, res in solves.items()},
         upper=max(res.upper for res in solves.values()),
+        channels=channels,
     )
 
 
@@ -183,7 +189,7 @@ def _symbol_terms(ch: ConditionalPmf, p: np.ndarray):
     """
     p_y = p @ ch.rows
     return (p_y, float(entropy_bits(p_y)), float(p @ entropy_bits(ch.rows, axis=1)),
-            float(entropy_bits(p @ two_look_channel(ch).rows)))
+            float(entropy_bits(p @ two_look_rows(ch.rows))))
 
 
 def _pair_quantities(star, bar):
@@ -226,13 +232,12 @@ def gain_sufficient_condition(mac: Mac, user: int,
     ``x_k*``; when the condition fails, other capacity-achieving inputs
     might still certify a gain, and the report says so.
     """
-    return _gain_condition(mac, single_rate_capacity(mac, user, tol=tol))
+    return _gain_condition(single_rate_capacity(mac, user, tol=tol))
 
 
-def _gain_condition(mac: Mac, sr: SingleRateResult) -> GainConditionReport:
-    """The gain condition evaluated at the inputs ``sr`` already found."""
-    user = sr.user
-    channels = partner_channels(mac, user)
+def _gain_condition(sr: SingleRateResult) -> GainConditionReport:
+    """The gain condition evaluated at the inputs and channels ``sr`` already holds."""
+    user, channels = sr.user, sr.channels
     other_alpha = tuple(channels)
     # Capacity descending, then label; capacities are quantized so that
     # numerically tied symbols order by label.
@@ -545,7 +550,7 @@ def _classify_user(mac: Mac, group: GroupSpec, user: int,
         conclusion = "equal"
     else:
         conclusion = "strictly_greater"
-        gain_report = _gain_condition(mac, sr)
+        gain_report = _gain_condition(sr)
         if not gain_report.holds:
             raise RuntimeError(
                 "inconsistent classification: neither condition holds but the "

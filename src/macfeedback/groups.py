@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import SUPPORT_EPS, channel_mi_bits
-from .channel import ConditionalPmf, Mac, Pmf, partner_channels
+from .channel import ConditionalPmf, Mac, Pmf, _check_alphabet, partner_channels
 from .errors import InputError
 
 EQ38_TOL = 1e-9
@@ -62,7 +62,7 @@ class GroupSpec:
     y_action: np.ndarray
 
     def __post_init__(self):
-        elements = tuple(str(s) for s in self.elements)
+        elements = _check_alphabet(self.elements, "group elements")
         n = len(elements)
         cayley, e1, e2, ya = (_index_array(name, getattr(self, name)) for name in
                               ("cayley", "embed_x1", "embed_x2", "y_action"))

@@ -2,9 +2,11 @@
 
 The mutual information of the input bounds capacity from below, the largest
 per-input divergence from its output law from above; results carry both,
-``value`` (inner) and ``upper`` (outer). Two-input channels are solved by
-bisection, larger ones by Newton's method on the KKT conditions, with the
-alternating iteration (:func:`blahut_arimoto`) as fallback and reference.
+``value`` (inner) and ``upper`` (outer), measured at the returned input as
+its Pmf holds it. Two-input channels are solved by bisection, larger ones
+by Newton's method on the KKT conditions over the distinct rows (equal
+rows are one input, their mass split evenly), with the alternating
+iteration (:func:`blahut_arimoto`) as fallback and reference.
 """
 
 from __future__ import annotations
@@ -69,20 +71,33 @@ def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
+def _measured(ch: ConditionalPmf, p: np.ndarray, tol: float, iterations: int) -> OptResult:
+    """The OptResult of input ``p`` with both ends measured at ``p`` on ``ch``:
+    I(p) as p @ D (``min``-ed with the outer end), max D, converged within ``tol``."""
+    div = _divergence_rows(ch.rows, p @ ch.rows)
+    value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
+    return _result(ch, p, min(value, upper), upper, iterations, upper - value <= tol)
+
+
 def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
     """Capacity of a point-to-point channel with a convergence certificate.
 
     Stops once the gap between the per-input divergence maximum (upper
     bound) and its average under the current input (lower bound) falls
-    below ``tol`` bits; ``converged`` is False when ``max_iter`` is
-    exhausted first. The value is the mutual information of the returned
-    input, so it never overshoots capacity.
+    below ``tol`` bits, or after ``max_iter`` steps. Every iterate is held
+    as the result's Pmf holds it, masses below ``ZERO_CLAMP`` zeroed, so
+    no output mass underflows; an input held at zero that alone reaches
+    an output has an infinite divergence no later iterate can lower, so
+    the run stops there. Both ends of the result are measured at the
+    returned input, and ``converged`` says whether they lie within
+    ``tol`` there. The value is the mutual information of that input, so
+    it never overshoots capacity.
     """
     check_tol(tol)
     rows, m = ch.rows, len(ch.input_alphabet)
     r = np.full(m, 1.0 / m)
-    lower, upper, iterations, converged = -np.inf, np.inf, 0, False
+    lower, iterations = -np.inf, 0
     for iterations in range(1, max_iter + 1):
         div = _divergence_rows(rows, r @ rows)
         pos = r > 0.0  # div is finite wherever r is positive
@@ -90,22 +105,13 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
         if new_lower < lower - 1e-12:
             raise RuntimeError(f"capacity lower bound decreased from {lower!r} to {new_lower!r}")
         lower = new_lower
-        converged = upper - lower <= tol
-        if converged:
+        if upper - lower <= tol or upper == np.inf:
             break
-        finite = np.isfinite(div)
-        if not finite.all():
-            # An input underflowed to zero mass yet reaches an otherwise unreachable
-            # output; give it a large finite boost instead of propagating inf - inf.
-            div = np.where(finite, div, div[finite].max(initial=0.0) + 64.0)
-        r = r * np.exp2(div - div.max())
-        r = r / r.sum()
+        r = r * np.exp2(div - upper)
+        r = clamp_tiny(r / r.sum())  # as the result's Pmf holds it
 
-    if not converged:
-        # The last update moved r past the input ``lower`` and ``upper`` measured.
-        lower = float(channel_mi_bits(r, rows))
-        upper = float(_divergence_rows(rows, r @ rows).max())
-    return _result(ch, r, lower, upper, iterations, converged)
+    # The last update may have moved r past the measured input.
+    return _measured(ch, r, tol, iterations)
 
 
 def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL,
@@ -153,26 +159,33 @@ def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
 def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
     """Capacity by Newton's method on the KKT conditions, BA as the fallback.
 
-    q* is unique; D(W_x || q*) = C on the support of every optimal input and
-    <= C off it (Gallager 1968, Thm 4.5.1). ``_WARM_STEPS`` capacity
-    iterations pick a support S of rows independent to ``_DEP_TOL``. Newton
-    solves D_x(p) = C on S, sum(p) = 1 (Jacobian -W_S diag(1/q) W_S^T / ln 2
-    bordered by ones), halving steps until I does not fall. An input leaves
-    S at zero mass, unless S needs it to reach an output: it shrinks, to no
-    less than 1e-14, which a Pmf keeps. When D on S is within tol/8 of I,
-    the largest D off S joins (a dependent row by moving mass along the
-    dependence, which empties an input of S). A miss (no certificate in
-    ``_NEWTON_STEPS`` or ``max_iter`` steps, or a singular system) runs BA
-    with ``max_iter``, counted in the result.
+    Identical rows are one input to the solve: it runs on the distinct rows,
+    in first-occurrence order, and each merged mass is split evenly over its
+    rows. q* is unique; D(W_x || q*) = C on the support of every optimal
+    input and <= C off it (Gallager 1968, Thm 4.5.1). ``_WARM_STEPS``
+    capacity iterations pick a support S of rows independent to
+    ``_DEP_TOL``. Newton solves D_x(p) = C on S, sum(p) = 1 (Jacobian
+    -W_S diag(1/q) W_S^T / ln 2 bordered by ones), halving steps until I
+    does not fall. An input leaves S at zero mass, unless S needs it to
+    reach an output: it shrinks, to no less than 1e-14, which a Pmf keeps.
+    When D on S is within tol/8 of I, the largest D off S joins (a
+    dependent row by moving mass along the dependence, which empties an
+    input of S). Both ends of the result are measured on the full channel
+    at the returned input. A miss (no certificate in ``_NEWTON_STEPS`` or
+    ``max_iter`` steps, or a singular system) runs BA on ``ch`` with
+    ``max_iter``, counted in the result.
     """
-    rows, m = ch.rows, len(ch.input_alphabet)
-    p, S, iterations = np.full(m, 1.0 / m), [], 0
+    ids: dict[bytes, int] = {}
+    group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in ch.rows])
+    rows, m = np.empty((len(ids), ch.rows.shape[1])), len(ids)
+    rows[group] = ch.rows  # the rows of a group are bitwise equal
+    p, S, iterations, certified = np.full(m, 1.0 / m), [], 0, False
     with suppress(np.linalg.LinAlgError):
         for iterations in range(1, min(max_iter, _NEWTON_STEPS) + 1):
             div = _divergence_rows(rows, p @ rows)
             value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
-            if upper - value <= tol:
-                return _result(ch, p, min(value, upper), upper, iterations, True)
+            if certified := upper - value <= tol:
+                break
             if iterations < _WARM_STEPS:  # a capacity iteration
                 p = p * np.exp2(div - upper)
             elif not S:  # the starting support: independent rows, by mass
@@ -206,8 +219,10 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
                     del S[b]
                 p = new
             p = clamp_tiny(p / p.sum())  # as the result's Pmf holds it
-    res = blahut_arimoto(ch, tol=tol, max_iter=max_iter)
-    return replace(res, iterations=res.iterations + iterations)
+    if not certified:
+        res = blahut_arimoto(ch, tol=tol, max_iter=max_iter)
+        return replace(res, iterations=res.iterations + iterations)
+    return _measured(ch, clamp_tiny(p[group] / np.bincount(group)[group]), tol, iterations)
 
 
 def _solve(W: np.ndarray, row: np.ndarray):

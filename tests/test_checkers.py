@@ -16,6 +16,7 @@ from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
                          maximize_joint_mi, mutual_information, partner_channels,
                          save_channel, single_rate_capacity)
 from macfeedback import catalog, checkers
+from macfeedback.channel import two_look_channel, two_look_rows
 from macfeedback.cli import main
 
 from _gen import cyclic_group, random_mac
@@ -424,6 +425,29 @@ class TestOneSolvePerPartnerSymbol:
         cls = classify_additive_gain(mac, catalog.erasure_adder_group(), 1)
         assert cls.conclusion == "strictly_greater"
         assert len(solves) == len(mac.x2_alphabet)
+
+    def test_gain_condition_builds_partner_channels_once(self, monkeypatch):
+        calls = []
+        real = checkers.partner_channels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checkers, "partner_channels", counting)
+        for mac in (catalog.erasure_adder_mac(0.5), catalog.binary_symmetric_mac(0.11)):
+            calls.clear()
+            gain_sufficient_condition(mac, 1)
+            assert len(calls) == 1
+
+    def test_two_look_rows_are_the_channel_rows(self):
+        # The gain terms read the two-look rows without building the channel.
+        for path in sorted(self.CHANNELS.glob("*.json")):
+            mac = load_channel(path)
+            for user in (1, 2):
+                for ch in partner_channels(mac, user).values():
+                    rows = two_look_rows(ch.rows)
+                    assert rows.tobytes() == two_look_channel(ch).rows.tobytes()
 
     def test_cfcurve_fallback(self, solves, capsys):
         path = self.CHANNELS / "binary_symmetric_q050.json"

@@ -190,6 +190,37 @@ class TestCheck:
         assert code == 2 and out == ""
         assert json.loads(err)["message"].startswith(f"{where}: expected an integer")
 
+    @pytest.mark.parametrize("analysis", ["additive", "additive-classify"])
+    @pytest.mark.parametrize("labels,message", [
+        (["0", "0", "2", "3"], "group.elements[1]: duplicate label '0'"),
+        (["0", [1], "2", "3"], "group.elements[1]: expected a string label, got [1]"),
+        (["0", "1", None, "3"], "group.elements[2]: expected a string label, got null")],
+        ids=["duplicate", "list", "null"])
+    def test_bad_group_label_exits_two(self, capsys, tmp_path, adder_file, analysis,
+                                       labels, message):
+        # A repeated label used to pass as additive; non-strings were stringified.
+        with open(adder_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["group"]["elements"] = labels
+        bad_file = tmp_path / "bad_labels.json"
+        bad_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", analysis, "--channel", str(bad_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == message
+
+    @pytest.mark.parametrize("analysis", ["additive", "additive-classify"])
+    @pytest.mark.parametrize("key,row", [("cayley", 1), ("y_action", 2)])
+    def test_ragged_group_table_exits_two(self, capsys, tmp_path, adder_file, analysis,
+                                          key, row):
+        with open(adder_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["group"][key][row].pop()
+        bad_file = tmp_path / "ragged.json"
+        bad_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", analysis, "--channel", str(bad_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == f"group.{key}[{row}]: expected 4 entries, got 3"
+
     def test_symmetry_report(self, capsys, adder_file):
         code, out, _ = run_cli(capsys, "check", "symmetry", "--channel", adder_file)
         doc = json.loads(out)

@@ -50,6 +50,10 @@ class TestGroupSpecIndices:
         with pytest.raises(InputError, match="integer"):
             GroupSpec(**self._fields(**change))
 
+    def test_duplicate_elements_rejected(self):
+        with pytest.raises(InputError, match="duplicate symbol '0'"):
+            GroupSpec(**self._fields(elements=("0", "0")))
+
     def test_integer_types_accepted(self):
         g = GroupSpec(**self._fields(cayley=[[0, 1], [1, 0]], identity=np.int32(0),
                                      embed_x1=np.array([0, 1], dtype=np.uint8)))

@@ -49,6 +49,26 @@ def random_binary_channels(seed, n):
         yield ConditionalPmf(("0", "1"), tuple(str(i) for i in range(ny)), rows)
 
 
+def sparse_channels(seed, n):
+    """Channels with 3-9 inputs, Dirichlet(0.2) rows and 40% of the entries
+    zeroed: optimal masses can fall below what a Pmf keeps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m, ny = int(rng.integers(3, 10)), int(rng.integers(2, 7))
+        rows = rng.dirichlet(np.full(ny, 0.2), size=m)
+        rows = np.where(rng.random(rows.shape) < 0.4, 0.0, rows)
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        yield ConditionalPmf(tuple(str(i) for i in range(m)),
+                             tuple(str(j) for j in range(ny)), rows)
+
+
+def joint_channel(mac):
+    """The channel from the input pair (x1, x2), row-major, to Y."""
+    pairs = tuple(f"({s},{t})" for s in mac.x1_alphabet for t in mac.x2_alphabet)
+    return ConditionalPmf(pairs, mac.y_alphabet, mac.pmf.reshape(len(pairs), -1))
+
+
 class TestBlahutArimoto:
     def test_noiseless_bsc(self):
         res = blahut_arimoto(bsc(0.0))
@@ -140,6 +160,26 @@ class TestBlahutArimoto:
             assert abs(res.upper - max_divergence(ch.rows, p)) <= 1e-12
             assert res.upper >= res.value
             assert np.abs(res.output_dist.probs - p @ ch.rows).max() <= 1e-15
+
+    def test_certificate_at_returned_input_on_sparse_channels(self):
+        # The returned Pmf zeroes masses below 1e-15; where such an input
+        # alone reaches an output, the divergence maximum at the returned
+        # input is inf, so a converged run must not report a finite gap.
+        tol = 1e-10
+        for ch in sparse_channels(16, 20):
+            res = blahut_arimoto(ch, tol=tol)
+            p = res.argmax_input.probs
+            at = optimize._divergence_rows(ch.rows, p @ ch.rows).max()
+            assert not res.converged or abs(res.upper - at) <= tol
+
+    def test_stops_once_an_output_loses_its_only_input(self):
+        # Only the last row reaches output "3", and its optimal mass lies
+        # below what a Pmf keeps: once zeroed, its divergence is infinite
+        # for good, so the run stops unconverged instead of running out.
+        ch = list(miss_class_channels())[36]
+        res = blahut_arimoto(ch, tol=1e-12, max_iter=20000)
+        assert not res.converged and res.upper == math.inf
+        assert res.iterations < 20000
 
     def test_converged_certificate(self):
         # Both ends of a converged run bracket capacity within tol, for the
@@ -294,6 +334,35 @@ class TestKKTCapacity:
             div = optimize._divergence_rows(ch.rows, res.output_dist.probs)
             assert np.all(res.argmax_input.probs[div >= res.upper - tol] > 0.0)
             assert np.abs(res.output_dist.probs - res.argmax_input.probs @ ch.rows).max() <= 1e-15
+
+    @pytest.mark.parametrize("source", ["kkt_duplicates", "erasure_adders", "binary_symmetric"])
+    def test_repeated_rows_solved_once(self, source):
+        # Equal rows are one input to the solve; its mass is split evenly
+        # and both ends are measured on the full channel. On every erasure
+        # adder the distinct rows make a channel whose uniform input is
+        # optimal, so the first iterate certifies.
+        tol = 1e-10
+        if source == "kkt_duplicates":
+            chans = [ch for k, ch in enumerate(kkt_channels(21, 80)) if k % 4 == 1]
+        elif source == "erasure_adders":
+            chans = [joint_channel(catalog.erasure_adder_mac(p)) for p in np.linspace(0, 1, 21)]
+        else:
+            chans = [joint_channel(catalog.binary_symmetric_mac(q))
+                     for q in np.linspace(0, 0.5, 11)]
+        for ch in chans:
+            res = optimize._kkt_capacity(ch, tol, optimize.DEFAULT_MAX_ITER)
+            ba = blahut_arimoto(ch, tol=tol, max_iter=20000)
+            assert res.converged
+            assert res.iterations == 1 or source != "erasure_adders"
+            p = res.argmax_input.probs
+            for row in ch.rows:
+                same = p[(ch.rows == row).all(axis=1)]
+                assert np.all(same == same[0])
+            # BA's slow tail near zero capacity may leave it unconverged;
+            # its two ends still bracket capacity.
+            assert res.value >= ba.value - tol and res.upper <= ba.upper + tol
+            if ba.converged:
+                assert abs(res.value - ba.value) <= tol and abs(res.upper - ba.upper) <= tol
 
     def test_fallback_is_counted(self, monkeypatch):
         # A solve with no certificate within its step budget runs the

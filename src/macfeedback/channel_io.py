@@ -50,6 +50,10 @@ def _parse_alphabet(obj: dict, key: str) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _json_path(root: str, idx) -> str:
+    return root + "".join(f"[{k}]" for k in idx)
+
+
 def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
     if "pmf" not in obj:
         raise ChannelFormatError("pmf: missing field")
@@ -76,7 +80,7 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
     faults = table_faults(out, sum_axes=2)
     if faults:
         kind, idx, v = faults[0]
-        path = "pmf" + "".join(f"[{k}]" for k in idx)
+        path = _json_path("pmf", idx)
         what = {"non-finite": f"non-finite probability {v!r}",
                 "negative": f"negative probability {v!r}",
                 "above 1": f"probability {v!r} above 1",
@@ -98,24 +102,25 @@ def _check_labels(value) -> int:
     return len(value)
 
 
-def _check_indices(value, path: str, shape: tuple[int, ...]) -> None:
+def _check_indices(value, path: str, shape: tuple[int, ...], at: tuple[int, ...] = ()) -> None:
     """Reject anything but nested JSON lists of integers of exactly ``shape``.
 
     numpy would truncate a float index, read ``true`` as 1 and refuse a
     ragged table without a path, so the check is made on the JSON values
     before any array is built. ``true`` loads as a bool, which is not
-    ``int`` by type.
+    ``int`` by type. The indices ``at`` below ``path`` are formatted into
+    a path only for the entry that is rejected.
     """
-    if not shape:
-        if type(value) is not int:
-            raise ChannelFormatError(f"{path}: expected an integer index, got {json.dumps(value)}")
-        return
-    if not isinstance(value, list) or len(value) != shape[0]:
+    if shape and isinstance(value, list) and len(value) == shape[0]:
+        for k, v in enumerate(value):
+            if len(shape) > 1 or type(v) is not int:
+                _check_indices(v, path, shape[1:], (*at, k))
+    elif shape:
         got = len(value) if isinstance(value, list) else json.dumps(value)
-        raise ChannelFormatError(f"{path}: expected {shape[0]} entries, got {got}")
-    for k, v in enumerate(value):
-        if len(shape) > 1 or type(v) is not int:
-            _check_indices(v, f"{path}[{k}]", shape[1:])
+        raise ChannelFormatError(f"{_json_path(path, at)}: expected {shape[0]} entries, got {got}")
+    elif type(value) is not int:
+        raise ChannelFormatError(f"{_json_path(path, at)}: expected an integer index, "
+                                 f"got {json.dumps(value)}")
 
 
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:

@@ -63,8 +63,8 @@ class SingleRateResult:
     and ``p_star`` is the one for ``xk_star``. ``upper`` is the largest
     outer end of the per-symbol certificates, so ``value <= rate <= upper``.
     ``channels`` holds the partner-constant channels those inputs solve,
-    keyed like ``inputs``, so that the gain condition reads them instead
-    of building them again.
+    keyed like ``inputs``, so that the gain condition and the
+    compress-forward curve read them instead of building them again.
     """
 
     user: int
@@ -338,6 +338,13 @@ def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
     the gain condition; it is infinite when the divergence term blows up
     and NaN when the denominator vanishes.
     """
+    return _cf_curve(partner_channels(mac, user), xk_star, xbar_k, p_star, a_grid)
+
+
+def _cf_curve(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
+              p_star: Pmf, a_grid) -> CFCurve:
+    """:func:`compress_forward_curve` on partner channels already built,
+    such as ``SingleRateResult.channels``."""
     a_grid = tuple(float(a) for a in a_grid)
     if not a_grid or any(not 0.0 <= a <= 1.0 for a in a_grid):
         raise InputError("a_grid must be a non-empty subset of [0, 1]")
@@ -345,7 +352,6 @@ def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
         raise InputError("a_grid must be sorted")
     if a_grid[0] != 0.0:
         raise InputError("a_grid must contain 0")
-    channels = partner_channels(mac, user)
     for sym in (xk_star, xbar_k):
         if sym not in channels:
             raise InputError(f"symbol {sym!r} not in the partner alphabet")
@@ -380,8 +386,14 @@ def compress_forward_rate(mac: Mac, user: int, xk_star: str, xbar_k: str,
     channels and takes
     I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)).
     """
-    channels = partner_channels(mac, user)
+    return _cf_rate(partner_channels(mac, user), xk_star, xbar_k, p_star, a, b)
+
+
+def _cf_rate(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
+             p_star: Pmf, a: float, b: float) -> float:
+    """:func:`compress_forward_rate` on partner channels already built."""
     other_alpha = tuple(channels)
+    y_alpha = channels[xk_star].output_alphabet
     pk = np.zeros(len(other_alpha))
     pk[other_alpha.index(xk_star)] += 1.0 - a
     pk[other_alpha.index(xbar_k)] += a
@@ -389,7 +401,7 @@ def compress_forward_rate(mac: Mac, user: int, xk_star: str, xbar_k: str,
     table = (pk[:, None, None, None] * p_star.probs[None, :, None, None]
              * w[:, :, :, None] * w[:, :, None, :])
     joint = JointDist((("xk", other_alpha), ("xj", p_star.alphabet),
-                       ("y", mac.y_alphabet), ("y'", mac.y_alphabet)), table)
+                       ("y", y_alpha), ("y'", y_alpha)), table)
     i1 = conditional_mi(joint, "xj", "y", "xk")
     i2 = mutual_information(joint, "xk", "y")
     h_c = conditional_entropy(joint, "y", ("xj", "xk"))

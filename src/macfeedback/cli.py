@@ -33,9 +33,9 @@ import sys
 from ._util import channel_mi_bits
 from .channel import Pmf, partner_channels
 from .channel_io import ChannelFile, load_channel_file
-from .checkers import (_additive_evidence, _classify_user, compress_forward_curve,
-                       compress_forward_rate, erasure_scaling_check,
-                       gain_sufficient_condition, single_rate_capacity)
+from .checkers import (_additive_evidence, _cf_curve, _cf_rate, _classify_user,
+                       erasure_scaling_check, gain_sufficient_condition,
+                       single_rate_capacity)
 from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
@@ -220,25 +220,26 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
     auto = args.xk_star is None
     if auto:
         gain = gain_sufficient_condition(cf.mac, user, tol=args.tol)
+        sr = gain.single_rate
         if gain.witness is not None:
             p_star, xk_star, xbar_k = gain.witness
         else:
-            sr = gain.single_rate
             xk_star = sr.xk_star
             others = [s for s in sr.inputs if s != xk_star]
             xbar_k = others[0] if others else xk_star
             p_star = sr.p_star
     else:
         xk_star, xbar_k = args.xk_star, args.xbar_k
-        inputs = single_rate_capacity(cf.mac, user, tol=args.tol).inputs
-        if xk_star not in inputs:
+        sr = single_rate_capacity(cf.mac, user, tol=args.tol)
+        if xk_star not in sr.inputs:
             raise InputError(f"symbol {xk_star!r} not in the partner alphabet")
-        p_star = inputs[xk_star]
-    curve = compress_forward_curve(cf.mac, user, xk_star, xbar_k, p_star, a_grid)
+        p_star = sr.inputs[xk_star]
+    # The curve and its re-evaluation read the partner channels sr solved.
+    curve = _cf_curve(sr.channels, xk_star, xbar_k, p_star, a_grid)
 
     if args.verify:
         for a, b, rate in zip(curve.a_grid, curve.b_values, curve.rates):
-            again = compress_forward_rate(cf.mac, user, xk_star, xbar_k, p_star, a, b)
+            again = _cf_rate(sr.channels, xk_star, xbar_k, p_star, a, b)
             if abs(again - rate) > VERIFY_TOL:
                 raise VerificationError(
                     f"curve point at a={a!r}, b={b!r} re-evaluates to {again!r}, "

@@ -81,12 +81,10 @@ class GroupSpec:
                 raise InputError(f"{name} has out-of-range indices")
         if ya.size and (ya.min() < 0 or ya.max() >= ya.shape[0]):
             raise InputError("y_action has out-of-range indices")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "cayley", cayley)
-        object.__setattr__(self, "identity", int(self.identity))
-        object.__setattr__(self, "embed_x1", e1)
-        object.__setattr__(self, "embed_x2", e2)
-        object.__setattr__(self, "y_action", ya)
+        for name, value in (("elements", elements), ("cayley", cayley),
+                            ("identity", int(self.identity)), ("embed_x1", e1),
+                            ("embed_x2", e2), ("y_action", ya)):
+            object.__setattr__(self, name, value)
 
     @property
     def order(self) -> int:
@@ -117,29 +115,27 @@ class GroupSpec:
             raise InputError(f"group block missing field {exc.args[0]!r}") from None
 
 
+def _first_five(bad: np.ndarray, what: str, name) -> list[str]:
+    """``name(*idx)`` for the first five index rows of ``bad``, then a count of the rest."""
+    out = [name(*idx) for idx in bad[:5]]
+    if bad.shape[0] > 5:
+        out.append(f"... {bad.shape[0] - 5} more {what} failures")
+    return out
+
+
 def group_axiom_violations(g: GroupSpec) -> list[str]:
     """Exhaustive check of associativity, identity and inverse existence."""
-    out: list[str] = []
-    c = g.cayley
-    n = g.order
-    left = c[c, :]   # left[a, b, d]  = (a + b) + d
-    right = c[:, c]  # right[a, b, d] = a + (b + d)
-    bad = np.argwhere(left != right)
-    for a, b, d in bad[:5]:
-        out.append(
-            f"associativity fails at ({g.elements[a]!r}, {g.elements[b]!r}, "
-            f"{g.elements[d]!r})"
-        )
-    if bad.shape[0] > 5:
-        out.append(f"... {bad.shape[0] - 5} more associativity failures")
+    c, el = g.cayley, g.elements
+    # c[c, :][a, b, d] = (a + b) + d and c[:, c][a, b, d] = a + (b + d).
+    out = _first_five(np.argwhere(c[c, :] != c[:, c]), "associativity", lambda a, b, d:
+                      f"associativity fails at ({el[a]!r}, {el[b]!r}, {el[d]!r})")
     e = g.identity
-    if not np.array_equal(c[e, :], np.arange(n)):
+    if not np.array_equal(c[e, :], np.arange(g.order)):
         out.append(f"left identity fails for {g.elements[e]!r}")
-    if not np.array_equal(c[:, e], np.arange(n)):
+    if not np.array_equal(c[:, e], np.arange(g.order)):
         out.append(f"right identity fails for {g.elements[e]!r}")
-    for a in range(n):
-        if not np.any((c[a, :] == e) & (c[:, a] == e)):
-            out.append(f"element {g.elements[a]!r} has no two-sided inverse")
+    for a in np.flatnonzero(~((c == e) & (c.T == e)).any(axis=1)):
+        out.append(f"element {g.elements[a]!r} has no two-sided inverse")
     return out
 
 
@@ -152,15 +148,24 @@ class AdditivityReport:
         return {"additive": self.additive, "violations": list(self.violations)}
 
 
-def _sum_pairs(g: GroupSpec) -> dict[int, np.ndarray]:
-    """Input index pairs (i, j) realizing each reachable sum x1 + x2.
+def _sum_table(mac: Mac, g: GroupSpec):
+    """The group-sum table of ``g`` on ``mac``; raises when dimensions differ.
 
-    Keyed by group index in increasing order; each value is an (m, 2)
-    array of pairs in row-major order, so its first row is the first
-    input pair realizing that sum.
+    Returns ``zidx``, the flat row-major array of ``x1_i + x2_j`` indices;
+    the reachable sums in increasing order; the flat index of the first
+    input pair realizing each; and ``p(y | z)`` read at that pair.
     """
-    zidx = g.cayley[np.ix_(g.embed_x1, g.embed_x2)]
-    return {z: np.argwhere(zidx == z) for z in sorted(set(zidx.ravel().tolist()))}
+    n1, n2, ny = mac.shape
+    if g.embed_x1.shape[0] != n1 or g.embed_x2.shape[0] != n2:
+        raise InputError(f"embeddings cover ({g.embed_x1.shape[0]}, {g.embed_x2.shape[0]}) "
+                         f"symbols, channel has ({n1}, {n2})")
+    if g.y_action.shape[0] != ny:
+        raise InputError(f"y_action covers {g.y_action.shape[0]} output symbols, "
+                         f"channel has {ny}")
+    zidx = g.cayley[np.ix_(g.embed_x1, g.embed_x2)].ravel()
+    sums = np.flatnonzero(np.bincount(zidx, minlength=g.order))
+    first = np.argmax(zidx == sums[:, None], axis=1)
+    return zidx, sums, first, mac.pmf.reshape(n1 * n2, ny)[first]
 
 
 def verify_additive(mac: Mac, g: GroupSpec) -> AdditivityReport:
@@ -173,18 +178,10 @@ def verify_additive(mac: Mac, g: GroupSpec) -> AdditivityReport:
     law depends on the inputs only through their group sum, and finally
     the row-shift identity ``p(y | z) = p(y + (z' - z) | z')`` for every
     output symbol and every pair of reachable sums. Violations name the
-    offending tuples.
+    offending tuples. Each check is one comparison over whole tables.
     """
-    n1, n2, ny = mac.shape
-    if g.embed_x1.shape[0] != n1 or g.embed_x2.shape[0] != n2:
-        raise InputError(
-            f"embeddings cover ({g.embed_x1.shape[0]}, {g.embed_x2.shape[0]}) "
-            f"symbols, channel has ({n1}, {n2})"
-        )
-    if g.y_action.shape[0] != ny:
-        raise InputError(
-            f"y_action covers {g.y_action.shape[0]} output symbols, channel has {ny}"
-        )
+    zidx, sums, first, rows = _sum_table(mac, g)
+    n2, ny = mac.shape[1:]
 
     violations = list(group_axiom_violations(g))
     if violations:
@@ -197,56 +194,52 @@ def verify_additive(mac: Mac, g: GroupSpec) -> AdditivityReport:
         violations.append("identity element is not in the image of both embeddings")
 
     ya = g.y_action
-    ngrp = g.order
-    for gi in range(ngrp):
-        if len(set(ya[:, gi].tolist())) != ny:
-            violations.append(
-                f"action of {g.elements[gi]!r} is not a permutation of the outputs"
-            )
+    # Action indices lie in [0, |Y|), so a column is a permutation exactly
+    # when it sorts to 0, 1, ..., |Y| - 1.
+    not_perm = (np.sort(ya, axis=0) != np.arange(ny)[:, None]).any(axis=0)
+    for gi in np.flatnonzero(not_perm):
+        violations.append(
+            f"action of {g.elements[gi]!r} is not a permutation of the outputs"
+        )
     if not np.array_equal(ya[:, g.identity], np.arange(ny)):
         violations.append("action of the identity moves some output symbol")
-    comp = ya[ya, :]  # comp[y, g1, g2] = (y + g1) + g2
-    comp2 = ya[:, g.cayley]  # comp2[y, g1, g2] = y + (g1 + g2)
-    bad = np.argwhere(comp != comp2)
-    for y, g1, g2 in bad[:5]:
-        violations.append(
-            f"action compatibility fails at (y={mac.y_alphabet[y]!r}, "
-            f"{g.elements[g1]!r}, {g.elements[g2]!r})"
-        )
-    if bad.shape[0] > 5:
-        violations.append(f"... {bad.shape[0] - 5} more compatibility failures")
+    # ya[ya, :][y, g1, g2] = (y + g1) + g2 and ya[:, cayley][y, g1, g2] = y + (g1 + g2).
+    violations += _first_five(
+        np.argwhere(ya[ya, :] != ya[:, g.cayley]), "compatibility", lambda y, g1, g2:
+        f"action compatibility fails at (y={mac.y_alphabet[y]!r}, "
+        f"{g.elements[g1]!r}, {g.elements[g2]!r})")
     if violations:
         return AdditivityReport(False, tuple(violations))
 
-    sum_pairs = _sum_pairs(g)
-    rows: dict[int, np.ndarray] = {}
-    for z, pairs in sum_pairs.items():
-        i0, j0 = pairs[0]
-        rows[z] = mac.pmf[i0, j0]
-        for i, j in pairs[1:]:
-            if not np.allclose(mac.pmf[i, j], rows[z], atol=EQ38_TOL, rtol=0.0):
-                violations.append(
-                    f"law depends on more than the sum: inputs "
-                    f"({mac.x1_alphabet[i]!r}, {mac.x2_alphabet[j]!r}) and "
-                    f"({mac.x1_alphabet[i0]!r}, {mac.x2_alphabet[j0]!r}) share "
-                    f"sum {g.elements[z]!r} but differ"
-                )
+    # Every input pair against the first pair of its sum, listed by sum
+    # and then in row-major order.
+    pair_slot = np.searchsorted(sums, zidx)
+    differ = np.flatnonzero(
+        (np.abs(mac.pmf.reshape(-1, ny) - rows[pair_slot]) > EQ38_TOL).any(axis=1))
+    for k in differ[np.argsort(pair_slot[differ], kind="stable")]:
+        (i, j), (i0, j0) = divmod(k, n2), divmod(first[pair_slot[k]], n2)
+        violations.append(
+            f"law depends on more than the sum: inputs "
+            f"({mac.x1_alphabet[i]!r}, {mac.x2_alphabet[j]!r}) and "
+            f"({mac.x1_alphabet[i0]!r}, {mac.x2_alphabet[j0]!r}) share "
+            f"sum {g.elements[zidx[k]]!r} but differ"
+        )
     if violations:
         return AdditivityReport(False, tuple(violations))
 
     # The axioms hold, so every element has a two-sided inverse.
-    c, e = g.cayley, g.identity
+    # shifted[a, b, y] = p(y + (z_b - z_a) | z_b); the first three
+    # failing y are named for each (z_a, z_b).
+    c, e, z = g.cayley, g.identity, sums
     inv = np.argmax((c == e) & (c.T == e), axis=1)
-    for z in rows:
-        for zp in rows:
-            d = c[zp, inv[z]]  # z' - z
-            shifted = rows[zp][ya[:, d]]  # y -> p(y + (z'-z) | z')
-            bad_y = np.flatnonzero(np.abs(rows[z] - shifted) > EQ38_TOL)
-            for y in bad_y[:3]:
-                violations.append(
-                    f"row-shift identity fails at (y={mac.y_alphabet[y]!r}, "
-                    f"z={g.elements[z]!r}, z'={g.elements[zp]!r})"
-                )
+    shift = ya.T[c[z[None, :], inv[z][:, None]]]
+    shifted = rows[np.arange(z.size)[None, :, None], shift]
+    fails = np.abs(rows[:, None, :] - shifted) > EQ38_TOL
+    for a, b, y in np.argwhere(fails & (np.cumsum(fails, axis=2) <= 3)):
+        violations.append(
+            f"row-shift identity fails at (y={mac.y_alphabet[y]!r}, "
+            f"z={g.elements[z[a]]!r}, z'={g.elements[z[b]]!r})"
+        )
     return AdditivityReport(not violations, tuple(violations))
 
 
@@ -255,12 +248,11 @@ def channel_given_sum(mac: Mac, g: GroupSpec) -> ConditionalPmf:
 
     Input symbols are the group-element labels of ``Z``; the row for each
     sum is taken from the first input pair realizing it, which is the
-    common row whenever :func:`verify_additive` passes.
+    common row whenever :func:`verify_additive` passes. Raises when the
+    tables do not match the channel's dimensions, as that check does.
     """
-    sum_pairs = _sum_pairs(g)
-    rows = [mac.pmf[tuple(pairs[0])] for pairs in sum_pairs.values()]
-    labels = tuple(g.elements[z] for z in sum_pairs)
-    return ConditionalPmf(labels, mac.y_alphabet, np.array(rows))
+    _, sums, _, rows = _sum_table(mac, g)
+    return ConditionalPmf(tuple(g.elements[z] for z in sums), mac.y_alphabet, rows)
 
 
 def rows_are_permutations(ch: ConditionalPmf) -> bool:
@@ -278,11 +270,8 @@ class MiSpreadReport:
     max_spread: float
 
     def to_dict(self) -> dict:
-        return {
-            "user": self.user,
-            "values": dict(self.values),
-            "max_spread": self.max_spread,
-        }
+        return {"user": self.user, "values": dict(self.values),
+                "max_spread": self.max_spread}
 
 
 def conditional_mi_spread(mac: Mac, user: int, p_xj: Pmf) -> MiSpreadReport:
@@ -327,18 +316,10 @@ class EquivClassPartition:
     m: int
 
     def to_dict(self) -> dict:
-        return {
-            "classes": [
-                {
-                    "z": list(c.z_symbols),
-                    "y": list(c.y_symbols),
-                    "row": [float(v) for v in c.representative],
-                }
-                for c in self.classes
-            ],
-            "markov_ok": self.markov_ok,
-            "m": self.m,
-        }
+        return {"classes": [{"z": list(c.z_symbols), "y": list(c.y_symbols),
+                             "row": [float(v) for v in c.representative]}
+                            for c in self.classes],
+                "markov_ok": self.markov_ok, "m": self.m}
 
 
 def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition:
@@ -347,12 +328,15 @@ def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition
     Two inputs are related when some output symbol has positive mass
     (above ``SUPPORT_EPS``) under both; classes are the transitive closure.
     """
-    if support is None:
-        support = ch.input_alphabet
-    support = [s for s in ch.input_alphabet if s in set(support)]
-    if not support:
+    given = ch.input_alphabet if support is None else tuple(support)
+    for s in given:
+        if s not in ch.input_alphabet:
+            raise InputError(f"equivalence_classes: support symbol {s!r} "
+                             f"is not an input of the channel")
+    idx = [k for k, s in enumerate(ch.input_alphabet) if s in given]
+    if not idx:
         raise InputError("equivalence_classes: empty support")
-    idx = [ch.input_alphabet.index(s) for s in support]
+    support = [ch.input_alphabet[k] for k in idx]
     rows = ch.rows[idx]
     supp = rows > SUPPORT_EPS
 
@@ -364,18 +348,15 @@ def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition
         reach = wider
     root = reach.argmax(axis=1)
 
+    # Every member against its root, which is also its class's representative.
+    markov_ok = bool(np.all(np.abs(rows - rows[root]) <= ROW_TOL))
     classes = []
-    markov_ok = True
     for r in np.flatnonzero(root == np.arange(root.size)):
         members = np.flatnonzero(root == r)
-        rep = rows[members[0]]
-        for k in members[1:]:
-            if not np.allclose(rows[k], rep, atol=ROW_TOL, rtol=0.0):
-                markov_ok = False
         y_set = np.flatnonzero(supp[members].any(axis=0))
         classes.append(EquivClass(
             z_symbols=tuple(support[k] for k in members),
             y_symbols=tuple(ch.output_alphabet[y] for y in y_set),
-            representative=rep,
+            representative=rows[r],
         ))
     return EquivClassPartition(tuple(classes), markov_ok, len(classes))

@@ -254,6 +254,26 @@ class TestChannelFiles:
         assert np.abs(again.pmf - mac.pmf).max() < 1e-15
         assert again.name == "rt"
 
+    def test_group_load_formats_paths_only_on_rejection(self, tmp_path, monkeypatch):
+        from macfeedback import channel_io
+
+        paths = []
+        real = channel_io._json_path
+        monkeypatch.setattr(channel_io, "_json_path",
+                            lambda *args: paths.append(args) or real(*args))
+        path = tmp_path / "ch.json"
+        save_channel(catalog.erasure_adder_mac(0.25), path,
+                     group=catalog.erasure_adder_group())
+        assert load_channel_file(path).group is not None
+        assert paths == []
+        doc = json.loads(path.read_text())
+        doc["group"]["y_action"][2][1] = 1.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChannelFormatError,
+                           match=r"^group\.y_action\[2\]\[1\]: expected an integer index, got 1\.5$"):
+            load_channel_file(path)
+        assert paths == [("group.y_action", (2, 1))]
+
     def test_round_trip_group(self, tmp_path):
         path = tmp_path / "ch.json"
         save_channel(catalog.erasure_adder_mac(0.25), path,

@@ -440,6 +440,25 @@ class TestOneSolvePerPartnerSymbol:
             gain_sufficient_condition(mac, 1)
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("name, flags", [
+        ("erasure_adder_p050.json", []),
+        ("erasure_adder_p050.json", ["--verify"]),
+        ("adder.json", ["--xk-star", "0", "--xbar-k", "1", "--verify"])])
+    def test_cfcurve_builds_partner_channels_once(self, monkeypatch, capsys, name, flags):
+        # The curve and every --verify re-evaluation read the channels
+        # single_rate_capacity built.
+        calls = []
+        real = checkers.partner_channels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checkers, "partner_channels", counting)
+        assert main(["cfcurve", "--channel", str(self.CHANNELS / name), *flags]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_two_look_rows_are_the_channel_rows(self):
         # The gain terms read the two-look rows without building the channel.
         for path in sorted(self.CHANNELS.glob("*.json")):

@@ -338,7 +338,7 @@ class TestCfCurve:
         assert code == 0
 
     def test_verify_catches_tampered_rate(self, capsys, adder_file, monkeypatch):
-        real = cli.compress_forward_curve
+        real = cli._cf_curve
 
         def tampered(*args, **kwargs):
             curve = real(*args, **kwargs)
@@ -346,7 +346,7 @@ class TestCfCurve:
             rates[3] += 1e-6
             return dataclasses.replace(curve, rates=tuple(rates))
 
-        monkeypatch.setattr(cli, "compress_forward_curve", tampered)
+        monkeypatch.setattr(cli, "_cf_curve", tampered)
         code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file, "--verify")
         assert code == 1
         assert json.loads(err)["error"] == "VerificationError"

@@ -13,11 +13,13 @@ half-erased adder, then traces the compress-forward rate as the relay's
 mixing weight grows. The curve starts exactly at capacity and climbs.
 """
 
-from macfeedback import catalog, compress_forward_curve, gain_sufficient_condition
+from macfeedback import (catalog, compress_forward_curve, gain_sufficient_condition,
+                         single_rate_capacity)
 
 mac = catalog.erasure_adder_mac(0.5)
 
-report = gain_sufficient_condition(mac, user=1)
+single = single_rate_capacity(mac, user=1)
+report = gain_sufficient_condition(single)
 print(f"strict-gain condition holds: {report.holds}")
 p_star, xk_star, xbar_k = report.witness
 print(f"witness: relay idles at x2 = {xk_star}, mixes toward x2 = {xbar_k}")
@@ -26,7 +28,7 @@ print(f"baseline one-user capacity: {report.rhs:.6f} bits")
 print()
 
 a_grid = [round(0.01 * k, 2) for k in range(21)]
-curve = compress_forward_curve(mac, 1, xk_star, xbar_k, p_star, a_grid)
+curve = compress_forward_curve(single.channels, xk_star, xbar_k, p_star, a_grid)
 print(f"{'a':>5} {'rate':>10} {'b':>8}")
 for a, r, b in zip(curve.a_grid, curve.rates, curve.b_values):
     marker = "  <- no-feedback capacity" if a == 0 else ""

@@ -20,8 +20,8 @@ print("erasure adder family (group: cyclic of order 4)")
 print(f"{'p':>5} {'cond1':>6} {'cond2':>6} {'conclusion':>17} {'joint':>8} {'single':>8}")
 for k in range(11):
     p = k / 10
-    cls = classify_additive_gain(catalog.erasure_adder_mac(p),
-                                 catalog.erasure_adder_group(), user=1)
+    cls, _ = classify_additive_gain(catalog.erasure_adder_mac(p),
+                                    catalog.erasure_adder_group())
     print(f"{p:5.1f} {str(cls.condition1):>6} {str(cls.condition2):>6} "
           f"{cls.conclusion:>17} {cls.joint_mi:8.4f} {cls.single_rate:8.4f}")
 
@@ -29,8 +29,8 @@ print()
 print("binary symmetric family (group: mod-2)")
 print(f"{'q':>5} {'cond1':>6} {'cond2':>6} {'conclusion':>17}")
 for q in (0.0, 0.11, 0.25, 0.5):
-    cls = classify_additive_gain(catalog.binary_symmetric_mac(q),
-                                 catalog.binary_symmetric_group(), user=1)
+    cls, _ = classify_additive_gain(catalog.binary_symmetric_mac(q),
+                                    catalog.binary_symmetric_group())
     print(f"{q:5.2f} {str(cls.condition1):>6} {str(cls.condition2):>6} "
           f"{cls.conclusion:>17}")
 

@@ -22,7 +22,7 @@ from .channel import (ConditionalPmf, ErasureSpec, JointDist, Mac, Pmf,
 from .channel_io import ChannelFile, load_channel, load_channel_file, save_channel
 from .errors import ChannelFormatError, InputError
 from .infotheory import (binary_entropy, conditional_entropy, conditional_mi,
-                         entropy, joint_entropy, kl_divergence, mutual_information)
+                         entropy, joint_entropy, mutual_information)
 from .optimize import OptResult, blahut_arimoto, max_support_input, maximize_joint_mi
 from .regions import (CLInput, RatePair, RegionFrontier, cover_leung_bounds,
                       cover_leung_frontier, cutset_single_rate, cutset_sum_rate,
@@ -35,8 +35,7 @@ from .checkers import (AdditiveClassification, CFCurve, GainConditionReport,
                        compress_forward_curve, compress_forward_rate,
                        erasure_scaling_check, gain_sufficient_condition,
                        single_rate_capacity)
-from .oracle import (GridSpec, brute_force_condition2, cl_grid_gap_bound,
-                     grid_capacity, grid_cl_point)
+from .oracle import GridSpec, brute_force_condition2, grid_capacity, grid_cl_point
 from . import catalog
 
 __all__ = [
@@ -46,14 +45,13 @@ __all__ = [
     "JointDist", "Mac", "OptResult", "Pmf", "RatePair", "RegionFrontier",
     "ScalingReport", "SingleRateResult", "binary_entropy", "blahut_arimoto",
     "brute_force_condition2", "catalog", "channel_given_sum",
-    "cl_grid_gap_bound", "classify_additive_gain", "compress_forward_curve",
-    "compress_forward_rate",
+    "classify_additive_gain", "compress_forward_curve", "compress_forward_rate",
     "conditional_entropy", "conditional_mi", "conditional_mi_spread",
     "cover_leung_bounds", "cover_leung_frontier", "cutset_single_rate",
     "cutset_sum_rate", "default_weight_fan", "entropy", "erasure_extend",
     "erasure_scaling_check", "equivalence_classes", "gain_sufficient_condition",
     "grid_capacity", "grid_cl_point", "independent_copy_joint",
-    "induced_channel", "joint_entropy", "kl_divergence", "load_channel",
+    "induced_channel", "joint_entropy", "load_channel",
     "load_channel_file", "max_support_input", "maximize_joint_mi",
     "mutual_information", "partner_channels", "rows_are_permutations",
     "save_channel", "single_rate_capacity", "two_look_channel", "validate_mac",

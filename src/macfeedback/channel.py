@@ -66,13 +66,6 @@ class Pmf:
         return {"alphabet": list(self.alphabet), "probs": [float(v) for v in self.probs]}
 
     @staticmethod
-    def point_mass(alphabet, symbol: str) -> "Pmf":
-        alphabet = tuple(alphabet)
-        probs = np.zeros(len(alphabet))
-        probs[alphabet.index(symbol)] = 1.0
-        return Pmf(alphabet, probs)
-
-    @staticmethod
     def uniform(alphabet) -> "Pmf":
         alphabet = tuple(alphabet)
         return Pmf(alphabet, np.full(len(alphabet), 1.0 / len(alphabet)))
@@ -112,9 +105,6 @@ class ConditionalPmf:
         object.__setattr__(self, "input_alphabet", ia)
         object.__setattr__(self, "output_alphabet", oa)
         object.__setattr__(self, "rows", freeze(_stochastic_rows(self.rows, "ConditionalPmf")))
-
-    def row(self, symbol: str) -> np.ndarray:
-        return self.rows[self.input_alphabet.index(symbol)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,24 +192,6 @@ class JointDist:
         kept_sorted = sorted(keep)
         perm = [kept_sorted.index(k) for k in keep]
         return t.transpose(perm) if perm != sorted(perm) else t
-
-    def condition(self, name: str, symbol: str) -> "JointDist":
-        """The joint over the remaining axes given ``name == symbol``.
-
-        Raises if the conditioning event has zero probability.
-        """
-        i = self._axis_index(name)
-        alpha = self.axes[i][1]
-        if symbol not in alpha:
-            raise InputError(f"condition: {symbol!r} not in axis {name!r}")
-        sl = np.take(self.table, alpha.index(symbol), axis=i)
-        mass = sl.sum()
-        if mass <= 0.0:
-            raise InputError(
-                f"condition: event {name}={symbol!r} has zero probability"
-            )
-        axes = tuple(a for j, a in enumerate(self.axes) if j != i)
-        return JointDist(axes, sl / mass)
 
 
 def validate_mac(mac: Mac) -> list[str]:

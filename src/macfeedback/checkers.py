@@ -11,8 +11,13 @@ These answer the operational questions about a channel:
   toward a second symbol, with the analytic slope at the start;
 * the (1 - p) scaling of the achievable frontier under output erasure;
 * for additive channels, the exact classification of when the extra look
-  helps, via the joint-input bound and the support-partition condition
-  (the CLI computes that bound and the sum channel once for both users).
+  helps, via the joint-input bound and the support-partition condition,
+  for both users from one bound and one sum channel.
+
+Each analysis is one function of the state its callers already hold: the
+gain condition reads a :class:`SingleRateResult`, and the compress-forward
+curve and rate read the partner-constant channels (``partner_channels``
+or ``SingleRateResult.channels``), so nothing is solved or built twice.
 
 All capacities and bounds are in bits. Reports serialize to plain dicts
 with stable field names; ``inf`` values are emitted as the string "inf"
@@ -157,7 +162,6 @@ class GainConditionReport:
     rhs: float | None
     degenerate_denominator: bool
     pairs: tuple[PairEvaluation, ...]
-    single_rate: SingleRateResult  # what it was decided from; not serialized
     note: str | None = None
 
     def to_dict(self) -> dict:
@@ -214,8 +218,7 @@ def _pair_quantities(star, bar):
     return rhs, max(h_bar - h_c_bar, 0.0) + divergence * factor, divergence, factor
 
 
-def gain_sufficient_condition(mac: Mac, user: int,
-                              tol: float = DEFAULT_TOL) -> GainConditionReport:
+def gain_sufficient_condition(sr: SingleRateResult) -> GainConditionReport:
     """Does one relayed independent look strictly beat the one-user capacity?
 
     Evaluates, for every tied best partner constant ``x_k*`` (by capacity
@@ -225,18 +228,15 @@ def gain_sufficient_condition(mac: Mac, user: int,
             (1 - H(Y | Xj, Xk = xk*) / H(Y' | Y, Xk = xk*))
             >  I(Xj; Y | Xk = xk*)
 
-    at the maximal-support capacity-achieving input for ``x_k*``. The
-    first strict success (margin ``STRICT_MARGIN``) wins; pairs whose
-    denominator H(Y' | Y, Xk = xk*) vanishes are skipped and flagged.
-    Only the maximal-support representative input is tried per
-    ``x_k*``; when the condition fails, other capacity-achieving inputs
-    might still certify a gain, and the report says so.
+    at the maximal-support capacity-achieving input for ``x_k*``, reading
+    the inputs and partner channels that ``sr`` (from
+    :func:`single_rate_capacity`) already holds. The first strict success
+    (margin ``STRICT_MARGIN``) wins; pairs whose denominator
+    H(Y' | Y, Xk = xk*) vanishes are skipped and flagged. Only the
+    maximal-support representative input is tried per ``x_k*``; when the
+    condition fails, other capacity-achieving inputs might still certify
+    a gain, and the report says so.
     """
-    return _gain_condition(single_rate_capacity(mac, user, tol=tol))
-
-
-def _gain_condition(sr: SingleRateResult) -> GainConditionReport:
-    """The gain condition evaluated at the inputs and channels ``sr`` already holds."""
     user, channels = sr.user, sr.channels
     other_alpha = tuple(channels)
     # Capacity descending, then label; capacities are quantized so that
@@ -274,7 +274,6 @@ def _gain_condition(sr: SingleRateResult) -> GainConditionReport:
         rhs=None if shown is None else shown.rhs,
         degenerate_denominator=degenerate,
         pairs=tuple(pairs),
-        single_rate=sr,
         note=None if holds else "representative maximizers only",
     )
 
@@ -318,10 +317,12 @@ class CFCurve:
         }
 
 
-def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
+def compress_forward_curve(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
                            p_star: Pmf, a_grid) -> CFCurve:
     """Evaluate the relay rate over a grid of partner mixing weights.
 
+    ``channels`` are the free user's partner-constant channels, from
+    ``partner_channels(mac, user)`` or ``SingleRateResult.channels``.
     ``a_grid`` must be sorted within [0, 1] and contain 0; the first
     point then reproduces the one-user capacity whenever ``p_star`` and
     ``x_k*`` come from :func:`single_rate_capacity`. With the partner
@@ -338,13 +339,6 @@ def compress_forward_curve(mac: Mac, user: int, xk_star: str, xbar_k: str,
     the gain condition; it is infinite when the divergence term blows up
     and NaN when the denominator vanishes.
     """
-    return _cf_curve(partner_channels(mac, user), xk_star, xbar_k, p_star, a_grid)
-
-
-def _cf_curve(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
-              p_star: Pmf, a_grid) -> CFCurve:
-    """:func:`compress_forward_curve` on partner channels already built,
-    such as ``SingleRateResult.channels``."""
     a_grid = tuple(float(a) for a in a_grid)
     if not a_grid or any(not 0.0 <= a <= 1.0 for a in a_grid):
         raise InputError("a_grid must be a non-empty subset of [0, 1]")
@@ -377,21 +371,15 @@ def _cf_curve(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
                    tuple(flagged.tolist()), deriv)
 
 
-def compress_forward_rate(mac: Mac, user: int, xk_star: str, xbar_k: str,
+def compress_forward_rate(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
                           p_star: Pmf, a: float, b: float) -> float:
     """One compress-forward rate re-evaluated on the named-axis joint.
 
-    The independent check of :func:`compress_forward_curve`: builds
-    p(xk) p(xj) W(y|xj,xk) W(y'|xj,xk) over named axes from the partner
-    channels and takes
+    The independent check of :func:`compress_forward_curve` on the same
+    partner channels: builds p(xk) p(xj) W(y|xj,xk) W(y'|xj,xk) over named
+    axes and takes
     I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)).
     """
-    return _cf_rate(partner_channels(mac, user), xk_star, xbar_k, p_star, a, b)
-
-
-def _cf_rate(channels: dict[str, ConditionalPmf], xk_star: str, xbar_k: str,
-             p_star: Pmf, a: float, b: float) -> float:
-    """:func:`compress_forward_rate` on partner channels already built."""
     other_alpha = tuple(channels)
     y_alpha = channels[xk_star].output_alphabet
     pk = np.zeros(len(other_alpha))
@@ -512,24 +500,22 @@ class AdditiveClassification:
         }
 
 
-def classify_additive_gain(mac: Mac, group: GroupSpec, user: int,
-                           tol: float = CLASSIFY_TOL) -> AdditiveClassification:
-    """Decide whether independent looks help a user of an additive channel.
+def classify_additive_gain(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL
+                           ) -> tuple[AdditiveClassification, AdditiveClassification]:
+    """Decide whether independent looks help each user of an additive channel.
 
-    Requires ``group`` to certify additivity (raises otherwise).
-    ``condition1`` compares the joint-input bound with the one-user
-    capacity at tolerance ``tol``; ``condition2`` evaluates the class
-    partition of the sum channel at the full embedded support of the free
-    user (any sub-support partition refines this one, and row equality in
-    the coarse classes implies it in the refined ones). On a strict
-    conclusion the gain condition is re-checked and must agree.
+    Returns the classifications of users 1 and 2, which share one
+    additivity check, one joint-input solve and one sum channel. Requires
+    ``group`` to certify additivity (raises otherwise). ``condition1``
+    compares the joint-input bound with the one-user capacity at
+    tolerance ``tol``; both are solved to ``cap_tol``, and a certificate
+    looser than that is refused, as ``condition1`` compares inner ends.
+    ``condition2`` evaluates the class partition of the sum channel at the
+    full embedded support of the free user (any sub-support partition
+    refines this one, and row equality in the coarse classes implies it
+    in the refined ones). On a strict conclusion the gain condition is
+    re-checked and must agree.
     """
-    return _classify_user(mac, group, user, _additive_evidence(mac, group, tol))
-
-
-def _additive_evidence(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL):
-    """The part of :func:`classify_additive_gain` both users share: checks
-    additivity, returns ``(tol, cap_tol, joint-input solve, sum channel)``."""
     report = verify_additive(mac, group)
     if not report.additive:
         raise InputError(
@@ -537,45 +523,40 @@ def _additive_evidence(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL):
             + "; ".join(report.violations[:3])
         )
     cap_tol = min(tol / 100.0, DEFAULT_TOL)
-    return tol, cap_tol, maximize_joint_mi(mac, tol=cap_tol), channel_given_sum(mac, group)
+    joint = maximize_joint_mi(mac, tol=cap_tol)
+    sum_channel = channel_given_sum(mac, group)
+    out = []
+    for user, embed in ((1, group.embed_x1), (2, group.embed_x2)):
+        sr = single_rate_capacity(mac, user, tol=cap_tol)
+        gaps = (joint.upper - joint.value, sr.upper - sr.value)
+        if not max(gaps) <= cap_tol:
+            raise RuntimeError(f"cannot classify: certificate gaps {gaps[0]!r} (joint input) and "
+                               f"{gaps[1]!r} (single rate), above the solve tolerance {cap_tol!r}")
+        condition1 = (joint.value - sr.value) <= tol
+        partition = equivalence_classes(sum_channel,
+                                        support=tuple(group.elements[i] for i in embed))
+        condition2 = partition.markov_ok
 
-
-def _classify_user(mac: Mac, group: GroupSpec, user: int,
-                   evidence) -> AdditiveClassification:
-    """One user's classification from :func:`_additive_evidence`; refuses when
-    a certificate is looser than ``cap_tol``, as ``condition1`` compares inner ends."""
-    tol, cap_tol, joint, sum_channel = evidence
-    sr = single_rate_capacity(mac, user, tol=cap_tol)
-    gaps = (joint.upper - joint.value, sr.upper - sr.value)
-    if not max(gaps) <= cap_tol:
-        raise RuntimeError(f"cannot classify: certificate gaps {gaps[0]!r} (joint input) and "
-                           f"{gaps[1]!r} (single rate), above the solve tolerance {cap_tol!r}")
-    condition1 = (joint.value - sr.value) <= tol
-
-    embed = group.embed_x1 if user == 1 else group.embed_x2
-    support = tuple(group.elements[i] for i in embed)
-    partition = equivalence_classes(sum_channel, support=support)
-    condition2 = partition.markov_ok
-
-    gain_report = None
-    if condition1 or condition2:
-        conclusion = "equal"
-    else:
-        conclusion = "strictly_greater"
-        gain_report = _gain_condition(sr)
-        if not gain_report.holds:
-            raise RuntimeError(
-                "inconsistent classification: neither condition holds but the "
-                "gain sufficient condition failed; this contradicts the "
-                "additive-channel characterization"
-            )
-    return AdditiveClassification(
-        user=user,
-        condition1=condition1,
-        condition2=condition2,
-        conclusion=conclusion,
-        joint_mi=joint.value,
-        single_rate=sr.value,
-        partition=partition,
-        gain_report=gain_report,
-    )
+        gain_report = None
+        if condition1 or condition2:
+            conclusion = "equal"
+        else:
+            conclusion = "strictly_greater"
+            gain_report = gain_sufficient_condition(sr)
+            if not gain_report.holds:
+                raise RuntimeError(
+                    "inconsistent classification: neither condition holds but the "
+                    "gain sufficient condition failed; this contradicts the "
+                    "additive-channel characterization"
+                )
+        out.append(AdditiveClassification(
+            user=user,
+            condition1=condition1,
+            condition2=condition2,
+            conclusion=conclusion,
+            joint_mi=joint.value,
+            single_rate=sr.value,
+            partition=partition,
+            gain_report=gain_report,
+        ))
+    return tuple(out)

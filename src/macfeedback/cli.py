@@ -31,11 +31,11 @@ import math
 import sys
 
 from ._util import channel_mi_bits
-from .channel import Pmf, partner_channels
+from .channel import Pmf
 from .channel_io import ChannelFile, load_channel_file
-from .checkers import (_additive_evidence, _cf_curve, _cf_rate, _classify_user,
-                       erasure_scaling_check, gain_sufficient_condition,
-                       single_rate_capacity)
+from .checkers import (classify_additive_gain, compress_forward_curve,
+                       compress_forward_rate, erasure_scaling_check,
+                       gain_sufficient_condition, single_rate_capacity)
 from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
@@ -91,7 +91,8 @@ def _parse_weights(spec: str) -> list[tuple[float, float]]:
 
 
 def _parse_a_grid(spec: str) -> list[float]:
-    """start, start + step, ... up to the last point that does not pass stop."""
+    """start, start + step, ... up to the last point that does not pass stop
+    once rounded to 12 digits."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise InputError(f"a-grid {spec!r} is not of the form start:stop:step")
@@ -110,7 +111,8 @@ def _parse_a_grid(spec: str) -> list[float]:
     steps = (stop - start) / step
     if steps > MAX_A_POINTS - 1:
         raise InputError(f"a-grid {spec!r} has more than {MAX_A_POINTS} points")
-    return [round(start + k * step, 12) for k in range(math.floor(steps + 1e-9) + 1)]
+    points = (round(start + k * step, 12) for k in range(math.floor(steps + 1e-9) + 1))
+    return [a for a in points if a <= stop]
 
 
 def _require_group(cf: ChannelFile):
@@ -126,7 +128,7 @@ def cmd_singlerate(args) -> dict:
         res = single_rate_capacity(cf.mac, user, tol=args.tol)
         out[f"user{user}"] = res.to_dict()
         if args.verify:
-            rows = partner_channels(cf.mac, user)[res.xk_star].rows
+            rows = res.channels[res.xk_star].rows
             again = float(channel_mi_bits(res.p_star.probs, rows))
             if abs(again - res.value) > VERIFY_TOL:
                 raise VerificationError(
@@ -197,12 +199,11 @@ def cmd_check(args) -> dict:
     elif which == "gain-condition":
         for user in (1, 2):
             out[f"user{user}"] = gain_sufficient_condition(
-                cf.mac, user, tol=args.tol).to_dict()
+                single_rate_capacity(cf.mac, user, tol=args.tol)).to_dict()
     elif which == "additive-classify":
         group = _require_group(cf)
-        evidence = _additive_evidence(cf.mac, group)
-        for user in (1, 2):
-            out[f"user{user}"] = _classify_user(cf.mac, group, user, evidence).to_dict()
+        for cls in classify_additive_gain(cf.mac, group):
+            out[f"user{cls.user}"] = cls.to_dict()
     else:  # erasure-scaling
         weights = None if args.weights is None else _parse_weights(args.weights)
         out["report"] = erasure_scaling_check(
@@ -218,9 +219,9 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
     if (args.xk_star is None) != (args.xbar_k is None):
         raise InputError("--xk-star and --xbar-k must be given together")
     auto = args.xk_star is None
+    sr = single_rate_capacity(cf.mac, user, tol=args.tol)
     if auto:
-        gain = gain_sufficient_condition(cf.mac, user, tol=args.tol)
-        sr = gain.single_rate
+        gain = gain_sufficient_condition(sr)
         if gain.witness is not None:
             p_star, xk_star, xbar_k = gain.witness
         else:
@@ -230,16 +231,15 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
             p_star = sr.p_star
     else:
         xk_star, xbar_k = args.xk_star, args.xbar_k
-        sr = single_rate_capacity(cf.mac, user, tol=args.tol)
         if xk_star not in sr.inputs:
             raise InputError(f"symbol {xk_star!r} not in the partner alphabet")
         p_star = sr.inputs[xk_star]
     # The curve and its re-evaluation read the partner channels sr solved.
-    curve = _cf_curve(sr.channels, xk_star, xbar_k, p_star, a_grid)
+    curve = compress_forward_curve(sr.channels, xk_star, xbar_k, p_star, a_grid)
 
     if args.verify:
         for a, b, rate in zip(curve.a_grid, curve.b_values, curve.rates):
-            again = _cf_rate(sr.channels, xk_star, xbar_k, p_star, a, b)
+            again = compress_forward_rate(sr.channels, xk_star, xbar_k, p_star, a, b)
             if abs(again - rate) > VERIFY_TOL:
                 raise VerificationError(
                     f"curve point at a={a!r}, b={b!r} re-evaluates to {again!r}, "

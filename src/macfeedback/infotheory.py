@@ -105,15 +105,9 @@ def conditional_mi(joint: JointDist, a=None, b=None, given=None) -> float:
     return _floor(value)
 
 
-def kl_divergence(p: Pmf, q: Pmf) -> float:
-    """D(p || q) in bits; ``math.inf`` when support(p) is not inside support(q)."""
-    if p.alphabet != q.alphabet:
-        raise InputError("kl_divergence: alphabets differ")
-    return kl_divergence_vec(p.probs, q.probs)
-
-
 def kl_divergence_vec(p: np.ndarray, q: np.ndarray) -> float:
-    """D(p || q) in bits for raw probability vectors on a shared alphabet."""
+    """D(p || q) in bits for probability vectors on a shared alphabet;
+    ``math.inf`` when support(p) is not inside support(q)."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     mask = p > 0.0

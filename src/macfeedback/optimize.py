@@ -231,22 +231,21 @@ def _solve(W: np.ndarray, row: np.ndarray):
     return float(np.abs(c @ W - row).max()), c
 
 
-def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
+def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL) -> OptResult:
     """A capacity-achieving input in the relative interior of the optimal face.
 
     With two inputs the face is one point (uniform if the rows are equal),
-    found by :func:`_binary_capacity` (``max_iter`` does not apply). Else
-    :func:`_kkt_capacity` finds q* (``max_iter`` bounds its phases); the
-    face is {p >= 0 on S* = {x : D(W_x || q*) >= upper - tol} : pW = q*},
-    and the mean of its vertices (solutions on subsets of S* of size
-    rank(W_S*)) and the solve's input induces q*, keeps the upper end, and
-    puts mass on every symbol a tol-optimal input or the solve uses.
+    found by :func:`_binary_capacity`. Else :func:`_kkt_capacity` finds q*
+    (``DEFAULT_MAX_ITER`` bounds its phases); the face is
+    {p >= 0 on S* = {x : D(W_x || q*) >= upper - tol} : pW = q*}, and the
+    mean of its vertices (solutions on subsets of S* of size rank(W_S*))
+    and the solve's input induces q*, keeps the upper end, and puts mass
+    on every symbol a tol-optimal input or the solve uses.
     """
     check_tol(tol)
     if len(ch.input_alphabet) == 2:
         return _binary_capacity(ch, tol)
-    res = _kkt_capacity(ch, tol, max_iter)
+    res = _kkt_capacity(ch, tol, DEFAULT_MAX_ITER)
     rows, q = ch.rows, res.argmax_input.probs @ ch.rows
     face = np.flatnonzero(_divergence_rows(rows, q) >= res.upper - tol)
     p = res.argmax_input.probs.copy()  # plus every vertex, each of mass 1

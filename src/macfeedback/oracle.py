@@ -132,22 +132,6 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     return RatePair(best[1], best[2])
 
 
-def cl_grid_gap_bound(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> float:
-    """Certified slack of the lattice frontier search, very conservative.
-
-    Perturbing each factored simplex to its nearest lattice point moves
-    the full joint by at most (u_card + n1 + n2)/N in L1; each of the
-    pentagon quantities is a combination of four entropies of its
-    marginals, and the weighted corner value is Lipschitz in those.
-    """
-    n1, n2, ny = mac.shape
-    delta = (u_card + n1 + n2) / grid.resolution
-    d_full = u_card * n1 * n2 * ny
-    per_entropy = _entropy_continuity(min(delta / 2.0, 1.0), d_full)
-    w1, w2 = float(weight[0]), float(weight[1])
-    return (w1 + w2) * 2.0 * 4.0 * per_entropy
-
-
 def brute_force_condition2(ch: ConditionalPmf, support=None) -> bool:
     """Exhaustively decide the shielding-variable condition.
 

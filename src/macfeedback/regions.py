@@ -116,9 +116,6 @@ class RatePair:
         object.__setattr__(self, "r1", max(float(self.r1), 0.0))
         object.__setattr__(self, "r2", max(float(self.r2), 0.0))
 
-    def weighted(self, w1: float, w2: float) -> float:
-        return w1 * self.r1 + w2 * self.r2
-
 
 @dataclass(frozen=True)
 class FrontierPoint:

@@ -24,8 +24,8 @@ from macfeedback import (GridSpec, JointDist, Pmf, binary_entropy,
                          cutset_single_rate, cutset_sum_rate, equivalence_classes,
                          erasure_scaling_check, gain_sufficient_condition,
                          grid_capacity, independent_copy_joint, induced_channel,
-                         mutual_information, rows_are_permutations, save_channel,
-                         single_rate_capacity, channel_given_sum)
+                         mutual_information, partner_channels, rows_are_permutations,
+                         save_channel, single_rate_capacity, channel_given_sum)
 from macfeedback import catalog
 from macfeedback.cli import main as cli_main
 
@@ -106,7 +106,7 @@ def test_criterion_04_additive_classification():
         strict = []
         for p, mac, group in adders:
             t0 = perf_counter()
-            cls = classify_additive_gain(mac, group, 1)
+            cls = classify_additive_gain(mac, group)[0]
             elapsed = perf_counter() - t0
             assert cls.condition1 is False, f"p={p}"
             assert cls.condition2 is False, f"p={p}"
@@ -114,7 +114,7 @@ def test_criterion_04_additive_classification():
             assert elapsed < 2.0
             strict.append((p, mac, group))
         for p, mac, group in edge:
-            cls = classify_additive_gain(mac, group, 1)
+            cls = classify_additive_gain(mac, group)[0]
             if p == 1.0:
                 assert cls.condition1 is True
             else:
@@ -122,7 +122,7 @@ def test_criterion_04_additive_classification():
             assert cls.conclusion == "equal"
         for q, mac, group in bscs:
             t0 = perf_counter()
-            cls = classify_additive_gain(mac, group, 1)
+            cls = classify_additive_gain(mac, group)[0]
             assert cls.condition1 is True, f"q={q}"
             assert cls.conclusion == "equal"
             assert perf_counter() - t0 < 2.0
@@ -132,9 +132,9 @@ def test_criterion_05_strict_cases_satisfy_gain_condition():
     with criterion("05", "every strict instance passes the gain condition"):
         adders, _, _ = _classify_family()
         for p, mac, group in adders:
-            cls = classify_additive_gain(mac, group, 1)
+            cls = classify_additive_gain(mac, group)[0]
             assert cls.conclusion == "strictly_greater"
-            rep = gain_sufficient_condition(mac, 1)
+            rep = gain_sufficient_condition(single_rate_capacity(mac, 1))
             assert rep.holds is True, f"p={p}"
 
 
@@ -142,9 +142,9 @@ def test_criterion_06a_cf_curve_rates():
     with criterion("06a", "relay curve starts at capacity and climbs"):
         t0 = perf_counter()
         mac = catalog.erasure_adder_mac(0.5)
-        gain = gain_sufficient_condition(mac, 1)
+        gain = gain_sufficient_condition(single_rate_capacity(mac, 1))
         p_star, xk_star, xbar_k = gain.witness
-        curve = compress_forward_curve(mac, 1, xk_star, xbar_k, p_star,
+        curve = compress_forward_curve(partner_channels(mac, 1), xk_star, xbar_k, p_star,
                                        [0.0, 0.02, 0.05])
         assert abs(curve.rates[0] - 0.5) <= 1e-8
         assert curve.rates[1] > 0.5
@@ -156,10 +156,10 @@ def test_criterion_06b_cf_curve_derivative():
     with criterion("06b", "analytic slope at zero vs centered difference"):
         t0 = perf_counter()
         mac = catalog.erasure_adder_mac(0.5)
-        gain = gain_sufficient_condition(mac, 1)
+        gain = gain_sufficient_condition(single_rate_capacity(mac, 1))
         p_star, xk_star, xbar_k = gain.witness
         h = 1e-4
-        curve = compress_forward_curve(mac, 1, xk_star, xbar_k, p_star,
+        curve = compress_forward_curve(partner_channels(mac, 1), xk_star, xbar_k, p_star,
                                        [0.0, h, 2 * h])
         fd = (curve.rates[2] - curve.rates[0]) / (2 * h)
         assert perf_counter() - t0 < 2.0

@@ -2,21 +2,23 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
+from macfeedback import (InputError, JointDist, Mac, binary_entropy,
                          classify_additive_gain, compress_forward_curve,
                          conditional_entropy, conditional_mi, cutset_single_rate,
                          erasure_scaling_check, gain_sufficient_condition,
-                         independent_copy_joint, kl_divergence, load_channel,
+                         independent_copy_joint, load_channel,
                          maximize_joint_mi, mutual_information, partner_channels,
                          save_channel, single_rate_capacity)
 from macfeedback import catalog, checkers
 from macfeedback.channel import two_look_channel, two_look_rows
+from macfeedback.infotheory import kl_divergence_vec
 from macfeedback.cli import main
 
 from _gen import cyclic_group, random_mac
@@ -73,7 +75,7 @@ class TestSingleRateCapacity:
 
 class TestGainSufficientCondition:
     def test_erasure_adder_holds(self):
-        rep = gain_sufficient_condition(catalog.erasure_adder_mac(0.5), 1)
+        rep = gain_sufficient_condition(single_rate_capacity(catalog.erasure_adder_mac(0.5), 1))
         assert rep.holds
         p_star, xk_star, xbar = rep.witness
         assert {xk_star, xbar} == {"0", "1"}
@@ -82,11 +84,12 @@ class TestGainSufficientCondition:
 
     def test_erasure_adder_family_holds(self):
         for p in (0.1, 0.3, 0.7, 0.9):
-            rep = gain_sufficient_condition(catalog.erasure_adder_mac(p), 1)
+            rep = gain_sufficient_condition(single_rate_capacity(catalog.erasure_adder_mac(p), 1))
             assert rep.holds, f"expected a strict gain at p={p}"
 
     def test_binary_symmetric_fails(self):
-        rep = gain_sufficient_condition(catalog.binary_symmetric_mac(0.11), 1)
+        rep = gain_sufficient_condition(
+            single_rate_capacity(catalog.binary_symmetric_mac(0.11), 1))
         assert not rep.holds
         assert not rep.degenerate_denominator
         assert rep.note == "representative maximizers only"
@@ -94,19 +97,19 @@ class TestGainSufficientCondition:
     def test_noiseless_adder_degenerate(self):
         # Deterministic output: the second look never differs from the
         # first, every pair is skipped on a vanishing denominator.
-        rep = gain_sufficient_condition(catalog.erasure_adder_mac(0.0), 1)
+        rep = gain_sufficient_condition(single_rate_capacity(catalog.erasure_adder_mac(0.0), 1))
         assert not rep.holds
         assert rep.degenerate_denominator
         assert all(p.skipped_degenerate for p in rep.pairs)
 
     def test_pairs_logged(self):
-        rep = gain_sufficient_condition(catalog.binary_symmetric_mac(0.2), 1)
+        rep = gain_sufficient_condition(single_rate_capacity(catalog.binary_symmetric_mac(0.2), 1))
         assert len(rep.pairs) == 4  # both tied partners times both alternatives
 
     def test_report_serializes(self):
         import json
 
-        rep = gain_sufficient_condition(catalog.erasure_adder_mac(0.5), 1)
+        rep = gain_sufficient_condition(single_rate_capacity(catalog.erasure_adder_mac(0.5), 1))
         text = json.dumps(rep.to_dict())
         assert '"holds": true' in text
         assert '"inf"' in text  # infinite divergence stays strict JSON
@@ -114,14 +117,14 @@ class TestGainSufficientCondition:
 
 class TestCompressForwardCurve:
     def _witness(self, mac, user=1):
-        rep = gain_sufficient_condition(mac, user)
+        rep = gain_sufficient_condition(single_rate_capacity(mac, user))
         assert rep.witness is not None
         return rep.witness
 
     def test_starts_at_single_rate(self):
         mac = catalog.erasure_adder_mac(0.5)
         p_star, xk, xbar = self._witness(mac)
-        curve = compress_forward_curve(mac, 1, xk, xbar, p_star, [0.0, 0.01])
+        curve = compress_forward_curve(partner_channels(mac, 1), xk, xbar, p_star, [0.0, 0.01])
         sr = single_rate_capacity(mac, 1)
         assert curve.rates[0] == pytest.approx(sr.value, abs=1e-8)
         assert curve.b_values[0] == 0.0
@@ -129,14 +132,15 @@ class TestCompressForwardCurve:
     def test_strictly_above_capacity_for_small_a(self):
         mac = catalog.erasure_adder_mac(0.5)
         p_star, xk, xbar = self._witness(mac)
-        curve = compress_forward_curve(mac, 1, xk, xbar, p_star, [0.0, 0.02, 0.05])
+        curve = compress_forward_curve(partner_channels(mac, 1), xk, xbar, p_star,
+                                       [0.0, 0.02, 0.05])
         assert curve.rates[1] > 0.5
         assert curve.rates[2] > 0.5
 
     def test_fully_erased_flat_zero(self):
         mac = catalog.erasure_adder_mac(1.0)
         sr = single_rate_capacity(mac, 1)
-        curve = compress_forward_curve(mac, 1, sr.xk_star, "1", sr.p_star,
+        curve = compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star,
                                        [0.0, 0.1, 0.5, 1.0])
         assert max(curve.rates) == 0.0
         assert all(curve.flagged)
@@ -144,7 +148,7 @@ class TestCompressForwardCurve:
     def test_noiseless_derivative_nan(self):
         mac = catalog.erasure_adder_mac(0.0)
         sr = single_rate_capacity(mac, 1)
-        curve = compress_forward_curve(mac, 1, sr.xk_star, "1", sr.p_star, [0.0, 0.1])
+        curve = compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.0, 0.1])
         assert math.isnan(curve.derivative_at_zero)
 
     def test_derivative_matches_finite_difference(self):
@@ -154,7 +158,7 @@ class TestCompressForwardCurve:
         sr = single_rate_capacity(mac, 1)
         h = 1e-4
         for xbar in ("0", "1"):
-            curve = compress_forward_curve(mac, 1, sr.xk_star, xbar, sr.p_star,
+            curve = compress_forward_curve(sr.channels, sr.xk_star, xbar, sr.p_star,
                                            [0.0, h, 2 * h])
             fd = (curve.rates[2] - curve.rates[0]) / (2 * h)
             assert math.isfinite(curve.derivative_at_zero)
@@ -163,7 +167,8 @@ class TestCompressForwardCurve:
     def test_infinite_derivative_on_support_mismatch(self):
         mac = catalog.erasure_adder_mac(0.5)
         p_star, xk, xbar = self._witness(mac)
-        curve = compress_forward_curve(mac, 1, xk, xbar, p_star, [0.0, 1e-4, 2e-4])
+        curve = compress_forward_curve(partner_channels(mac, 1), xk, xbar, p_star,
+                                       [0.0, 1e-4, 2e-4])
         assert curve.derivative_at_zero == math.inf
         # The curve itself climbs steeply but finitely.
         fd = (curve.rates[2] - curve.rates[0]) / 2e-4
@@ -179,7 +184,7 @@ class TestCompressForwardCurve:
                 pmf[i, j, 1 - j] = 0.1
         mac = Mac(("0", "1"), ("0", "1"), ("0", "1"), pmf)
         sr = single_rate_capacity(mac, 1)
-        curve = compress_forward_curve(mac, 1, sr.xk_star, "1", sr.p_star, [0.0, 0.5])
+        curve = compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.0, 0.5])
         assert curve.b_values[1] == 1.0
         assert curve.rates[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -187,16 +192,16 @@ class TestCompressForwardCurve:
         mac = catalog.erasure_adder_mac(0.5)
         sr = single_rate_capacity(mac, 1)
         with pytest.raises(InputError):
-            compress_forward_curve(mac, 1, sr.xk_star, "1", sr.p_star, [0.1, 0.2])
+            compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.1, 0.2])
         with pytest.raises(InputError):
-            compress_forward_curve(mac, 1, sr.xk_star, "1", sr.p_star, [0.0, 1.5])
+            compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.0, 1.5])
         with pytest.raises(InputError):
-            compress_forward_curve(mac, 1, sr.xk_star, "1", sr.p_star, [0.2, 0.0])
+            compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.2, 0.0])
 
     def test_csv_export(self):
         mac = catalog.erasure_adder_mac(0.5)
         p_star, xk, xbar = self._witness(mac)
-        curve = compress_forward_curve(mac, 1, xk, xbar, p_star, [0.0, 0.05])
+        curve = compress_forward_curve(partner_channels(mac, 1), xk, xbar, p_star, [0.0, 0.05])
         lines = curve.to_csv().splitlines()
         assert lines[0] == "a,rate,b,flagged"
         assert len(lines) == 3
@@ -217,11 +222,11 @@ class TestCompressForwardCurve:
         for mac in macs:
             sr = single_rate_capacity(mac, user)
             for xbar in sr.inputs:
-                curve = compress_forward_curve(mac, user, sr.xk_star, xbar, sr.p_star, grid)
+                curve = compress_forward_curve(sr.channels, sr.xk_star, xbar, sr.p_star, grid)
                 for a, b, rate, flagged in zip(grid, curve.b_values, curve.rates,
                                                curve.flagged):
                     again = checkers.compress_forward_rate(
-                        mac, user, sr.xk_star, xbar, sr.p_star, a, b)
+                        partner_channels(mac, user), sr.xk_star, xbar, sr.p_star, a, b)
                     assert rate == pytest.approx(again, abs=1e-12)
                     j, k, joint = _cf_joint(mac, user, sr.xk_star, xbar, sr.p_star, a)
                     h_yp = conditional_entropy(joint, "y'", (k, "y"))
@@ -246,9 +251,8 @@ class TestCompressForwardCurve:
                         star, checkers._symbol_terms(channels[xbar], p.probs))
                     j, k, at_star = _cf_joint(mac, user, sr.xk_star, xbar, p, 0.0)
                     _, _, at_bar = _cf_joint(mac, user, sr.xk_star, xbar, p, 1.0)
-                    y = mac.y_alphabet
-                    div = kl_divergence(Pmf(y, at_bar.marginal_table("y")),
-                                        Pmf(y, at_star.marginal_table("y")))
+                    div = kl_divergence_vec(at_bar.marginal_table("y"),
+                                            at_star.marginal_table("y"))
                     factor = 1.0 - (conditional_entropy(at_star, "y", (j, k))
                                     / conditional_entropy(at_star, "y'", (k, "y")))
                     lhs = conditional_mi(at_bar, j, "y", k) + div * factor
@@ -279,28 +283,28 @@ class TestErasureScaling:
 class TestAdditiveClassification:
     def test_half_erased_adder_strict(self):
         cls = classify_additive_gain(catalog.erasure_adder_mac(0.3),
-                                     catalog.erasure_adder_group(), 1)
+                                     catalog.erasure_adder_group())[0]
         assert not cls.condition1 and not cls.condition2
         assert cls.conclusion == "strictly_greater"
         assert cls.gain_report is not None and cls.gain_report.holds
 
     def test_noiseless_adder_condition2(self):
         cls = classify_additive_gain(catalog.erasure_adder_mac(0.0),
-                                     catalog.erasure_adder_group(), 1)
+                                     catalog.erasure_adder_group())[0]
         assert not cls.condition1
         assert cls.condition2
         assert cls.conclusion == "equal"
 
     def test_fully_erased_both_conditions(self):
         cls = classify_additive_gain(catalog.erasure_adder_mac(1.0),
-                                     catalog.erasure_adder_group(), 1)
+                                     catalog.erasure_adder_group())[0]
         assert cls.condition1 and cls.condition2
         assert cls.conclusion == "equal"
 
     def test_binary_symmetric_condition1(self):
         for q in (0.0, 0.11, 0.5):
             cls = classify_additive_gain(catalog.binary_symmetric_mac(q),
-                                         catalog.binary_symmetric_group(), 1)
+                                         catalog.binary_symmetric_group())[0]
             assert cls.condition1
             assert cls.conclusion == "equal"
             assert cls.joint_mi == pytest.approx(1 - binary_entropy(q), abs=1e-6)
@@ -309,7 +313,7 @@ class TestAdditiveClassification:
         rng = np.random.default_rng(3)
         mac = random_mac(rng, ny=2)
         with pytest.raises(InputError):
-            classify_additive_gain(mac, catalog.binary_symmetric_group(), 1)
+            classify_additive_gain(mac, catalog.binary_symmetric_group())
 
     def test_class_count_gives_capacity(self):
         # When the partition condition holds, the one-user capacity is
@@ -331,14 +335,14 @@ class TestAdditiveClassification:
             labels = tuple(str(i) for i in range(n))
             cases.append((Mac(labels, labels, labels, pmf), g))
         for mac, g in cases:
-            cls = classify_additive_gain(mac, g, 1)
+            cls = classify_additive_gain(mac, g)[0]
             assert cls.condition2
             assert cls.single_rate == pytest.approx(
                 math.log2(cls.partition.m) if cls.partition.m > 1 else 0.0, abs=1e-8)
 
     def test_condition1_tolerance_uses_tight_capacities(self):
         cls = classify_additive_gain(catalog.binary_symmetric_mac(0.11),
-                                     catalog.binary_symmetric_group(), 2)
+                                     catalog.binary_symmetric_group())[1]
         assert abs(cls.joint_mi - cls.single_rate) < 1e-7
 
 
@@ -367,7 +371,7 @@ class TestAdditiveClassifyCertificates:
         monkeypatch.setattr(checkers, target, self.widened(getattr(checkers, target), 1e-3))
         mac, group = catalog.erasure_adder_mac(0.5), catalog.erasure_adder_group()
         with pytest.raises(RuntimeError, match="cannot classify") as info:
-            classify_additive_gain(mac, group, 1)
+            classify_additive_gain(mac, group)
         message = str(info.value)
         assert "(joint input)" in message and "(single rate)" in message
         assert "0.001" in message
@@ -377,7 +381,7 @@ class TestAdditiveClassifyCertificates:
         monkeypatch.setattr(checkers, "maximize_joint_mi",
                             self.widened(checkers.maximize_joint_mi, 5e-10))
         mac, group = catalog.erasure_adder_mac(0.5), catalog.erasure_adder_group()
-        assert classify_additive_gain(mac, group, 1).conclusion == "strictly_greater"
+        assert classify_additive_gain(mac, group)[0].conclusion == "strictly_greater"
 
     def test_cli_reports_the_refusal(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(checkers, "maximize_joint_mi",
@@ -416,48 +420,57 @@ class TestOneSolvePerPartnerSymbol:
 
     def test_gain_condition(self, solves):
         mac = catalog.erasure_adder_mac(0.5)
-        rep = gain_sufficient_condition(mac, 1)
+        rep = gain_sufficient_condition(single_rate_capacity(mac, 1))
         assert rep.holds
         assert len(solves) == len(mac.x2_alphabet)
 
     def test_additive_classify(self, solves):
+        # One solve per partner symbol of each user: |X2| for user 1, |X1| for user 2.
         mac = catalog.erasure_adder_mac(0.5)
-        cls = classify_additive_gain(mac, catalog.erasure_adder_group(), 1)
-        assert cls.conclusion == "strictly_greater"
-        assert len(solves) == len(mac.x2_alphabet)
+        classifications = classify_additive_gain(mac, catalog.erasure_adder_group())
+        assert [cls.conclusion for cls in classifications] == ["strictly_greater"] * 2
+        assert len(solves) == len(mac.x2_alphabet) + len(mac.x1_alphabet)
 
-    def test_gain_condition_builds_partner_channels_once(self, monkeypatch):
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The arguments of every partner_channels call, at every module binding it."""
         calls = []
-        real = checkers.partner_channels
+        real = partner_channels
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(checkers, "partner_channels", counting)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "macfeedback"
+                    and getattr(module, "partner_channels", None) is real):
+                monkeypatch.setattr(module, "partner_channels", counting)
+        return calls
+
+    def test_gain_condition_builds_partner_channels_once(self, builds):
         for mac in (catalog.erasure_adder_mac(0.5), catalog.binary_symmetric_mac(0.11)):
-            calls.clear()
-            gain_sufficient_condition(mac, 1)
-            assert len(calls) == 1
+            builds.clear()
+            gain_sufficient_condition(single_rate_capacity(mac, 1))
+            assert len(builds) == 1
 
     @pytest.mark.parametrize("name, flags", [
         ("erasure_adder_p050.json", []),
         ("erasure_adder_p050.json", ["--verify"]),
         ("adder.json", ["--xk-star", "0", "--xbar-k", "1", "--verify"])])
-    def test_cfcurve_builds_partner_channels_once(self, monkeypatch, capsys, name, flags):
+    def test_cfcurve_builds_partner_channels_once(self, builds, capsys, name, flags):
         # The curve and every --verify re-evaluation read the channels
         # single_rate_capacity built.
-        calls = []
-        real = checkers.partner_channels
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(checkers, "partner_channels", counting)
         assert main(["cfcurve", "--channel", str(self.CHANNELS / name), *flags]) == 0
         capsys.readouterr()
-        assert len(calls) == 1
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--verify"]])
+    def test_singlerate_builds_partner_channels_once_per_user(self, builds, capsys, flags):
+        # --verify re-evaluates each witness on the channel single_rate_capacity solved.
+        path = self.CHANNELS / "erasure_adder_p050.json"
+        assert main(["singlerate", "--channel", str(path), *flags]) == 0
+        capsys.readouterr()
+        assert [args[1] for args in builds] == [1, 2]
 
     def test_two_look_rows_are_the_channel_rows(self):
         # The gain terms read the two-look rows without building the channel.
@@ -472,7 +485,7 @@ class TestOneSolvePerPartnerSymbol:
         path = self.CHANNELS / "binary_symmetric_q050.json"
         mac = load_channel(path)
         # No witness on this channel, so cfcurve takes the single-rate fallback.
-        assert gain_sufficient_condition(mac, 1).witness is None
+        assert gain_sufficient_condition(single_rate_capacity(mac, 1)).witness is None
         solves.clear()
         assert main(["cfcurve", "--channel", str(path)]) == 0
         assert capsys.readouterr().out.startswith("a,rate,b,flagged\n")

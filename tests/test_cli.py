@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism, verification."""
 
+import ast
 import dataclasses
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +314,10 @@ class TestCfCurve:
         ("0:0.5:0.05", [round(k * 0.05, 12) for k in range(11)]),
         ("0:1:0.6", [0.0, 0.6]),
         ("0:0.16:0.1", [0.0, 0.1]),
+        # Rounded to 12 digits, the next point would pass stop: 0.5000000001
+        # and 1.0000000002 are dropped.
+        ("0:0.5:0.1666666667", [0.0, 0.1666666667, 0.3333333334]),
+        ("0:1:0.3333333334", [0.0, 0.3333333334, 0.6666666668]),
     ])
     def test_grid_ends_at_last_point_not_past_stop(self, capsys, adder_file, grid, want):
         code, out, _ = run_cli(capsys, "cfcurve", "--channel", adder_file, "--a-grid", grid)
@@ -338,7 +344,7 @@ class TestCfCurve:
         assert code == 0
 
     def test_verify_catches_tampered_rate(self, capsys, adder_file, monkeypatch):
-        real = cli._cf_curve
+        real = cli.compress_forward_curve
 
         def tampered(*args, **kwargs):
             curve = real(*args, **kwargs)
@@ -346,7 +352,7 @@ class TestCfCurve:
             rates[3] += 1e-6
             return dataclasses.replace(curve, rates=tuple(rates))
 
-        monkeypatch.setattr(cli, "_cf_curve", tampered)
+        monkeypatch.setattr(cli, "compress_forward_curve", tampered)
         code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file, "--verify")
         assert code == 1
         assert json.loads(err)["error"] == "VerificationError"
@@ -544,9 +550,8 @@ class TestAdditiveClassifyShared:
         assert code == 0 and err == ""
         assert counts == {"maximize_joint_mi": 1, "verify_additive": 1}
         doc = json.loads(out)
-        for user in (1, 2):
-            want = classify_additive_gain(mac, group, user).to_dict()
-            assert doc[f"user{user}"] == json.loads(json.dumps(want))
+        for cls in classify_additive_gain(mac, group):
+            assert doc[f"user{cls.user}"] == json.loads(json.dumps(cls.to_dict()))
 
     def test_non_additive_exits_two(self, capsys, tmp_path, counts):
         path = tmp_path / "ch.json"
@@ -567,3 +572,13 @@ def test_console_entry_point_smoke(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["user1"]["value"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_cli_imports_no_private_name():
+    # The CLI reaches every analysis through the library's public functions.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("macfeedback"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

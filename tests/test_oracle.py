@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from macfeedback import (ConditionalPmf, GridSpec, InputError, RatePair, blahut_arimoto,
-                         brute_force_condition2, channel_given_sum,
-                         cl_grid_gap_bound, cover_leung_frontier,
-                         equivalence_classes, grid_capacity, grid_cl_point,
-                         induced_channel, single_rate_capacity)
+                         brute_force_condition2, channel_given_sum, cover_leung_frontier,
+                         cutset_sum_rate, equivalence_classes, grid_capacity,
+                         grid_cl_point, induced_channel, single_rate_capacity)
 from macfeedback import catalog, oracle
 from macfeedback._util import lattice_points
 from macfeedback.regions import batch_pentagon, pentagon_corners
@@ -81,8 +80,12 @@ class TestGridClPoint:
         oracle_value = rp.r1 + rp.r2
         f = cover_leung_frontier(mac, weights=[(1.0, 1.0)], restarts=8, seed=0)
         opt_value = f.points[0].value
-        gap = cl_grid_gap_bound(mac, (1.0, 1.0), grid, u_card=2)
-        assert abs(oracle_value - opt_value) <= gap
+        # Both are sum rates of feasible Cover-Leung inputs at weight (1, 1),
+        # so neither can pass the cut-set sum rate (log2 3 on the adder).
+        cutset = cutset_sum_rate(mac)
+        assert cutset == pytest.approx(math.log2(3), abs=1e-9)
+        assert oracle_value <= cutset + 1e-9
+        assert opt_value <= cutset + 1e-9
         # The ascent should not fall behind an N=16 lattice by more than
         # optimizer noise.
         assert opt_value >= oracle_value - 5e-3

@@ -16,9 +16,9 @@ each cross-checked by brute-force oracles on small instances. All rates
 and information quantities are in bits.
 """
 
-from .channel import (ConditionalPmf, ErasureSpec, JointDist, Mac, Pmf,
-                      erasure_extend, independent_copy_joint, induced_channel,
-                      partner_channels, two_look_channel, validate_mac)
+from .channel import (ConditionalPmf, JointDist, Mac, Pmf, erasure_extend,
+                      independent_copy_joint, induced_channel, partner_channels,
+                      two_look_channel)
 from .channel_io import ChannelFile, load_channel, load_channel_file, save_channel
 from .errors import ChannelFormatError, InputError
 from .infotheory import (binary_entropy, conditional_entropy, conditional_mi,
@@ -41,7 +41,7 @@ from . import catalog
 __all__ = [
     "AdditiveClassification", "AdditivityReport", "CFCurve", "CLInput",
     "ChannelFile", "ChannelFormatError", "ConditionalPmf", "EquivClassPartition",
-    "ErasureSpec", "GainConditionReport", "GridSpec", "GroupSpec", "InputError",
+    "GainConditionReport", "GridSpec", "GroupSpec", "InputError",
     "JointDist", "Mac", "OptResult", "Pmf", "RatePair", "RegionFrontier",
     "ScalingReport", "SingleRateResult", "binary_entropy", "blahut_arimoto",
     "brute_force_condition2", "catalog", "channel_given_sum",
@@ -54,6 +54,5 @@ __all__ = [
     "induced_channel", "joint_entropy", "load_channel",
     "load_channel_file", "max_support_input", "maximize_joint_mi",
     "mutual_information", "partner_channels", "rows_are_permutations",
-    "save_channel", "single_rate_capacity", "two_look_channel", "validate_mac",
-    "verify_additive",
+    "save_channel", "single_rate_capacity", "two_look_channel", "verify_additive",
 ]

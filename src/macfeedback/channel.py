@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_table, clamp_tiny, freeze, table_faults
+from ._util import check_table, clamp_tiny, freeze, fresh_symbol
 from .errors import InputError
 
 
@@ -111,11 +111,11 @@ class ConditionalPmf:
 class Mac:
     """A two-transmitter channel ``p(y | x1, x2)`` on finite alphabets.
 
-    The tensor is indexed ``pmf[x1][x2][y]``. Construction checks shapes
-    and label uniqueness only; probabilistic validity is reported by
-    :func:`validate_mac` so that malformed tensors can be diagnosed rather
-    than rejected opaquely. Every other operation in the package assumes a
-    Mac with an empty validation report.
+    The tensor is indexed ``pmf[x1][x2][y]``. Construction checks the
+    labels, the shape and that every ``(x1, x2)`` slice is a distribution
+    (entries in [0, 1], sum within 1e-9 of 1), raising an InputError that
+    names the first faulty index. The tensor is stored as given, with
+    magnitudes below 1e-15 set to 0, not rescaled.
 
     Feedback variants (no feedback, perfect feedback, one or two
     independent feedback looks) are parameters of the analyses, not state
@@ -138,8 +138,7 @@ class Mac:
                 f"Mac: pmf shape {pmf.shape} does not match alphabets "
                 f"({len(a1)}, {len(a2)}, {len(ay)})"
             )
-        if not np.isfinite(pmf).all():
-            check_table(pmf, "Mac")  # reports the first non-finite entry
+        check_table(pmf, "Mac", sum_axes=2)
         object.__setattr__(self, "x1_alphabet", a1)
         object.__setattr__(self, "x2_alphabet", a2)
         object.__setattr__(self, "y_alphabet", ay)
@@ -192,28 +191,6 @@ class JointDist:
         kept_sorted = sorted(keep)
         perm = [kept_sorted.index(k) for k in keep]
         return t.transpose(perm) if perm != sorted(perm) else t
-
-
-def validate_mac(mac: Mac) -> list[str]:
-    """Check the probabilistic invariants of a Mac and report violations.
-
-    Returns an empty list when for every input pair the output slice is a
-    distribution: entries in [0, 1] and sum within 1e-9 of 1. Each
-    violation message names the offending ``(x1, x2)`` slice and the
-    residual, so this doubles as a lint for hand-written channel files.
-    """
-    a1, a2, ay = mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet
-    report: list[str] = []
-    for kind, idx, v in table_faults(mac.pmf, sum_axes=2):
-        if kind == "sum":
-            i, j = idx
-            report.append(f"row (x1={a1[i]!r}, x2={a2[j]!r}) sums to {v!r}, "
-                          f"residual {v - 1.0:.6g}")
-        else:
-            i, j, k = idx
-            what = "negative mass" if kind == "negative" else "mass above 1"
-            report.append(f"{what}: pmf[{a1[i]!r}][{a2[j]!r}][{ay[k]!r}] = {v!r}")
-    return report
 
 
 def partner_channels(mac: Mac, user: int) -> dict[str, ConditionalPmf]:
@@ -303,36 +280,21 @@ def independent_copy_joint(mac: Mac, input_dist: JointDist, copies: int = 1) -> 
     return JointDist(axes, table)
 
 
-@dataclass(frozen=True)
-class ErasureSpec:
-    """Parameters of an output erasure stage appended to a channel."""
-
-    erasure_prob: float
-    erasure_symbol: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.erasure_prob <= 1.0:
-            raise InputError(
-                f"erasure_prob must lie in [0, 1], got {self.erasure_prob!r}"
-            )
-
-
-def erasure_extend(mac: Mac, spec: ErasureSpec) -> Mac:
+def erasure_extend(mac: Mac, p: float) -> Mac:
     """Compose the channel output with an independent erasure stage.
 
     With probability ``1 - p`` the new output equals the old one; with
     probability ``p`` it is the erasure symbol, independently of
-    everything else. The output alphabet grows by the erasure symbol.
+    everything else. The output alphabet grows by the erasure symbol,
+    ``"e"`` or, if the alphabet has it, ``"e"`` with the first free
+    numeric suffix.
     """
-    if spec.erasure_symbol in mac.y_alphabet:
-        raise InputError(
-            f"erasure symbol {spec.erasure_symbol!r} already in the output alphabet"
-        )
-    p = spec.erasure_prob
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"erasure probability must lie in [0, 1], got {p!r}")
     n1, n2, ny = mac.shape
     new = np.zeros((n1, n2, ny + 1))
     new[:, :, :ny] = (1.0 - p) * mac.pmf
     new[:, :, ny] = p
     name = f"{mac.name}+erasure({p:g})" if mac.name else ""
     return Mac(mac.x1_alphabet, mac.x2_alphabet,
-               mac.y_alphabet + (spec.erasure_symbol,), new, name=name)
+               mac.y_alphabet + (fresh_symbol(mac.y_alphabet),), new, name=name)

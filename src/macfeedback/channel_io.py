@@ -6,10 +6,12 @@ A channel file is UTF-8 JSON::
       "pmf": [[[num]]],          // indexed [x1][x2][y]
       "group": { ... } }          // optional additive structure
 
-Probabilities are written with 17 significant digits so that round trips
-preserve them bit-exactly. On load, rows whose sum deviates from 1 by
-less than 1e-9 are renormalized; larger deviations are rejected with a
-message naming the offending path into the document.
+Labels (``x1``, ``x2``, ``y`` and ``group.elements``) are non-empty lists
+of distinct JSON strings; a number, boolean or null label is rejected,
+not converted. Probabilities are written with 17 significant digits so
+that round trips preserve them bit-exactly. On load, rows whose sum
+deviates from 1 by less than 1e-9 are renormalized; larger deviations
+are rejected with a message naming the offending path into the document.
 """
 
 from __future__ import annotations
@@ -35,19 +37,17 @@ class ChannelFile:
     name: str = ""
 
 
-def _parse_alphabet(obj: dict, key: str) -> tuple[str, ...]:
-    if key not in obj:
-        raise ChannelFormatError(f"{key}: missing field")
-    raw = obj[key]
-    if not isinstance(raw, list) or not raw:
-        raise ChannelFormatError(f"{key}: expected a non-empty list of symbols")
-    labels = [str(s) for s in raw]
-    seen = set()
-    for s in labels:
-        if s in seen:
-            raise ChannelFormatError(f"{key}: duplicate symbol {s!r}")
-        seen.add(s)
-    return tuple(labels)
+def _labels(value, path: str) -> tuple[str, ...]:
+    """The labels at ``path``: a non-empty list of distinct JSON strings."""
+    if not isinstance(value, list) or not value:
+        raise ChannelFormatError(f"{path}: expected a non-empty list of string labels")
+    for k, v in enumerate(value):
+        if not isinstance(v, str):
+            raise ChannelFormatError(f"{path}[{k}]: expected a string label, "
+                                     f"got {json.dumps(v)}")
+        if v in value[:k]:
+            raise ChannelFormatError(f"{path}[{k}]: duplicate label {v!r}")
+    return tuple(value)
 
 
 def _json_path(root: str, idx) -> str:
@@ -89,19 +89,6 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
     return out / out.sum(axis=2, keepdims=True)
 
 
-def _check_labels(value) -> int:
-    """The number of group element labels, each a distinct JSON string."""
-    if not isinstance(value, list):
-        raise ChannelFormatError("group.elements: expected a list of string labels")
-    for k, v in enumerate(value):
-        if not isinstance(v, str):
-            raise ChannelFormatError(f"group.elements[{k}]: expected a string label, "
-                                     f"got {json.dumps(v)}")
-        if v in value[:k]:
-            raise ChannelFormatError(f"group.elements[{k}]: duplicate label {v!r}")
-    return len(value)
-
-
 def _check_indices(value, path: str, shape: tuple[int, ...], at: tuple[int, ...] = ()) -> None:
     """Reject anything but nested JSON lists of integers of exactly ``shape``.
 
@@ -132,7 +119,7 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
     for key in ("elements", "cayley", "identity", "embed_x1", "embed_x2", "y_action"):
         if key not in raw:
             raise ChannelFormatError(f"group.{key}: missing field")
-    n = _check_labels(raw["elements"])
+    n = len(_labels(raw["elements"], "group.elements"))
     for key, shape in (("cayley", (n, n)), ("identity", ()), ("embed_x1", (n1,)),
                        ("embed_x2", (n2,)), ("y_action", (ny, n))):
         _check_indices(raw[key], f"group.{key}", shape)
@@ -155,9 +142,10 @@ def load_channel_file(path) -> ChannelFile:
         raise ChannelFormatError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ChannelFormatError(f"{path}: top level must be an object")
-    x1 = _parse_alphabet(obj, "x1")
-    x2 = _parse_alphabet(obj, "x2")
-    y = _parse_alphabet(obj, "y")
+    for key in ("x1", "x2", "y"):
+        if key not in obj:
+            raise ChannelFormatError(f"{key}: missing field")
+    x1, x2, y = (_labels(obj[key], key) for key in ("x1", "x2", "y"))
     pmf = _parse_pmf(obj, len(x1), len(x2), len(y))
     group = _parse_group(obj, len(x1), len(x2), len(y))
     name = str(obj.get("name", ""))

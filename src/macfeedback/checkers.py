@@ -32,16 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits, fresh_symbol
-from .channel import (ConditionalPmf, ErasureSpec, JointDist, Mac, Pmf,
-                      erasure_extend, partner_channels, two_look_rows)
+from ._util import entropy_bits
+from .channel import (ConditionalPmf, JointDist, Mac, Pmf, erasure_extend,
+                      partner_channels, two_look_rows)
 from .errors import InputError
 from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
 from .infotheory import (conditional_entropy, conditional_mi, kl_divergence_vec,
                          mutual_information)
 from .optimize import DEFAULT_TOL, check_tol, max_support_input, maximize_joint_mi
-from .regions import cover_leung_frontier, default_weight_fan
+from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, cover_leung_frontier,
+                      default_weight_fan)
 
 DEGENERATE_EPS = 1e-12
 STRICT_MARGIN = 1e-9
@@ -438,16 +439,14 @@ class ScalingReport:
         }
 
 
-def erasure_scaling_check(mac: Mac, p: float, weights=None, restarts: int = 25,
-                          seed: int = 0, tol: float = DEFAULT_TOL) -> ScalingReport:
+def erasure_scaling_check(mac: Mac, p: float, weights=None,
+                          restarts: int = DEFAULT_RESTARTS, seed: int = DEFAULT_SEED,
+                          tol: float = DEFAULT_TOL) -> ScalingReport:
     """Compare the frontier of the erasure-extended channel to the scaled base."""
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"erasure probability must lie in [0, 1], got {p!r}")
+    extended_mac = erasure_extend(mac, p)
     # Both frontiers read the directions, so a one-shot iterable is listed once.
     weights = default_weight_fan() if weights is None else list(weights)
     base = cover_leung_frontier(mac, weights=weights, restarts=restarts, seed=seed, tol=tol)
-    extended_mac = erasure_extend(
-        mac, ErasureSpec(p, fresh_symbol(mac.y_alphabet)))
     ext = cover_leung_frontier(extended_mac, weights=weights, restarts=restarts,
                                seed=seed, tol=tol)
     rows = []
@@ -500,7 +499,7 @@ class AdditiveClassification:
         }
 
 
-def classify_additive_gain(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL
+def classify_additive_gain(mac: Mac, group: GroupSpec
                            ) -> tuple[AdditiveClassification, AdditiveClassification]:
     """Decide whether independent looks help each user of an additive channel.
 
@@ -508,8 +507,9 @@ def classify_additive_gain(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL
     additivity check, one joint-input solve and one sum channel. Requires
     ``group`` to certify additivity (raises otherwise). ``condition1``
     compares the joint-input bound with the one-user capacity at
-    tolerance ``tol``; both are solved to ``cap_tol``, and a certificate
-    looser than that is refused, as ``condition1`` compares inner ends.
+    tolerance ``CLASSIFY_TOL``; both are solved to ``DEFAULT_TOL``, and a
+    certificate looser than that is refused, as ``condition1`` compares
+    inner ends.
     ``condition2`` evaluates the class partition of the sum channel at the
     full embedded support of the free user (any sub-support partition
     refines this one, and row equality in the coarse classes implies it
@@ -522,17 +522,17 @@ def classify_additive_gain(mac: Mac, group: GroupSpec, tol: float = CLASSIFY_TOL
             "channel is not additive under the given group: "
             + "; ".join(report.violations[:3])
         )
-    cap_tol = min(tol / 100.0, DEFAULT_TOL)
-    joint = maximize_joint_mi(mac, tol=cap_tol)
+    joint = maximize_joint_mi(mac, tol=DEFAULT_TOL)
     sum_channel = channel_given_sum(mac, group)
     out = []
     for user, embed in ((1, group.embed_x1), (2, group.embed_x2)):
-        sr = single_rate_capacity(mac, user, tol=cap_tol)
+        sr = single_rate_capacity(mac, user, tol=DEFAULT_TOL)
         gaps = (joint.upper - joint.value, sr.upper - sr.value)
-        if not max(gaps) <= cap_tol:
+        if not max(gaps) <= DEFAULT_TOL:
             raise RuntimeError(f"cannot classify: certificate gaps {gaps[0]!r} (joint input) and "
-                               f"{gaps[1]!r} (single rate), above the solve tolerance {cap_tol!r}")
-        condition1 = (joint.value - sr.value) <= tol
+                               f"{gaps[1]!r} (single rate), above the solve tolerance "
+                               f"{DEFAULT_TOL!r}")
+        condition1 = (joint.value - sr.value) <= CLASSIFY_TOL
         partition = equivalence_classes(sum_channel,
                                         support=tuple(group.elements[i] for i in embed))
         condition2 = partition.markov_ok

@@ -39,20 +39,19 @@ from .checkers import (classify_additive_gain, compress_forward_curve,
 from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
-from .regions import (batch_pentagon, cover_leung_frontier, cutset_single_rate,
-                      cutset_sum_rate, default_weight_fan, pentagon_corners)
+from .optimize import DEFAULT_TOL
+from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, batch_pentagon, cover_leung_frontier,
+                      cutset_single_rate, cutset_sum_rate, default_weight_fan,
+                      pentagon_corners)
 
 VERIFY_TOL = 1e-9
 MAX_A_POINTS = 100_000
 
-# Defaults of the common numeric flags.
-COMMON_DEFAULTS = {"seed": 0, "tol": 1e-9, "restarts": 25}
-
 # Flags read by more than one subcommand; a parser declares those it reads.
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, default=COMMON_DEFAULTS["seed"]),
-    "--tol": dict(type=float, default=COMMON_DEFAULTS["tol"]),
-    "--restarts": dict(type=int, default=COMMON_DEFAULTS["restarts"]),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
+    "--restarts": dict(type=int, default=DEFAULT_RESTARTS),
     "--weights": dict(default=None, help='e.g. "1:0,1:1,0:1"'),
     "--verify": dict(action="store_true", help="re-evaluate all emitted witnesses"),
     "--csv-out": dict(default=None),

@@ -26,6 +26,7 @@ DEFAULT_MAX_ITER = 10000
 _WARM_STEPS = 4
 _NEWTON_STEPS = 60
 _DEP_TOL = 1e-7
+_FLOOR = 1e-14  # the least mass an input of the support keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +168,8 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
     ``_DEP_TOL``. Newton solves D_x(p) = C on S, sum(p) = 1 (Jacobian
     -W_S diag(1/q) W_S^T / ln 2 bordered by ones), halving steps until I
     does not fall. An input leaves S at zero mass, unless S needs it to
-    reach an output: it shrinks, to no less than 1e-14, which a Pmf keeps.
+    reach an output: it shrinks, to no less than 1e-14, which a Pmf keeps;
+    there, with D_x < I, its condition is D_x <= C and it takes no step.
     When D on S is within tol/8 of I, the largest D off S joins (a
     dependent row by moving mass along the dependence, which empties an
     input of S). Both ends of the result are measured on the full channel
@@ -195,10 +197,12 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
                 p = np.where(np.isin(np.arange(m), S), p, 0.0)
             else:
                 if div[S].max() - value > tol / 8:  # a Newton step on S
-                    W, py = rows[S], p @ rows  # A dp = D - C with sum(dp) = 0
+                    # At the floor (renormalized: below twice it), D_x < I: no equation.
+                    eq, dp = (p[S] > 2 * _FLOOR) | (div[S] >= value), np.zeros(len(S))
+                    W, py = rows[S][eq], p @ rows  # A dp = D - C with sum(dp) = 0
                     A = (W / np.where(py > 0.0, py, np.inf)) @ W.T / LN2
-                    u, v = np.linalg.solve(A, np.stack([div[S], np.ones(len(S))], 1)).T
-                    dp = u - v * u.sum() / v.sum()
+                    u, v = np.linalg.solve(A, np.stack([div[S][eq], np.ones(len(W))], 1)).T
+                    dp[eq] = u - v * u.sum() / v.sum()
                 else:  # the input of largest divergence off S joins
                     x = int(np.where(np.isin(np.arange(m), S), -np.inf, div).argmax())
                     error, c = _solve(rows[S], rows[x])  # a dependence: a step <= 1
@@ -210,7 +214,7 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
                 b, t = int(ratio.argmin()), min(1.0, ratio.min())
                 for _ in range(40):
                     step, new = p[S] + t * dp, p.copy()
-                    new[S] = np.where(step > 0.0, step, np.maximum(1e-4 * p[S], 1e-14))
+                    new[S] = np.where(step > 0.0, step, np.maximum(1e-4 * p[S], _FLOOR))
                     new[S[b]] = 0.0 if t == ratio[b] else new[S[b]]
                     if channel_mi_bits(new / new.sum(), rows) >= value - 1e-12:
                         break

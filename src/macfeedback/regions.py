@@ -61,6 +61,9 @@ from .infotheory import conditional_mi, mutual_information
 from .optimize import DEFAULT_TOL, max_support_input, maximize_joint_mi
 
 RATE_FLOOR = 1e-12
+# Random ascent starts per direction, and the seed they are drawn from.
+DEFAULT_RESTARTS = 25
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,8 +539,8 @@ def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
     return starts
 
 
-def cover_leung_frontier(mac: Mac, weights=None, restarts: int = 25,
-                         u_card: int | None = None, seed: int = 0,
+def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTARTS,
+                         u_card: int | None = None, seed: int = DEFAULT_SEED,
                          tol: float = DEFAULT_TOL,
                          max_iter: int = 120) -> RegionFrontier:
     """Scalarized inner-bound frontier over auxiliary inputs.

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from macfeedback import (ChannelFormatError, ConditionalPmf, ErasureSpec, InputError,
-                         JointDist, Mac, Pmf, erasure_extend, independent_copy_joint,
-                         induced_channel, load_channel, load_channel_file,
-                         partner_channels, save_channel, validate_mac)
+from macfeedback import (ChannelFormatError, ConditionalPmf, InputError, JointDist, Mac,
+                         Pmf, erasure_extend, independent_copy_joint, induced_channel,
+                         load_channel, load_channel_file, partner_channels, save_channel)
 from macfeedback import catalog
 from macfeedback._util import table_faults
 
@@ -56,25 +55,26 @@ class TestPmf:
 
 
 class TestValidateMac:
-    def test_valid_adder_is_clean(self):
-        assert validate_mac(catalog.adder_mac()) == []
+    """A Mac checks that every (x1, x2) slice is a distribution when built."""
 
     def test_row_sum_violation_names_slice(self):
         pmf = catalog.adder_mac().pmf.copy()
         pmf[0, 1] = pmf[0, 1] * 0.9
-        mac = Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
-        report = validate_mac(mac)
-        assert len(report) == 1
-        assert "x1='0'" in report[0] and "x2='1'" in report[0]
-        assert "-0.1" in report[0]
+        with pytest.raises(InputError, match=r"Mac: mass sums to 0\.9\d*, not 1 at index \[0, 1\]"):
+            Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
     def test_negative_entry_reported(self):
         pmf = catalog.adder_mac().pmf.copy()
         pmf[1, 1, 0] = -0.01
         pmf[1, 1, 2] = 1.01
-        mac = Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
-        report = validate_mac(mac)
-        assert any("negative mass" in r for r in report)
+        with pytest.raises(InputError, match=r"Mac: negative mass -0\.01 at index \[1, 1, 0\]"):
+            Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
+
+    def test_doubled_law_rejected(self):
+        # Such a Mac used to pass as additive and get rates from the oracle.
+        mac = catalog.erasure_adder_mac(0.5)
+        with pytest.raises(InputError, match=r"Mac: mass sums to 2\.0, not 1 at index \[0, 0\]"):
+            Mac(mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet, 2 * mac.pmf)
 
 
 class TestTableFaults:
@@ -207,38 +207,41 @@ class TestIndependentCopyJoint:
 class TestErasureExtend:
     def test_p_zero_keeps_law(self):
         mac = catalog.adder_mac()
-        ext = erasure_extend(mac, ErasureSpec(0.0, "e"))
+        ext = erasure_extend(mac, 0.0)
         assert ext.y_alphabet == ("0", "1", "2", "e")
         assert np.abs(ext.pmf[:, :, :3] - mac.pmf).max() == 0.0
         assert ext.pmf[:, :, 3].max() == 0.0
 
     def test_p_one_is_point_mass(self):
-        ext = erasure_extend(catalog.adder_mac(), ErasureSpec(1.0, "e"))
+        ext = erasure_extend(catalog.adder_mac(), 1.0)
         assert np.all(ext.pmf[:, :, 3] == 1.0)
         assert ext.pmf[:, :, :3].max() == 0.0
 
     def test_half_erased_adder_row(self):
-        ext = erasure_extend(catalog.adder_mac(), ErasureSpec(0.5, "e"))
+        ext = erasure_extend(catalog.adder_mac(), 0.5)
         row = ext.pmf[0, 1]
         assert row[ext.y_alphabet.index("1")] == pytest.approx(0.5)
         assert row[ext.y_alphabet.index("e")] == pytest.approx(0.5)
 
-    def test_symbol_collision_rejected(self):
-        with pytest.raises(InputError):
-            erasure_extend(catalog.adder_mac(), ErasureSpec(0.5, "2"))
+    def test_taken_symbol_gets_a_suffix(self):
+        mac = catalog.erasure_adder_mac(0.5)
+        assert mac.y_alphabet[-1] == "e"
+        ext = erasure_extend(mac, 0.25)
+        assert ext.y_alphabet == mac.y_alphabet + ("e2",)
+        assert np.all(ext.pmf[:, :, -1] == 0.25)
 
     def test_p_zero_preserves_downstream_measures(self):
         from macfeedback import cutset_sum_rate, single_rate_capacity
 
         mac = catalog.adder_mac()
-        ext = erasure_extend(mac, ErasureSpec(0.0, "e"))
+        ext = erasure_extend(mac, 0.0)
         assert abs(cutset_sum_rate(ext) - cutset_sum_rate(mac)) < 1e-12
         assert abs(single_rate_capacity(ext, 1).value
                    - single_rate_capacity(mac, 1).value) < 1e-12
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(InputError):
-            ErasureSpec(1.5, "e")
+        with pytest.raises(InputError, match=r"erasure probability must lie in \[0, 1\], got 1\.5"):
+            erasure_extend(catalog.adder_mac(), 1.5)
 
 
 class TestChannelFiles:
@@ -309,7 +312,7 @@ class TestChannelFiles:
         }
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ChannelFormatError, match="duplicate symbol"):
+        with pytest.raises(ChannelFormatError, match=r"y\[1\]: duplicate label 'e'"):
             load_channel(path)
 
     def test_malformed_json_rejected(self, tmp_path):

@@ -279,6 +279,14 @@ class TestErasureScaling:
                                     weights=[(1.0, 1.0)], restarts=8, seed=0)
         assert rep.max_abs_gap < 5e-3
 
+    def test_bad_probability_refused_before_any_frontier(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(checkers, "cover_leung_frontier",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InputError, match=r"erasure probability must lie in \[0, 1\], got 7"):
+            erasure_scaling_check(catalog.adder_mac(), 7)
+        assert calls == []
+
 
 class TestAdditiveClassification:
     def test_half_erased_adder_strict(self):
@@ -377,7 +385,7 @@ class TestAdditiveClassifyCertificates:
         assert "0.001" in message
 
     def test_gap_within_solve_tolerance_passes(self, monkeypatch):
-        # cap_tol is 1e-9 at the default tol; a gap of half of it is certified.
+        # The solve tolerance is DEFAULT_TOL, 1e-9; a gap of half of it is certified.
         monkeypatch.setattr(checkers, "maximize_joint_mi",
                             self.widened(checkers.maximize_joint_mi, 5e-10))
         mac, group = catalog.erasure_adder_mac(0.5), catalog.erasure_adder_group()

@@ -15,6 +15,7 @@ import macfeedback
 from macfeedback import catalog, checkers, classify_additive_gain, regions, save_channel
 from macfeedback import cli
 from macfeedback.cli import main
+from macfeedback.optimize import DEFAULT_TOL
 
 from _gen import random_mac
 
@@ -207,6 +208,22 @@ class TestCheck:
         bad_file = tmp_path / "bad_labels.json"
         bad_file.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "check", analysis, "--channel", str(bad_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == message
+
+    @pytest.mark.parametrize("key,labels,message", [
+        ("x2", [0, 1], "x2[0]: expected a string label, got 0"),
+        ("y", ["0", True, "2"], "y[1]: expected a string label, got true")],
+        ids=["numbers", "bool"])
+    def test_non_string_channel_label_exits_two(self, capsys, tmp_path, groupless_file, key,
+                                                labels, message):
+        # Such labels used to load stringified ('0', 'True'), unlike group labels.
+        with open(groupless_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[key] = labels
+        bad_file = tmp_path / "bad_labels.json"
+        bad_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "singlerate", "--channel", str(bad_file))
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == message
 
@@ -517,7 +534,7 @@ class TestParserReuse:
         assert codes == [0] * 7 + [2] + [0] * 4 + [2, 2, 0]
         # Flags given to one call do not reach the next.
         assert json.loads(shared[0][1])["tol"] == 1e-6
-        assert json.loads(shared[1][1])["tol"] == cli.COMMON_DEFAULTS["tol"]
+        assert json.loads(shared[1][1])["tol"] == DEFAULT_TOL
         assert shared[-1][1].startswith("usage: macfeedback")
 
 

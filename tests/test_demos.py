@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # Demo 02 writes its CSV beside itself, so it is not run here.
-@pytest.mark.parametrize("prefix", ["01", "03", "04"])
+@pytest.mark.parametrize("prefix", ["01", "03", "04", "05", "06"])
 def test_demo_exits_zero(prefix):
     (script,) = (ROOT / "demos").glob(f"{prefix}_*.py")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -364,6 +364,15 @@ class TestKKTCapacity:
             if ba.converged:
                 assert abs(res.value - ba.value) <= tol and abs(res.upper - ba.upper) <= tol
 
+    def test_floored_inputs_certify_without_fallback(self, monkeypatch):
+        # Each channel has an input held at the mass floor with D_x < I; its
+        # KKT condition is D_x <= C, so it takes no Newton equation.
+        monkeypatch.setattr(optimize, "blahut_arimoto", None)  # a fallback raises
+        chans = list(sparse_channels(16, 284))
+        for k in (158, 248, 283):
+            res = optimize._kkt_capacity(chans[k], 1e-9, optimize.DEFAULT_MAX_ITER)
+            assert res.converged and res.value <= res.upper <= res.value + 1e-9
+
     def test_fallback_is_counted(self, monkeypatch):
         # A solve with no certificate within its step budget runs the
         # iteration and reports its steps and its converged flag.

@@ -10,7 +10,7 @@ from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
                          mutual_information, partner_channels,
                          single_rate_capacity, two_look_channel)
-from macfeedback import ErasureSpec, catalog, erasure_extend
+from macfeedback import catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
 from macfeedback import optimize, regions
@@ -129,7 +129,7 @@ class TestPentagonBounds:
         for _ in range(16):
             mac = random_mac(rng, n1=n1, ny=3)
             if erased:
-                mac = erasure_extend(mac, ErasureSpec(0.4, "e"))
+                mac = erasure_extend(mac, 0.4)
             self._check_against_oracle(rng, mac, 3)
 
     @pytest.mark.parametrize("n1,n2,u_card", [(2, 3, 3), (3, 2, 1), (2, 3, 1), (2, 2, 1)])
@@ -322,13 +322,13 @@ class TestFrontier:
 
     def test_erasure_monotonicity(self):
         # More erasure can only shrink every weighted value.
-        from macfeedback import ErasureSpec, erasure_extend
+        from macfeedback import erasure_extend
 
         mac = catalog.adder_mac()
         weights = [(1.0, 1.0), (1.0, 0.0)]
         values = []
         for p in (0.2, 0.6):
-            ext = erasure_extend(mac, ErasureSpec(p, "e"))
+            ext = erasure_extend(mac, p)
             f = cover_leung_frontier(ext, weights=weights, restarts=4, seed=5)
             values.append([pt.value for pt in f.points])
         for lo, hi in zip(values[1], values[0]):
@@ -359,7 +359,7 @@ class TestAscentGradient:
         for trial in range(12):
             mac = random_mac(rng, n1=n1, n2=n2, ny=3)
             if erased:
-                mac = erasure_extend(mac, ErasureSpec(0.3, "e"))
+                mac = erasure_extend(mac, 0.3)
             problem = _AscentProblem(mac, u_card)
             # Inputs nearly fixed by U leave the sum bound slack (first piece
             # of the min); inputs independent of U make it bind (second).
@@ -452,7 +452,7 @@ class TestAscentGradient:
         for trial in range(6):
             mac = random_mac(rng, n1=n1, n2=n2, ny=4)
             if trial % 3 == 2:
-                mac = erasure_extend(mac, ErasureSpec(0.5, "e"))
+                mac = erasure_extend(mac, 0.5)
             problem = _AscentProblem(mac, u_card)
             w1, w2 = rng.uniform(0.1, 1.0, size=2)
             starts = [np.concatenate([rng.dirichlet(np.ones(u_card)),
@@ -587,7 +587,7 @@ class TestPooledAscent:
         if case == "adder17":
             return catalog.adder_mac(), dict(weights=default_weight_fan(17), restarts=25)
         if case == "erased_adder7":
-            mac = erasure_extend(catalog.adder_mac(), ErasureSpec(0.5, "e"))
+            mac = erasure_extend(catalog.adder_mac(), 0.5)
             return mac, dict(weights=default_weight_fan(7), restarts=25, seed=4)
         if case == "bsc17":
             return catalog.binary_symmetric_mac(0.11), dict(weights=default_weight_fan(17))

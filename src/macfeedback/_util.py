@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +32,15 @@ def clamp_tiny(arr) -> np.ndarray:
     out = np.array(arr, dtype=np.float64)
     out[np.abs(out) < ZERO_CLAMP] = 0.0
     return out
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Reject ``value`` unless it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = f"at least {least}" if least else "nonnegative"
+        raise InputError(f"{name} must be {bound}, got {value!r}")
 
 
 def _indices(mask: np.ndarray) -> list[tuple[int, ...]]:

@@ -23,9 +23,12 @@ from .errors import InputError
 
 
 def _check_alphabet(labels, where: str) -> tuple[str, ...]:
-    labels = tuple(str(s) for s in labels)
+    labels = tuple(labels)
     if len(labels) == 0:
         raise InputError(f"{where}: alphabet is empty")
+    for s in labels:
+        if not isinstance(s, str):
+            raise InputError(f"{where}: expected a string label, got {s!r}")
     if len(set(labels)) != len(labels):
         dup = next(s for s in labels if labels.count(s) > 1)
         raise InputError(f"{where}: duplicate symbol {dup!r}")

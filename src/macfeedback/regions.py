@@ -48,12 +48,11 @@ the joint-input sum-rate bound.
 from __future__ import annotations
 
 import io
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _TINY, LN2, project_rows_to_simplex
+from ._util import _TINY, LN2, check_count, project_rows_to_simplex
 from .channel import (ConditionalPmf, JointDist, Mac, Pmf, partner_channels,
                       two_look_channel)
 from .errors import InputError
@@ -565,11 +564,7 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
         u_card = mac.shape[0] * mac.shape[1] + 2
     for name, v, least in (("restarts", restarts, 0), ("seed", seed, 0),
                            ("max_iter", max_iter, 0), ("u_card", u_card, 1)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise InputError(f"{name} must be an integer, got {v!r}")
-        if v < least:
-            bound = "at least 1" if least else "nonnegative"
-            raise InputError(f"{name} must be {bound}, got {v!r}")
+        check_count(name, v, least)
     if weights is None:
         weights = default_weight_fan()
     weights = [(float(w1), float(w2)) for w1, w2 in weights]

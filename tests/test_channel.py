@@ -32,6 +32,10 @@ class TestPmf:
         with pytest.raises(InputError):
             Pmf(("a", "a"), np.array([0.5, 0.5]))
 
+    def test_rejects_non_string_label(self):
+        with pytest.raises(InputError, match="Pmf: expected a string label, got 0"):
+            Pmf((0, "b"), np.array([0.5, 0.5]))
+
     def test_immutable(self):
         p = Pmf.uniform(("a", "b"))
         with pytest.raises(ValueError):
@@ -75,6 +79,32 @@ class TestValidateMac:
         mac = catalog.erasure_adder_mac(0.5)
         with pytest.raises(InputError, match=r"Mac: mass sums to 2\.0, not 1 at index \[0, 0\]"):
             Mac(mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet, 2 * mac.pmf)
+
+
+class TestLabels:
+    """Labels are checked as given: a non-string label is an error, not a string."""
+
+    def test_bool_label_rejected(self):
+        pmf = catalog.adder_mac().pmf
+        with pytest.raises(InputError, match="Mac x1: expected a string label, got True"):
+            Mac(("0", True), ("0", "1"), ("0", "1", "2"), pmf)
+
+    def test_int_and_string_not_merged(self):
+        # str(1) == "1" made these a spurious duplicate symbol.
+        pmf = catalog.adder_mac().pmf
+        with pytest.raises(InputError, match="Mac x2: expected a string label, got 1"):
+            Mac(("0", "1"), (1, "1"), ("0", "1", "2"), pmf)
+
+    def test_every_table_checks_labels(self):
+        rows = np.eye(2)
+        with pytest.raises(InputError, match="ConditionalPmf output: expected a string label"):
+            ConditionalPmf(("a", "b"), ("0", 1.0), rows)
+        with pytest.raises(InputError, match="JointDist axis 'a': expected a string label"):
+            JointDist((("a", (None, "1")), ("b", ("0", "1"))), rows / 2)
+
+    def test_string_labels_kept(self):
+        mac = Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), catalog.adder_mac().pmf)
+        assert mac.x1_alphabet == ("0", "1") and mac.y_alphabet == ("0", "1", "2")
 
 
 class TestTableFaults:

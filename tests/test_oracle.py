@@ -100,25 +100,57 @@ class TestGridClPoint:
         with pytest.raises(InputError):
             grid_cl_point(catalog.adder_mac(), (0.0, 0.0), GridSpec(resolution=8))
 
+    @pytest.mark.parametrize("name,value", [("resolution", 2.5), ("resolution", np.float64(4.0)),
+                                            ("resolution", True), ("resolution", 1),
+                                            ("max_dims", 2.5), ("max_dims", True),
+                                            ("max_dims", 0)])
+    def test_grid_counts_checked(self, name, value):
+        with pytest.raises(InputError, match=name):
+            GridSpec(**{name: value})
 
-def _grid_cl_point_by_row(mac, weight, resolution, u_card):
-    """The lattice frontier sweep with one batch_pentagon call per
-    (p(u), p(x1|u)) lattice row, as it ran before rows were blocked."""
+    def test_numpy_integer_grid_counts_accepted(self):
+        grid = GridSpec(resolution=np.int64(4), max_dims=np.int32(2))
+        assert grid_capacity(ConditionalPmf(("0", "1"), ("0", "1"), np.eye(2)), grid)[0] == 1.0
+
+    @pytest.mark.parametrize("u_card", [True, 1.0, 0, "1"])
+    def test_u_card_must_be_an_integer(self, u_card):
+        with pytest.raises(InputError, match="u_card"):
+            grid_cl_point(catalog.adder_mac(), (1.0, 1.0), GridSpec(resolution=4), u_card=u_card)
+
+
+def _lattice_inputs(mac, resolution, u_card):
+    """Every frontier lattice point as batch_pentagon rows, in lattice order:
+    p(u) slowest, then the p(x1|u) rows, then the p(x2|u) rows."""
     n1, n2, _ = mac.shape
     rows1, rows2 = lattice_points(resolution, n1), lattice_points(resolution, n2)
     px1_all = rows1[np.array(list(product(range(len(rows1)), repeat=u_card)))]
     px2_all = rows2[np.array(list(product(range(len(rows2)), repeat=u_card)))]
-    c2 = len(px2_all)
-    best = (-np.inf, 0.0, 0.0)
-    for pu in lattice_points(resolution, u_card):
-        for px1 in px1_all:
-            b1, b2, bsum = batch_pentagon(mac.pmf, np.broadcast_to(pu, (c2, u_card)),
-                                          np.broadcast_to(px1, (c2, u_card, n1)), px2_all)
-            vals, r1, r2 = pentagon_corners(b1, b2, bsum, *weight)
-            k = int(np.argmax(vals))
-            if vals[k] > best[0]:
-                best = (float(vals[k]), float(r1[k]), float(r2[k]))
-    return RatePair(best[1], best[2])
+    pu = lattice_points(resolution, u_card)
+    c1, c2 = len(px1_all), len(px2_all)
+    return (np.repeat(pu, c1 * c2, axis=0), np.tile(np.repeat(px1_all, c2, axis=0), (len(pu), 1, 1)),
+            np.tile(px2_all, (len(pu) * c1, 1, 1)), c2)
+
+
+def _grid_cl_point_by_row(mac, weight, resolution, u_card):
+    """The lattice frontier sweep with one batch_pentagon call per
+    (p(u), p(x1|u)) lattice row; the first point within 1e-12 of the best
+    value wins."""
+    p_u, p_x1, p_x2, c2 = _lattice_inputs(mac, resolution, u_card)
+    vals, r1, r2 = [], [], []
+    for lo in range(0, len(p_u), c2):
+        rows = slice(lo, lo + c2)
+        v, a, b = pentagon_corners(*batch_pentagon(mac.pmf, p_u[rows], p_x1[rows], p_x2[rows]),
+                                   *weight)
+        vals.append(v), r1.append(a), r2.append(b)
+    vals, r1, r2 = np.concatenate(vals), np.concatenate(r1), np.concatenate(r2)
+    k = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
+    return RatePair(float(r1[k]), float(r2[k]))
+
+
+def _lattice_macs():
+    rng = np.random.default_rng(9)
+    return (catalog.adder_mac(), catalog.binary_symmetric_mac(0.11),
+            catalog.erasure_adder_mac(0.5), random_mac(rng, n1=2, n2=2, ny=3))
 
 
 class TestGridClPointBlocks:
@@ -126,13 +158,37 @@ class TestGridClPointBlocks:
     @pytest.mark.parametrize("u_card", [1, 2])
     @pytest.mark.parametrize("weight", [(1.0, 1.0), (0.7, 0.2)])
     def test_blocks_equal_row_sweep(self, weight, u_card, block_rows, monkeypatch):
-        if block_rows is not None:  # fewer rows than one p(x2|u) sweep
+        if block_rows is not None:  # fewer points than one p(x2|u) sweep
             monkeypatch.setattr(oracle, "_LATTICE_BLOCK_ROWS", block_rows)
-        rng = np.random.default_rng(9)
-        for mac in (catalog.adder_mac(), catalog.binary_symmetric_mac(0.11),
-                    random_mac(rng, n1=2, n2=2, ny=3)):
+            shape = oracle._factored_lattice(catalog.adder_mac().pmf, 6, u_card)[3]
+            assert len(oracle._lattice_blocks(shape, block_rows)) > 1
+        for mac in _lattice_macs():
             got = grid_cl_point(mac, weight, GridSpec(resolution=6), u_card=u_card)
             assert got == _grid_cl_point_by_row(mac, weight, 6, u_card)
+
+    @pytest.mark.parametrize("weight", [(1.0, 1.0), (0.7, 0.2)])
+    def test_u_card_one_at_resolution_10(self, weight):
+        # On the random MAC at (1, 1), batch_pentagon gives the winner other
+        # last bits alone than in a batch of rows.
+        for mac in _lattice_macs():
+            got = grid_cl_point(mac, weight, GridSpec(resolution=10), u_card=1)
+            assert got == _grid_cl_point_by_row(mac, weight, 10, 1)
+
+    @pytest.mark.parametrize("block_rows", [1500, 10])
+    @pytest.mark.parametrize("u_card", [1, 2])
+    def test_factored_bounds_match_batch_pentagon(self, u_card, block_rows):
+        # The per-symbol tables and the batched kernel are independent
+        # derivations of the same three bounds at every lattice point.
+        for mac in _lattice_macs():
+            _, _, _, shape, terms = oracle._factored_lattice(mac.pmf, 6, u_card)
+            got = [np.concatenate(b) for b in zip(*(
+                oracle._block_bounds(terms, block)
+                for block in oracle._lattice_blocks(shape, block_rows)))]
+            p_u, p_x1, p_x2, _ = _lattice_inputs(mac, 6, u_card)
+            want = batch_pentagon(mac.pmf, p_u, p_x1, p_x2)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (math.prod(shape),)
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-13)
 
 
 class TestBruteForceCondition2:

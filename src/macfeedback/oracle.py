@@ -218,10 +218,8 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     lead = blocks[first][:-1] + (blocks[first][-1].start,)
     start = int(np.ravel_multi_index(lead + (0,) * (len(shape) - len(lead)), shape))
     point = np.unravel_index(start + int(np.flatnonzero(vals >= floor)[0]), shape)
-    # Two copies of the point: numpy takes a one-row matrix product as a
-    # vector product, whose last bits can differ from the row's in a batch.
     i1, i2 = list(point[1:1 + u_card]), list(point[1 + u_card:])
-    b1, b2, bsum = batch_pentagon(mac.pmf, pu[[point[0]] * 2], rows1[[i1] * 2], rows2[[i2] * 2])
+    b1, b2, bsum = batch_pentagon(mac.pmf, pu[[point[0]]], rows1[[i1]], rows2[[i2]])
     _, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
     return RatePair(float(r1[0]), float(r2[0]))
 

@@ -36,9 +36,15 @@ ascent: every step moves the first ``_SLOTS`` unfinished rows in start
 order at once. Each row takes the steps it would take alone, so the pool
 changes no result; it pays numpy's fixed per-call cost once per step of
 the fan rather than once per step of every direction, and ``_SLOTS``
-bounds each step's arrays. Ascent may stop at a local optimum; every
-emitted point is nevertheless a certified achievable point because its
-pentagon is re-evaluated exactly from the stored auxiliary input.
+bounds each step's arrays. A direction drops the starts it cannot use:
+the single-user cut-set capacities C1 and C2, the certified upper ends of
+the partner-channel solves that build the structured starts, bound every
+corner value at weight (w1, w2) by w1 C1 + w2 C2, and once a start comes
+within ``_WITNESS_TIE`` of that bound the direction's later starts leave
+the pool (at the axis weights this often happens before the first step).
+Ascent may stop at a local optimum; every emitted point is nevertheless a
+certified achievable point because its pentagon is re-evaluated exactly
+from the stored auxiliary input.
 
 Outer bounds are the cut-set values: per-user bounds that give the free
 user one or two looks at the output depending on the feedback model, and
@@ -169,7 +175,8 @@ def cover_leung_bounds(mac: Mac, q: CLInput) -> tuple[float, float, float]:
 
 
 def default_weight_fan(n: int = 17) -> list[tuple[float, float]]:
-    """n weight directions sweeping from (1, 0) to (0, 1)."""
+    """n weight directions sweeping from (1, 0) to (0, 1); ``n`` is an integer of at least 2."""
+    check_count("n", n, 2)
     return [(1.0 - k / (n - 1), k / (n - 1)) for k in range(n)]
 
 
@@ -186,8 +193,16 @@ def check_weight(w1: float, w2: float) -> None:
 
 
 def _rows_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``a @ m`` over the last axis of ``a``, as one 2-D matrix product."""
-    return (a.reshape(-1, a.shape[-1]) @ m).reshape(*a.shape[:-1], m.shape[1])
+    """``a @ m`` over the last axis of ``a``, as one 2-D matrix product.
+
+    numpy takes a one-row product as a vector product, whose last bits can
+    differ from the same row's in a matrix product, so a lone row is
+    multiplied as a two-row matrix of itself: a row gets the same bits
+    alone or in a batch.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    out = rows @ m if len(rows) > 1 else (np.concatenate([rows, rows]) @ m)[:1]
+    return out.reshape(*a.shape[:-1], m.shape[1])
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
@@ -322,9 +337,13 @@ _IMPROVE_TOL = 1e-11
 # fixed per-call cost.
 _SLOTS = 64
 
-# Ascent values within this of the best count as ties when the witness is
-# picked; the first tied start in start order wins, so last-bit noise in
-# the values cannot flip which witness is printed.
+# A start whose ascent value is at least its direction's outer value
+# w1 C1 + w2 C2 less this is certified: no start can do better by more,
+# so the direction's later starts leave the pool and the witness is the
+# first certified start. With no certified start, values within this of
+# the best count as ties and the first tied start in start order wins.
+# Either way last-bit noise in the values cannot flip which witness is
+# printed.
 _WITNESS_TIE = 1e-12
 
 # Conditional output masses are floored here before taking log2. Mass
@@ -457,25 +476,39 @@ class _AscentProblem:
         ], axis=1)
 
     def ascend(self, theta0: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-               max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
-        """Run one independent ascent per row of ``theta0``, row k at weights
-        ``(w1[k], w2[k])``, stepping at most ``_SLOTS`` rows at once.
+               outer: np.ndarray, max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
+        """Run one independent ascent per start of ``theta0`` (D, S, dim), the
+        S starts of D directions, direction k's at weights ``(w1[k], w2[k])``,
+        stepping at most ``_SLOTS`` starts at once.
 
-        Rows never interact; pooling exists purely to amortize numpy's
-        per-call overhead. A row stops at its first step that does not
+        Starts never interact; pooling exists purely to amortize numpy's
+        per-call overhead. A start stops at its first step that does not
         improve (the next would repeat it bit for bit) or after ``max_iter``
-        steps of its own. Every row's point, value, bounds and step count
-        stay in start order; the rows that step together are the first
-        ``_SLOTS`` live ones, gathered and stepped until one of them stops,
-        then written back and gathered again. The kernels give a row the
-        same bits in any batch, so every row ends exactly where it would
-        alone, and ``_SLOTS`` bounds a step's arrays whatever the number of
-        rows. Returns the final (projected) parameter rows and their
-        objective values, in start order.
+        steps of its own. It also leaves the pool once an earlier start of
+        its direction is certified: its value reaches ``outer[k] -
+        _WITNESS_TIE``, where ``outer[k]`` bounds every corner value at
+        direction k (an infinite or NaN bound certifies nothing). The
+        witness rule of :func:`cover_leung_frontier` never picks a start
+        after the first certified one, so only work it cannot use is
+        dropped.
+
+        Every start's point, value, bounds and step count stay in start
+        order; the starts that step together are the first ``_SLOTS`` live
+        ones, gathered and stepped until one of them stops or a start is
+        newly certified, then written back and gathered again. The kernels
+        give a row the same bits in any batch, so every start that is not
+        dropped ends exactly where it would alone, and ``_SLOTS`` bounds a
+        step's arrays whatever the number of starts. Returns the final
+        (projected) parameter rows (D, S, dim) and their objective values
+        (D, S); a dropped start keeps the point it had reached.
         """
-        n, dim = theta0.shape
+        shape = theta0.shape
+        per_dir, dim = shape[1:]
+        theta0 = theta0.reshape(-1, dim)
+        n = len(theta0)
         ladder = np.asarray(_STEP_LADDER)
-        w = np.stack([w1, w2])
+        w = np.repeat(np.stack([w1, w2]), per_dir, axis=1)
+        floor = np.repeat(np.asarray(outer) - _WITNESS_TIE, per_dir)
         # Projected starts, their values and bounds; each row's latest
         # point overwrites its start.
         theta, best, bounds = np.empty_like(theta0), np.empty(n), np.empty((n, 3))
@@ -483,13 +516,16 @@ class _AscentProblem:
             rows = slice(lo, lo + _SLOTS * ladder.size)
             theta[rows], best[rows], bounds[rows] = self.value(theta0[rows], *w[:, rows])
         steps = np.zeros(n, dtype=np.int64)
-        live = np.full(n, max_iter > 0)
+        certified = best >= floor
+        live = np.full(n, max_iter > 0) & _at_or_before_cut(certified, per_dir)
         while live.any():
             rows = np.flatnonzero(live)[:_SLOTS]
             th, val, bd, st, sw = theta[rows], best[rows], bounds[rows], steps[rows], w[:, rows]
             sw_ladder = np.repeat(sw, ladder.size, axis=1)
+            fl, n_cert = floor[rows], np.count_nonzero(certified[rows])
             stop = np.zeros(rows.size, dtype=bool)
-            while not stop.any():
+            recut = False
+            while not (stop.any() or recut):
                 grads = self.gradient(th, bd, *sw)
                 dirs = grads / np.maximum(np.abs(grads).max(axis=1), 1e-300)[:, None]
                 cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
@@ -505,15 +541,31 @@ class _AscentProblem:
                 del cthetas, cbounds  # not held through the next step's candidates
                 st += 1
                 stop = ~improved | (st >= max_iter)
+                recut = np.count_nonzero(val >= fl) > n_cert
             theta[rows], best[rows], bounds[rows], steps[rows] = th, val, bd, st
             live[rows[stop]] = False
-        return theta, best
+            if recut:
+                certified[rows] = val >= fl
+                live &= _at_or_before_cut(certified, per_dir)
+        return theta.reshape(shape), best.reshape(shape[:2])
 
 
-def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
-    """Deterministic ascent seeds: uniform plus one per constant-partner corner."""
+def _at_or_before_cut(certified: np.ndarray, per_dir: int) -> np.ndarray:
+    """Rows, ``per_dir`` starts per direction, with no certified start before them."""
+    by_dir = certified.reshape(-1, per_dir)
+    return (np.cumsum(by_dir, axis=1) <= by_dir).ravel()
+
+
+def _structured_starts(mac: Mac, u_card: int,
+                       tol: float) -> tuple[np.ndarray, tuple[float, float]]:
+    """Deterministic ascent seeds, as rows: uniform plus one per constant-partner corner.
+
+    Also returns (C1, C2), each user's largest certified capacity ``upper``
+    over its partner's constants: bitwise ``cutset_single_rate(mac, u,
+    "PF", tol)``, from the solves the corner starts already make.
+    """
     n1, n2, _ = mac.shape
-    starts = []
+    starts, uppers = [], []
 
     uniform = np.concatenate([
         np.full(u_card, 1.0 / u_card),
@@ -526,8 +578,11 @@ def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
     # partner's constant, and the partner sends that constant.
     for free in (1, 2):
         channels = partner_channels(mac, free)
+        best = 0.0
         for ch, point in zip(channels.values(), np.eye(len(channels))):
-            rows = (max_support_input(ch, tol=tol).argmax_input.probs, point)
+            solve = max_support_input(ch, tol=tol)
+            best = max(best, solve.upper)
+            rows = (solve.argmax_input.probs, point)
             row1, row2 = rows if free == 1 else rows[::-1]
             theta = uniform.copy()
             theta[:u_card] = 0.0
@@ -535,7 +590,8 @@ def _structured_starts(mac: Mac, u_card: int, tol: float) -> list[np.ndarray]:
             theta[u_card:u_card + n1] = row1
             theta[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
             starts.append(theta)
-    return starts
+        uppers.append(best)
+    return np.array(starts), tuple(uppers)
 
 
 def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTARTS,
@@ -550,7 +606,19 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     rows of the whole fan run as one pooled ascent with per-row weights
     (:meth:`_AscentProblem.ascend`); each row takes the steps it would take
     alone, so a direction's point does not depend on the rest of the fan.
-    Every returned point re-evaluates its pentagon exactly from the stored
+
+    The structured starts' capacity solves also give each user's
+    perfect-feedback cut-set value C1, C2 (:func:`cutset_single_rate`), and
+    w1 C1 + w2 C2 bounds every corner value at weight (w1, w2). A start
+    whose value reaches that bound less ``_WITNESS_TIE`` is certified; the
+    witness is the first certified start, and the direction's later starts
+    stop ascending once one is. Without a certified start the witness is
+    the first start within ``_WITNESS_TIE`` of the direction's best value.
+    Where a start is certified, the two rules can pick differently only
+    when another start's value falls between the two thresholds, a window
+    as wide as the distance from the best value to the bound (under
+    ``_WITNESS_TIE``; rounding-sized where a start attains the bound). Every
+    returned point re-evaluates its pentagon exactly from the stored
     witness, so points are certified achievable regardless of how well the
     ascent did.
 
@@ -574,7 +642,7 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
         check_weight(w1, w2)
     n1, n2, _ = mac.shape
 
-    structured = np.array(_structured_starts(mac, u_card, tol))
+    structured, (c1, c2) = _structured_starts(mac, u_card, tol)
     per_dir = len(structured) + restarts
     # One block of start rows per direction: the structured starts, then
     # the direction's seeded random starts.
@@ -584,16 +652,18 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
         rng = np.random.default_rng(wseed)
         for row in block[len(structured):]:
             row[:] = _random_start(rng, u_card, n1, n2)
-    w1s, w2s = np.repeat(np.array(weights), per_dir, axis=0).T
+    w1s, w2s = np.array(weights).T
+    # r1 <= b1 <= C1 and r2 <= b2 <= C2 bound every corner value.
+    outer = np.array([w1 * c1 + w2 * c2 for w1, w2 in weights])
     problem = _AscentProblem(mac, u_card)
-    thetas, vals = problem.ascend(starts.reshape(-1, starts.shape[2]), w1s, w2s,
-                                  max_iter=max_iter)
+    thetas, vals = problem.ascend(starts, w1s, w2s, outer, max_iter=max_iter)
 
     points = []
-    for (w1, w2), dir_thetas, dir_vals in zip(weights, thetas.reshape(starts.shape),
-                                              vals.reshape(len(weights), per_dir)):
-        first_tied = int(np.flatnonzero(dir_vals >= dir_vals.max() - _WITNESS_TIE)[0])
-        q = _theta_to_clinput(dir_thetas[first_tied], problem, mac)
+    for (w1, w2), o, dir_thetas, dir_vals in zip(weights, outer, thetas, vals):
+        tied = dir_vals >= o - _WITNESS_TIE
+        if not tied.any():
+            tied = dir_vals >= dir_vals.max() - _WITNESS_TIE
+        q = _theta_to_clinput(dir_thetas[int(np.flatnonzero(tied)[0])], problem, mac)
         b1, b2, bsum = cover_leung_bounds(mac, q)
         pt_vals, r1, r2 = pentagon_corners(
             np.array([b1]), np.array([b2]), np.array([bsum]), w1, w2)

@@ -1,6 +1,7 @@
 """Achievable frontier, pentagon bounds and cut-set values."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
                          cover_leung_bounds, cover_leung_frontier,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                         mutual_information, partner_channels,
+                         load_channel, mutual_information, partner_channels,
                          single_rate_capacity, two_look_channel)
 from macfeedback import catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
@@ -165,6 +166,32 @@ class TestShortAxisSums:
         np.testing.assert_array_equal(regions._entropy_y(p), entropy_bits(p, axis=-1))
 
 
+class TestBatchInvariance:
+    """A row's pentagon bounds and ascent gradient have the same bits in any batch."""
+
+    @pytest.mark.parametrize("u_card", [1, 2, 3])
+    @pytest.mark.parametrize("seed,shape", [(21, (2, 2, 3)), (22, (3, 2, 4)), (23, (2, 3, 2))])
+    def test_rows_alone_or_batched(self, seed, shape, u_card):
+        rng = np.random.default_rng(seed)
+        n1, n2, ny = shape
+        mac = random_mac(rng, n1=n1, n2=n2, ny=ny)
+        problem = _AscentProblem(mac, u_card)
+        theta = np.array([regions._random_start(rng, u_card, n1, n2) for _ in range(1500)])
+        w1, w2 = rng.uniform(0.0, 1.0, size=(2, 1500))
+        theta, _, bounds = problem.value(theta, w1, w2)
+        grad = problem.gradient(theta, bounds, w1, w2)
+        np.testing.assert_array_equal(
+            np.stack(batch_pentagon(mac.pmf, *problem.split(theta)), axis=1), bounds)
+        for size in (1, 2, 3, 7, 64):
+            for lo in range(0, 64, size):
+                rows = slice(lo, lo + size)
+                part = np.stack(batch_pentagon(mac.pmf, *problem.split(theta[rows])), axis=1)
+                np.testing.assert_array_equal(part, bounds[rows])
+                np.testing.assert_array_equal(
+                    problem.gradient(theta[rows], bounds[rows], w1[rows], w2[rows]),
+                    grad[rows])
+
+
 class TestFrontier:
     def test_weight_on_user1_matches_single_rate(self):
         mac = catalog.adder_mac()
@@ -219,26 +246,33 @@ class TestFrontier:
                              ids=["adder", "bsc011"])
     def test_witness_is_first_tied_ascent_row(self, mac, monkeypatch):
         # The witness is the first start of its direction, in start order,
-        # within the tie tolerance of the direction's best ascent value,
-        # stored as the ascent left it: only the table constructors' own
-        # normalization comes between.
+        # whose ascent value reaches the direction's outer value less the
+        # tie tolerance (a certified start), or, where no start is
+        # certified, the first within the tie tolerance of the direction's
+        # best ascent value. It is stored as the ascent left it: only the
+        # table constructors' own normalization comes between.
         runs = []
         real = _AscentProblem.ascend
 
-        def recording(self, theta0, w1, w2, max_iter=120):
-            out = real(self, theta0, w1, w2, max_iter=max_iter)
-            runs.append((self, w1, w2, *out))
+        def recording(self, theta0, w1, w2, outer, max_iter=120):
+            out = real(self, theta0, w1, w2, outer, max_iter=max_iter)
+            runs.append((self, w1, w2, outer, *out))
             return out
 
         monkeypatch.setattr(_AscentProblem, "ascend", recording)
         weights = [(1.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.0, 1.0)]
         f = cover_leung_frontier(mac, weights=weights, restarts=4, seed=0)
         witnesses = {pt.weights: pt.witness for pt in f.points}
-        (problem, w1, w2, all_thetas, all_vals), = runs
-        for weight in weights:
-            mine = (w1 == weight[0]) & (w2 == weight[1])
-            thetas, vals = all_thetas[mine], all_vals[mine]
-            pick = np.flatnonzero(vals >= vals.max() - regions._WITNESS_TIE)[0]
+        (problem, w1, w2, outer, all_thetas, all_vals), = runs
+        for weight, ow1, ow2, o, thetas, vals in zip(weights, w1, w2, outer,
+                                                     all_thetas, all_vals):
+            assert (ow1, ow2) == weight
+            tied = vals >= o - regions._WITNESS_TIE
+            # Only the axis directions reach the single-user cut-set value.
+            assert tied.any() == (0.0 in weight)
+            if not tied.any():
+                tied = vals >= vals.max() - regions._WITNESS_TIE
+            pick = np.flatnonzero(tied)[0]
             p_u, p1, p2 = problem.split(thetas[pick][None, :])
             q = witnesses[weight]
             u = q.p_u.alphabet
@@ -254,6 +288,11 @@ class TestFrontier:
                                  restarts=2, seed=0)
         keys = [pt.weights[1] / sum(pt.weights) for pt in f.points]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", [1, True, 2.5, 0, -3])
+    def test_bad_fan_size_rejected(self, n):
+        with pytest.raises(InputError, match="^n must be"):
+            default_weight_fan(n)
 
     def test_bad_weights_rejected(self):
         mac = catalog.adder_mac()
@@ -545,22 +584,30 @@ def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short, stalls=1):
     return theta, best
 
 
+def _uncertified(monkeypatch):
+    """Force every direction's outer value to +inf: no start is certified.
+
+    The users' capacity uppers are patched to +inf, so an axis direction's
+    outer value is 1 * inf + 0 * inf, NaN, which certifies no start either.
+    """
+    real = regions._structured_starts
+    monkeypatch.setattr(regions, "_structured_starts",
+                        lambda *args: (real(*args)[0], (math.inf, math.inf)))
+
+
 def _frontier_by_direction(monkeypatch, mac, stalls=1, **kwargs):
     """cover_leung_frontier with each direction's rows ascended on their own,
-    in lockstep, stopping a row after ``stalls`` non-improving steps; returns
-    the frontier, the number of ascent rows and the per-direction cut-short
-    flags."""
+    in lockstep, stopping a row after ``stalls`` non-improving steps and
+    certifying none; returns the frontier, the number of ascent rows and the
+    per-direction cut-short flags."""
     n_rows, cut_short = [], []
 
-    def by_direction(self, theta0, w1, w2, max_iter=120):
-        n_rows.append(len(theta0))
-        thetas, vals = np.empty_like(theta0), np.empty(len(theta0))
-        w = np.stack([w1, w2], axis=1)
-        firsts = np.flatnonzero((w[1:] != w[:-1]).any(axis=1)) + 1
-        for rows in np.split(np.arange(len(theta0)), firsts):
-            thetas[rows], vals[rows] = _lockstep_ascent(
-                self, theta0[rows], w1[rows[0]], w2[rows[0]], max_iter, cut_short,
-                stalls)
+    def by_direction(self, theta0, w1, w2, outer, max_iter=120):
+        n_rows.append(theta0.shape[0] * theta0.shape[1])
+        thetas, vals = np.empty_like(theta0), np.empty(theta0.shape[:2])
+        for k in range(len(theta0)):
+            thetas[k], vals[k] = _lockstep_ascent(
+                self, theta0[k], w1[k], w2[k], max_iter, cut_short, stalls)
         return thetas, vals
 
     with monkeypatch.context() as m:
@@ -569,7 +616,12 @@ def _frontier_by_direction(monkeypatch, mac, stalls=1, **kwargs):
 
 
 class TestPooledAscent:
-    """The pooled fan against one lockstep ascent per direction, bit for bit."""
+    """The pooled fan against one lockstep ascent per direction, bit for bit.
+
+    No start is certified here (:func:`_uncertified`), so every start
+    ascends until it stops; :class:`TestCertifiedStop` compares the stop
+    against these runs.
+    """
 
     @staticmethod
     def _assert_same_points(got, want):
@@ -612,6 +664,7 @@ class TestPooledAscent:
                                             ("random_max_iter", None),
                                             ("random_max_iter", 7)])
     def test_pool_equals_per_direction_runs(self, case, slots, monkeypatch):
+        _uncertified(monkeypatch)
         mac, kwargs = self._case(case)
         if slots is not None:
             monkeypatch.setattr(regions, "_SLOTS", slots)
@@ -635,6 +688,7 @@ class TestPooledAscent:
         # A step that does not improve leaves its row as it was, so the
         # second non-improving step the old rule waited for repeated the
         # first bit for bit: stopping at the first one only saves rows.
+        _uncertified(monkeypatch)
         mac, kwargs = self._case(case)
         evaluated = self._count_rows(monkeypatch)
         evaluated.append(0)
@@ -648,22 +702,88 @@ class TestPooledAscent:
         mac = random_mac(np.random.default_rng(12), n1=2, n2=3, ny=3)
         problem = _AscentProblem(mac, 3)
         rng = np.random.default_rng(5)
-        theta0 = np.array([regions._random_start(rng, 3, 2, 3) for _ in range(9)])
+        # Nine one-start directions, none certified.
+        theta0 = np.array([[regions._random_start(rng, 3, 2, 3)] for _ in range(9)])
         w1 = rng.uniform(0.1, 1.0, size=9)
         w2 = rng.uniform(0.1, 1.0, size=9)
+        outer = np.full(9, np.inf)
         monkeypatch.setattr(regions, "_SLOTS", 2)
-        thetas, vals = problem.ascend(theta0, w1, w2, max_iter=6)
+        thetas, vals = problem.ascend(theta0, w1, w2, outer, max_iter=6)
         for k in range(9):
-            alone, val = problem.ascend(theta0[k:k + 1], w1[k:k + 1], w2[k:k + 1], max_iter=6)
+            alone, val = problem.ascend(theta0[k:k + 1], w1[k:k + 1], w2[k:k + 1],
+                                        outer[k:k + 1], max_iter=6)
             assert np.array_equal(thetas[k], alone[0]) and vals[k] == val[0]
 
     def test_max_iter_zero_returns_projected_starts(self):
         mac = catalog.adder_mac()
         problem = _AscentProblem(mac, 2)
         theta0 = np.array([regions._random_start(np.random.default_rng(1), 2, 2, 2)])
-        thetas, vals = problem.ascend(theta0, np.array([1.0]), np.array([1.0]), max_iter=0)
+        thetas, vals = problem.ascend(theta0[None], np.array([1.0]), np.array([1.0]),
+                                      np.array([np.inf]), max_iter=0)
         proj, want, _ = problem.value(theta0, 1.0, 1.0)
-        assert np.array_equal(thetas, proj) and np.array_equal(vals, want)
+        assert np.array_equal(thetas[0], proj) and np.array_equal(vals[0], want)
+
+
+class TestCertifiedStop:
+    """A direction's starts after its first certified one leave the pool.
+
+    Against the same call with every outer value forced to +inf
+    (:func:`_uncertified`), the points are bit for bit the same and only
+    directions with a certified start, here the axis ones, save rows.
+    """
+
+    @staticmethod
+    def _case(case):
+        if case in ("adder10", "adder01"):
+            return catalog.adder_mac(), dict(weights=[(1.0, 0.0) if case == "adder10"
+                                                      else (0.0, 1.0)])
+        if case == "adder17_u1":
+            return catalog.adder_mac(), dict(weights=default_weight_fan(17), u_card=1)
+        return TestPooledAscent._case(case)
+
+    @pytest.mark.parametrize("case", ["adder17", "erased_adder7", "bsc17", "random_max_iter",
+                                      "adder10", "adder01", "adder17_u1"])
+    def test_stop_changes_no_point(self, case, monkeypatch):
+        mac, kwargs = self._case(case)
+        evaluated = TestPooledAscent._count_rows(monkeypatch)
+        evaluated.append(0)
+        got = cover_leung_frontier(mac, **kwargs)
+        _uncertified(monkeypatch)
+        evaluated.append(0)
+        TestPooledAscent._assert_same_points(got, cover_leung_frontier(mac, **kwargs))
+        # Every fan here holds an axis direction.
+        assert evaluated[0] < evaluated[1]
+
+    @pytest.mark.parametrize("weight", [(1.0, 0.0), (0.0, 1.0)])
+    def test_lone_axis_direction_steps_one_start(self, weight, monkeypatch):
+        # On the adder the uniform start already scores the single-user
+        # capacity, 1 bit, so every later start leaves before the first
+        # step and start 0 steps alone.
+        runs = []
+        real = _AscentProblem.ascend
+
+        def recording(self, theta0, w1, w2, outer, max_iter=120):
+            out = real(self, theta0, w1, w2, outer, max_iter=max_iter)
+            runs.append((theta0.shape[1], outer, out[1]))
+            return out
+
+        monkeypatch.setattr(_AscentProblem, "ascend", recording)
+        evaluated = TestPooledAscent._count_rows(monkeypatch)
+        evaluated.append(0)
+        cover_leung_frontier(catalog.adder_mac(), weights=[weight])
+        (per_dir, outer, vals), = runs
+        assert outer[0] == 1.0 and vals[0, 0] >= 1.0 - regions._WITNESS_TIE
+        assert per_dir < evaluated[0] <= per_dir + 2 * len(regions._STEP_LADDER)
+
+    @pytest.mark.parametrize("tol", [optimize.DEFAULT_TOL, 1e-6])
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
+                                             / "channels").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_uppers_are_the_pf_cutset_values(self, path, tol):
+        mac = load_channel(path)
+        _, uppers = regions._structured_starts(mac, 2, tol)
+        want = tuple(cutset_single_rate(mac, user, "PF", tol) for user in (1, 2))
+        assert [float(v).hex() for v in uppers] == [float(v).hex() for v in want]
 
 
 class TestCutset:

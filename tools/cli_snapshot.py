@@ -4,12 +4,13 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 123 CLI invocations against the checkout that holds
+Runs a fixed list of 141 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
-the two-look cut-set ``region --model IF --weights 1:1 --restarts 0
---verify``, ``check gain-condition``, ``check additive-classify``,
-``check symmetry``, ``check additive``, ``cfcurve --verify`` and the
-explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
+the single-user directions ``region --weights 1:0 --verify`` and ``region
+--weights 0:1 --verify``, the two-look cut-set ``region --model IF
+--weights 1:1 --restarts 0 --verify``, ``check gain-condition``, ``check
+additive-classify``, ``check symmetry``, ``check additive``, ``cfcurve
+--verify`` and the explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
 nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
 0.5`` and ``cfcurve --a-grid 0:0.16:0.1``, whose grid ends at 0.1, on
 ``channels/adder.json``. On ``channels/adder.json`` it also runs
@@ -46,6 +47,8 @@ PER_CHANNEL = (
     ("singlerate", ["singlerate"]),
     ("singlerate-verify", ["singlerate", "--verify"]),
     ("region", ["region", "--verify"]),
+    ("region-w10", ["region", "--weights", "1:0", "--verify"]),
+    ("region-w01", ["region", "--weights", "0:1", "--verify"]),
     ("region-if", ["region", "--model", "IF", "--weights", "1:1",
                    "--restarts", "0", "--verify"]),
     ("gain-condition", ["check", "gain-condition"]),

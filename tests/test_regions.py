@@ -728,8 +728,9 @@ class TestCertifiedStop:
     """A direction's starts after its first certified one leave the pool.
 
     Against the same call with every outer value forced to +inf
-    (:func:`_uncertified`), the points are bit for bit the same and only
-    directions with a certified start, here the axis ones, save rows.
+    (:func:`_uncertified`), the points are bit for bit the same, and a
+    call saves rows wherever a direction has a certified start: here only
+    axis directions do.
     """
 
     @staticmethod

@@ -39,9 +39,10 @@ the fan rather than once per step of every direction, and ``_SLOTS``
 bounds each step's arrays. A direction drops the starts it cannot use:
 the single-user cut-set capacities C1 and C2, the certified upper ends of
 the partner-channel solves that build the structured starts, bound every
-corner value at weight (w1, w2) by w1 C1 + w2 C2, and once a start comes
-within ``_WITNESS_TIE`` of that bound the direction's later starts leave
-the pool (at the axis weights this often happens before the first step).
+corner value at weight (w1, w2) by w1 C1 + w2 C2, and where a projected
+start already comes within ``_WITNESS_TIE`` of that bound (at the axis
+weights, on the shipped channels) the direction's later starts never
+ascend.
 Ascent may stop at a local optimum; every emitted point is nevertheless a
 certified achievable point because its pentagon is re-evaluated exactly
 from the stored auxiliary input.
@@ -337,10 +338,10 @@ _IMPROVE_TOL = 1e-11
 # fixed per-call cost.
 _SLOTS = 64
 
-# A start whose ascent value is at least its direction's outer value
+# A start whose value is at least its direction's outer value
 # w1 C1 + w2 C2 less this is certified: no start can do better by more,
-# so the direction's later starts leave the pool and the witness is the
-# first certified start. With no certified start, values within this of
+# so the witness is the first certified start, and where a projected
+# start is already certified the direction's later starts never ascend. With no certified start, values within this of
 # the best count as ties and the first tied start in start order wins.
 # Either way last-bit noise in the values cannot flip which witness is
 # printed.
@@ -485,20 +486,22 @@ class _AscentProblem:
         per-call overhead. A start stops at its first step that does not
         improve (the next would repeat it bit for bit) or after ``max_iter``
         steps of its own. It also leaves the pool once an earlier start of
-        its direction is certified: its value reaches ``outer[k] -
-        _WITNESS_TIE``, where ``outer[k]`` bounds every corner value at
-        direction k (an infinite or NaN bound certifies nothing). The
-        witness rule of :func:`cover_leung_frontier` never picks a start
-        after the first certified one, so only work it cannot use is
-        dropped.
+        its direction is certified at its projected start: its value
+        reaches ``outer[k] - _WITNESS_TIE``, where ``outer[k]`` bounds every
+        corner value at direction k (an infinite or NaN bound certifies
+        nothing). The witness rule of :func:`cover_leung_frontier` never
+        picks a start after the first certified one, so only work it cannot
+        use is dropped. The cut is made once, before the first step: on
+        the shipped channels only the axis directions certify, and they do
+        so at their projected starts.
 
         Every start's point, value, bounds and step count stay in start
         order; the starts that step together are the first ``_SLOTS`` live
-        ones, gathered and stepped until one of them stops or a start is
-        newly certified, then written back and gathered again. The kernels
-        give a row the same bits in any batch, so every start that is not
-        dropped ends exactly where it would alone, and ``_SLOTS`` bounds a
-        step's arrays whatever the number of starts. Returns the final
+        ones, gathered and stepped until one of them stops, then written
+        back and gathered again. The kernels give a row the same bits in
+        any batch, so every start that is not dropped ends exactly where it
+        would alone, and ``_SLOTS`` bounds a step's arrays whatever the
+        number of starts. Returns the final
         (projected) parameter rows (D, S, dim) and their objective values
         (D, S); a dropped start keeps the point it had reached.
         """
@@ -516,16 +519,13 @@ class _AscentProblem:
             rows = slice(lo, lo + _SLOTS * ladder.size)
             theta[rows], best[rows], bounds[rows] = self.value(theta0[rows], *w[:, rows])
         steps = np.zeros(n, dtype=np.int64)
-        certified = best >= floor
-        live = np.full(n, max_iter > 0) & _at_or_before_cut(certified, per_dir)
+        live = np.full(n, max_iter > 0) & _at_or_before_cut(best >= floor, per_dir)
         while live.any():
             rows = np.flatnonzero(live)[:_SLOTS]
             th, val, bd, st, sw = theta[rows], best[rows], bounds[rows], steps[rows], w[:, rows]
             sw_ladder = np.repeat(sw, ladder.size, axis=1)
-            fl, n_cert = floor[rows], np.count_nonzero(certified[rows])
             stop = np.zeros(rows.size, dtype=bool)
-            recut = False
-            while not (stop.any() or recut):
+            while not stop.any():
                 grads = self.gradient(th, bd, *sw)
                 dirs = grads / np.maximum(np.abs(grads).max(axis=1), 1e-300)[:, None]
                 cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
@@ -541,12 +541,8 @@ class _AscentProblem:
                 del cthetas, cbounds  # not held through the next step's candidates
                 st += 1
                 stop = ~improved | (st >= max_iter)
-                recut = np.count_nonzero(val >= fl) > n_cert
             theta[rows], best[rows], bounds[rows], steps[rows] = th, val, bd, st
             live[rows[stop]] = False
-            if recut:
-                certified[rows] = val >= fl
-                live &= _at_or_before_cut(certified, per_dir)
         return theta.reshape(shape), best.reshape(shape[:2])
 
 
@@ -560,9 +556,9 @@ def _structured_starts(mac: Mac, u_card: int,
                        tol: float) -> tuple[np.ndarray, tuple[float, float]]:
     """Deterministic ascent seeds, as rows: uniform plus one per constant-partner corner.
 
-    Also returns (C1, C2), each user's largest certified capacity ``upper``
-    over its partner's constants: bitwise ``cutset_single_rate(mac, u,
-    "PF", tol)``, from the solves the corner starts already make.
+    Also returns (C1, C2), each user's perfect-feedback cut-set value
+    (:func:`cutset_single_rate`), read by :func:`_largest_upper` from the
+    solves the corner starts already make.
     """
     n1, n2, _ = mac.shape
     starts, uppers = [], []
@@ -578,10 +574,8 @@ def _structured_starts(mac: Mac, u_card: int,
     # partner's constant, and the partner sends that constant.
     for free in (1, 2):
         channels = partner_channels(mac, free)
-        best = 0.0
-        for ch, point in zip(channels.values(), np.eye(len(channels))):
-            solve = max_support_input(ch, tol=tol)
-            best = max(best, solve.upper)
+        solves = [max_support_input(ch, tol=tol) for ch in channels.values()]
+        for solve, point in zip(solves, np.eye(len(channels))):
             rows = (solve.argmax_input.probs, point)
             row1, row2 = rows if free == 1 else rows[::-1]
             theta = uniform.copy()
@@ -590,7 +584,7 @@ def _structured_starts(mac: Mac, u_card: int,
             theta[u_card:u_card + n1] = row1
             theta[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
             starts.append(theta)
-        uppers.append(best)
+        uppers.append(_largest_upper(solves))
     return np.array(starts), tuple(uppers)
 
 
@@ -611,9 +605,10 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     perfect-feedback cut-set value C1, C2 (:func:`cutset_single_rate`), and
     w1 C1 + w2 C2 bounds every corner value at weight (w1, w2). A start
     whose value reaches that bound less ``_WITNESS_TIE`` is certified; the
-    witness is the first certified start, and the direction's later starts
-    stop ascending once one is. Without a certified start the witness is
-    the first start within ``_WITNESS_TIE`` of the direction's best value.
+    witness is the first certified start, and where a projected start is
+    already certified the direction's later starts never ascend. Without a
+    certified start the witness is the first start within ``_WITNESS_TIE``
+    of the direction's best value.
     Where a start is certified, the two rules can pick differently only
     when another start's value falls between the two thresholds, a window
     as wide as the distance from the best value to the bound (under
@@ -721,11 +716,16 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     model = str(model).upper()
     if model not in ("PF", "IF", "DF"):
         raise InputError(f"model must be PF, IF or DF, got {model!r}")
+    if model != "PF":
+        channels = {k: two_look_channel(ch) for k, ch in channels.items()}
+    return _largest_upper(max_support_input(ch, tol=tol) for ch in channels.values())
+
+
+def _largest_upper(solves) -> float:
+    """A user's cut-set value: the largest ``upper`` of its partner-channel solves."""
     best = 0.0
-    for ch in channels.values():
-        if model != "PF":
-            ch = two_look_channel(ch)
-        best = max(best, max_support_input(ch, tol=tol).upper)
+    for solve in solves:
+        best = max(best, solve.upper)
     return best
 
 

@@ -776,16 +776,6 @@ class TestCertifiedStop:
         assert outer[0] == 1.0 and vals[0, 0] >= 1.0 - regions._WITNESS_TIE
         assert per_dir < evaluated[0] <= per_dir + 2 * len(regions._STEP_LADDER)
 
-    @pytest.mark.parametrize("tol", [optimize.DEFAULT_TOL, 1e-6])
-    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
-                                             / "channels").glob("*.json")),
-                             ids=lambda p: p.stem)
-    def test_uppers_are_the_pf_cutset_values(self, path, tol):
-        mac = load_channel(path)
-        _, uppers = regions._structured_starts(mac, 2, tol)
-        want = tuple(cutset_single_rate(mac, user, "PF", tol) for user in (1, 2))
-        assert [float(v).hex() for v in uppers] == [float(v).hex() for v in want]
-
 
 class TestCutset:
     def test_pf_erasure_adder(self):

@@ -41,8 +41,8 @@ the single-user cut-set capacities C1 and C2, the certified upper ends of
 the partner-channel solves that build the structured starts, bound every
 corner value at weight (w1, w2) by w1 C1 + w2 C2, and where a projected
 start already comes within ``_WITNESS_TIE`` of that bound (at the axis
-weights, on the shipped channels) the direction's later starts never
-ascend.
+weights, on the shipped channels with a positive capacity) the
+direction's later starts never ascend.
 Ascent may stop at a local optimum; every emitted point is nevertheless a
 certified achievable point because its pentagon is re-evaluated exactly
 from the stored auxiliary input.
@@ -492,8 +492,9 @@ class _AscentProblem:
         nothing). The witness rule of :func:`cover_leung_frontier` never
         picks a start after the first certified one, so only work it cannot
         use is dropped. The cut is made once, before the first step: on
-        the shipped channels only the axis directions certify, and they do
-        so at their projected starts.
+        the shipped channels a direction certifies at its projected starts
+        or not at all (the axis directions, and every direction where both
+        capacities are 0).
 
         Every start's point, value, bounds and step count stay in start
         order; the starts that step together are the first ``_SLOTS`` live

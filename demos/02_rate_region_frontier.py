@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Achievable frontier of the binary adder, inside its cut-set pentagon.
 
-Sweeps 17 weight directions over auxiliary-variable inputs, certifies
-each frontier point by re-evaluating its pentagon, and writes a CSV next
-to this script. The famous feature of this channel: the frontier's sum
+Sweeps 17 weight directions over auxiliary-variable inputs and writes a
+CSV next to this script. Each frontier point is certified achievable:
+``cover_leung_frontier`` re-evaluates its pentagon exactly from the stored
+auxiliary input. The famous feature of this channel: the frontier's sum
 rate (about 1.582 bits) beats the best independent-input sum rate
 (1.5 bits) because the auxiliary variable correlates the senders.
 

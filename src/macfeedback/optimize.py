@@ -35,15 +35,14 @@ class OptResult:
 
     ``value`` is the mutual information of ``argmax_input`` (a certified
     lower bound on capacity, within the tolerance of it when ``converged``);
-    ``upper`` is the largest divergence D(W_x || output_dist) over inputs x,
-    a certified upper bound. Inner values read ``value``, outer bounds read
-    ``upper``. ``output_dist`` is the induced output distribution.
+    ``upper`` is the largest divergence D(W_x || p_y) over inputs x, with
+    p_y the output law ``argmax_input`` induces, a certified upper bound.
+    Inner values read ``value``, outer bounds read ``upper``.
     """
 
     value: float
     upper: float
     argmax_input: Pmf
-    output_dist: Pmf
     iterations: int
     converged: bool
 
@@ -57,7 +56,7 @@ def check_tol(tol: float) -> None:
 def _result(ch: ConditionalPmf, p: np.ndarray, value, upper, iterations, converged):
     """The OptResult of input ``p``, its inner end floored at 0."""
     return OptResult(value if value > 0.0 else 0.0, upper, Pmf(ch.input_alphabet, p),
-                     Pmf(ch.output_alphabet, p @ ch.rows), iterations, converged)
+                     iterations, converged)
 
 
 def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -115,17 +114,16 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     return _measured(ch, r, tol, iterations)
 
 
-def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> OptResult:
+def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL) -> OptResult:
     """max over joint inputs p(x1, x2) of I(X1, X2; Y).
 
     Solves the channel from the input pair, as one super-symbol, to Y with
-    :func:`_kkt_capacity` (``max_iter`` bounds each of its phases); the
-    maximizing joint is over the product alphabet, row-major in (x1, x2).
+    :func:`_kkt_capacity` (``DEFAULT_MAX_ITER`` bounds each of its phases);
+    the maximizing joint is over the product alphabet, row-major in (x1, x2).
     """
     pairs = tuple(f"({s},{t})" for s in mac.x1_alphabet for t in mac.x2_alphabet)
     flat = ConditionalPmf(pairs, mac.y_alphabet, mac.pmf.reshape(len(pairs), -1))
-    return _kkt_capacity(flat, tol, max_iter)
+    return _kkt_capacity(flat, tol, DEFAULT_MAX_ITER)
 
 
 def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:

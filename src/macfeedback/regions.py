@@ -139,19 +139,18 @@ class RegionFrontier:
     """Scalarized frontier points, sorted from the R1 axis toward R2."""
 
     points: tuple[FrontierPoint, ...]
-    provenance: str  # "inner_bound" or "outer_bound"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("w1,w2,R1,R2,provenance\n")
         for pt in self.points:
             buf.write(f"{pt.weights[0]!r},{pt.weights[1]!r},"
-                      f"{pt.rates.r1!r},{pt.rates.r2!r},{self.provenance}\n")
+                      f"{pt.rates.r1!r},{pt.rates.r2!r},inner_bound\n")
         return buf.getvalue()
 
     def to_dict(self) -> dict:
         return {
-            "provenance": self.provenance,
+            "provenance": "inner_bound",
             "points": [
                 {
                     "w1": pt.weights[0],
@@ -382,12 +381,23 @@ class _AscentProblem:
         self.w_by_x1 = self.pmf.transpose(0, 2, 1).reshape(-1, self.n2)
 
     def split(self, theta: np.ndarray):
-        b = theta.shape[0]
-        u, n1, n2 = self.u, self.n1, self.n2
-        p_u = theta[:, :u]
-        p1 = theta[:, u:u + u * n1].reshape(b, u, n1)
-        p2 = theta[:, u + u * n1:].reshape(b, u, n2)
+        """The parts p(u) (..., U), p(x1|u) (..., U, n1) and p(x2|u) (..., U, n2)
+        of parameter rows ``theta`` (..., U (1 + n1 + n2)).
+
+        A parameter row is p(u), then the U rows of p(x1|u), then the U rows
+        of p(x2|u), each conditional flattened row by row. Only this and
+        :meth:`join`, its inverse, know that layout.
+        """
+        lead, u, n1 = theta.shape[:-1], self.u, self.n1
+        p_u = theta[..., :u]
+        p1 = theta[..., u:u + u * n1].reshape(*lead, u, n1)
+        p2 = theta[..., u + u * n1:].reshape(*lead, u, self.n2)
         return p_u, p1, p2
+
+    def join(self, p_u: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+        """Parameter rows from their parts, the inverse of :meth:`split`."""
+        lead = p_u.shape[:-1]
+        return np.concatenate([p_u, p1.reshape(*lead, -1), p2.reshape(*lead, -1)], axis=-1)
 
     def value(self, theta: np.ndarray, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The projected rows, their corner values and their (B, 3) pentagon bounds.
@@ -397,12 +407,10 @@ class _AscentProblem:
         The pentagon is evaluated on the projected simplex rows as they
         come back, contiguous, before they are joined into parameter rows.
         """
-        b = theta.shape[0]
         p_u, p1, p2 = (project_rows_to_simplex(part) for part in self.split(theta))
         bounds = np.stack(batch_pentagon(self.pmf, p_u, p1, p2, h_w=self.h_w), axis=1)
         value, _, _ = pentagon_corners(*bounds.T, w1, w2)
-        proj = np.concatenate([p_u, p1.reshape(b, -1), p2.reshape(b, -1)], axis=1)
-        return proj, value, bounds
+        return self.join(p_u, p1, p2), value, bounds
 
     def gradient(self, theta: np.ndarray, bounds: np.ndarray, w1, w2) -> np.ndarray:
         """Tangent gradient of the active corner piece at projected rows ``theta``.
@@ -470,11 +478,8 @@ class _AscentProblem:
         g_u = _sum_last(p1 * d_x2)
         g1 = p_u[:, :, None] * d_x2
         g2 = p_u[:, :, None] * d_x1
-        return np.concatenate([
-            _centre_on_support(p_u, g_u),
-            _centre_on_support(p1, g1).reshape(b, -1),
-            _centre_on_support(p2, g2).reshape(b, -1),
-        ], axis=1)
+        return self.join(_centre_on_support(p_u, g_u), _centre_on_support(p1, g1),
+                         _centre_on_support(p2, g2))
 
     def ascend(self, theta0: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                outer: np.ndarray, max_iter: int = 120) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +558,7 @@ def _at_or_before_cut(certified: np.ndarray, per_dir: int) -> np.ndarray:
     return (np.cumsum(by_dir, axis=1) <= by_dir).ravel()
 
 
-def _structured_starts(mac: Mac, u_card: int,
+def _structured_starts(mac: Mac, problem: _AscentProblem,
                        tol: float) -> tuple[np.ndarray, tuple[float, float]]:
     """Deterministic ascent seeds, as rows: uniform plus one per constant-partner corner.
 
@@ -561,30 +566,20 @@ def _structured_starts(mac: Mac, u_card: int,
     (:func:`cutset_single_rate`), read by :func:`_largest_upper` from the
     solves the corner starts already make.
     """
-    n1, n2, _ = mac.shape
-    starts, uppers = [], []
+    u, n1, n2 = problem.u, problem.n1, problem.n2
+    uniform = (np.full(u, 1.0 / u), np.full((u, n1), 1.0 / n1), np.full((u, n2), 1.0 / n2))
+    starts, uppers = [problem.join(*uniform)], []
 
-    uniform = np.concatenate([
-        np.full(u_card, 1.0 / u_card),
-        np.full(u_card * n1, 1.0 / n1),
-        np.full(u_card * n2, 1.0 / n2),
-    ])
-    starts.append(uniform)
-
-    # U is a point mass; the free user sends its best input for the
-    # partner's constant, and the partner sends that constant.
+    # U is a point mass at u0; given u0 the free user sends its best input
+    # for the partner's constant, and the partner sends that constant.
     for free in (1, 2):
         channels = partner_channels(mac, free)
         solves = [max_support_input(ch, tol=tol) for ch in channels.values()]
         for solve, point in zip(solves, np.eye(len(channels))):
-            rows = (solve.argmax_input.probs, point)
-            row1, row2 = rows if free == 1 else rows[::-1]
-            theta = uniform.copy()
-            theta[:u_card] = 0.0
-            theta[0] = 1.0
-            theta[u_card:u_card + n1] = row1
-            theta[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
-            starts.append(theta)
+            at_u0 = (solve.argmax_input.probs, point)
+            p1, p2 = uniform[1].copy(), uniform[2].copy()
+            p1[0], p2[0] = at_u0 if free == 1 else at_u0[::-1]
+            starts.append(problem.join(np.eye(u)[0], p1, p2))
         uppers.append(_largest_upper(solves))
     return np.array(starts), tuple(uppers)
 
@@ -636,9 +631,8 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
         raise InputError("no weight directions given")
     for w1, w2 in weights:
         check_weight(w1, w2)
-    n1, n2, _ = mac.shape
-
-    structured, (c1, c2) = _structured_starts(mac, u_card, tol)
+    problem = _AscentProblem(mac, u_card)
+    structured, (c1, c2) = _structured_starts(mac, problem, tol)
     per_dir = len(structured) + restarts
     # One block of start rows per direction: the structured starts, then
     # the direction's seeded random starts.
@@ -647,11 +641,10 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     for block, wseed in zip(starts, np.random.SeedSequence(seed).spawn(len(weights))):
         rng = np.random.default_rng(wseed)
         for row in block[len(structured):]:
-            row[:] = _random_start(rng, u_card, n1, n2)
+            row[:] = _random_start(rng, problem)
     w1s, w2s = np.array(weights).T
     # r1 <= b1 <= C1 and r2 <= b2 <= C2 bound every corner value.
     outer = np.array([w1 * c1 + w2 * c2 for w1, w2 in weights])
-    problem = _AscentProblem(mac, u_card)
     thetas, vals = problem.ascend(starts, w1s, w2s, outer, max_iter=max_iter)
 
     points = []
@@ -671,25 +664,24 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
         ))
 
     points.sort(key=lambda pt: pt.weights[1] / (pt.weights[0] + pt.weights[1]))
-    return RegionFrontier(tuple(points), provenance="inner_bound")
+    return RegionFrontier(tuple(points))
 
 
-def _random_start(rng: np.random.Generator, u_card: int, n1: int, n2: int) -> np.ndarray:
-    return np.concatenate([
-        rng.dirichlet(np.ones(u_card)),
-        rng.dirichlet(np.ones(n1), size=u_card).ravel(),
-        rng.dirichlet(np.ones(n2), size=u_card).ravel(),
-    ])
+def _random_start(rng: np.random.Generator, problem: _AscentProblem) -> np.ndarray:
+    """One parameter row of Dirichlet(1) draws: p(u), then p(x1|u), then p(x2|u)."""
+    u = problem.u
+    return problem.join(rng.dirichlet(np.ones(u)), rng.dirichlet(np.ones(problem.n1), size=u),
+                        rng.dirichlet(np.ones(problem.n2), size=u))
 
 
 def _theta_to_clinput(theta: np.ndarray, problem: _AscentProblem, mac: Mac) -> CLInput:
     """The witness for an ascent row, which ``ascend`` already projected."""
-    p_u, p1, p2 = problem.split(theta[None, :])
+    p_u, p1, p2 = problem.split(theta)
     u_labels = tuple(f"u{k}" for k in range(problem.u))
     return CLInput(
-        p_u=Pmf(u_labels, p_u[0]),
-        p_x1_given_u=ConditionalPmf(u_labels, mac.x1_alphabet, p1[0]),
-        p_x2_given_u=ConditionalPmf(u_labels, mac.x2_alphabet, p2[0]),
+        p_u=Pmf(u_labels, p_u),
+        p_x1_given_u=ConditionalPmf(u_labels, mac.x1_alphabet, p1),
+        p_x2_given_u=ConditionalPmf(u_labels, mac.x2_alphabet, p2),
     )
 
 

@@ -9,8 +9,8 @@ import pytest
 from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
                          cover_leung_bounds, cover_leung_frontier,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                         load_channel, mutual_information, partner_channels,
-                         single_rate_capacity, two_look_channel)
+                         load_channel, max_support_input, mutual_information,
+                         partner_channels, single_rate_capacity, two_look_channel)
 from macfeedback import catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
@@ -176,7 +176,7 @@ class TestBatchInvariance:
         n1, n2, ny = shape
         mac = random_mac(rng, n1=n1, n2=n2, ny=ny)
         problem = _AscentProblem(mac, u_card)
-        theta = np.array([regions._random_start(rng, u_card, n1, n2) for _ in range(1500)])
+        theta = np.array([regions._random_start(rng, problem) for _ in range(1500)])
         w1, w2 = rng.uniform(0.0, 1.0, size=(2, 1500))
         theta, _, bounds = problem.value(theta, w1, w2)
         grad = problem.gradient(theta, bounds, w1, w2)
@@ -190,6 +190,50 @@ class TestBatchInvariance:
                 np.testing.assert_array_equal(
                     problem.gradient(theta[rows], bounds[rows], w1[rows], w2[rows]),
                     grad[rows])
+
+
+class TestParameterRows:
+    """An ascent row is p(u), then p(x1|u) row by row, then p(x2|u) row by row."""
+
+    @pytest.mark.parametrize("mac,u_card", [
+        (catalog.adder_mac(), 6), (catalog.adder_mac(), 2),
+        (catalog.binary_symmetric_mac(0.11), 3),
+        (random_mac(np.random.default_rng(31), n1=3, n2=2, ny=3), 2),
+        (random_mac(np.random.default_rng(32), n1=2, n2=3, ny=4), 4),
+    ], ids=["adder-6", "adder-2", "bsc-3", "random_323-2", "random_234-4"])
+    def test_structured_starts_built_by_hand(self, mac, u_card):
+        n1, n2, _ = mac.shape
+        tol = 1e-9
+        rows, _ = regions._structured_starts(mac, _AscentProblem(mac, u_card), tol)
+        uniform = np.concatenate([np.full(u_card, 1.0 / u_card),
+                                  np.full(u_card * n1, 1.0 / n1),
+                                  np.full(u_card * n2, 1.0 / n2)])
+        want = [uniform]
+        # U a point mass at u0; at u0 the free user's max-support input and
+        # the partner's one-hot constant, every other conditional row uniform.
+        for free in (1, 2):
+            channels = partner_channels(mac, free)
+            for point, ch in zip(np.eye(len(channels)), channels.values()):
+                best = max_support_input(ch, tol=tol).argmax_input.probs
+                row1, row2 = (best, point) if free == 1 else (point, best)
+                row = uniform.copy()
+                row[:u_card] = np.eye(u_card)[0]
+                row[u_card:u_card + n1] = row1
+                row[u_card + u_card * n1:u_card + u_card * n1 + n2] = row2
+                want.append(row)
+        np.testing.assert_array_equal(rows, np.array(want))
+
+    @pytest.mark.parametrize("u_card,n1,n2", [(1, 2, 2), (3, 2, 3), (4, 3, 2)])
+    def test_join_inverts_split(self, u_card, n1, n2):
+        rng = np.random.default_rng(u_card)
+        problem = _AscentProblem(random_mac(rng, n1=n1, n2=n2, ny=3), u_card)
+        dim = u_card * (1 + n1 + n2)
+        for shape in ((dim,), (7, dim), (2, 5, dim)):
+            rows = rng.standard_normal(shape)
+            p_u, p1, p2 = problem.split(rows)
+            assert p1.shape == shape[:-1] + (u_card, n1)
+            assert p2.shape == shape[:-1] + (u_card, n2)
+            np.testing.assert_array_equal(problem.join(p_u, p1, p2), rows)
 
 
 class TestFrontier:
@@ -703,7 +747,7 @@ class TestPooledAscent:
         problem = _AscentProblem(mac, 3)
         rng = np.random.default_rng(5)
         # Nine one-start directions, none certified.
-        theta0 = np.array([[regions._random_start(rng, 3, 2, 3)] for _ in range(9)])
+        theta0 = np.array([[regions._random_start(rng, problem)] for _ in range(9)])
         w1 = rng.uniform(0.1, 1.0, size=9)
         w2 = rng.uniform(0.1, 1.0, size=9)
         outer = np.full(9, np.inf)
@@ -717,7 +761,7 @@ class TestPooledAscent:
     def test_max_iter_zero_returns_projected_starts(self):
         mac = catalog.adder_mac()
         problem = _AscentProblem(mac, 2)
-        theta0 = np.array([regions._random_start(np.random.default_rng(1), 2, 2, 2)])
+        theta0 = np.array([regions._random_start(np.random.default_rng(1), problem)])
         thetas, vals = problem.ascend(theta0[None], np.array([1.0]), np.array([1.0]),
                                       np.array([np.inf]), max_iter=0)
         proj, want, _ = problem.value(theta0, 1.0, 1.0)
@@ -828,10 +872,15 @@ class TestCutset:
         inner = [[single_rate_capacity(mac, user).value for user in (1, 2)] for mac in macs]
         single = regions.max_support_input
         joint = regions.maximize_joint_mi
+
+        def joint_cut_short(mac, tol):
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "DEFAULT_MAX_ITER", 1)
+                return joint(mac, tol=tol)
+
         monkeypatch.setattr(regions, "max_support_input",
                             lambda ch, tol: single(ch, tol=1.0))
-        monkeypatch.setattr(regions, "maximize_joint_mi",
-                            lambda mac, tol: joint(mac, tol=tol, max_iter=1))
+        monkeypatch.setattr(regions, "maximize_joint_mi", joint_cut_short)
         for mac, (s1, s2) in zip(macs, inner):
             assert cutset_single_rate(mac, 1, "PF") >= s1
             assert cutset_single_rate(mac, 2, "PF") >= s2

@@ -8,8 +8,9 @@ A channel file is UTF-8 JSON::
 
 Labels (``x1``, ``x2``, ``y`` and ``group.elements``) are non-empty lists
 of distinct JSON strings; a number, boolean or null label is rejected,
-not converted. Probabilities are written with 17 significant digits so
-that round trips preserve them bit-exactly. On load, rows whose sum
+not converted, and so is a ``name`` that is not a string. Probabilities
+are written with 17 significant digits so that round trips preserve them
+bit-exactly. On load, rows whose sum
 deviates from 1 by less than 1e-9 are renormalized; larger deviations
 are rejected with a message naming the offending path into the document.
 """
@@ -148,7 +149,9 @@ def load_channel_file(path) -> ChannelFile:
     x1, x2, y = (_labels(obj[key], key) for key in ("x1", "x2", "y"))
     pmf = _parse_pmf(obj, len(x1), len(x2), len(y))
     group = _parse_group(obj, len(x1), len(x2), len(y))
-    name = str(obj.get("name", ""))
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ChannelFormatError(f"name: expected a string, got {json.dumps(name)}")
     mac = Mac(x1, x2, y, pmf, name=name)
     return ChannelFile(mac=mac, group=group, name=name)
 

@@ -5,14 +5,14 @@ per-input divergence from its output law from above; results carry both,
 ``value`` (inner) and ``upper`` (outer), measured at the returned input as
 its Pmf holds it. Two-input channels are solved by bisection, larger ones
 by Newton's method on the KKT conditions over the distinct rows (equal
-rows are one input, their mass split evenly), with the alternating
-iteration (:func:`blahut_arimoto`) as fallback and reference.
+rows are one input, their mass split evenly). The alternating iteration
+(:func:`blahut_arimoto`) is the reference both are tested against.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -118,12 +118,12 @@ def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL) -> OptResult:
     """max over joint inputs p(x1, x2) of I(X1, X2; Y).
 
     Solves the channel from the input pair, as one super-symbol, to Y with
-    :func:`_kkt_capacity` (``DEFAULT_MAX_ITER`` bounds each of its phases);
-    the maximizing joint is over the product alphabet, row-major in (x1, x2).
+    :func:`_kkt_capacity`; the maximizing joint is over the product
+    alphabet, row-major in (x1, x2).
     """
     pairs = tuple(f"({s},{t})" for s in mac.x1_alphabet for t in mac.x2_alphabet)
     flat = ConditionalPmf(pairs, mac.y_alphabet, mac.pmf.reshape(len(pairs), -1))
-    return _kkt_capacity(flat, tol, DEFAULT_MAX_ITER)
+    return _kkt_capacity(flat, tol)
 
 
 def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
@@ -155,36 +155,35 @@ def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
                    iterations, converged)
 
 
-def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
-    """Capacity by Newton's method on the KKT conditions, BA as the fallback.
+def _kkt_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
+    """Capacity by Newton's method on the KKT conditions.
 
-    Identical rows are one input to the solve: it runs on the distinct rows,
-    in first-occurrence order, and each merged mass is split evenly over its
-    rows. q* is unique; D(W_x || q*) = C on the support of every optimal
-    input and <= C off it (Gallager 1968, Thm 4.5.1). ``_WARM_STEPS``
-    capacity iterations pick a support S of rows independent to
-    ``_DEP_TOL``. Newton solves D_x(p) = C on S, sum(p) = 1 (Jacobian
-    -W_S diag(1/q) W_S^T / ln 2 bordered by ones), halving steps until I
-    does not fall. An input leaves S at zero mass, unless S needs it to
-    reach an output: it shrinks, to no less than 1e-14, which a Pmf keeps;
-    there, with D_x < I, its condition is D_x <= C and it takes no step.
-    When D on S is within tol/8 of I, the largest D off S joins (a
-    dependent row by moving mass along the dependence, which empties an
-    input of S). Both ends of the result are measured on the full channel
-    at the returned input. A miss (no certificate in ``_NEWTON_STEPS`` or
-    ``max_iter`` steps, or a singular system) runs BA on ``ch`` with
-    ``max_iter``, counted in the result.
+    Equal rows are one input: the solve runs on the distinct rows, in
+    first-occurrence order, and splits each merged mass evenly. q* is unique;
+    D(W_x || q*) = C on the support of every optimal input and <= C off it
+    (Gallager 1968, Thm 4.5.1). ``_WARM_STEPS`` capacity iterations pick a
+    support S of rows independent to ``_DEP_TOL`` (:func:`_solve`). Newton
+    solves D_x(p) = C on S, sum(p) = 1 (Jacobian -W_S diag(1/q) W_S^T / ln 2
+    bordered by ones), halving steps until I does not fall; inputs of S that
+    reach an output q misses (D_x infinite) take mass instead. An input
+    leaves S at zero mass unless S needs it to reach an output (alone, or
+    alone above the floor): it shrinks, to no less than 1e-14, which a Pmf
+    keeps; there, with D_x < I, its condition is D_x <= C and it takes no
+    step. When D on S is within tol/8 of I, the largest D off S joins (a row
+    dependent on those with an equation by moving mass along it, which
+    empties one). Both ends are measured at the returned input on the full
+    channel: unconverged, still a bracket, past ``_NEWTON_STEPS`` or a singular system.
     """
     ids: dict[bytes, int] = {}
     group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in ch.rows])
     rows, m = np.empty((len(ids), ch.rows.shape[1])), len(ids)
     rows[group] = ch.rows  # the rows of a group are bitwise equal
-    p, S, iterations, certified = np.full(m, 1.0 / m), [], 0, False
+    p, S, iterations = np.full(m, 1.0 / m), [], 0
     with suppress(np.linalg.LinAlgError):
-        for iterations in range(1, min(max_iter, _NEWTON_STEPS) + 1):
+        for iterations in range(1, _NEWTON_STEPS + 1):
             div = _divergence_rows(rows, p @ rows)
             value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
-            if certified := upper - value <= tol:
+            if upper - value <= tol:
                 break
             if iterations < _WARM_STEPS:  # a capacity iteration
                 p = p * np.exp2(div - upper)
@@ -194,20 +193,25 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
                         S.append(int(x))
                 p = np.where(np.isin(np.arange(m), S), p, 0.0)
             else:
-                if div[S].max() - value > tol / 8:  # a Newton step on S
-                    # At the floor (renormalized: below twice it), D_x < I: no equation.
-                    eq, dp = (p[S] > 2 * _FLOOR) | (div[S] >= value), np.zeros(len(S))
-                    W, py = rows[S][eq], p @ rows  # A dp = D - C with sum(dp) = 0
+                # At the floor (renormalized: below twice it), D_x < I: no equation.
+                eq, py = (p[S] > 2 * _FLOOR) | (div[S] >= value), p @ rows
+                if (missed := (rows[S][:, py <= 0.0] > 0.0).any(axis=1)).any():
+                    dp = np.where(missed, 1.0, -missed.sum() * p[S])  # mass onto them
+                elif div[S].max() - value > tol / 8:  # a Newton step on S
+                    dp, W = np.zeros(len(S)), rows[S][eq]  # A dp = D - C with sum(dp) = 0
                     A = (W / np.where(py > 0.0, py, np.inf)) @ W.T / LN2
                     u, v = np.linalg.solve(A, np.stack([div[S][eq], np.ones(len(W))], 1)).T
                     dp[eq] = u - v * u.sum() / v.sum()
                 else:  # the input of largest divergence off S joins
                     x = int(np.where(np.isin(np.arange(m), S), -np.inf, div).argmax())
-                    error, c = _solve(rows[S], rows[x])  # a dependence: a step <= 1
-                    dp = np.append(-c, 1.0) if error <= _DEP_TOL else 1e-3 * np.append(-p[S], 1.0)
+                    error, c = _solve(rows[S][eq], rows[x])  # a dependence: a step <= 1
+                    dp = np.append(np.zeros(len(S)), 1.0)
+                    dp[np.flatnonzero(eq)] = -c
+                    dp = dp if error <= _DEP_TOL else 1e-3 * np.append(-p[S], 1.0)
                     S.append(x)
-                reach = rows[S] > 0.0
-                block = (dp < 0.0) & ~(reach & (reach.sum(axis=0) == 1)).any(axis=1)
+                live = (reach := rows[S] > 0.0) & ((p[S] > 2 * _FLOOR) | (dp > 0.0))[:, None]
+                alone = (reach & (reach.sum(axis=0) == 1)) | (live & (live.sum(axis=0) == 1))
+                block = (dp < 0.0) & ~alone.any(axis=1)
                 ratio = np.where(block, p[S] / np.where(block, -dp, 1.0), np.inf)
                 b, t = int(ratio.argmin()), min(1.0, ratio.min())
                 for _ in range(40):
@@ -221,33 +225,29 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float, max_iter: int) -> OptResult:
                     del S[b]
                 p = new
             p = clamp_tiny(p / p.sum())  # as the result's Pmf holds it
-    if not certified:
-        res = blahut_arimoto(ch, tol=tol, max_iter=max_iter)
-        return replace(res, iterations=res.iterations + iterations)
     return _measured(ch, clamp_tiny(p[group] / np.bincount(group)[group]), tol, iterations)
 
 
 def _solve(W: np.ndarray, row: np.ndarray):
-    """The least-squares c with c @ W = row, and its largest error, as ``(error, c)``."""
+    """Least-squares c with c @ W = row, and its largest error per max(1, max |c|): (error, c)."""
     c = np.linalg.lstsq(W.T, row, rcond=None)[0]
-    return float(np.abs(c @ W - row).max()), c
+    return float(np.abs(c @ W - row).max()) / max(1.0, float(np.abs(c).max(initial=0.0))), c
 
 
 def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL) -> OptResult:
     """A capacity-achieving input in the relative interior of the optimal face.
 
     With two inputs the face is one point (uniform if the rows are equal),
-    found by :func:`_binary_capacity`. Else :func:`_kkt_capacity` finds q*
-    (``DEFAULT_MAX_ITER`` bounds its phases); the face is
-    {p >= 0 on S* = {x : D(W_x || q*) >= upper - tol} : pW = q*}, and the
-    mean of its vertices (solutions on subsets of S* of size rank(W_S*))
-    and the solve's input induces q*, keeps the upper end, and puts mass
-    on every symbol a tol-optimal input or the solve uses.
+    found by :func:`_binary_capacity`. Else :func:`_kkt_capacity` finds q*;
+    the face is {p >= 0 on S* = {x : D(W_x || q*) >= upper - tol} : pW = q*},
+    and the mean of its vertices (solutions on subsets of S* of size
+    rank(W_S*)) and the solve's input induces q*, keeps the upper end, and
+    puts mass on every symbol a tol-optimal input or the solve uses.
     """
     check_tol(tol)
     if len(ch.input_alphabet) == 2:
         return _binary_capacity(ch, tol)
-    res = _kkt_capacity(ch, tol, DEFAULT_MAX_ITER)
+    res = _kkt_capacity(ch, tol)
     rows, q = ch.rows, res.argmax_input.probs @ ch.rows
     face = np.flatnonzero(_divergence_rows(rows, q) >= res.upper - tol)
     p = res.argmax_input.probs.copy()  # plus every vertex, each of mass 1

@@ -396,8 +396,9 @@ class _AscentProblem:
 
     def join(self, p_u: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
         """Parameter rows from their parts, the inverse of :meth:`split`."""
-        lead = p_u.shape[:-1]
-        return np.concatenate([p_u, p1.reshape(*lead, -1), p2.reshape(*lead, -1)], axis=-1)
+        lead, u = p_u.shape[:-1], self.u  # lead may hold a 0: no -1 in the shapes
+        return np.concatenate([p_u, p1.reshape(*lead, u * self.n1),
+                               p2.reshape(*lead, u * self.n2)], axis=-1)
 
     def value(self, theta: np.ndarray, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The projected rows, their corner values and their (B, 3) pentagon bounds.
@@ -639,9 +640,7 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     starts = np.empty((len(weights), per_dir, structured.shape[1]))
     starts[:, :len(structured)] = structured
     for block, wseed in zip(starts, np.random.SeedSequence(seed).spawn(len(weights))):
-        rng = np.random.default_rng(wseed)
-        for row in block[len(structured):]:
-            row[:] = _random_start(rng, problem)
+        block[len(structured):] = _random_starts(np.random.default_rng(wseed), problem, restarts)
     w1s, w2s = np.array(weights).T
     # r1 <= b1 <= C1 and r2 <= b2 <= C2 bound every corner value.
     outer = np.array([w1 * c1 + w2 * c2 for w1, w2 in weights])
@@ -667,11 +666,13 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     return RegionFrontier(tuple(points))
 
 
-def _random_start(rng: np.random.Generator, problem: _AscentProblem) -> np.ndarray:
-    """One parameter row of Dirichlet(1) draws: p(u), then p(x1|u), then p(x2|u)."""
-    u = problem.u
-    return problem.join(rng.dirichlet(np.ones(u)), rng.dirichlet(np.ones(problem.n1), size=u),
-                        rng.dirichlet(np.ones(problem.n2), size=u))
+def _random_starts(rng: np.random.Generator, problem: _AscentProblem, k: int) -> np.ndarray:
+    """``k`` parameter rows drawn in one block, bit for bit the ``rng.dirichlet(ones)``
+    draws of p(u), then each row of p(x1|u) and of p(x2|u): shape-1 gamma variates
+    in layout order, each simplex times the reciprocal of its sequential sum."""
+    width = problem.u * (1 + problem.n1 + problem.n2)
+    parts = problem.split(rng.standard_gamma(1.0, size=(k, width)))
+    return problem.join(*(g * (1.0 / np.cumsum(g, axis=-1)[..., -1:]) for g in parts))
 
 
 def _theta_to_clinput(theta: np.ndarray, problem: _AscentProblem, mac: Mac) -> CLInput:

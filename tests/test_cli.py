@@ -227,6 +227,20 @@ class TestCheck:
         assert code == 2 and out == ""
         assert json.loads(err)["message"] == message
 
+    @pytest.mark.parametrize("name,shown", [
+        (None, "null"), (7, "7"), (["a"], '["a"]'), ({"x": 1}, '{"x": 1}')],
+        ids=["null", "number", "list", "object"])
+    def test_non_string_name_exits_two(self, capsys, tmp_path, groupless_file, name, shown):
+        # Such names used to load stringified, printed as "None", "7" and so on.
+        with open(groupless_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["name"] = name
+        bad_file = tmp_path / "bad_name.json"
+        bad_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "singlerate", "--channel", str(bad_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == f"name: expected a string, got {shown}"
+
     @pytest.mark.parametrize("analysis", ["additive", "additive-classify"])
     @pytest.mark.parametrize("key,row", [("cayley", 1), ("y_action", 2)])
     def test_ragged_group_table_exits_two(self, capsys, tmp_path, adder_file, analysis,

@@ -218,7 +218,7 @@ class TestMaximizeJointMi:
             mac = random_mac(rng, n1=2, n2=3, ny=4)
             singles = [single_rate_capacity(mac, user, tol=1e-10).value for user in (1, 2)]
             with monkeypatch.context() as m:  # cut only the joint solve short
-                m.setattr(optimize, "DEFAULT_MAX_ITER", max_iter)
+                m.setattr(optimize, "_NEWTON_STEPS", max_iter)
                 res = maximize_joint_mi(mac, tol=1e-15)
             assert res.upper >= max(singles)
 
@@ -315,10 +315,10 @@ class TestKKTCapacity:
     def test_certified_and_no_worse_than_iteration(self, tol, source):
         chans = kkt_channels(21, 80) if source == "random" else miss_class_channels()
         for ch in chans:
-            res = optimize._kkt_capacity(ch, tol, optimize.DEFAULT_MAX_ITER)
+            res = optimize._kkt_capacity(ch, tol)
             ba = blahut_arimoto(ch, tol=tol, max_iter=20000)
             assert res.converged
-            assert res.iterations <= optimize._NEWTON_STEPS  # no fallback run
+            assert res.iterations <= optimize._NEWTON_STEPS
             assert res.value <= res.upper <= res.value + tol
             assert abs(res.upper - max_divergence(ch.rows, res.argmax_input.probs)) <= 1e-12
             assert res.value >= ba.value - tol
@@ -350,7 +350,7 @@ class TestKKTCapacity:
             chans = [joint_channel(catalog.binary_symmetric_mac(q))
                      for q in np.linspace(0, 0.5, 11)]
         for ch in chans:
-            res = optimize._kkt_capacity(ch, tol, optimize.DEFAULT_MAX_ITER)
+            res = optimize._kkt_capacity(ch, tol)
             ba = blahut_arimoto(ch, tol=tol, max_iter=20000)
             assert res.converged
             assert res.iterations == 1 or source != "erasure_adders"
@@ -367,22 +367,63 @@ class TestKKTCapacity:
     def test_floored_inputs_certify_without_fallback(self, monkeypatch):
         # Each channel has an input held at the mass floor with D_x < I; its
         # KKT condition is D_x <= C, so it takes no Newton equation.
-        monkeypatch.setattr(optimize, "blahut_arimoto", None)  # a fallback raises
+        monkeypatch.setattr(optimize, "blahut_arimoto", None)  # a call raises
         chans = list(sparse_channels(16, 284))
         for k in (158, 248, 283):
-            res = optimize._kkt_capacity(chans[k], 1e-9, optimize.DEFAULT_MAX_ITER)
+            res = optimize._kkt_capacity(chans[k], 1e-9)
             assert res.converged and res.value <= res.upper <= res.value + 1e-9
 
-    def test_fallback_is_counted(self, monkeypatch):
-        # A solve with no certificate within its step budget runs the
-        # iteration and reports its steps and its converged flag.
+    def test_sparse_channels_certify_without_fallback(self, monkeypatch):
+        # Every sparse channel certifies within the Newton step budget, and
+        # each certificate brackets capacity together with a short run of
+        # the iteration, whose two ends bracket it from any input. On 330
+        # and 504, where an input once left S alone on an output q then
+        # missed, the iteration run to a tight tol agrees with the solve.
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("the KKT solve ran the capacity iteration")
+
+        chans = list(sparse_channels(16, 1000))
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "blahut_arimoto", no_iteration)
+            results = [optimize._kkt_capacity(ch, 1e-9) for ch in chans]
+        for ch, res in zip(chans, results):
+            assert res.converged and res.iterations <= optimize._NEWTON_STEPS
+            assert res.value <= res.upper <= res.value + 1e-9
+            ba = blahut_arimoto(ch, tol=1e-12, max_iter=3)
+            assert res.value <= ba.upper and ba.value <= res.upper
+        for k in (330, 504):
+            ba = blahut_arimoto(chans[k], tol=1e-12, max_iter=20000)
+            assert ba.converged
+            assert abs(results[k].value - ba.value) <= 1e-9
+            assert abs(results[k].upper - ba.upper) <= 1e-9
+
+    @pytest.mark.parametrize("seed,k,tol", [(17, 825, 1e-9), (18, 561, 1e-9), (18, 635, 1e-9),
+                                            (16, 118, 1e-12)])
+    def test_each_support_rule_certifies_its_channel(self, seed, k, tol, monkeypatch):
+        # Each of these channels misses without one rule of the Newton
+        # support: 825, mass onto the inputs that reach an output q misses;
+        # 561, a joining row's dependence sought among rows with an
+        # equation; 635, starting rows independent per unit of combination;
+        # 118 at tol 1e-12, an input alone above the floor on an output
+        # staying in S.
+        monkeypatch.setattr(optimize, "blahut_arimoto", None)  # a call raises
+        res = optimize._kkt_capacity(list(sparse_channels(seed, k + 1))[k], tol)
+        assert res.converged and res.iterations <= optimize._NEWTON_STEPS
+        assert res.value <= res.upper <= res.value + tol
+
+    def test_miss_returns_measured_bracket(self, monkeypatch):
+        # A solve with no certificate within its step budget returns its
+        # last input unconverged, both ends measured there; they still
+        # bracket capacity.
         monkeypatch.setattr(optimize, "_NEWTON_STEPS", 2)
         ch = random_conditional(np.random.default_rng(5), 4, 3)
-        res = optimize._kkt_capacity(ch, 1e-12, 7)
-        ba = blahut_arimoto(ch, tol=1e-12, max_iter=7)
-        assert res.iterations == 2 + ba.iterations
-        assert res.converged == ba.converged
-        assert res.value == ba.value and res.upper == ba.upper
+        res = optimize._kkt_capacity(ch, 1e-12)
+        assert not res.converged and res.iterations == 2
+        assert res.upper == optimize._divergence_rows(
+            ch.rows, res.argmax_input.probs @ ch.rows).max()
+        cap = blahut_arimoto(ch, tol=1e-13, max_iter=20000)
+        assert cap.converged
+        assert res.value <= cap.upper and cap.value <= res.upper
 
 
 class TestBinaryCapacity:
@@ -438,6 +479,6 @@ class TestBinaryCapacity:
         for user in (1, 2):
             single_rate_capacity(mac, user)
         assert calls == []
-        # The joint-input bound takes the KKT solve; BA is only its fallback.
+        # The joint-input bound takes the KKT solve, which runs no iteration.
         maximize_joint_mi(mac)
         assert calls == []

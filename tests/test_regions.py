@@ -166,6 +166,25 @@ class TestShortAxisSums:
         np.testing.assert_array_equal(regions._entropy_y(p), entropy_bits(p, axis=-1))
 
 
+class TestRandomStarts:
+    """The block of random starts is, bit for bit, rng.dirichlet drawn row by row."""
+
+    @pytest.mark.parametrize("u_card", [1, 2, 5, 11])
+    @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (4, 4)])
+    @pytest.mark.parametrize("k", [1, 2, 25])
+    def test_block_matches_dirichlet_rows(self, u_card, n1, n2, k):
+        mac = random_mac(np.random.default_rng(0), n1=n1, n2=n2, ny=3)
+        problem = _AscentProblem(mac, u_card)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            want = np.array([np.concatenate([
+                rng.dirichlet(np.ones(u_card)),
+                rng.dirichlet(np.ones(n1), size=u_card).ravel(),
+                rng.dirichlet(np.ones(n2), size=u_card).ravel()]) for _ in range(k)])
+            got = regions._random_starts(np.random.default_rng(seed), problem, k)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBatchInvariance:
     """A row's pentagon bounds and ascent gradient have the same bits in any batch."""
 
@@ -176,7 +195,7 @@ class TestBatchInvariance:
         n1, n2, ny = shape
         mac = random_mac(rng, n1=n1, n2=n2, ny=ny)
         problem = _AscentProblem(mac, u_card)
-        theta = np.array([regions._random_start(rng, problem) for _ in range(1500)])
+        theta = regions._random_starts(rng, problem, 1500)
         w1, w2 = rng.uniform(0.0, 1.0, size=(2, 1500))
         theta, _, bounds = problem.value(theta, w1, w2)
         grad = problem.gradient(theta, bounds, w1, w2)
@@ -747,7 +766,7 @@ class TestPooledAscent:
         problem = _AscentProblem(mac, 3)
         rng = np.random.default_rng(5)
         # Nine one-start directions, none certified.
-        theta0 = np.array([[regions._random_start(rng, problem)] for _ in range(9)])
+        theta0 = regions._random_starts(rng, problem, 9)[:, None]
         w1 = rng.uniform(0.1, 1.0, size=9)
         w2 = rng.uniform(0.1, 1.0, size=9)
         outer = np.full(9, np.inf)
@@ -761,7 +780,7 @@ class TestPooledAscent:
     def test_max_iter_zero_returns_projected_starts(self):
         mac = catalog.adder_mac()
         problem = _AscentProblem(mac, 2)
-        theta0 = np.array([regions._random_start(np.random.default_rng(1), problem)])
+        theta0 = regions._random_starts(np.random.default_rng(1), problem, 1)
         thetas, vals = problem.ascend(theta0[None], np.array([1.0]), np.array([1.0]),
                                       np.array([np.inf]), max_iter=0)
         proj, want, _ = problem.value(theta0, 1.0, 1.0)
@@ -865,7 +884,7 @@ class TestCutset:
         # two-input channel's gap at P(X=1) = 1/2 is at most one bit, so at
         # tol 1 the exact solve stops at its first point; the 3x3 MACs'
         # solves stop at their first certificate within tol 1, and the
-        # joint-input solve's fallback is cut to one step.
+        # joint-input solve is cut to one step.
         rng = np.random.default_rng(8)
         macs = ([random_mac(rng, n1=2, n2=2, ny=3) for _ in range(5)]
                 + [random_mac(rng, n1=3, n2=3, ny=4) for _ in range(3)])
@@ -875,7 +894,7 @@ class TestCutset:
 
         def joint_cut_short(mac, tol):
             with monkeypatch.context() as m:
-                m.setattr(optimize, "DEFAULT_MAX_ITER", 1)
+                m.setattr(optimize, "_NEWTON_STEPS", 1)
                 return joint(mac, tol=tol)
 
         monkeypatch.setattr(regions, "max_support_input",
@@ -889,7 +908,7 @@ class TestCutset:
     def test_binary_inputs_run_no_iteration(self, monkeypatch):
         # One- and two-look channels of a binary-input MAC have two inputs,
         # so the per-user bounds take the exact solve; the joint-input
-        # sum-rate bound takes the KKT solve, with BA only as its fallback.
+        # sum-rate bound takes the KKT solve, which runs no iteration.
         calls = []
         real = optimize.blahut_arimoto
 

@@ -174,6 +174,16 @@ def set_partitions(items: list):
         yield [[first]] + smaller
 
 
+_PAIR_ESCAPES = str.maketrans({c: "\\" + c for c in "\\(),"})
+
+
+def pair_label(a: str, b: str) -> str:
+    """The label ``(a,b)`` of a symbol pair, with each backslash, parenthesis
+    and comma in ``a`` and ``b`` backslash-escaped, so that distinct pairs get
+    distinct labels: the one unescaped comma separates the parts."""
+    return f"({a.translate(_PAIR_ESCAPES)},{b.translate(_PAIR_ESCAPES)})"
+
+
 def fresh_symbol(taken, base: str = "e") -> str:
     """A label equal to ``base`` or ``base`` plus a numeric suffix, not in ``taken``."""
     if base not in taken:

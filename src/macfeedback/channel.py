@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_table, clamp_tiny, freeze, fresh_symbol
+from ._util import check_table, clamp_tiny, freeze, fresh_symbol, pair_label
 from .errors import InputError
 
 
@@ -243,7 +243,7 @@ def two_look_channel(one: ConditionalPmf) -> ConditionalPmf:
     ``one`` is a partner-constant channel (see :func:`partner_channels`);
     each coordinate of the pair output is an independent draw of it.
     """
-    pair_alpha = tuple(f"({a},{b})" for a in one.output_alphabet
+    pair_alpha = tuple(pair_label(a, b) for a in one.output_alphabet
                        for b in one.output_alphabet)
     return ConditionalPmf(one.input_alphabet, pair_alpha, _look_pairs(one.rows))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import clamp_tiny, table_faults
 from .channel import Mac
-from .errors import ChannelFormatError, InputError
+from .errors import ChannelFormatError
 from .groups import GroupSpec
 
 
@@ -90,8 +90,10 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
     return out / out.sum(axis=2, keepdims=True)
 
 
-def _check_indices(value, path: str, shape: tuple[int, ...], at: tuple[int, ...] = ()) -> None:
-    """Reject anything but nested JSON lists of integers of exactly ``shape``.
+def _check_indices(value, path: str, shape: tuple[int, ...], bound: int,
+                   at: tuple[int, ...] = ()) -> None:
+    """Reject anything but nested JSON lists of exactly ``shape`` holding
+    integers from 0 to ``bound`` - 1.
 
     numpy would truncate a float index, read ``true`` as 1 and refuse a
     ragged table without a path, so the check is made on the JSON values
@@ -101,14 +103,17 @@ def _check_indices(value, path: str, shape: tuple[int, ...], at: tuple[int, ...]
     """
     if shape and isinstance(value, list) and len(value) == shape[0]:
         for k, v in enumerate(value):
-            if len(shape) > 1 or type(v) is not int:
-                _check_indices(v, path, shape[1:], (*at, k))
+            if len(shape) > 1 or type(v) is not int or not 0 <= v < bound:
+                _check_indices(v, path, shape[1:], bound, (*at, k))
     elif shape:
         got = len(value) if isinstance(value, list) else json.dumps(value)
         raise ChannelFormatError(f"{_json_path(path, at)}: expected {shape[0]} entries, got {got}")
     elif type(value) is not int:
         raise ChannelFormatError(f"{_json_path(path, at)}: expected an integer index, "
                                  f"got {json.dumps(value)}")
+    elif not 0 <= value < bound:
+        raise ChannelFormatError(f"{_json_path(path, at)}: index {value} out of range "
+                                 f"for {bound} elements")
 
 
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
@@ -121,13 +126,11 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
         if key not in raw:
             raise ChannelFormatError(f"group.{key}: missing field")
     n = len(_labels(raw["elements"], "group.elements"))
-    for key, shape in (("cayley", (n, n)), ("identity", ()), ("embed_x1", (n1,)),
-                       ("embed_x2", (n2,)), ("y_action", (ny, n))):
-        _check_indices(raw[key], f"group.{key}", shape)
-    try:
-        return GroupSpec.from_dict(raw)
-    except InputError as exc:  # out-of-range indices
-        raise ChannelFormatError(f"group: {exc}") from None
+    for key, shape, bound in (("cayley", (n, n), n), ("identity", (), n),
+                              ("embed_x1", (n1,), n), ("embed_x2", (n2,), n),
+                              ("y_action", (ny, n), ny)):
+        _check_indices(raw[key], f"group.{key}", shape, bound)
+    return GroupSpec.from_dict(raw)  # its own checks all pass by now
 
 
 def load_channel_file(path) -> ChannelFile:

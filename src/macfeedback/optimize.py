@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import LN2, channel_mi_bits, clamp_tiny
+from ._util import LN2, channel_mi_bits, clamp_tiny, pair_label
 from .channel import ConditionalPmf, Mac, Pmf
 from .errors import InputError
 
@@ -121,7 +121,7 @@ def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL) -> OptResult:
     :func:`_kkt_capacity`; the maximizing joint is over the product
     alphabet, row-major in (x1, x2).
     """
-    pairs = tuple(f"({s},{t})" for s in mac.x1_alphabet for t in mac.x2_alphabet)
+    pairs = tuple(pair_label(s, t) for s in mac.x1_alphabet for t in mac.x2_alphabet)
     flat = ConditionalPmf(pairs, mac.y_alphabet, mac.pmf.reshape(len(pairs), -1))
     return _kkt_capacity(flat, tol)
 

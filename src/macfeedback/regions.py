@@ -359,7 +359,7 @@ def _log2_floored(p: np.ndarray) -> np.ndarray:
 def _centre_on_support(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Subtract from each simplex row of ``g`` its mean over the support of ``p``."""
     on = p > 0.0
-    return g - (_sum_last(g * on) / _sum_last(on.astype(np.float64)))[..., None]
+    return g - (_sum_last(g * on) / on.sum(axis=-1))[..., None]
 
 
 class _AscentProblem:
@@ -401,28 +401,29 @@ class _AscentProblem:
                                p2.reshape(*lead, u * self.n2)], axis=-1)
 
     def value(self, theta: np.ndarray, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The projected rows, their corner values and their (B, 3) pentagon bounds.
+        """The projected rows, their corner values and their (B, 2) active-corner flags.
 
-        Row k's corner value is taken at weights ``(w1[k], w2[k])``.
+        Row k's corner value is taken at weights ``(w1[k], w2[k])``; its flags
+        are ``r1 == b1`` and ``r2 == b2`` at the corner ``pentagon_corners`` picks.
 
         The pentagon is evaluated on the projected simplex rows as they
         come back, contiguous, before they are joined into parameter rows.
         """
         p_u, p1, p2 = (project_rows_to_simplex(part) for part in self.split(theta))
-        bounds = np.stack(batch_pentagon(self.pmf, p_u, p1, p2, h_w=self.h_w), axis=1)
-        value, _, _ = pentagon_corners(*bounds.T, w1, w2)
-        return self.join(p_u, p1, p2), value, bounds
+        b1, b2, bsum = batch_pentagon(self.pmf, p_u, p1, p2, h_w=self.h_w)
+        value, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
+        return self.join(p_u, p1, p2), value, np.stack([r1 == b1, r2 == b2], axis=1)
 
-    def gradient(self, theta: np.ndarray, bounds: np.ndarray, w1, w2) -> np.ndarray:
+    def gradient(self, theta: np.ndarray, active: np.ndarray, w1, w2) -> np.ndarray:
         """Tangent gradient of the active corner piece at projected rows ``theta``.
 
-        ``bounds`` are the rows' pentagon bounds as :meth:`value` returns
-        them, and ``w1``, ``w2`` the rows' weights.
+        ``active`` are the rows' active-corner flags as :meth:`value`
+        returns them, and ``w1``, ``w2`` the rows' weights.
 
         The corner value is ``c1 b1 + c2 b2 + cs bsum`` with coefficients
-        set by which pentagon corner and which of its two rate bounds
-        ``pentagon_corners`` picks. With the joint mass ``q(u, x1, x2)``
-        as free variables its partial derivative is
+        set by the flags: r1 is b1 or bsum - b2, and r2 is b2 or bsum - b1.
+        With the joint mass ``q(u, x1, x2)`` as free variables its partial
+        derivative is
 
             sum_y W(y|x1,x2) [(c1 + c2 + cs) log2 W(y|x1,x2)
                               - c1 log2 p(y|u,x2) - c2 log2 p(y|u,x1)
@@ -452,11 +453,7 @@ class _AscentProblem:
         """
         b = theta.shape[0]
         p_u, p1, p2 = self.split(theta)
-        b1, b2, bsum = bounds.T
-        _, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
-        # Each corner rate is its own bound or bsum minus the other bound.
-        s1 = r1 == b1
-        s2 = r2 == b2
+        s1, s2 = active.T
         c1 = np.where(s1, w1, 0.0) - np.where(s2, 0.0, w2)
         c2 = np.where(s2, w2, 0.0) - np.where(s1, 0.0, w1)
         cs = np.where(s1, 0.0, w1) + np.where(s2, 0.0, w2)
@@ -502,9 +499,9 @@ class _AscentProblem:
         or not at all (the axis directions, and every direction where both
         capacities are 0).
 
-        Every start's point, value, bounds and step count stay in start
-        order; the starts that step together are the first ``_SLOTS`` live
-        ones, gathered and stepped until one of them stops, then written
+        Every start's point, value, active corner and step count stay in
+        start order; the starts that step together are the first ``_SLOTS``
+        live ones, gathered and stepped until one of them stops, then written
         back and gathered again. The kernels give a row the same bits in
         any batch, so every start that is not dropped ends exactly where it
         would alone, and ``_SLOTS`` bounds a step's arrays whatever the
@@ -519,24 +516,24 @@ class _AscentProblem:
         ladder = np.asarray(_STEP_LADDER)
         w = np.repeat(np.stack([w1, w2]), per_dir, axis=1)
         floor = np.repeat(np.asarray(outer) - _WITNESS_TIE, per_dir)
-        # Projected starts, their values and bounds; each row's latest
-        # point overwrites its start.
-        theta, best, bounds = np.empty_like(theta0), np.empty(n), np.empty((n, 3))
+        # Projected starts, their values and active corners; each row's
+        # latest point overwrites its start.
+        theta, best, active = np.empty_like(theta0), np.empty(n), np.empty((n, 2), dtype=bool)
         for lo in range(0, n, _SLOTS * ladder.size):
             rows = slice(lo, lo + _SLOTS * ladder.size)
-            theta[rows], best[rows], bounds[rows] = self.value(theta0[rows], *w[:, rows])
+            theta[rows], best[rows], active[rows] = self.value(theta0[rows], *w[:, rows])
         steps = np.zeros(n, dtype=np.int64)
         live = np.full(n, max_iter > 0) & _at_or_before_cut(best >= floor, per_dir)
         while live.any():
             rows = np.flatnonzero(live)[:_SLOTS]
-            th, val, bd, st, sw = theta[rows], best[rows], bounds[rows], steps[rows], w[:, rows]
+            th, val, act, st, sw = theta[rows], best[rows], active[rows], steps[rows], w[:, rows]
             sw_ladder = np.repeat(sw, ladder.size, axis=1)
             stop = np.zeros(rows.size, dtype=bool)
             while not stop.any():
-                grads = self.gradient(th, bd, *sw)
+                grads = self.gradient(th, act, *sw)
                 dirs = grads / np.maximum(np.abs(grads).max(axis=1), 1e-300)[:, None]
                 cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-                cthetas, cvals, cbounds = self.value(cands.reshape(-1, dim), *sw_ladder)
+                cthetas, cvals, cactive = self.value(cands.reshape(-1, dim), *sw_ladder)
                 cvals = cvals.reshape(rows.size, -1)
                 pick = (np.arange(rows.size), np.argmax(cvals, axis=1))
                 cbest = cvals[pick]
@@ -544,11 +541,11 @@ class _AscentProblem:
                 improved = cbest > val + _IMPROVE_TOL
                 th[improved] = cthetas.reshape(rows.size, -1, dim)[pick][improved]
                 val[improved] = cbest[improved]
-                bd[improved] = cbounds.reshape(rows.size, -1, 3)[pick][improved]
-                del cthetas, cbounds  # not held through the next step's candidates
+                act[improved] = cactive.reshape(rows.size, -1, 2)[pick][improved]
+                del cthetas  # not held through the next step's candidates
                 st += 1
                 stop = ~improved | (st >= max_iter)
-            theta[rows], best[rows], bounds[rows], steps[rows] = th, val, bd, st
+            theta[rows], best[rows], active[rows], steps[rows] = th, val, act, st
             live[rows[stop]] = False
         return theta.reshape(shape), best.reshape(shape[:2])
 

@@ -36,6 +36,14 @@ class TestPmf:
         with pytest.raises(InputError, match="Pmf: expected a string label, got 0"):
             Pmf((0, "b"), np.array([0.5, 0.5]))
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(InputError, match=r"^Pmf: got \(3,\) weights for 2 symbols$"):
+            Pmf(("a", "b"), np.array([0.2, 0.3, 0.5]))
+
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(InputError, match="^Pmf: alphabet is empty$"):
+            Pmf((), np.array([]))
+
     def test_immutable(self):
         p = Pmf.uniform(("a", "b"))
         with pytest.raises(ValueError):
@@ -386,3 +394,17 @@ class TestJointDist:
         swapped = j.marginal_table(("c", "a"))
         direct = j.table.sum(axis=1).T
         assert np.abs(swapped - direct).max() == 0.0
+
+    def test_rejects_duplicate_axis(self):
+        with pytest.raises(InputError, match="^JointDist: duplicate axis name$"):
+            JointDist((("a", ("0", "1")), ("a", ("0", "1"))), np.full((2, 2), 0.25))
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(InputError,
+                           match=r"^JointDist: table shape \(2, 3\) does not match \(2, 2\)$"):
+            JointDist((("a", ("0", "1")), ("b", ("0", "1"))), np.full((2, 3), 1 / 6))
+
+    def test_unknown_marginal_axis_rejected(self):
+        j = JointDist((("a", ("0", "1")), ("b", ("0", "1"))), np.full((2, 2), 0.25))
+        with pytest.raises(InputError, match="^JointDist: no axis named 'c'$"):
+            j.marginal_table(("a", "c"))

@@ -49,6 +49,31 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_DROP = object()
+
+
+def edited_channel_file(source, tmp_path, path, value):
+    """A copy of channel file ``source`` whose entry at JSON ``path`` is
+    ``value``, or is removed when ``value`` is ``_DROP``; the empty path
+    replaces the whole document."""
+    with open(source, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not path:
+        doc = value
+    else:
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    return edited
+
+
 class TestSinglerate:
     def test_values_and_exit_code(self, capsys, adder_file):
         code, out, err = run_cli(capsys, "singlerate", "--channel", adder_file)
@@ -89,6 +114,30 @@ class TestSinglerate:
         code, _, _ = run_cli(capsys, "singlerate", "--channel", adder_file, "--verify")
         assert code == 0
 
+    @pytest.mark.parametrize("path,value,message", [
+        ((), [], "{file}: top level must be an object"),
+        (("x1",), _DROP, "x1: missing field"),
+        (("x2",), "0", "x2: expected a non-empty list of string labels"),
+        (("x2",), [], "x2: expected a non-empty list of string labels"),
+        (("pmf",), _DROP, "pmf: missing field"),
+        (("pmf", 1), _DROP, "pmf: expected 2 blocks, one per x1 symbol"),
+        (("pmf", 0, 1), _DROP, "pmf[0]: expected 2 rows, one per x2 symbol"),
+        (("pmf", 1, 0, 4), _DROP, "pmf[1][0]: expected 5 probabilities, one per y symbol"),
+        (("pmf", 0, 1, 2), "0.5", "pmf[0][1][2]: not a number"),
+        (("pmf", 0, 1, 2), True, "pmf[0][1][2]: not a number"),
+        (("pmf", 0, 1, 2), None, "pmf[0][1][2]: not a number"),
+        (("group",), [], "group: expected an object"),
+        (("group", "cayley"), _DROP, "group.cayley: missing field"),
+    ], ids=["top_level", "no_x1", "x2_not_list", "x2_empty", "no_pmf", "pmf_blocks",
+            "pmf_rows", "pmf_row_length", "string_entry", "bool_entry", "null_entry",
+            "group_not_object", "no_cayley"])
+    def test_malformed_channel_file_exits_two(self, capsys, tmp_path, adder_file, path,
+                                              value, message):
+        bad_file = edited_channel_file(adder_file, tmp_path, path, value)
+        code, out, err = run_cli(capsys, "singlerate", "--channel", str(bad_file))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == message.format(file=bad_file)
+
 
 class TestRegion:
     def test_csv_and_json(self, capsys, groupless_file, tmp_path):
@@ -112,6 +161,28 @@ class TestRegion:
         doc = json.loads(out)
         point = doc["frontier"]["points"][0]
         assert point["R1"] + point["R2"] <= math.log2(3) + 1e-6
+
+    @pytest.mark.parametrize("labels,model", [
+        (dict(x1=["a", "a,b"], x2=["b,c", "c"]), "PF"),
+        (dict(y=["a", "a,b", "b,c", "c"]), "IF")], ids=["inputs", "outputs"])
+    def test_composite_labels_accepted(self, capsys, tmp_path, labels, model):
+        # Pair labels were "(a,b)" unescaped: ("a", "b,c") and ("a,b", "c")
+        # collided, and these files, which load, used to exit 2.
+        plain = random_mac(np.random.default_rng(12), n1=2, n2=2, ny=4)
+        plain_file, named_file = tmp_path / "plain.json", tmp_path / "named.json"
+        save_channel(plain, plain_file)
+        named = {"x1": plain.x1_alphabet, "x2": plain.x2_alphabet, "y": plain.y_alphabet,
+                 **labels}
+        save_channel(macfeedback.Mac(named["x1"], named["x2"], named["y"], plain.pmf),
+                     named_file)
+        docs = []
+        for path in (plain_file, named_file):
+            code, out, err = run_cli(capsys, "region", "--channel", str(path), "--weights",
+                                     "1:1", "--restarts", "0", "--model", model)
+            assert code == 0 and err == ""
+            docs.append(json.loads(out))
+        assert docs[0]["cutset"] == docs[1]["cutset"]
+        assert docs[0]["frontier"] == docs[1]["frontier"]
 
     def test_zero_weight_rejected(self, capsys, groupless_file):
         code, _, err = run_cli(capsys, "region", "--channel", groupless_file,
@@ -192,6 +263,21 @@ class TestCheck:
         where = "group." + path[0] + "".join(f"[{k}]" for k in path[1:])
         assert code == 2 and out == ""
         assert json.loads(err)["message"].startswith(f"{where}: expected an integer")
+
+    @pytest.mark.parametrize("path,value,bound", [
+        (("cayley", 1, 2), 4, 4), (("identity",), 9, 4), (("embed_x1", 1), 9, 4),
+        (("embed_x2", 0), -1, 4), (("y_action", 4, 0), 5, 5)],
+        ids=["cayley", "identity", "embed_x1", "embed_x2", "y_action"])
+    def test_out_of_range_group_index_exits_two(self, capsys, tmp_path, adder_file, path,
+                                                value, bound):
+        # These used to name the field alone, as "group: embed_x1 has
+        # out-of-range indices".
+        bad_file = edited_channel_file(adder_file, tmp_path, ("group", *path), value)
+        code, out, err = run_cli(capsys, "check", "additive", "--channel", str(bad_file))
+        where = "group." + path[0] + "".join(f"[{k}]" for k in path[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == (
+            f"{where}: index {value} out of range for {bound} elements")
 
     @pytest.mark.parametrize("analysis", ["additive", "additive-classify"])
     @pytest.mark.parametrize("labels,message", [
@@ -409,6 +495,19 @@ def test_negative_restarts_or_seed_exits_two(capsys, groupless_file, argv):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "input" and argv[-2].lstrip("-") in doc["message"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["region", "--weights", "1:2:3"], "weight '1:2:3' is not of the form w1:w2"),
+    (["region", "--weights", "a:b"], "weight 'a:b' is not numeric"),
+    (["cfcurve", "--a-grid", "0:0.2"], "a-grid '0:0.2' is not of the form start:stop:step"),
+    (["cfcurve", "--a-grid", "0:x:0.1"], "a-grid '0:x:0.1' is not numeric"),
+    (["cfcurve", "--a-grid", "0:0.2:-1"],
+     "a-grid '0:0.2:-1' must have positive step and stop >= start")])
+def test_malformed_list_flag_exits_two(capsys, adder_file, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--channel", adder_file)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "message": message}
 
 
 @pytest.mark.parametrize("argv", [["region"], ["check", "erasure-scaling", "--erasure-p", "0.5"]])

@@ -140,6 +140,11 @@ class TestMutualInformation:
             ba = mutual_information(j, "a1", "a0")
             assert abs(ab - ba) < 1e-12
 
+    def test_overlapping_axes_rejected(self):
+        joint = random_joint(np.random.default_rng(5), (2, 3))
+        with pytest.raises(InputError, match="^mutual_information: axis groups overlap$"):
+            mutual_information(joint, ("a0", "a1"), "a1")
+
     def test_matches_loops(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -157,6 +162,13 @@ class TestConditionalMi:
         assert conditional_mi(j) == pytest.approx(
             mutual_information(JointDist((("a", ("0", "1")), ("b", ("0", "1", "2"))), ab)),
             abs=1e-12)
+
+    @pytest.mark.parametrize("a,b,given", [("a0", "a0", "a2"), ("a0", "a1", ("a1", "a2")),
+                                           (("a0", "a2"), "a1", "a2")])
+    def test_overlapping_axes_rejected(self, a, b, given):
+        joint = random_joint(np.random.default_rng(6), (2, 2, 3))
+        with pytest.raises(InputError, match="^conditional_mi: axis groups overlap$"):
+            conditional_mi(joint, a, b, given)
 
     def test_all_equal_is_zero(self):
         table = np.zeros((2, 2, 2))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from macfeedback import (ConditionalPmf, InputError, binary_entropy,
+from macfeedback import (ConditionalPmf, InputError, Mac, binary_entropy,
                          blahut_arimoto, max_support_input, maximize_joint_mi,
                          single_rate_capacity)
 from macfeedback import catalog, optimize
@@ -208,6 +208,17 @@ class TestMaximizeJointMi:
         res = maximize_joint_mi(catalog.adder_mac())
         assert len(res.argmax_input.alphabet) == 4
         assert res.argmax_input.alphabet[0] == "(0,0)"
+
+    def test_composite_labels_stay_distinct(self):
+        # Pair labels were "(a,b)" unescaped: ("a", "b,c") and ("a,b", "c")
+        # both made "(a,b,c)", and this valid channel was rejected.
+        adder = catalog.adder_mac()
+        mac = Mac(("a", "a,b"), ("b,c", "c"), adder.y_alphabet, adder.pmf)
+        res = maximize_joint_mi(mac)
+        assert res.argmax_input.alphabet == ("(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)", "(a\\,b,c)")
+        plain = maximize_joint_mi(adder)
+        assert plain.argmax_input.alphabet == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+        assert res.value == plain.value and res.upper == plain.upper
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_upper_bounds_single_rates_when_cut_short(self, max_iter, monkeypatch):

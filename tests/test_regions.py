@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macfeedback import (CLInput, ConditionalPmf, InputError, Pmf, RatePair,
+from macfeedback import (CLInput, ConditionalPmf, InputError, Mac, Pmf, RatePair,
                          cover_leung_bounds, cover_leung_frontier,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
                          load_channel, max_support_input, mutual_information,
@@ -186,7 +186,7 @@ class TestRandomStarts:
 
 
 class TestBatchInvariance:
-    """A row's pentagon bounds and ascent gradient have the same bits in any batch."""
+    """A row's pentagon bounds, active corner and ascent gradient have the same bits in any batch."""
 
     @pytest.mark.parametrize("u_card", [1, 2, 3])
     @pytest.mark.parametrize("seed,shape", [(21, (2, 2, 3)), (22, (3, 2, 4)), (23, (2, 3, 2))])
@@ -197,17 +197,18 @@ class TestBatchInvariance:
         problem = _AscentProblem(mac, u_card)
         theta = regions._random_starts(rng, problem, 1500)
         w1, w2 = rng.uniform(0.0, 1.0, size=(2, 1500))
-        theta, _, bounds = problem.value(theta, w1, w2)
-        grad = problem.gradient(theta, bounds, w1, w2)
-        np.testing.assert_array_equal(
-            np.stack(batch_pentagon(mac.pmf, *problem.split(theta)), axis=1), bounds)
+        theta, _, active = problem.value(theta, w1, w2)
+        grad = problem.gradient(theta, active, w1, w2)
+        bounds = np.stack(batch_pentagon(mac.pmf, *problem.split(theta)), axis=1)
         for size in (1, 2, 3, 7, 64):
             for lo in range(0, 64, size):
                 rows = slice(lo, lo + size)
                 part = np.stack(batch_pentagon(mac.pmf, *problem.split(theta[rows])), axis=1)
                 np.testing.assert_array_equal(part, bounds[rows])
                 np.testing.assert_array_equal(
-                    problem.gradient(theta[rows], bounds[rows], w1[rows], w2[rows]),
+                    problem.value(theta[rows], w1[rows], w2[rows])[2], active[rows])
+                np.testing.assert_array_equal(
+                    problem.gradient(theta[rows], active[rows], w1[rows], w2[rows]),
                     grad[rows])
 
 
@@ -344,6 +345,11 @@ class TestFrontier:
                                   ConditionalPmf(u, mac.x1_alphabet, p1[0]).rows)
             assert np.array_equal(q.p_x2_given_u.rows,
                                   ConditionalPmf(u, mac.x2_alphabet, p2[0]).rows)
+
+    def test_default_weights_are_the_default_fan(self):
+        mac = catalog.adder_mac()
+        assert (cover_leung_frontier(mac, restarts=1).to_dict()
+                == cover_leung_frontier(mac, weights=default_weight_fan(), restarts=1).to_dict())
 
     def test_sorted_by_direction(self):
         mac = catalog.adder_mac()
@@ -576,7 +582,7 @@ class TestAscentGradient:
             np.testing.assert_allclose(one, want[:1], rtol=0, atol=1e-12 * scale)
             shared = np.broadcast_to(theta[1], theta.shape)
             got = problem.gradient(shared, np.broadcast_to(problem.value(theta[1:2], w1, w2)[2],
-                                                           (len(theta), 3)), w1, w2)
+                                                           (len(theta), 2)), w1, w2)
             np.testing.assert_allclose(got, np.broadcast_to(want[1], want.shape),
                                        rtol=0, atol=1e-12 * scale)
 
@@ -618,7 +624,7 @@ def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short, stalls=1):
     non-improving steps. Appends to ``cut_short`` whether ``max_iter``
     stopped rows that were still improving."""
     s, dim = theta0.shape
-    theta, best, bounds = problem.value(theta0, w1, w2)
+    theta, best, active = problem.value(theta0, w1, w2)
     stall = np.zeros(s, dtype=np.int64)
     ladder = np.asarray(regions._STEP_LADDER)
     for _ in range(max_iter):
@@ -626,12 +632,12 @@ def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short, stalls=1):
         if idx.size == 0:
             break
         th = theta[idx]
-        grads = problem.gradient(th, bounds[idx], w1, w2)
+        grads = problem.gradient(th, active[idx], w1, w2)
         scale = np.abs(grads).max(axis=1)
         alive = scale > 0.0
         dirs = grads / np.maximum(scale, 1e-300)[:, None]
         cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-        cthetas, cvals, cbounds = problem.value(cands.reshape(-1, dim), w1, w2)
+        cthetas, cvals, cactive = problem.value(cands.reshape(-1, dim), w1, w2)
         cvals = cvals.reshape(idx.size, -1)
         pick = (np.arange(idx.size), np.argmax(cvals, axis=1))
         cbest = cvals[pick]
@@ -639,7 +645,7 @@ def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short, stalls=1):
         gi = idx[improved]
         theta[gi] = cthetas.reshape(idx.size, -1, dim)[pick][improved]
         best[gi] = cbest[improved]
-        bounds[gi] = cbounds.reshape(idx.size, -1, 3)[pick][improved]
+        active[gi] = cactive.reshape(idx.size, -1, 2)[pick][improved]
         stall[gi] = 0
         stall[idx[~improved]] += 1
         stall[idx[~alive]] = stalls
@@ -873,6 +879,17 @@ class TestCutset:
             pytest.approx(0.0, abs=1e-9)
         assert cutset_sum_rate(catalog.binary_symmetric_mac(0.0)) == \
             pytest.approx(1.0, abs=1e-9)
+
+    def test_composite_labels_keep_pairs_distinct(self):
+        # Pair labels were "(a,b)" unescaped, so ("a", "b,c") and ("a,b", "c")
+        # collided: the joint-input and two-look solves rejected these
+        # valid channels. Labels do not enter the values.
+        plain = random_mac(np.random.default_rng(9), n1=2, n2=2, ny=4)
+        inputs = Mac(("a", "a,b"), ("b,c", "c"), plain.y_alphabet, plain.pmf)
+        outputs = Mac(plain.x1_alphabet, plain.x2_alphabet, ("a", "a,b", "b,c", "c"), plain.pmf)
+        assert cutset_sum_rate(inputs) == cutset_sum_rate(plain)
+        for user in (1, 2):
+            assert cutset_single_rate(outputs, user, "IF") == cutset_single_rate(plain, user, "IF")
 
     def test_bad_model_rejected(self):
         with pytest.raises(InputError):

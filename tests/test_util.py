@@ -1,4 +1,4 @@
-"""Euclidean projection onto the probability simplex, and the table validator."""
+"""Euclidean projection onto the probability simplex, the table validator and labels."""
 
 import itertools
 
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from macfeedback import InputError
-from macfeedback._util import SUM_TOL, check_table, project_rows_to_simplex, table_faults
+from macfeedback._util import (SUM_TOL, check_table, fresh_symbol, pair_label,
+                               project_rows_to_simplex, table_faults)
 
 
 def brute_force_projection(v):
@@ -197,3 +198,17 @@ class TestTableFaults:
         t = np.array([[0.5, np.nan], [0.25, 0.75]])
         assert [f[:2] for f in table_faults(t, 1)] == [("non-finite", (0, 1))]
         assert table_faults(np.zeros((0, 3)), 1) == []
+
+
+class TestLabels:
+    def test_pair_labels_are_distinct(self):
+        # Unescaped, ("a", "b,c") and ("a,b", "c") both gave "(a,b,c)".
+        parts = ["a", "a,b", "b,c", "c", "", ",", "(", ")", "\\", "\\,", "a\\", "(a,b)"]
+        labels = {pair_label(a, b) for a in parts for b in parts}
+        assert len(labels) == len(parts) ** 2
+        assert pair_label("0", "1") == "(0,1)"
+        assert pair_label("a,b", "c") == "(a\\,b,c)"
+
+    def test_fresh_symbol_skips_taken_suffixes(self):
+        assert fresh_symbol(("x",)) == "e"
+        assert fresh_symbol(("e", "e2")) == "e3"

@@ -40,9 +40,9 @@ from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
 from .optimize import DEFAULT_TOL
-from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, batch_pentagon, cover_leung_frontier,
-                      cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                      pentagon_corners)
+from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, batch_pentagon, check_weight,
+                      cover_leung_frontier, cutset_single_rate, cutset_sum_rate,
+                      default_weight_fan, pentagon_corners)
 
 VERIFY_TOL = 1e-9
 MAX_A_POINTS = 100_000
@@ -149,19 +149,21 @@ def cmd_region(args) -> tuple[dict, str]:
 
     if args.verify:
         # Re-evaluated with the batched kernel, independently of the
-        # named-axis evaluation that produced the stored value.
+        # named-axis evaluation that produced the stored value. As there, the
+        # direction picks the corner and the value scales with the pair.
         for pt in frontier.points:
-            q = pt.witness
-            val, r1, r2 = pentagon_corners(
+            q, (w1, w2) = pt.witness, pt.weights
+            _, r1, r2 = pentagon_corners(
                 *batch_pentagon(cf.mac.pmf, q.p_u.probs[None],
                                 q.p_x1_given_u.rows[None], q.p_x2_given_u.rows[None]),
-                *pt.weights)
-            if (abs(val[0] - pt.value) > VERIFY_TOL
+                *check_weight(w1, w2))
+            val = w1 * r1[0] + w2 * r2[0]
+            if (abs(val - pt.value) > VERIFY_TOL * (w1 + w2)
                     or abs(r1[0] - pt.rates.r1) > VERIFY_TOL
                     or abs(r2[0] - pt.rates.r2) > VERIFY_TOL):
                 raise VerificationError(
                     f"frontier point at weights {pt.weights} re-evaluates to "
-                    f"{val[0]!r}, stored {pt.value!r}"
+                    f"{val!r}, stored {pt.value!r}"
                 )
 
     csv_text = frontier.to_csv()

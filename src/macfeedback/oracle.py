@@ -37,7 +37,7 @@ _LATTICE_BLOCK_ROWS = 1500
 
 # Lattice values within this of the best count as ties; the first tied point
 # in lattice order wins, so last-bit noise in the values cannot flip which
-# point is returned.
+# point is returned. In bits of the direction's corner value (check_weight).
 _LATTICE_TIE = 1e-12
 
 
@@ -194,10 +194,11 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     Blocks of about ``_LATTICE_BLOCK_ROWS`` points, in lattice order, bound
     the arrays.
 
-    The winner is the first point in lattice order whose weighted value is
-    within ``_LATTICE_TIE`` of the best, so the pick does not hang on the
-    last bit of tied values; its rates are re-evaluated by
-    :func:`batch_pentagon` on that one point.
+    The sweep weighs by the direction of ``weight`` (:func:`check_weight`),
+    so the pair's scale moves no result. The winner is the first point in
+    lattice order whose weighted value is within ``_LATTICE_TIE`` of the
+    best, so the pick does not hang on the last bit of tied values; its
+    rates are re-evaluated by :func:`batch_pentagon` on that one point.
     """
     n1, n2, _ = mac.shape
     if n1 > 2 or n2 > 2:
@@ -205,8 +206,7 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     check_count("u_card", u_card, 1)
     if u_card > 2:
         raise InputError("grid_cl_point supports u_card in {1, 2} only")
-    w1, w2 = float(weight[0]), float(weight[1])
-    check_weight(w1, w2)
+    w1, w2 = check_weight(float(weight[0]), float(weight[1]))
 
     pu, rows1, rows2, shape, terms = _factored_lattice(mac.pmf, grid.resolution, u_card)
     blocks = _lattice_blocks(shape, _LATTICE_BLOCK_ROWS)

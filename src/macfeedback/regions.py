@@ -39,7 +39,7 @@ the fan rather than once per step of every direction, and ``_SLOTS``
 bounds each step's arrays. A direction drops the starts it cannot use:
 the single-user cut-set capacities C1 and C2, the certified upper ends of
 the partner-channel solves that build the structured starts, bound every
-corner value at weight (w1, w2) by w1 C1 + w2 C2, and where a projected
+corner value at direction (w1, w2) by w1 C1 + w2 C2, and where a projected
 start already comes within ``_WITNESS_TIE`` of that bound (at the axis
 weights, on the shipped channels with a positive capacity) the
 direction's later starts never ascend.
@@ -180,11 +180,16 @@ def default_weight_fan(n: int = 17) -> list[tuple[float, float]]:
     return [(1.0 - k / (n - 1), k / (n - 1)) for k in range(n)]
 
 
-def check_weight(w1: float, w2: float) -> None:
-    """Reject a weight direction that is negative, NaN, infinite or all zero."""
+def check_weight(w1: float, w2: float) -> tuple[float, float]:
+    """The direction ``(w1, w2) / (w1 + w2)`` of a weight pair that is finite,
+    nonnegative, not all zero and whose sum does not overflow; the frontier and
+    lattice tolerances are in bits of the direction's corner value."""
     if not (0.0 <= w1 < np.inf and 0.0 <= w2 < np.inf and w1 + w2 > 0.0):
         raise InputError(
             f"weight ({w1}, {w2}) must be finite, nonnegative and not both zero")
+    if w1 + w2 == np.inf:
+        raise InputError(f"weight ({w1}, {w2}): the sum w1 + w2 overflows")
+    return w1 / (w1 + w2), w2 / (w1 + w2)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +333,7 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
 # Projected gradient ascent over (p_u, p_x1|u, p_x2|u).
 
 _STEP_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-_IMPROVE_TOL = 1e-11
+_IMPROVE_TOL = 1e-11  # bits of the direction's corner value, as _WITNESS_TIE
 
 # Rows the pooled ascent moves at once: the first this many unfinished rows
 # in start order. A step evaluates one pentagon per such row and ladder rung,
@@ -337,13 +342,13 @@ _IMPROVE_TOL = 1e-11
 # fixed per-call cost.
 _SLOTS = 64
 
-# A start whose value is at least its direction's outer value
-# w1 C1 + w2 C2 less this is certified: no start can do better by more,
-# so the witness is the first certified start, and where a projected
-# start is already certified the direction's later starts never ascend. With no certified start, values within this of
-# the best count as ties and the first tied start in start order wins.
-# Either way last-bit noise in the values cannot flip which witness is
-# printed.
+# A start whose value is at least its direction's outer value w1 C1 + w2 C2
+# less this is certified: no start can do better by more, so the witness is
+# the first certified start, and where a projected start is already
+# certified the direction's later starts never ascend. Without one, values
+# within this of the best tie and the first tied start in start order wins,
+# so last-bit noise cannot flip the printed witness. In bits of the corner
+# value at the direction (:func:`check_weight`) that the ascent runs on.
 _WITNESS_TIE = 1e-12
 
 # Conditional output masses are floored here before taking log2. Mass
@@ -595,9 +600,11 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     (:meth:`_AscentProblem.ascend`); each row takes the steps it would take
     alone, so a direction's point does not depend on the rest of the fan.
 
-    The structured starts' capacity solves also give each user's
-    perfect-feedback cut-set value C1, C2 (:func:`cutset_single_rate`), and
-    w1 C1 + w2 C2 bounds every corner value at weight (w1, w2). A start
+    Each pair runs as its direction (w1, w2) (:func:`check_weight`), so its
+    scale moves no witness or rate; rates and ``value`` are reported at the
+    pair, and a pair whose value overflows raises. The structured starts'
+    capacity solves also give each user's perfect-feedback cut-set value C1,
+    C2, and w1 C1 + w2 C2 bounds every corner value at direction (w1, w2). A start
     whose value reaches that bound less ``_WITNESS_TIE`` is certified; the
     witness is the first certified start, and where a projected start is
     already certified the direction's later starts never ascend. Without a
@@ -627,8 +634,7 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     weights = [(float(w1), float(w2)) for w1, w2 in weights]
     if not weights:
         raise InputError("no weight directions given")
-    for w1, w2 in weights:
-        check_weight(w1, w2)
+    dirs = [check_weight(w1, w2) for w1, w2 in weights]
     problem = _AscentProblem(mac, u_card)
     structured, (c1, c2) = _structured_starts(mac, problem, tol)
     per_dir = len(structured) + restarts
@@ -638,29 +644,29 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     starts[:, :len(structured)] = structured
     for block, wseed in zip(starts, np.random.SeedSequence(seed).spawn(len(weights))):
         block[len(structured):] = _random_starts(np.random.default_rng(wseed), problem, restarts)
-    w1s, w2s = np.array(weights).T
     # r1 <= b1 <= C1 and r2 <= b2 <= C2 bound every corner value.
-    outer = np.array([w1 * c1 + w2 * c2 for w1, w2 in weights])
-    thetas, vals = problem.ascend(starts, w1s, w2s, outer, max_iter=max_iter)
+    outer = np.array([d1 * c1 + d2 * c2 for d1, d2 in dirs])
+    thetas, vals = problem.ascend(starts, *np.array(dirs).T, outer, max_iter=max_iter)
 
     points = []
-    for (w1, w2), o, dir_thetas, dir_vals in zip(weights, outer, thetas, vals):
+    for (w1, w2), (d1, d2), o, dir_thetas, dir_vals in zip(weights, dirs, outer,
+                                                           thetas, vals):
         tied = dir_vals >= o - _WITNESS_TIE
         if not tied.any():
             tied = dir_vals >= dir_vals.max() - _WITNESS_TIE
         q = _theta_to_clinput(dir_thetas[int(np.flatnonzero(tied)[0])], problem, mac)
         b1, b2, bsum = cover_leung_bounds(mac, q)
-        pt_vals, r1, r2 = pentagon_corners(
-            np.array([b1]), np.array([b2]), np.array([bsum]), w1, w2)
+        # The direction picks the corner, so a tie between corners falls the
+        # same way at any scale; the value is that corner's at the pair.
+        _, r1, r2 = (float(r[0]) for r in pentagon_corners(
+            np.array([b1]), np.array([b2]), np.array([bsum]), d1, d2))
+        value = w1 * r1 + w2 * r2
+        if not np.isfinite(value):
+            raise InputError(f"weight ({w1}, {w2}): the frontier value at it overflows")
         points.append(FrontierPoint(
-            weights=(w1, w2),
-            rates=RatePair(float(r1[0]), float(r2[0])),
-            value=float(pt_vals[0]),
-            witness=q,
-        ))
+            weights=(w1, w2), rates=RatePair(r1, r2), value=value, witness=q))
 
-    points.sort(key=lambda pt: pt.weights[1] / (pt.weights[0] + pt.weights[1]))
-    return RegionFrontier(tuple(points))
+    return RegionFrontier(tuple(pt for _, pt in sorted(zip(dirs, points), key=lambda t: t[0][1])))
 
 
 def _random_starts(rng: np.random.Generator, problem: _AscentProblem, k: int) -> np.ndarray:

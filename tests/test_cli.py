@@ -190,6 +190,20 @@ class TestRegion:
         assert code == 2
         assert "weight" in json.loads(err)["message"]
 
+    def test_weight_scale_prints_the_same_point(self, capsys, groupless_file):
+        # A pair names a direction: 1e-12:1e-12 and 1e300:1e300 print the
+        # rates and witness of 1:1, and --verify accepts the value at the pair.
+        points = []
+        for pair in ("1:1", "1e-12:1e-12", "1e300:1e300"):
+            code, out, err = run_cli(capsys, "region", "--channel", groupless_file,
+                                     "--weights", pair, "--restarts", "4", "--verify")
+            assert code == 0 and err == ""
+            points.append(json.loads(out)["frontier"]["points"][0])
+        for scale, point in zip((1e-12, 1e300), points[1:]):
+            for key in ("R1", "R2", "witness"):
+                assert point[key] == points[0][key]
+            assert point["value"] == scale * point["R1"] + scale * point["R2"]
+
     def test_verify_catches_shifted_bound(self, capsys, groupless_file, monkeypatch):
         # The stored points come from cover_leung_bounds; --verify must not
         # re-evaluate them with the same function, or this shift goes unseen.
@@ -517,6 +531,25 @@ def test_empty_weights_exits_two(capsys, groupless_file, argv):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "input" and doc["message"] == "no weights given"
+
+
+@pytest.mark.parametrize("channel,pair,message", [
+    ("adder", "1.7e308:1.7e308", "weight (1.7e+308, 1.7e+308): the sum w1 + w2 overflows"),
+    ("noiseless", "1e308:0", "weight (1e+308, 0.0): the frontier value at it overflows")])
+def test_overflowing_weights_exit_two(capsys, tmp_path, channel, pair, message):
+    # A finite pair is still rejected where its sum or, at R1 = 2 bits on the
+    # noiseless 4-input channel, its reported value overflows.
+    if channel == "adder":
+        mac = catalog.adder_mac()
+    else:
+        pmf = np.zeros((4, 1, 4))
+        pmf[np.arange(4), 0, np.arange(4)] = 1.0
+        mac = macfeedback.Mac(tuple("abcd"), ("z",), tuple("abcd"), pmf)
+    save_channel(mac, tmp_path / "ch.json")
+    code, out, err = run_cli(capsys, "region", "--weights", pair, "--restarts", "0",
+                             "--channel", str(tmp_path / "ch.json"))
+    assert_one_json_input_error(code, out, err)
+    assert json.loads(err)["message"] == message
 
 
 @pytest.mark.parametrize("which,flag", [

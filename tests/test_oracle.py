@@ -90,6 +90,13 @@ class TestGridClPoint:
         # optimizer noise.
         assert opt_value >= oracle_value - 5e-3
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-12, 1e300])
+    def test_weight_scale_moves_no_point(self, c):
+        # The sweep weighs by the pair's direction, so (c, c) is (1, 1).
+        mac, grid = catalog.adder_mac(), GridSpec(resolution=10)
+        assert (grid_cl_point(mac, (c, c), grid, u_card=2)
+                == grid_cl_point(mac, (1.0, 1.0), grid, u_card=2))
+
     def test_caps_enforced(self):
         rng = np.random.default_rng(3)
         with pytest.raises(InputError):

@@ -16,7 +16,7 @@ from macfeedback.checkers import erasure_scaling_check
 from macfeedback.oracle import GridSpec, grid_capacity, grid_cl_point
 from macfeedback import optimize, regions
 from macfeedback._util import entropy_bits
-from macfeedback.regions import _AscentProblem, batch_pentagon, pentagon_corners
+from macfeedback.regions import _AscentProblem, batch_pentagon, check_weight, pentagon_corners
 
 from _gen import random_mac
 
@@ -314,7 +314,8 @@ class TestFrontier:
         # tie tolerance (a certified start), or, where no start is
         # certified, the first within the tie tolerance of the direction's
         # best ascent value. It is stored as the ascent left it: only the
-        # table constructors' own normalization comes between.
+        # table constructors' own normalization comes between. The ascent
+        # runs on each pair's direction (w1, w2) / (w1 + w2).
         runs = []
         real = _AscentProblem.ascend
 
@@ -325,12 +326,13 @@ class TestFrontier:
 
         monkeypatch.setattr(_AscentProblem, "ascend", recording)
         weights = [(1.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.0, 1.0)]
+        directions = [(1.0, 0.0), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0)]
         f = cover_leung_frontier(mac, weights=weights, restarts=4, seed=0)
         witnesses = {pt.weights: pt.witness for pt in f.points}
         (problem, w1, w2, outer, all_thetas, all_vals), = runs
-        for weight, ow1, ow2, o, thetas, vals in zip(weights, w1, w2, outer,
-                                                     all_thetas, all_vals):
-            assert (ow1, ow2) == weight
+        for weight, direction, ow1, ow2, o, thetas, vals in zip(
+                weights, directions, w1, w2, outer, all_thetas, all_vals):
+            assert (ow1, ow2) == direction
             tied = vals >= o - regions._WITNESS_TIE
             # Only the axis directions reach the single-user cut-set value.
             assert tied.any() == (0.0 in weight)
@@ -345,6 +347,58 @@ class TestFrontier:
                                   ConditionalPmf(u, mac.x1_alphabet, p1[0]).rows)
             assert np.array_equal(q.p_x2_given_u.rows,
                                   ConditionalPmf(u, mac.x2_alphabet, p2[0]).rows)
+
+    @pytest.mark.parametrize("mac", [catalog.adder_mac(),
+                                     erasure_extend(catalog.adder_mac(), 0.5),
+                                     catalog.binary_symmetric_mac(0.11)],
+                             ids=["adder", "erasure-adder", "bsc011"])
+    def test_weight_scale_moves_no_point(self, mac):
+        # A pair names a direction: its scale moves no rate or witness, bit for
+        # bit where the scale is a power of two. The witness re-evaluates to
+        # the rates of the corner its direction picks, and the value is that
+        # corner's at the caller's pair.
+        directions = [(0.75, 0.25), (0.5, 0.5), (0.3125, 0.6875)]  # frontier order
+        base = cover_leung_frontier(mac, weights=directions, restarts=4)
+        for c in (2.0 ** -1000, 1e-300, 1e-12, 1e-6, 3.0, 1e6, 1e300):
+            pairs = [(c * w1, c * w2) for w1, w2 in directions]
+            f = cover_leung_frontier(mac, weights=pairs, restarts=4)
+            atol = 0.0 if math.frexp(c)[0] == 0.5 else 1e-12
+            for direction, pair, pb, pt in zip(directions, pairs, base.points, f.points):
+                qb, q = pb.witness, pt.witness
+                for got, want in [(pt.rates.r1, pb.rates.r1), (pt.rates.r2, pb.rates.r2),
+                                  (q.p_u.probs, qb.p_u.probs),
+                                  (q.p_x1_given_u.rows, qb.p_x1_given_u.rows),
+                                  (q.p_x2_given_u.rows, qb.p_x2_given_u.rows)]:
+                    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+                assert pt.weights == pair
+                _, r1, r2 = pentagon_corners(
+                    *(np.array([b]) for b in cover_leung_bounds(mac, q)), *direction)
+                assert pt.rates == RatePair(r1[0], r2[0])
+                assert pt.value == pair[0] * pt.rates.r1 + pair[1] * pt.rates.r2
+
+    def test_default_fans_are_directions(self):
+        # Every pair of a default fan sums to exactly 1, so its direction is
+        # the pair itself and default outputs do not move.
+        for n in range(2, 201):
+            for w1, w2 in default_weight_fan(n):
+                assert w1 + w2 == 1.0
+                assert check_weight(w1, w2) == (w1, w2)
+
+    def test_check_weight_returns_the_direction(self):
+        assert check_weight(3.0, 1.0) == (0.75, 0.25)
+        assert check_weight(0.0, 1e-300) == (0.0, 1.0)
+        with pytest.raises(InputError, match=r"weight \(1e\+308, 1e\+308\): the sum"):
+            check_weight(1e308, 1e308)
+
+    def test_overflowing_value_rejected(self):
+        # The pair's sum is finite, but 1e308 times R1 = 2 bits is not.
+        pmf = np.zeros((4, 1, 4))
+        pmf[np.arange(4), 0, np.arange(4)] = 1.0
+        mac = Mac(tuple("abcd"), ("z",), tuple("abcd"), pmf)
+        with pytest.raises(InputError, match=r"weight \(1e\+308, 0\.0\)"):
+            cover_leung_frontier(mac, weights=[(1e308, 0.0)], restarts=0)
+        pt = cover_leung_frontier(mac, weights=[(1e307, 0.0)], restarts=0).points[0]
+        assert pt.rates.r1 == pytest.approx(2.0) and pt.value == 1e307 * pt.rates.r1
 
     def test_default_weights_are_the_default_fan(self):
         mac = catalog.adder_mac()
@@ -380,7 +434,7 @@ class TestFrontier:
                                   **{name: value})
 
     @pytest.mark.parametrize("weight", [(0.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
-                                        (1.0, math.inf)])
+                                        (1.0, math.inf), (1.7e308, 1.7e308)])
     def test_bad_weight_rejected_by_frontier_and_lattice(self, weight):
         mac = catalog.adder_mac()
         with pytest.raises(InputError, match="weight"):

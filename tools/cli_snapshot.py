@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 141 CLI invocations against the checkout that holds
+Runs a fixed list of 144 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
 the single-user directions ``region --weights 1:0 --verify`` and ``region
 --weights 0:1 --verify``, the two-look cut-set ``region --model IF
@@ -12,11 +12,14 @@ the single-user directions ``region --weights 1:0 --verify`` and ``region
 additive-classify``, ``check symmetry``, ``check additive``, ``cfcurve
 --verify`` and the explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
 nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
-0.5`` and ``cfcurve --a-grid 0:0.16:0.1``, whose grid ends at 0.1, on
+0.5``, ``cfcurve --a-grid 0:0.16:0.1``, whose grid ends at 0.1, and the
+rescaled pairs ``region --weights 1e-12:1e-12 --verify`` and ``region
+--weights 1e300:1e300 --verify``, whose rates and witness are those of ``1:1``, on
 ``channels/adder.json``. On ``channels/adder.json`` it also runs
 the flag values the CLI must reject with exit code 2: ``--tol`` at -1, 0,
 nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
 ``region --weights 1:1``, ``region --restarts -3``, ``region --seed -1``,
+``region --weights 1.7e308:1.7e308``, whose sum overflows,
 ``check erasure-scaling --erasure-p 0.5 --restarts -2``, an empty
 ``--weights ""`` for ``region`` and ``check erasure-scaling --erasure-p
 0.5``, ``cfcurve --a-grid 0:3:1``, whose grid runs past 1, and the flags
@@ -73,6 +76,7 @@ INVALID_FLAGS = tuple(
        ("erasure-scaling-restarts-neg2",
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--restarts", "-2"]),
        ("region-weights-empty", ["region", "--weights", ""]),
+       ("region-weights-sum-overflows", ["region", "--weights", "1.7e308:1.7e308"]),
        ("erasure-scaling-weights-empty",
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--weights", ""]),
        ("cfcurve-a-grid-past-1", ["cfcurve", "--a-grid", "0:3:1"]),
@@ -105,6 +109,10 @@ def runs() -> list[tuple[str, list[str]]]:
                  "--channel", "channels/adder.json"]))
     out.append(("adder.cfcurve-a-grid-0.16",
                 ["cfcurve", "--a-grid", "0:0.16:0.1", "--channel", "channels/adder.json"]))
+    for scale in ("1e-12", "1e300"):
+        out.append((f"adder.region-weights-{scale}",
+                    ["region", "--weights", f"{scale}:{scale}", "--verify",
+                     "--channel", "channels/adder.json"]))
     for name, argv in INVALID_FLAGS:
         out.append((f"adder.{name}", argv + ["--channel", "channels/adder.json"]))
     for name, argv in UNREAD_FLAGS:

@@ -215,6 +215,18 @@ def partner_channels(mac: Mac, user: int) -> dict[str, ConditionalPmf]:
             for sym, rows in zip(partner, by_partner)}
 
 
+def _check_free_input(channels: dict[str, ConditionalPmf], p_free, symbols=()) -> None:
+    """Reject partner ``symbols`` that are not keys of ``channels`` and a
+    ``p_free`` that is not a :class:`Pmf` over the free user's alphabet, in
+    its order."""
+    for sym in symbols:
+        if sym not in channels:
+            raise InputError(f"symbol {sym!r} not in the partner alphabet")
+    free = next(iter(channels.values())).input_alphabet
+    if not (isinstance(p_free, Pmf) and p_free.alphabet == free):
+        raise InputError(f"the input law must be a Pmf over the free user's alphabet {free}")
+
+
 def induced_channel(mac: Mac, fix_user: int, fixed_symbol: str) -> ConditionalPmf:
     """Point-to-point channel seen by one user when the other sends a constant.
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import entropy_bits
-from .channel import (ConditionalPmf, JointDist, Mac, Pmf, erasure_extend,
-                      partner_channels, two_look_rows)
+from .channel import (ConditionalPmf, JointDist, Mac, Pmf, _check_free_input,
+                      erasure_extend, partner_channels, two_look_rows)
 from .errors import InputError
 from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
@@ -324,6 +324,9 @@ def compress_forward_curve(channels: dict[str, ConditionalPmf], xk_star: str, xb
 
     ``channels`` are the free user's partner-constant channels, from
     ``partner_channels(mac, user)`` or ``SingleRateResult.channels``.
+    ``xk_star`` and ``xbar_k`` must be partner symbols and ``p_star`` a
+    Pmf over the free user's alphabet, in its order (the check
+    :func:`compress_forward_rate` and ``conditional_mi_spread`` share).
     ``a_grid`` must be sorted within [0, 1] and contain 0; the first
     point then reproduces the one-user capacity whenever ``p_star`` and
     ``x_k*`` come from :func:`single_rate_capacity`. With the partner
@@ -347,9 +350,7 @@ def compress_forward_curve(channels: dict[str, ConditionalPmf], xk_star: str, xb
         raise InputError("a_grid must be sorted")
     if a_grid[0] != 0.0:
         raise InputError("a_grid must contain 0")
-    for sym in (xk_star, xbar_k):
-        if sym not in channels:
-            raise InputError(f"symbol {sym!r} not in the partner alphabet")
+    _check_free_input(channels, p_star, (xk_star, xbar_k))
 
     star = _symbol_terms(channels[xk_star], p_star.probs)
     bar = _symbol_terms(channels[xbar_k], p_star.probs)
@@ -379,8 +380,13 @@ def compress_forward_rate(channels: dict[str, ConditionalPmf], xk_star: str, xba
     The independent check of :func:`compress_forward_curve` on the same
     partner channels: builds p(xk) p(xj) W(y|xj,xk) W(y'|xj,xk) over named
     axes and takes
-    I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)).
+    I(Xj;Y|Xk) + min(I(Xk;Y) - b H(Y|Xj,Xk), b I(Xj;Y'|Xk,Y)). Its
+    arguments are checked as the curve's, and ``a`` and ``b`` must lie
+    in [0, 1].
     """
+    _check_free_input(channels, p_star, (xk_star, xbar_k))
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise InputError(f"a ({a!r}) and b ({b!r}) must lie in [0, 1]")
     other_alpha = tuple(channels)
     y_alpha = channels[xk_star].output_alphabet
     pk = np.zeros(len(other_alpha))

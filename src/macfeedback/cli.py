@@ -30,8 +30,7 @@ import json
 import math
 import sys
 
-from ._util import channel_mi_bits
-from .channel import Pmf
+from .channel import JointDist, Pmf
 from .channel_io import ChannelFile, load_channel_file
 from .checkers import (classify_additive_gain, compress_forward_curve,
                        compress_forward_rate, erasure_scaling_check,
@@ -39,10 +38,11 @@ from .checkers import (classify_additive_gain, compress_forward_curve,
 from .errors import InputError
 from .groups import (channel_given_sum, conditional_mi_spread,
                      rows_are_permutations, verify_additive)
+from .infotheory import mutual_information
 from .optimize import DEFAULT_TOL
-from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, batch_pentagon, check_weight,
-                      cover_leung_frontier, cutset_single_rate, cutset_sum_rate,
-                      default_weight_fan, pentagon_corners)
+from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, batch_pentagon, cover_leung_frontier,
+                      cutset_single_rate, cutset_sum_rate, default_weight_fan,
+                      frontier_point)
 
 VERIFY_TOL = 1e-9
 MAX_A_POINTS = 100_000
@@ -63,12 +63,16 @@ class VerificationError(RuntimeError):
 
 
 def _emit(out: dict | str, path: str | None) -> None:
-    """Write a JSON report or CSV text to the file ``path``, else to stdout."""
+    """Write a JSON report or CSV text to the file ``path``, else to stdout;
+    a path that cannot be written is an input error."""
     if isinstance(out, dict):
         out = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(out)
 
@@ -127,8 +131,12 @@ def cmd_singlerate(args) -> dict:
         res = single_rate_capacity(cf.mac, user, tol=args.tol)
         out[f"user{user}"] = res.to_dict()
         if args.verify:
-            rows = res.channels[res.xk_star].rows
-            again = float(channel_mi_bits(res.p_star.probs, rows))
+            # Re-evaluated on the named-axis joint p*(x) W(y|x), independently
+            # of the channel_mi_bits kernel that produced the stored value.
+            ch = res.channels[res.xk_star]
+            again = mutual_information(JointDist(
+                (("x", ch.input_alphabet), ("y", ch.output_alphabet)),
+                res.p_star.probs[:, None] * ch.rows))
             if abs(again - res.value) > VERIFY_TOL:
                 raise VerificationError(
                     f"user {user}: stored value {res.value!r} but witness "
@@ -149,18 +157,16 @@ def cmd_region(args) -> tuple[dict, str]:
 
     if args.verify:
         # Re-evaluated with the batched kernel, independently of the
-        # named-axis evaluation that produced the stored value. As there, the
-        # direction picks the corner and the value scales with the pair.
+        # named-axis evaluation that produced the stored value.
         for pt in frontier.points:
-            q, (w1, w2) = pt.witness, pt.weights
-            _, r1, r2 = pentagon_corners(
+            q = pt.witness
+            _, rates, val = frontier_point(
                 *batch_pentagon(cf.mac.pmf, q.p_u.probs[None],
                                 q.p_x1_given_u.rows[None], q.p_x2_given_u.rows[None]),
-                *check_weight(w1, w2))
-            val = w1 * r1[0] + w2 * r2[0]
-            if (abs(val - pt.value) > VERIFY_TOL * (w1 + w2)
-                    or abs(r1[0] - pt.rates.r1) > VERIFY_TOL
-                    or abs(r2[0] - pt.rates.r2) > VERIFY_TOL):
+                pt.weights)
+            if (abs(val - pt.value) > VERIFY_TOL * sum(pt.weights)
+                    or abs(rates.r1 - pt.rates.r1) > VERIFY_TOL
+                    or abs(rates.r2 - pt.rates.r2) > VERIFY_TOL):
                 raise VerificationError(
                     f"frontier point at weights {pt.weights} re-evaluates to "
                     f"{val!r}, stored {pt.value!r}"

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import SUPPORT_EPS, channel_mi_bits
-from .channel import ConditionalPmf, Mac, Pmf, _check_alphabet, partner_channels
+from .channel import (ConditionalPmf, Mac, Pmf, _check_alphabet, _check_free_input,
+                      partner_channels)
 from .errors import InputError
 
 EQ38_TOL = 1e-9
@@ -279,14 +280,13 @@ def conditional_mi_spread(mac: Mac, user: int, p_xj: Pmf) -> MiSpreadReport:
 
     For an additive channel the value is the same for every ``x_k``, so
     the spread is a numerical zero; for general channels the spread is
-    simply reported.
+    simply reported. ``p_xj`` must be a Pmf over the free user's alphabet,
+    in its order.
     """
-    p = p_xj.probs
-    values: dict[str, float] = {}
-    for sym, ch in partner_channels(mac, user).items():
-        if p.shape[0] != len(ch.input_alphabet):
-            raise InputError("p_xj length does not match the free user's alphabet")
-        values[sym] = max(float(channel_mi_bits(p, ch.rows)), 0.0)
+    channels = partner_channels(mac, user)
+    _check_free_input(channels, p_xj)
+    values = {sym: max(float(channel_mi_bits(p_xj.probs, ch.rows)), 0.0)
+              for sym, ch in channels.items()}
     spread = max(values.values()) - min(values.values())
     return MiSpreadReport(user=user, values=values, max_spread=spread)
 

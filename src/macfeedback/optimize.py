@@ -121,6 +121,7 @@ def maximize_joint_mi(mac: Mac, tol: float = DEFAULT_TOL) -> OptResult:
     :func:`_kkt_capacity`; the maximizing joint is over the product
     alphabet, row-major in (x1, x2).
     """
+    check_tol(tol)
     pairs = tuple(pair_label(s, t) for s in mac.x1_alphabet for t in mac.x2_alphabet)
     flat = ConditionalPmf(pairs, mac.y_alphabet, mac.pmf.reshape(len(pairs), -1))
     return _kkt_capacity(flat, tol)

@@ -26,7 +26,7 @@ from ._util import (SUPPORT_EPS, binary_entropy, channel_mi_bits, check_count, e
 from .channel import ConditionalPmf, Mac
 from .errors import InputError
 from .groups import ROW_TOL
-from .regions import RatePair, batch_pentagon, check_weight, pentagon_corners
+from .regions import RatePair, batch_pentagon, check_weight, frontier_point, pentagon_corners
 
 
 # Lattice points per block of the frontier sweep: enough to spread numpy's
@@ -198,7 +198,7 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     so the pair's scale moves no result. The winner is the first point in
     lattice order whose weighted value is within ``_LATTICE_TIE`` of the
     best, so the pick does not hang on the last bit of tied values; its
-    rates are re-evaluated by :func:`batch_pentagon` on that one point.
+    rates are the :func:`frontier_point` of that one point's :func:`batch_pentagon`.
     """
     n1, n2, _ = mac.shape
     if n1 > 2 or n2 > 2:
@@ -206,7 +206,7 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     check_count("u_card", u_card, 1)
     if u_card > 2:
         raise InputError("grid_cl_point supports u_card in {1, 2} only")
-    w1, w2 = check_weight(float(weight[0]), float(weight[1]))
+    w1, w2 = check_weight(weight)
 
     pu, rows1, rows2, shape, terms = _factored_lattice(mac.pmf, grid.resolution, u_card)
     blocks = _lattice_blocks(shape, _LATTICE_BLOCK_ROWS)
@@ -219,9 +219,8 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
     start = int(np.ravel_multi_index(lead + (0,) * (len(shape) - len(lead)), shape))
     point = np.unravel_index(start + int(np.flatnonzero(vals >= floor)[0]), shape)
     i1, i2 = list(point[1:1 + u_card]), list(point[1 + u_card:])
-    b1, b2, bsum = batch_pentagon(mac.pmf, pu[[point[0]]], rows1[[i1]], rows2[[i2]])
-    _, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
-    return RatePair(float(r1[0]), float(r2[0]))
+    return frontier_point(*batch_pentagon(mac.pmf, pu[[point[0]]], rows1[[i1]], rows2[[i2]]),
+                          weight)[1]
 
 
 def brute_force_condition2(ch: ConditionalPmf, support=None) -> bool:

@@ -55,6 +55,7 @@ the joint-input sum-rate bound.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,10 +181,19 @@ def default_weight_fan(n: int = 17) -> list[tuple[float, float]]:
     return [(1.0 - k / (n - 1), k / (n - 1)) for k in range(n)]
 
 
-def check_weight(w1: float, w2: float) -> tuple[float, float]:
-    """The direction ``(w1, w2) / (w1 + w2)`` of a weight pair that is finite,
-    nonnegative, not all zero and whose sum does not overflow; the frontier and
+def _weight_floats(weight) -> tuple[float, float]:
+    """A weight pair as two Python floats; anything but two real numbers raises."""
+    pair = tuple(weight) if np.iterable(weight) else ()
+    if len(pair) != 2 or not all(isinstance(w, numbers.Real) for w in pair):
+        raise InputError(f"weight {weight!r} is not a pair of numbers")
+    return float(pair[0]), float(pair[1])
+
+
+def check_weight(weight) -> tuple[float, float]:
+    """The direction ``(w1, w2) / (w1 + w2)`` of a pair of two real numbers that are
+    finite, nonnegative, not both zero and whose sum does not overflow; the frontier and
     lattice tolerances are in bits of the direction's corner value."""
+    w1, w2 = _weight_floats(weight)
     if not (0.0 <= w1 < np.inf and 0.0 <= w2 < np.inf and w1 + w2 > 0.0):
         raise InputError(
             f"weight ({w1}, {w2}) must be finite, nonnegative and not both zero")
@@ -327,6 +337,18 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
     r1 = np.where(use_a, b1, r1b)
     r2 = np.where(use_a, r2a, b2)
     return value, r1, r2
+
+
+def frontier_point(b1, b2, bsum, weight) -> tuple[tuple[float, float], RatePair, float]:
+    """A pentagon's point at a weight pair: the pair as floats, the rates of the corner
+    its direction (:func:`check_weight`) picks, so ties fall alike at any scale, and
+    their value w1 R1 + w2 R2 at the pair; an overflowing value raises an InputError."""
+    (d1, d2), (w1, w2) = check_weight(weight), _weight_floats(weight)
+    _, r1, r2 = (float(r) for r in pentagon_corners(*np.reshape((b1, b2, bsum), 3), d1, d2))
+    value = w1 * r1 + w2 * r2
+    if not np.isfinite(value):
+        raise InputError(f"weight ({w1}, {w2}): the frontier value at it overflows")
+    return (w1, w2), RatePair(r1, r2), value
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +623,8 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     alone, so a direction's point does not depend on the rest of the fan.
 
     Each pair runs as its direction (w1, w2) (:func:`check_weight`), so its
-    scale moves no witness or rate; rates and ``value`` are reported at the
-    pair, and a pair whose value overflows raises. The structured starts'
+    scale moves no witness or rate; each point is the witness pentagon's
+    :func:`frontier_point` at the pair. The structured starts'
     capacity solves also give each user's perfect-feedback cut-set value C1,
     C2, and w1 C1 + w2 C2 bounds every corner value at direction (w1, w2). A start
     whose value reaches that bound less ``_WITNESS_TIE`` is certified; the
@@ -629,12 +651,10 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     for name, v, least in (("restarts", restarts, 0), ("seed", seed, 0),
                            ("max_iter", max_iter, 0), ("u_card", u_card, 1)):
         check_count(name, v, least)
-    if weights is None:
-        weights = default_weight_fan()
-    weights = [(float(w1), float(w2)) for w1, w2 in weights]
-    if not weights:
+    weights = default_weight_fan() if weights is None else list(weights)
+    dirs = [check_weight(w) for w in weights]
+    if not dirs:
         raise InputError("no weight directions given")
-    dirs = [check_weight(w1, w2) for w1, w2 in weights]
     problem = _AscentProblem(mac, u_card)
     structured, (c1, c2) = _structured_starts(mac, problem, tol)
     per_dir = len(structured) + restarts
@@ -649,22 +669,12 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     thetas, vals = problem.ascend(starts, *np.array(dirs).T, outer, max_iter=max_iter)
 
     points = []
-    for (w1, w2), (d1, d2), o, dir_thetas, dir_vals in zip(weights, dirs, outer,
-                                                           thetas, vals):
+    for w, o, dir_thetas, dir_vals in zip(weights, outer, thetas, vals):
         tied = dir_vals >= o - _WITNESS_TIE
         if not tied.any():
             tied = dir_vals >= dir_vals.max() - _WITNESS_TIE
         q = _theta_to_clinput(dir_thetas[int(np.flatnonzero(tied)[0])], problem, mac)
-        b1, b2, bsum = cover_leung_bounds(mac, q)
-        # The direction picks the corner, so a tie between corners falls the
-        # same way at any scale; the value is that corner's at the pair.
-        _, r1, r2 = (float(r[0]) for r in pentagon_corners(
-            np.array([b1]), np.array([b2]), np.array([bsum]), d1, d2))
-        value = w1 * r1 + w2 * r2
-        if not np.isfinite(value):
-            raise InputError(f"weight ({w1}, {w2}): the frontier value at it overflows")
-        points.append(FrontierPoint(
-            weights=(w1, w2), rates=RatePair(r1, r2), value=value, witness=q))
+        points.append(FrontierPoint(*frontier_point(*cover_leung_bounds(mac, q), w), witness=q))
 
     return RegionFrontier(tuple(pt for _, pt in sorted(zip(dirs, points), key=lambda t: t[0][1])))
 

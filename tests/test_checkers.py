@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macfeedback import (InputError, JointDist, Mac, binary_entropy,
+from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
                          classify_additive_gain, compress_forward_curve,
                          conditional_entropy, conditional_mi, cutset_single_rate,
                          erasure_scaling_check, gain_sufficient_condition,
@@ -197,6 +197,35 @@ class TestCompressForwardCurve:
             compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.0, 1.5])
         with pytest.raises(InputError):
             compress_forward_curve(sr.channels, sr.xk_star, "1", sr.p_star, [0.2, 0.0])
+
+    # Arguments of the curve and of its named-axis re-evaluation that the
+    # free user's channels cannot take; each used to fail inside numpy or
+    # JointDist, or to be read by position.
+    _THREE = Pmf(("0", "1", "2"), np.full(3, 1 / 3))
+    _SWAPPED = Pmf(("1", "0"), np.array([0.25, 0.75]))
+
+    @pytest.mark.parametrize("p_star", [_THREE, _SWAPPED], ids=["three", "swapped"])
+    def test_curve_rejects_a_foreign_input_law(self, p_star):
+        sr = single_rate_capacity(catalog.erasure_adder_mac(0.5), 1)
+        with pytest.raises(InputError, match="free user's alphabet"):
+            compress_forward_curve(sr.channels, sr.xk_star, "1", p_star, [0.0, 0.1])
+
+    @pytest.mark.parametrize("p_star", [_THREE, _SWAPPED], ids=["three", "swapped"])
+    def test_rate_rejects_a_foreign_input_law(self, p_star):
+        sr = single_rate_capacity(catalog.erasure_adder_mac(0.5), 1)
+        with pytest.raises(InputError, match="free user's alphabet"):
+            checkers.compress_forward_rate(sr.channels, sr.xk_star, "1", p_star, 0.1, 0.5)
+
+    def test_rate_rejects_an_unknown_symbol(self):
+        sr = single_rate_capacity(catalog.erasure_adder_mac(0.5), 1)
+        with pytest.raises(InputError, match="'7' not in the partner alphabet"):
+            checkers.compress_forward_rate(sr.channels, sr.xk_star, "7", sr.p_star, 0.1, 0.5)
+
+    @pytest.mark.parametrize("a,b", [(1.5, 0.5), (-0.1, 0.5), (0.1, math.nan), (0.1, 1.5)])
+    def test_rate_rejects_a_or_b_outside_the_unit_interval(self, a, b):
+        sr = single_rate_capacity(catalog.erasure_adder_mac(0.5), 1)
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            checkers.compress_forward_rate(sr.channels, sr.xk_star, "1", sr.p_star, a, b)
 
     def test_csv_export(self):
         mac = catalog.erasure_adder_mac(0.5)

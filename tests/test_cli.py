@@ -13,7 +13,7 @@ import pytest
 
 import macfeedback
 from macfeedback import catalog, checkers, classify_additive_gain, regions, save_channel
-from macfeedback import cli
+from macfeedback import _util, cli
 from macfeedback.cli import main
 from macfeedback.optimize import DEFAULT_TOL
 
@@ -113,6 +113,21 @@ class TestSinglerate:
     def test_verify_passes(self, capsys, adder_file):
         code, _, _ = run_cli(capsys, "singlerate", "--channel", adder_file, "--verify")
         assert code == 0
+
+    def test_verify_catches_shifted_kernel(self, capsys, adder_file, monkeypatch):
+        # The stored values come from channel_mi_bits; --verify must not
+        # re-evaluate them with the same kernel, or this shift goes unseen.
+        real = _util.channel_mi_bits
+
+        def shifted(p, rows):
+            return real(p, rows) + 1e-6
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("macfeedback") and hasattr(module, "channel_mi_bits"):
+                monkeypatch.setattr(module, "channel_mi_bits", shifted)
+        code, _, err = run_cli(capsys, "singlerate", "--channel", adder_file, "--verify")
+        assert code == 1
+        assert json.loads(err)["error"] == "VerificationError"
 
     @pytest.mark.parametrize("path,value,message", [
         ((), [], "{file}: top level must be an object"),
@@ -487,6 +502,19 @@ class TestCfCurve:
         code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file, "--verify")
         assert code == 1
         assert json.loads(err)["error"] == "VerificationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["singlerate", "--json-out", "{missing}/x.json"],
+    ["region", "--weights", "1:1", "--restarts", "0", "--csv-out", "{missing}/f.csv"],
+    ["cfcurve", "--csv-out", "{dir}"]], ids=["json_out", "csv_out", "directory"])
+def test_unwritable_output_exits_two(capsys, tmp_path, adder_file, argv):
+    # Writing used to fail with FileNotFoundError or IsADirectoryError, exit 1.
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--channel", adder_file)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and repr(argv[-1]) in doc["message"]
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

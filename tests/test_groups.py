@@ -420,6 +420,15 @@ class TestConditionalMiSpread:
             rep = conditional_mi_spread(mac, 2, Pmf(("0", "1"), p))
             assert rep.max_spread < 1e-10
 
+    @pytest.mark.parametrize("p_xj", [Pmf(("0", "1", "2"), np.full(3, 1 / 3)),
+                                      Pmf(("1", "0"), np.array([0.25, 0.75]))],
+                             ids=["three", "swapped"])
+    def test_foreign_input_law_rejected(self, p_xj):
+        # A law over the free user's labels in another order was read by
+        # position.
+        with pytest.raises(InputError, match="free user's alphabet"):
+            conditional_mi_spread(catalog.erasure_adder_mac(0.5), 1, p_xj)
+
     def test_generic_channel_spreads(self):
         rng = np.random.default_rng(3)
         spreads = []

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from macfeedback import (ConditionalPmf, InputError, Mac, binary_entropy,
-                         blahut_arimoto, max_support_input, maximize_joint_mi,
-                         single_rate_capacity)
+                         blahut_arimoto, cutset_sum_rate, max_support_input,
+                         maximize_joint_mi, single_rate_capacity)
 from macfeedback import catalog, optimize
 from macfeedback._util import channel_mi_bits
 from macfeedback.oracle import GridSpec, grid_capacity
@@ -203,6 +203,14 @@ class TestMaximizeJointMi:
     def test_noiseless_binary_symmetric(self):
         res = maximize_joint_mi(catalog.binary_symmetric_mac(0.0))
         assert res.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # It and the sum-rate cut-set that reads it check tol as the
+        # single-channel solves do, before any Newton step.
+        for solve in (maximize_joint_mi, cutset_sum_rate):
+            with pytest.raises(InputError, match="tol"):
+                solve(catalog.adder_mac(), tol=tol)
 
     def test_input_is_joint_over_product(self):
         res = maximize_joint_mi(catalog.adder_mac())

@@ -1,6 +1,7 @@
 """Achievable frontier, pentagon bounds and cut-set values."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -382,13 +383,13 @@ class TestFrontier:
         for n in range(2, 201):
             for w1, w2 in default_weight_fan(n):
                 assert w1 + w2 == 1.0
-                assert check_weight(w1, w2) == (w1, w2)
+                assert check_weight((w1, w2)) == (w1, w2)
 
     def test_check_weight_returns_the_direction(self):
-        assert check_weight(3.0, 1.0) == (0.75, 0.25)
-        assert check_weight(0.0, 1e-300) == (0.0, 1.0)
+        assert check_weight((3.0, 1.0)) == (0.75, 0.25)
+        assert check_weight((0.0, 1e-300)) == (0.0, 1.0)
         with pytest.raises(InputError, match=r"weight \(1e\+308, 1e\+308\): the sum"):
-            check_weight(1e308, 1e308)
+            check_weight((1e308, 1e308))
 
     def test_overflowing_value_rejected(self):
         # The pair's sum is finite, but 1e308 times R1 = 2 bits is not.
@@ -434,12 +435,16 @@ class TestFrontier:
                                   **{name: value})
 
     @pytest.mark.parametrize("weight", [(0.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
-                                        (1.0, math.inf), (1.7e308, 1.7e308)])
+                                        (1.0, math.inf), (1.7e308, 1.7e308),
+                                        (1, 1, 1), ("a", 1), 1.0, (1,)])
     def test_bad_weight_rejected_by_frontier_and_lattice(self, weight):
         mac = catalog.adder_mac()
-        with pytest.raises(InputError, match="weight"):
+        named = re.escape(f"weight {weight!r}")
+        with pytest.raises(InputError, match=named):
             cover_leung_frontier(mac, weights=[weight], restarts=1)
-        with pytest.raises(InputError, match="weight"):
+        with pytest.raises(InputError, match=named):
+            erasure_scaling_check(mac, 0.5, weights=[weight], restarts=1)
+        with pytest.raises(InputError, match=named):
             grid_cl_point(mac, weight, GridSpec(resolution=4))
 
     @pytest.mark.parametrize("name,value", [("restarts", 2.5), ("restarts", "3"),

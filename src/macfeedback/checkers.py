@@ -66,7 +66,9 @@ class SingleRateResult:
     ``maximizer_set`` lists every partner symbol whose induced capacity
     ties the best one within the requested tolerance; ``inputs`` holds a
     maximal-support capacity-achieving input for every partner symbol,
-    and ``p_star`` is the one for ``xk_star``. ``upper`` is the largest
+    and ``p_star`` is the one for ``xk_star``, the first symbol in label
+    order within 1e-13 of the best. ``value`` is that symbol's, so it is
+    the value of the printed witness. ``upper`` is the largest
     outer end of the per-symbol certificates, so ``value <= rate <= upper``.
     ``channels`` holds the partner-constant channels those inputs solve,
     keyed like ``inputs``, so that the gain condition and the
@@ -118,7 +120,7 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
                        if per_symbol[s] >= best_val - (tol + 1e-12))
     return SingleRateResult(
         user=user,
-        value=best_val,
+        value=per_symbol[best_sym],
         xk_star=best_sym,
         maximizer_set=maximizers,
         per_symbol=per_symbol,
@@ -522,12 +524,7 @@ def classify_additive_gain(mac: Mac, group: GroupSpec
     in the refined ones). On a strict conclusion the gain condition is
     re-checked and must agree.
     """
-    report = verify_additive(mac, group)
-    if not report.additive:
-        raise InputError(
-            "channel is not additive under the given group: "
-            + "; ".join(report.violations[:3])
-        )
+    verify_additive(mac, group).require_additive()
     joint = maximize_joint_mi(mac, tol=DEFAULT_TOL)
     sum_channel = channel_given_sum(mac, group)
     out = []

@@ -14,11 +14,15 @@ Subcommands, each with the flags it reads::
 
 Every subcommand also reads ``--json-out``. Each parser declares only the
 flags its handler reads, so any other flag is a usage error; a ``check``
-analysis takes its flags after its name. Results are JSON on stdout (CSV
-for curve and frontier data, to a file via ``--csv-out`` or to stdout
-otherwise). Exit codes: 0 for success including negative analysis
-outcomes, 1 for internal errors, 2 for usage, input or validation errors;
-errors are mirrored as one line of machine-readable JSON on stderr.
+analysis takes its flags after its name. Results are JSON, on stdout or
+to ``--json-out``; ``region`` writes its frontier CSV only to
+``--csv-out``. ``cfcurve`` writes its curve CSV to ``--csv-out``, else to
+stdout, and its JSON to ``--json-out``, else to stdout only when the CSV
+went to ``--csv-out``. An output path that is a directory, or whose
+directory does not exist, is refused before any analysis runs. Exit
+codes: 0 for success including negative analysis outcomes, 1 for internal
+errors, 2 for usage, input or validation errors; errors are mirrored as
+one line of machine-readable JSON on stderr.
 Identical configuration and seed give byte-identical output.
 """
 
@@ -28,6 +32,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .channel import JointDist, Pmf
@@ -60,6 +65,14 @@ _SHARED_FLAGS = {
 
 class VerificationError(RuntimeError):
     """A stored witness failed re-evaluation under --verify."""
+
+
+def _check_output_path(path: str | None) -> None:
+    """Refuse an output path that is a directory or whose directory does not exist."""
+    if path and os.path.isdir(path):
+        raise InputError(f"cannot write {path!r}: it is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(f"cannot write {path!r}: its directory does not exist")
 
 
 def _emit(out: dict | str, path: str | None) -> None:
@@ -194,9 +207,7 @@ def cmd_check(args) -> dict:
         out["report"] = verify_additive(cf.mac, group).to_dict()
     elif which == "symmetry":
         group = _require_group(cf)
-        add = verify_additive(cf.mac, group)
-        if not add.additive:
-            raise InputError("channel is not additive: " + "; ".join(add.violations[:3]))
+        verify_additive(cf.mac, group).require_additive()
         sum_ch = channel_given_sum(cf.mac, group)
         out["rows_are_permutations"] = rows_are_permutations(sum_ch)
         for user in (1, 2):
@@ -318,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for path in (args.json_out, getattr(args, "csv_out", None)):
+            _check_output_path(path)
         if args.command == "singlerate":
             _emit(cmd_singlerate(args), args.json_out)
         elif args.command == "region":

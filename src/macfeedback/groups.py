@@ -148,6 +148,13 @@ class AdditivityReport:
     def to_dict(self) -> dict:
         return {"additive": self.additive, "violations": list(self.violations)}
 
+    def require_additive(self) -> None:
+        """Refuse, by an InputError naming the first three violations, a channel the
+        group does not certify additive."""
+        if not self.additive:
+            raise InputError("channel is not additive under the given group: "
+                             + "; ".join(self.violations[:3]))
+
 
 def _sum_table(mac: Mac, g: GroupSpec):
     """The group-sum table of ``g`` on ``mac``; raises when dimensions differ.

@@ -33,8 +33,9 @@ _FLOOR = 1e-14  # the least mass an input of the support keeps
 class OptResult:
     """Outcome of a capacity maximization.
 
-    ``value`` is the mutual information of ``argmax_input`` (a certified
-    lower bound on capacity, within the tolerance of it when ``converged``);
+    ``value`` is the mutual information of ``argmax_input``, capped at
+    ``upper`` and floored at 0 against rounding (a certified lower bound on
+    capacity, within the tolerance of it when ``converged``);
     ``upper`` is the largest divergence D(W_x || p_y) over inputs x, with
     p_y the output law ``argmax_input`` induces, a certified upper bound.
     Inner values read ``value``, outer bounds read ``upper``.
@@ -54,7 +55,8 @@ def check_tol(tol: float) -> None:
 
 
 def _result(ch: ConditionalPmf, p: np.ndarray, value, upper, iterations, converged):
-    """The OptResult of input ``p``, its inner end floored at 0."""
+    """The OptResult of input ``p``, its inner end capped at the outer end and floored at 0."""
+    value = min(value, upper)
     return OptResult(value if value > 0.0 else 0.0, upper, Pmf(ch.input_alphabet, p),
                      iterations, converged)
 
@@ -73,10 +75,10 @@ def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
 
 def _measured(ch: ConditionalPmf, p: np.ndarray, tol: float, iterations: int) -> OptResult:
     """The OptResult of input ``p`` with both ends measured at ``p`` on ``ch``:
-    I(p) as p @ D (``min``-ed with the outer end), max D, converged within ``tol``."""
+    I(p) as p @ D, max D, converged within ``tol``."""
     div = _divergence_rows(ch.rows, p @ ch.rows)
     value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
-    return _result(ch, p, min(value, upper), upper, iterations, upper - value <= tol)
+    return _result(ch, p, value, upper, iterations, upper - value <= tol)
 
 
 def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
@@ -258,5 +260,5 @@ def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL) -> OptResult
             p[basis] += np.maximum(c, 0.0)
     p = clamp_tiny(p / p.sum())
     upper = float(_divergence_rows(rows, p @ rows).max())
-    value = min(float(channel_mi_bits(p, rows)), upper)
+    value = float(channel_mi_bits(p, rows))
     return _result(ch, p, value, upper, res.iterations, res.converged and upper - value <= tol)

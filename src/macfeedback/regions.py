@@ -203,8 +203,9 @@ def check_weight(weight) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Batched pentagon evaluation: the ascent inner loop and the lattice oracle
-# both evaluate many auxiliary inputs at once.
+# Batched pentagon evaluation: the ascent inner loop evaluates many
+# auxiliary inputs at once. The lattice sweep sums its own per-symbol
+# tables and evaluates only its winner here.
 
 
 def _rows_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -324,25 +325,21 @@ def pentagon_corners(b1, b2, bsum, w1: float, w2: float):
     """Best weighted value over the pentagon and the achieving corner.
 
     For nonnegative weights the optimum sits at one of the two dominant
-    corners, (b1, min(b2, bsum - b1)) or (min(b1, bsum - b2), b2).
-    Returns (value, r1, r2) arrays for batched inputs.
+    corners, a = (b1, min(b2, bsum - b1)) or b = (min(b1, bsum - b2), b2).
+    Value a less value b is (w1 - w2)(b1 + b2 - bsum) where the sum bound
+    binds and 0 where not, so the weights pick: a iff w1 >= w2. Returns
+    (value, r1, r2) arrays for batched inputs, value = w1 r1 + w2 r2.
     """
-    b1 = np.asarray(b1)
-    r2a = np.minimum(b2, bsum - b1)
-    r1b = np.minimum(b1, bsum - b2)
-    val_a = w1 * b1 + w2 * r2a
-    val_b = w1 * r1b + w2 * np.asarray(b2)
-    use_a = val_a >= val_b
-    value = np.where(use_a, val_a, val_b)
-    r1 = np.where(use_a, b1, r1b)
-    r2 = np.where(use_a, r2a, b2)
-    return value, r1, r2
+    use_a = np.asarray(w1) >= w2
+    r1 = np.where(use_a, b1, np.minimum(b1, bsum - b2))
+    r2 = np.where(use_a, np.minimum(b2, bsum - b1), b2)
+    return w1 * r1 + w2 * r2, r1, r2
 
 
 def frontier_point(b1, b2, bsum, weight) -> tuple[tuple[float, float], RatePair, float]:
     """A pentagon's point at a weight pair: the pair as floats, the rates of the corner
-    its direction (:func:`check_weight`) picks, so ties fall alike at any scale, and
-    their value w1 R1 + w2 R2 at the pair; an overflowing value raises an InputError."""
+    its direction (:func:`check_weight`) picks (:func:`pentagon_corners`), and their
+    value w1 R1 + w2 R2 at the pair; an overflowing value raises an InputError."""
     (d1, d2), (w1, w2) = check_weight(weight), _weight_floats(weight)
     _, r1, r2 = (float(r) for r in pentagon_corners(*np.reshape((b1, b2, bsum), 3), d1, d2))
     value = w1 * r1 + w2 * r2
@@ -365,12 +362,11 @@ _IMPROVE_TOL = 1e-11  # bits of the direction's corner value, as _WITNESS_TIE
 _SLOTS = 64
 
 # A start whose value is at least its direction's outer value w1 C1 + w2 C2
-# less this is certified: no start can do better by more, so the witness is
-# the first certified start, and where a projected start is already
-# certified the direction's later starts never ascend. Without one, values
-# within this of the best tie and the first tied start in start order wins,
-# so last-bit noise cannot flip the printed witness. In bits of the corner
-# value at the direction (:func:`check_weight`) that the ascent runs on.
+# less this is certified: no start can do better by more, so where a
+# projected start is already certified the direction's later starts never
+# ascend. The witness is the first start within this of the lesser of the
+# outer value and the best value. In bits of the corner value at the
+# direction (:func:`check_weight`) that the ascent runs on.
 _WITNESS_TIE = 1e-12
 
 # Conditional output masses are floored here before taking log2. Mass
@@ -428,10 +424,10 @@ class _AscentProblem:
                                p2.reshape(*lead, u * self.n2)], axis=-1)
 
     def value(self, theta: np.ndarray, w1, w2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The projected rows, their corner values and their (B, 2) active-corner flags.
+        """The projected rows, their corner values and whether each row's sum bound binds.
 
-        Row k's corner value is taken at weights ``(w1[k], w2[k])``; its flags
-        are ``r1 == b1`` and ``r2 == b2`` at the corner ``pentagon_corners`` picks.
+        Row k's corner is the one its weights ``(w1[k], w2[k])`` pick
+        (:func:`pentagon_corners`); the bound binds where it is not (b1, b2).
 
         The pentagon is evaluated on the projected simplex rows as they
         come back, contiguous, before they are joined into parameter rows.
@@ -439,16 +435,17 @@ class _AscentProblem:
         p_u, p1, p2 = (project_rows_to_simplex(part) for part in self.split(theta))
         b1, b2, bsum = batch_pentagon(self.pmf, p_u, p1, p2, h_w=self.h_w)
         value, r1, r2 = pentagon_corners(b1, b2, bsum, w1, w2)
-        return self.join(p_u, p1, p2), value, np.stack([r1 == b1, r2 == b2], axis=1)
+        return self.join(p_u, p1, p2), value, (r1 != b1) | (r2 != b2)
 
-    def gradient(self, theta: np.ndarray, active: np.ndarray, w1, w2) -> np.ndarray:
+    def gradient(self, theta: np.ndarray, binds: np.ndarray, w1, w2) -> np.ndarray:
         """Tangent gradient of the active corner piece at projected rows ``theta``.
 
-        ``active`` are the rows' active-corner flags as :meth:`value`
-        returns them, and ``w1``, ``w2`` the rows' weights.
+        ``binds`` says, per row, whether the sum bound binds, as :meth:`value`
+        returns it, and ``w1``, ``w2`` are the rows' weights.
 
-        The corner value is ``c1 b1 + c2 b2 + cs bsum`` with coefficients
-        set by the flags: r1 is b1 or bsum - b2, and r2 is b2 or bsum - b1.
+        The corner value is ``c1 b1 + c2 b2 + cs bsum``: cs = min(w1, w2) where
+        the bound binds (the corner is (b1, bsum - b1) or (bsum - b2, b2)), else
+        0, and c1 = w1 - cs, c2 = w2 - cs.
         With the joint mass ``q(u, x1, x2)`` as free variables its partial
         derivative is
 
@@ -480,10 +477,8 @@ class _AscentProblem:
         """
         b = theta.shape[0]
         p_u, p1, p2 = self.split(theta)
-        s1, s2 = active.T
-        c1 = np.where(s1, w1, 0.0) - np.where(s2, 0.0, w2)
-        c2 = np.where(s2, w2, 0.0) - np.where(s1, 0.0, w1)
-        cs = np.where(s1, 0.0, w1) + np.where(s2, 0.0, w2)
+        cs = np.where(binds, np.minimum(w1, w2), 0.0)
+        c1, c2 = w1 - cs, w2 - cs
 
         p_y_ux1, p_y = _output_given_x1(self.pmf, p_u[:, :, None] * p1, p2)
         p_y_ux2 = _output_given_x2(self.pmf, p1)
@@ -526,7 +521,7 @@ class _AscentProblem:
         or not at all (the axis directions, and every direction where both
         capacities are 0).
 
-        Every start's point, value, active corner and step count stay in
+        Every start's point, value, binding flag and step count stay in
         start order; the starts that step together are the first ``_SLOTS``
         live ones, gathered and stepped until one of them stops, then written
         back and gathered again. The kernels give a row the same bits in
@@ -543,24 +538,24 @@ class _AscentProblem:
         ladder = np.asarray(_STEP_LADDER)
         w = np.repeat(np.stack([w1, w2]), per_dir, axis=1)
         floor = np.repeat(np.asarray(outer) - _WITNESS_TIE, per_dir)
-        # Projected starts, their values and active corners; each row's
+        # Projected starts, their values and binding flags; each row's
         # latest point overwrites its start.
-        theta, best, active = np.empty_like(theta0), np.empty(n), np.empty((n, 2), dtype=bool)
+        theta, best, binds = np.empty_like(theta0), np.empty(n), np.empty(n, dtype=bool)
         for lo in range(0, n, _SLOTS * ladder.size):
             rows = slice(lo, lo + _SLOTS * ladder.size)
-            theta[rows], best[rows], active[rows] = self.value(theta0[rows], *w[:, rows])
+            theta[rows], best[rows], binds[rows] = self.value(theta0[rows], *w[:, rows])
         steps = np.zeros(n, dtype=np.int64)
         live = np.full(n, max_iter > 0) & _at_or_before_cut(best >= floor, per_dir)
         while live.any():
             rows = np.flatnonzero(live)[:_SLOTS]
-            th, val, act, st, sw = theta[rows], best[rows], active[rows], steps[rows], w[:, rows]
+            th, val, bd, st, sw = theta[rows], best[rows], binds[rows], steps[rows], w[:, rows]
             sw_ladder = np.repeat(sw, ladder.size, axis=1)
             stop = np.zeros(rows.size, dtype=bool)
             while not stop.any():
-                grads = self.gradient(th, act, *sw)
+                grads = self.gradient(th, bd, *sw)
                 dirs = grads / np.maximum(np.abs(grads).max(axis=1), 1e-300)[:, None]
                 cands = th[:, None, :] + ladder[None, :, None] * dirs[:, None, :]
-                cthetas, cvals, cactive = self.value(cands.reshape(-1, dim), *sw_ladder)
+                cthetas, cvals, cbinds = self.value(cands.reshape(-1, dim), *sw_ladder)
                 cvals = cvals.reshape(rows.size, -1)
                 pick = (np.arange(rows.size), np.argmax(cvals, axis=1))
                 cbest = cvals[pick]
@@ -568,11 +563,11 @@ class _AscentProblem:
                 improved = cbest > val + _IMPROVE_TOL
                 th[improved] = cthetas.reshape(rows.size, -1, dim)[pick][improved]
                 val[improved] = cbest[improved]
-                act[improved] = cactive.reshape(rows.size, -1, 2)[pick][improved]
+                bd[improved] = cbinds.reshape(rows.size, -1)[pick][improved]
                 del cthetas  # not held through the next step's candidates
                 st += 1
                 stop = ~improved | (st >= max_iter)
-            theta[rows], best[rows], active[rows], steps[rows] = th, val, act, st
+            theta[rows], best[rows], binds[rows], steps[rows] = th, val, bd, st
             live[rows[stop]] = False
         return theta.reshape(shape), best.reshape(shape[:2])
 
@@ -627,16 +622,13 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     :func:`frontier_point` at the pair. The structured starts'
     capacity solves also give each user's perfect-feedback cut-set value C1,
     C2, and w1 C1 + w2 C2 bounds every corner value at direction (w1, w2). A start
-    whose value reaches that bound less ``_WITNESS_TIE`` is certified; the
-    witness is the first certified start, and where a projected start is
-    already certified the direction's later starts never ascend. Without a
-    certified start the witness is the first start within ``_WITNESS_TIE``
-    of the direction's best value.
-    Where a start is certified, the two rules can pick differently only
-    when another start's value falls between the two thresholds, a window
-    as wide as the distance from the best value to the bound (under
-    ``_WITNESS_TIE``; rounding-sized where a start attains the bound). Every
-    returned point re-evaluates its pentagon exactly from the stored
+    whose value reaches that bound less ``_WITNESS_TIE`` is certified, and
+    where a projected start is already certified the direction's later
+    starts never ascend. The witness is the first start within
+    ``_WITNESS_TIE`` of the lesser of the bound and the direction's best
+    value (of the best value where the bound is infinite or NaN); it comes
+    at or before the first certified start, so never from a dropped one.
+    Every returned point re-evaluates its pentagon exactly from the stored
     witness, so points are certified achievable regardless of how well the
     ascent did.
 
@@ -670,9 +662,7 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
 
     points = []
     for w, o, dir_thetas, dir_vals in zip(weights, outer, thetas, vals):
-        tied = dir_vals >= o - _WITNESS_TIE
-        if not tied.any():
-            tied = dir_vals >= dir_vals.max() - _WITNESS_TIE
+        tied = dir_vals >= np.fmin(o, dir_vals.max()) - _WITNESS_TIE
         q = _theta_to_clinput(dir_thetas[int(np.flatnonzero(tied)[0])], problem, mac)
         points.append(FrontierPoint(*frontier_point(*cover_leung_bounds(mac, q), w), witness=q))
 

@@ -64,6 +64,16 @@ class TestSingleRateCapacity:
         res = single_rate_capacity(catalog.erasure_adder_mac(1.0), 1)
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_value_is_the_printed_witness_value(self):
+        # Partner symbols 0 and 1 tie up to rounding: the maximum is symbol
+        # 1's value, 0.226324763584846, but label order prints symbol 0.
+        rows = np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+        pmf = np.stack([rows, rows[:, [0, 2, 1]]], axis=1)
+        mac = Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
+        res = single_rate_capacity(mac, 1)
+        assert res.xk_star == "0" and res.per_symbol["1"] > res.per_symbol["0"]
+        assert res.value == res.per_symbol["0"]
+
     def test_matches_pf_cutset_random(self):
         rng = np.random.default_rng(0)
         for _ in range(15):

@@ -117,10 +117,12 @@ class TestSinglerate:
     def test_verify_catches_shifted_kernel(self, capsys, adder_file, monkeypatch):
         # The stored values come from channel_mi_bits; --verify must not
         # re-evaluate them with the same kernel, or this shift goes unseen.
+        # The shift is downward: the solves cap an inner value at their
+        # outer end, which would absorb an upward one.
         real = _util.channel_mi_bits
 
         def shifted(p, rows):
-            return real(p, rows) + 1e-6
+            return real(p, rows) - 1e-6
 
         for name, module in list(sys.modules.items()):
             if name.startswith("macfeedback") and hasattr(module, "channel_mi_bits"):
@@ -517,6 +519,26 @@ def test_unwritable_output_exits_two(capsys, tmp_path, adder_file, argv):
     assert doc["error"] == "input" and repr(argv[-1]) in doc["message"]
 
 
+def test_output_path_checked_before_the_analysis(capsys, tmp_path, adder_file, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the frontier ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "cover_leung_frontier", unreachable)
+    path = str(tmp_path / "missing" / "f.csv")
+    code, out, err = run_cli(capsys, "region", "--csv-out", path, "--channel", adder_file)
+    assert code == 2 and out == ""
+    assert repr(path) in json.loads(err)["message"]
+
+
+def test_unwritable_json_out_writes_no_csv(capsys, tmp_path, adder_file):
+    csv_path, json_path = tmp_path / "ok.csv", str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, "cfcurve", "--csv-out", str(csv_path),
+                             "--json-out", json_path, "--channel", adder_file)
+    assert code == 2 and out == ""
+    assert repr(json_path) in json.loads(err)["message"]
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", [["singlerate"], ["check", "gain-condition"],
                                      ["cfcurve"], ["region", "--weights", "1:1"]])
@@ -752,6 +774,21 @@ class TestAdditiveClassifyShared:
         assert code == 2 and out == ""
         assert "not additive" in json.loads(err)["message"]
         assert counts["maximize_joint_mi"] == 0
+
+
+def test_non_additive_refused_alike(capsys, tmp_path):
+    # `check symmetry` and `check additive-classify` refuse a channel its
+    # group does not certify additive with one message.
+    path = tmp_path / "ch.json"
+    save_channel(random_mac(np.random.default_rng(3), ny=2), path,
+                 group=catalog.binary_symmetric_group())
+    errors = []
+    for which in ("symmetry", "additive-classify"):
+        code, out, err = run_cli(capsys, "check", which, "--channel", str(path))
+        assert code == 2 and out == ""
+        errors.append(json.loads(err)["message"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("channel is not additive under the given group: ")
 
 
 def test_console_entry_point_smoke(tmp_path):

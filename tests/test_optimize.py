@@ -10,6 +10,7 @@ from macfeedback import (ConditionalPmf, InputError, Mac, binary_entropy,
                          maximize_joint_mi, single_rate_capacity)
 from macfeedback import catalog, optimize
 from macfeedback._util import channel_mi_bits
+from macfeedback.channel import partner_channels, two_look_channel
 from macfeedback.oracle import GridSpec, grid_capacity
 
 from _gen import random_conditional, random_mac
@@ -484,6 +485,25 @@ class TestBinaryCapacity:
             assert res.value >= ba.value - 1e-12
             assert res.upper - res.value <= tol
             assert res.iterations <= 64
+
+    @pytest.mark.parametrize("looks", [1, 2])
+    def test_value_never_above_upper(self, looks):
+        # I(a) rounds above max_x D here: 0.7500000000000001 over 0.75 with
+        # one look, 0.9375000000000004 over 0.9375 with two.
+        ch = partner_channels(catalog.erasure_adder_mac(0.25), 1)["0"]
+        res = max_support_input(ch if looks == 1 else two_look_channel(ch))
+        assert 0.0 <= res.value <= res.upper
+
+    def test_unconverged_exit_stays_a_bracket(self):
+        # At tol 1e-300 the midpoint stops moving before the certificate
+        # closes; the mutual information there rounds 2.2e-16 above max_x D.
+        ch = ConditionalPmf(("0", "1"), ("0", "1", "2", "3"), np.array([
+            [0.12039701618679596, 0.32878760727354883, 0.1230495293168676, 0.4277658472227876],
+            [0.07334728921383345, 0.7584565589953264, 0.09079766627787002,
+             0.07739848551297038]]))
+        res = max_support_input(ch, tol=1e-300)
+        assert not res.converged and res.iterations == 53
+        assert 0.0 <= res.value <= res.upper <= res.value + 1e-15
 
     def test_single_rate_skips_iteration_on_binary_mac(self, monkeypatch):
         calls = []

@@ -143,6 +143,26 @@ class TestPentagonBounds:
             self._check_against_oracle(rng, random_mac(rng, n1=n1, n2=n2, ny=4), u_card)
 
 
+class TestPentagonCorners:
+    """The weights alone pick the corner: (b1, min(b2, bsum - b1)) iff w1 >= w2."""
+
+    # b1 + b2 > bsum: the sum bound binds, and the corners differ.
+    BINDING = (0.9486494471372439, 0.31183145201048545, 1.0806559483948048)
+
+    def test_equal_weights_give_corner_a(self):
+        # Both corners are worth 0.3 bsum; their rounded values differ in the last bit.
+        b1, b2, bsum = self.BINDING
+        value, r1, r2 = pentagon_corners(b1, b2, bsum, 0.3, 0.3)
+        assert r1 == b1 and r2 == bsum - b1 and value == 0.3 * r1 + 0.3 * r2
+
+    @pytest.mark.parametrize("w1,w2", [(0.7, 0.3), (0.3, 0.7), (0.5, 0.5)])
+    @pytest.mark.parametrize("c", [0.3, 3.0, 1e-300, 1e300])
+    def test_rates_do_not_depend_on_scale(self, w1, w2, c):
+        _, r1, r2 = pentagon_corners(*self.BINDING, w1, w2)
+        _, s1, s2 = pentagon_corners(*self.BINDING, c * w1, c * w2)
+        assert (s1, s2) == (r1, r2)
+
+
 class TestShortAxisSums:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_bitwise_equal_to_numpy_sum_alone_or_batched(self, n):
@@ -641,7 +661,7 @@ class TestAscentGradient:
             np.testing.assert_allclose(one, want[:1], rtol=0, atol=1e-12 * scale)
             shared = np.broadcast_to(theta[1], theta.shape)
             got = problem.gradient(shared, np.broadcast_to(problem.value(theta[1:2], w1, w2)[2],
-                                                           (len(theta), 2)), w1, w2)
+                                                           (len(theta),)), w1, w2)
             np.testing.assert_allclose(got, np.broadcast_to(want[1], want.shape),
                                        rtol=0, atol=1e-12 * scale)
 
@@ -704,7 +724,7 @@ def _lockstep_ascent(problem, theta0, w1, w2, max_iter, cut_short, stalls=1):
         gi = idx[improved]
         theta[gi] = cthetas.reshape(idx.size, -1, dim)[pick][improved]
         best[gi] = cbest[improved]
-        active[gi] = cactive.reshape(idx.size, -1, 2)[pick][improved]
+        active[gi] = cactive.reshape(idx.size, -1)[pick][improved]
         stall[gi] = 0
         stall[idx[~improved]] += 1
         stall[idx[~alive]] = stalls

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 144 CLI invocations against the checkout that holds
+Runs a fixed list of 146 CLI invocations against the checkout that holds
 this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
 the single-user directions ``region --weights 1:0 --verify`` and ``region
 --weights 0:1 --verify``, the two-look cut-set ``region --model IF
@@ -24,7 +24,10 @@ nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
 ``--weights ""`` for ``region`` and ``check erasure-scaling --erasure-p
 0.5``, ``cfcurve --a-grid 0:3:1``, whose grid runs past 1, and the flags
 those subcommands do not read, ``singlerate --restarts -5`` and
-``cfcurve --seed 1``. On
+``cfcurve --seed 1``, and output paths in ``no-such-dir/``, a directory
+the checkout does not hold: ``region --csv-out no-such-dir/f.csv`` and
+``cfcurve --json-out no-such-dir/x.json``, refused before any analysis
+runs. On
 ``channels/erasure_adder_p050.json``, which has a group block, it runs
 flags a check does not read, which must also exit 2: ``check
 additive-classify --tol -1``, ``check symmetry`` with ``--tol nan`` or
@@ -81,7 +84,9 @@ INVALID_FLAGS = tuple(
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--weights", ""]),
        ("cfcurve-a-grid-past-1", ["cfcurve", "--a-grid", "0:3:1"]),
        ("singlerate-restarts-neg5", ["singlerate", "--restarts", "-5"]),
-       ("cfcurve-seed-1", ["cfcurve", "--seed", "1"])]
+       ("cfcurve-seed-1", ["cfcurve", "--seed", "1"]),
+       ("region-csv-out-missing-dir", ["region", "--csv-out", "no-such-dir/f.csv"]),
+       ("cfcurve-json-out-missing-dir", ["cfcurve", "--json-out", "no-such-dir/x.json"])]
 )
 
 # Flags a check does not read, run on a channel with a group block so that

@@ -20,6 +20,7 @@ import numpy as np
 from ._util import LN2, channel_mi_bits, clamp_tiny, pair_label
 from .channel import ConditionalPmf, Mac, Pmf
 from .errors import InputError
+from .infotheory import NUM_FLOOR
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
@@ -33,9 +34,10 @@ _FLOOR = 1e-14  # the least mass an input of the support keeps
 class OptResult:
     """Outcome of a capacity maximization.
 
-    ``value`` is the mutual information of ``argmax_input``, capped at
-    ``upper`` and floored at 0 against rounding (a certified lower bound on
-    capacity, within the tolerance of it when ``converged``);
+    ``value`` is the mutual information of ``argmax_input``, floored at 0
+    and capped at ``upper`` against rounding (a certified lower bound on
+    capacity, within the tolerance of it when ``converged``); an excess
+    over ``upper`` beyond rounding is left standing, unconverged;
     ``upper`` is the largest divergence D(W_x || p_y) over inputs x, with
     p_y the output law ``argmax_input`` induces, a certified upper bound.
     Inner values read ``value``, outer bounds read ``upper``.
@@ -55,8 +57,14 @@ def check_tol(tol: float) -> None:
 
 
 def _result(ch: ConditionalPmf, p: np.ndarray, value, upper, iterations, converged):
-    """The OptResult of input ``p``, its inner end capped at the outer end and floored at 0."""
-    value = min(value, upper)
+    """The OptResult of input ``p``, its inner end floored at 0 and capped at
+    the outer end where the excess is rounding (at most ``NUM_FLOOR``, as
+    infotheory clamps). A larger excess is a fault of the evaluation; it
+    stays visible, and the result unconverged."""
+    if value - upper <= NUM_FLOOR:
+        value = min(value, upper)
+    else:
+        converged = False
     return OptResult(value if value > 0.0 else 0.0, upper, Pmf(ch.input_alphabet, p),
                      iterations, converged)
 

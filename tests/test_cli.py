@@ -117,8 +117,20 @@ class TestSinglerate:
     def test_verify_catches_shifted_kernel(self, capsys, adder_file, monkeypatch):
         # The stored values come from channel_mi_bits; --verify must not
         # re-evaluate them with the same kernel, or this shift goes unseen.
-        # The shift is downward: the solves cap an inner value at their
-        # outer end, which would absorb an upward one.
+        real = _util.channel_mi_bits
+
+        def shifted(p, rows):
+            return real(p, rows) + 1e-6
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("macfeedback") and hasattr(module, "channel_mi_bits"):
+                monkeypatch.setattr(module, "channel_mi_bits", shifted)
+        code, _, err = run_cli(capsys, "singlerate", "--channel", adder_file, "--verify")
+        assert code == 1
+        assert json.loads(err)["error"] == "VerificationError"
+
+    def test_verify_catches_kernel_shifted_down(self, capsys, adder_file, monkeypatch):
+        # A downward shift lowers the inner value; no cap can hide it either.
         real = _util.channel_mi_bits
 
         def shifted(p, rows):

@@ -494,6 +494,14 @@ class TestBinaryCapacity:
         res = max_support_input(ch if looks == 1 else two_look_channel(ch))
         assert 0.0 <= res.value <= res.upper
 
+    def test_excess_beyond_rounding_stays_visible(self, monkeypatch):
+        # The cap absorbs rounding only: a kernel reading 1e-6 high leaves
+        # the value above its upper end and the result unconverged.
+        monkeypatch.setattr(optimize, "channel_mi_bits",
+                            lambda p, rows: channel_mi_bits(p, rows) + 1e-6)
+        res = max_support_input(partner_channels(catalog.erasure_adder_mac(0.25), 1)["0"])
+        assert res.value > res.upper and not res.converged
+
     def test_unconverged_exit_stays_a_bracket(self):
         # At tol 1e-300 the midpoint stops moving before the certificate
         # closes; the mutual information there rounds 2.2e-16 above max_x D.

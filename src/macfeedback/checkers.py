@@ -104,12 +104,15 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
 
     The inner optimizer runs two orders of magnitude tighter than ``tol``
     so that mathematically tied partner symbols land inside the ``tol``
-    tie window. The partner channels are built once, here; the gain
-    condition and its callers reuse ``inputs`` and ``channels``.
+    tie window, but never below the smallest positive float, where a tiny
+    ``tol`` would underflow to 0. The partner channels are built once,
+    here; the gain condition and its callers reuse ``inputs`` and
+    ``channels``.
     """
     check_tol(tol)
     channels = partner_channels(mac, user)
-    solves = {sym: max_support_input(ch, tol=tol / 100.0) for sym, ch in channels.items()}
+    inner_tol = max(tol / 100.0, math.ulp(0.0))
+    solves = {sym: max_support_input(ch, tol=inner_tol) for sym, ch in channels.items()}
     per_symbol = {sym: res.value for sym, res in solves.items()}
     best_val = max(per_symbol.values())
     # First symbol in alphabet order within noise of the maximum, so ties
@@ -224,8 +227,9 @@ def _pair_quantities(star, bar):
 def gain_sufficient_condition(sr: SingleRateResult) -> GainConditionReport:
     """Does one relayed independent look strictly beat the one-user capacity?
 
-    Evaluates, for every tied best partner constant ``x_k*`` (by capacity
-    then label) and every alternative ``xbar_k`` (by label), whether
+    Evaluates, for every tied best partner constant ``x_k*`` (``sr.xk_star``
+    first, then the others by label) and every alternative ``xbar_k`` (by
+    label), whether
 
         I(Xj; Y | Xk = xbar_k) + D(p(y|xbar_k) || p(y|xk*)) *
             (1 - H(Y | Xj, Xk = xk*) / H(Y' | Y, Xk = xk*))
@@ -241,12 +245,7 @@ def gain_sufficient_condition(sr: SingleRateResult) -> GainConditionReport:
     a gain, and the report says so.
     """
     user, channels = sr.user, sr.channels
-    other_alpha = tuple(channels)
-    # Capacity descending, then label; capacities are quantized so that
-    # numerically tied symbols order by label.
-    candidates = sorted(
-        sr.maximizer_set,
-        key=lambda s: (-round(sr.per_symbol[s] * 1e12), other_alpha.index(s)))
+    candidates = [sr.xk_star] + [s for s in sr.maximizer_set if s != sr.xk_star]
 
     pairs: list[PairEvaluation] = []
     degenerate = False

@@ -329,20 +329,27 @@ class EquivClassPartition:
                 "markov_ok": self.markov_ok, "m": self.m}
 
 
+def support_indices(ch: ConditionalPmf, support, caller: str) -> list[int]:
+    """Indices, in input-alphabet order, of the ``support`` symbols of ``ch``
+    (every input when None); an InputError from ``caller`` names an unknown
+    symbol or an empty support."""
+    given = ch.input_alphabet if support is None else tuple(support)
+    for s in given:
+        if s not in ch.input_alphabet:
+            raise InputError(f"{caller}: support symbol {s!r} is not an input of the channel")
+    idx = [k for k, s in enumerate(ch.input_alphabet) if s in given]
+    if not idx:
+        raise InputError(f"{caller}: empty support")
+    return idx
+
+
 def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition:
     """Partition the supported inputs by overlapping output supports.
 
     Two inputs are related when some output symbol has positive mass
     (above ``SUPPORT_EPS``) under both; classes are the transitive closure.
     """
-    given = ch.input_alphabet if support is None else tuple(support)
-    for s in given:
-        if s not in ch.input_alphabet:
-            raise InputError(f"equivalence_classes: support symbol {s!r} "
-                             f"is not an input of the channel")
-    idx = [k for k, s in enumerate(ch.input_alphabet) if s in given]
-    if not idx:
-        raise InputError("equivalence_classes: empty support")
+    idx = support_indices(ch, support, "equivalence_classes")
     support = [ch.input_alphabet[k] for k in idx]
     rows = ch.rows[idx]
     supp = rows > SUPPORT_EPS

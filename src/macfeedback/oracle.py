@@ -9,15 +9,15 @@ alphabet sizes keep the sweeps at desk scale.
 The frontier sweep does not call the ascent's batched kernel per point:
 every Cover-Leung bound is an average over the auxiliary symbol of a
 function of that symbol's two conditional rows, so those functions are
-tabulated once and only H(Y) is evaluated per lattice point. That makes
-it an independent derivation of the bounds, against which the kernel is
+tabulated once and only H(Y) is evaluated per lattice point, one block of
+points per p(u) lattice point and first p(x1|u) row. That makes it an
+independent derivation of the bounds, against which the kernel is
 tested; the kernel re-evaluates only the winning point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -25,15 +25,9 @@ from ._util import (SUPPORT_EPS, binary_entropy, channel_mi_bits, check_count, e
                     lattice_points, set_partitions)
 from .channel import ConditionalPmf, Mac
 from .errors import InputError
-from .groups import ROW_TOL
+from .groups import ROW_TOL, support_indices
 from .regions import RatePair, batch_pentagon, check_weight, frontier_point, pentagon_corners
 
-
-# Lattice points per block of the frontier sweep: enough to spread numpy's
-# per-call cost, few enough to bound a block's arrays (a few hundred kB at
-# this size, where the whole resolution-16, u_card-2 lattice would take
-# tens of MB).
-_LATTICE_BLOCK_ROWS = 1500
 
 # Lattice values within this of the best count as ties; the first tied point
 # in lattice order wins, so last-bit noise in the values cannot flip which
@@ -115,61 +109,20 @@ def _pair_tables(mac_pmf: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> n
     return np.concatenate([np.stack([h_c, h_x2, h_x1]), p_y])
 
 
-def _factored_lattice(mac_pmf: np.ndarray, resolution: int, u_card: int):
-    """The frontier lattice as a sum of one term per auxiliary symbol.
+def _block_bounds(tables: np.ndarray, pu: np.ndarray, p: int, i0: int | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b1, b2, bsum) of one block of the frontier lattice, flattened in lattice order.
 
-    A lattice point is a p(u) lattice point p, then a lattice row index
-    i_u for each p(x1|u), then j_u for each p(x2|u), in that (lattice)
-    order, so the lattice is an array of shape ``(P, R1, ..., R2, ...)``.
-    Every per-symbol table of :func:`_pair_tables` enters a point
-    linearly, as sum_u p(u) table[:, i_u, j_u]. Term u is the pair
-    (p(u), table), each reshaped to broadcast against ``(3 + ny,) + shape``.
-    Returns the p(u) lattice, the two row lattices, the shape and the terms.
+    A block is the lattice points with p(u) = ``pu[p]`` and first p(x1|u)
+    row ``i0``; its points run over (i1, j0, j1), R1 R2^2 of them, each
+    the sum pu[p, 0] tables[:, i0, j0] + pu[p, 1] tables[:, i1, j1]. With
+    one auxiliary symbol, ``i0`` is None and the block is the whole (i0, j0)
+    lattice.
     """
-    n1, n2, _ = mac_pmf.shape
-    pu = lattice_points(resolution, u_card)
-    rows1, rows2 = lattice_points(resolution, n1), lattice_points(resolution, n2)
-    tables = _pair_tables(mac_pmf, rows1, rows2)
-    shape = (len(pu),) + (len(rows1),) * u_card + (len(rows2),) * u_card
-    terms = []
-    for u in range(u_card):
-        axes = [1] * len(shape)
-        axes[1 + u], axes[1 + u_card + u] = len(rows1), len(rows2)
-        terms.append((pu[:, u].reshape(1, -1, *[1] * (len(shape) - 1)),
-                      tables.reshape(len(tables), *axes)))
-    return pu, rows1, rows2, shape, terms
-
-
-def _lattice_blocks(shape: tuple[int, ...], limit: int) -> list[tuple]:
-    """Index tuples cutting a C-order array of ``shape`` into consecutive blocks.
-
-    Each block fixes the leading axes and takes a run of whole trailing
-    sub-arrays along the next axis, as many as ``limit`` entries allow (at
-    least one), so the blocks visit the entries in C order.
-    """
-    k = next(k for k in range(len(shape)) if prod(shape[k + 1:]) <= limit)
-    step = max(1, limit // prod(shape[k + 1:]))
-    return [lead + (slice(a, min(a + step, shape[k])),)
-            for lead in np.ndindex(shape[:k]) for a in range(0, shape[k], step)]
-
-
-def _take(a: np.ndarray, block: tuple) -> np.ndarray:
-    """The part of ``a``, an array that broadcasts against the lattice, in one block.
-
-    Where ``a`` has length 1 on an axis it takes index 0 or the whole axis,
-    so each axis is dropped or kept as the block drops or keeps it.
-    """
-    return a[(slice(None),) + tuple(ix if n > 1 else slice(None) if isinstance(ix, slice) else 0
-                                    for ix, n in zip(block, a.shape[1:]))]
-
-
-def _block_bounds(terms, block: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b1, b2, bsum) of one lattice block's points, flattened in lattice order.
-
-    Each term is scaled on its own small slice; only the sum over the
-    auxiliary symbols spans the block.
-    """
-    stats = sum(_take(coef, block) * _take(table, block) for coef, table in terms)
+    if i0 is None:
+        stats = pu[p, 0] * tables
+    else:
+        stats = pu[p, 0] * tables[:, i0, None, :, None] + pu[p, 1] * tables[:, :, None, :]
     stats = stats.reshape(len(stats), -1)
     h_c = stats[0]
     b1 = np.maximum(stats[1] - h_c, 0.0)
@@ -188,11 +141,11 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
 
     The sweep is factored. H(Y|X1,X2), H(Y|U,X2), H(Y|U,X1) and p(y) are
     each sum_u p(u) g(p(x1|u), p(x2|u)), so the tables g are built once
-    per call over the R1 x R2 row pairs (:func:`_pair_tables`) and summed
-    by broadcasting. A point then costs ``u_card`` scaled table entries and
-    one entropy, H(Y), rather than a full :func:`batch_pentagon` row.
-    Blocks of about ``_LATTICE_BLOCK_ROWS`` points, in lattice order, bound
-    the arrays.
+    per call over the R1 x R2 row pairs (:func:`_pair_tables`). A point
+    then costs ``u_card`` scaled table entries and one entropy, H(Y),
+    rather than a full :func:`batch_pentagon` row. The lattice is swept
+    in blocks along its own axes, one per (p(u), first p(x1|u) row) pair
+    (:func:`_block_bounds`), in lattice order.
 
     The sweep weighs by the direction of ``weight`` (:func:`check_weight`),
     so the pair's scale moves no result. The winner is the first point in
@@ -208,18 +161,20 @@ def grid_cl_point(mac: Mac, weight, grid: GridSpec, u_card: int = 2) -> RatePair
         raise InputError("grid_cl_point supports u_card in {1, 2} only")
     w1, w2 = check_weight(weight)
 
-    pu, rows1, rows2, shape, terms = _factored_lattice(mac.pmf, grid.resolution, u_card)
-    blocks = _lattice_blocks(shape, _LATTICE_BLOCK_ROWS)
-    tops = np.array([pentagon_corners(*_block_bounds(terms, b), w1, w2)[0].max()
+    pu = lattice_points(grid.resolution, u_card)
+    rows1, rows2 = lattice_points(grid.resolution, n1), lattice_points(grid.resolution, n2)
+    tables = _pair_tables(mac.pmf, rows1, rows2)
+    blocks = ([(0, None)] if u_card == 1
+              else [(p, i0) for p in range(len(pu)) for i0 in range(len(rows1))])
+    tops = np.array([pentagon_corners(*_block_bounds(tables, pu, *b), w1, w2)[0].max()
                      for b in blocks])
     floor = tops.max() - _LATTICE_TIE
-    first = int(np.flatnonzero(tops >= floor)[0])
-    vals = pentagon_corners(*_block_bounds(terms, blocks[first]), w1, w2)[0]
-    lead = blocks[first][:-1] + (blocks[first][-1].start,)
-    start = int(np.ravel_multi_index(lead + (0,) * (len(shape) - len(lead)), shape))
-    point = np.unravel_index(start + int(np.flatnonzero(vals >= floor)[0]), shape)
-    i1, i2 = list(point[1:1 + u_card]), list(point[1 + u_card:])
-    return frontier_point(*batch_pentagon(mac.pmf, pu[[point[0]]], rows1[[i1]], rows2[[i2]]),
+    p, i0 = blocks[int(np.flatnonzero(tops >= floor)[0])]
+    vals = pentagon_corners(*_block_bounds(tables, pu, p, i0), w1, w2)[0]
+    k = int(np.flatnonzero(vals >= floor)[0])
+    i, *x2 = np.unravel_index(k, (len(rows1),) + (len(rows2),) * u_card)
+    x1 = [i] if i0 is None else [i0, i]
+    return frontier_point(*batch_pentagon(mac.pmf, pu[[p]], rows1[[x1]], rows2[[x2]]),
                           weight)[1]
 
 
@@ -231,21 +186,16 @@ def brute_force_condition2(ch: ConditionalPmf, support=None) -> bool:
     and makes the output independent of the input given K. Every
     candidate partition is tried; True as soon as one works.
     """
-    if support is None:
-        support = ch.input_alphabet
-    support = [s for s in ch.input_alphabet if s in set(support)]
-    if not support:
-        raise InputError("brute_force_condition2: empty support")
-    if len(support) > 5:
+    idx = support_indices(ch, support, "brute_force_condition2")
+    if len(idx) > 5:
         raise InputError("brute_force_condition2: support cap is 5 symbols")
     if len(ch.output_alphabet) > 6:
         raise InputError("brute_force_condition2: output cap is 6 symbols")
-    idx = [ch.input_alphabet.index(s) for s in support]
     rows = ch.rows[idx]
     supp = rows > SUPPORT_EPS
     ny = rows.shape[1]
 
-    for partition in set_partitions(list(range(len(support)))):
+    for partition in set_partitions(list(range(len(idx)))):
         block_of = {}
         for b, block in enumerate(partition):
             for k in block:

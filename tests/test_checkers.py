@@ -116,6 +116,17 @@ class TestGainSufficientCondition:
         rep = gain_sufficient_condition(single_rate_capacity(catalog.binary_symmetric_mac(0.2), 1))
         assert len(rep.pairs) == 4  # both tied partners times both alternatives
 
+    def test_evaluates_the_single_rate_witness_first(self):
+        # Capacities 8.3e-14 apart: within single_rate_capacity's 1e-13 tie
+        # window, so it names "0", though "1" is the larger float.
+        q0 = 0.0538175
+        pmf = np.array([[[1 - q, q] for q in (q0, q0 - 2e-14)],
+                        [[q, 1 - q] for q in (q0, q0 - 2e-14)]])
+        sr = single_rate_capacity(Mac(("0", "1"), ("0", "1"), ("0", "1"), pmf), 1)
+        assert sr.per_symbol["0"] < sr.per_symbol["1"] and sr.xk_star == "0"
+        rep = gain_sufficient_condition(sr)
+        assert [p.xk_star for p in rep.pairs] == ["0", "0", "1", "1"]
+
     def test_report_serializes(self):
         import json
 

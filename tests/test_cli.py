@@ -561,6 +561,13 @@ def test_bad_tol_exits_two(capsys, adder_file, command, tol):
     assert doc["error"] == "input" and "tol" in doc["message"]
 
 
+@pytest.mark.parametrize("command", [["singlerate"], ["check", "gain-condition"], ["cfcurve"]])
+def test_tiny_tol_accepted(capsys, adder_file, command):
+    # The inner capacity solves run at tol / 100, which would underflow to 0 here.
+    code, out, err = run_cli(capsys, *command, "--channel", adder_file, "--tol", "1e-322")
+    assert code == 0 and out and err == ""
+
+
 @pytest.mark.parametrize("argv", [["region", "--restarts", "-3"], ["region", "--seed", "-1"],
                                   ["check", "erasure-scaling", "--erasure-p", "0.5",
                                    "--restarts", "-2"],

@@ -161,40 +161,39 @@ def _lattice_macs():
 
 
 class TestGridClPointBlocks:
-    @pytest.mark.parametrize("block_rows", [None, 10])
     @pytest.mark.parametrize("u_card", [1, 2])
     @pytest.mark.parametrize("weight", [(1.0, 1.0), (0.7, 0.2)])
-    def test_blocks_equal_row_sweep(self, weight, u_card, block_rows, monkeypatch):
-        if block_rows is not None:  # fewer points than one p(x2|u) sweep
-            monkeypatch.setattr(oracle, "_LATTICE_BLOCK_ROWS", block_rows)
-            shape = oracle._factored_lattice(catalog.adder_mac().pmf, 6, u_card)[3]
-            assert len(oracle._lattice_blocks(shape, block_rows)) > 1
+    def test_blocks_equal_row_sweep(self, weight, u_card):
         for mac in _lattice_macs():
             got = grid_cl_point(mac, weight, GridSpec(resolution=6), u_card=u_card)
             assert got == _grid_cl_point_by_row(mac, weight, 6, u_card)
 
-    @pytest.mark.parametrize("weight", [(1.0, 1.0), (0.7, 0.2)])
-    def test_u_card_one_at_resolution_10(self, weight):
-        # On the random MAC at (1, 1), batch_pentagon gives the winner other
-        # last bits alone than in a batch of rows.
-        for mac in _lattice_macs():
-            got = grid_cl_point(mac, weight, GridSpec(resolution=10), u_card=1)
-            assert got == _grid_cl_point_by_row(mac, weight, 10, 1)
-
-    @pytest.mark.parametrize("block_rows", [1500, 10])
     @pytest.mark.parametrize("u_card", [1, 2])
-    def test_factored_bounds_match_batch_pentagon(self, u_card, block_rows):
+    @pytest.mark.parametrize("weight", [(1.0, 1.0), (0.7, 0.2)])
+    def test_resolution_10(self, weight, u_card):
+        # The frontier workload's configuration: the adder and bsc(0.11) at
+        # (1, 1), u_card 2. On the random MAC at (1, 1), u_card 1,
+        # batch_pentagon gives the winner other last bits alone than in a
+        # batch of rows.
+        for mac in _lattice_macs():
+            got = grid_cl_point(mac, weight, GridSpec(resolution=10), u_card=u_card)
+            assert got == _grid_cl_point_by_row(mac, weight, 10, u_card)
+
+    @pytest.mark.parametrize("u_card", [1, 2])
+    def test_factored_bounds_match_batch_pentagon(self, u_card):
         # The per-symbol tables and the batched kernel are independent
         # derivations of the same three bounds at every lattice point.
         for mac in _lattice_macs():
-            _, _, _, shape, terms = oracle._factored_lattice(mac.pmf, 6, u_card)
+            pu, rows1, rows2 = (lattice_points(6, n) for n in (u_card, 2, 2))
+            tables = oracle._pair_tables(mac.pmf, rows1, rows2)
+            blocks = ([(0, None)] if u_card == 1
+                      else [(p, i0) for p in range(len(pu)) for i0 in range(len(rows1))])
             got = [np.concatenate(b) for b in zip(*(
-                oracle._block_bounds(terms, block)
-                for block in oracle._lattice_blocks(shape, block_rows)))]
+                oracle._block_bounds(tables, pu, *block) for block in blocks))]
             p_u, p_x1, p_x2, _ = _lattice_inputs(mac, 6, u_card)
             want = batch_pentagon(mac.pmf, p_u, p_x1, p_x2)
             for g, w in zip(got, want):
-                assert g.shape == w.shape == (math.prod(shape),)
+                assert g.shape == w.shape == (len(pu) * 7 ** (2 * u_card),)
                 np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-13)
 
 
@@ -234,6 +233,13 @@ class TestBruteForceCondition2:
             brute_force_condition2(random_conditional(rng, 6, 3))
         with pytest.raises(InputError):
             brute_force_condition2(random_conditional(rng, 3, 7))
+
+    def test_unknown_support_symbol_rejected(self):
+        # As equivalence_classes, which this search cross-checks, rejects it.
+        ch = channel_given_sum(catalog.erasure_adder_mac(0.5),
+                               catalog.erasure_adder_group())
+        with pytest.raises(InputError, match="support symbol 'nope'"):
+            brute_force_condition2(ch, support=("0", "nope"))
 
 
 class TestOracleAgainstCheckers:

@@ -4,35 +4,10 @@ Usage::
 
     python tools/cli_snapshot.py OUTDIR
 
-Runs a fixed list of 146 CLI invocations against the checkout that holds
-this script: ``singlerate``, ``singlerate --verify``, ``region --verify``,
-the single-user directions ``region --weights 1:0 --verify`` and ``region
---weights 0:1 --verify``, the two-look cut-set ``region --model IF
---weights 1:1 --restarts 0 --verify``, ``check gain-condition``, ``check
-additive-classify``, ``check symmetry``, ``check additive``, ``cfcurve
---verify`` and the explicit-pair ``cfcurve --xk-star 0 --xbar-k 1 --verify`` on each of the
-nine ``channels/*.json`` files, plus ``check erasure-scaling --erasure-p
-0.5``, ``cfcurve --a-grid 0:0.16:0.1``, whose grid ends at 0.1, and the
-rescaled pairs ``region --weights 1e-12:1e-12 --verify`` and ``region
---weights 1e300:1e300 --verify``, whose rates and witness are those of ``1:1``, on
-``channels/adder.json``. On ``channels/adder.json`` it also runs
-the flag values the CLI must reject with exit code 2: ``--tol`` at -1, 0,
-nan and inf for ``singlerate``, ``check gain-condition``, ``cfcurve`` and
-``region --weights 1:1``, ``region --restarts -3``, ``region --seed -1``,
-``region --weights 1.7e308:1.7e308``, whose sum overflows,
-``check erasure-scaling --erasure-p 0.5 --restarts -2``, an empty
-``--weights ""`` for ``region`` and ``check erasure-scaling --erasure-p
-0.5``, ``cfcurve --a-grid 0:3:1``, whose grid runs past 1, and the flags
-those subcommands do not read, ``singlerate --restarts -5`` and
-``cfcurve --seed 1``, and output paths in ``no-such-dir/``, a directory
-the checkout does not hold: ``region --csv-out no-such-dir/f.csv`` and
-``cfcurve --json-out no-such-dir/x.json``, refused before any analysis
-runs. On
-``channels/erasure_adder_p050.json``, which has a group block, it runs
-flags a check does not read, which must also exit 2: ``check
-additive-classify --tol -1``, ``check symmetry`` with ``--tol nan`` or
-``--erasure-p 7``, ``check additive`` with ``--restarts -5``, ``--seed
--3`` or ``--weights 1:1``, and ``check gain-condition --restarts -5``.
+Runs each CLI invocation that ``runs()`` lists against the checkout that
+holds this script: every subcommand on each shipped ``channels/*.json``
+file, a few flag values on ``channels/adder.json``, and the flag values
+and output paths the CLI must reject with exit code 2.
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
@@ -65,7 +40,9 @@ PER_CHANNEL = (
     ("cfcurve-pair", ["cfcurve", "--xk-star", "0", "--xbar-k", "1", "--verify"]),
 )
 
-# Flag values the CLI must reject with exit code 2, run on the adder.
+# Flag values the CLI must reject with exit code 2, run on the adder; the
+# output paths lie in a directory the checkout does not hold and are refused
+# before any analysis runs.
 BAD_TOLS = (("neg1", "-1"), ("0", "0"), ("nan", "nan"), ("inf", "inf"))
 INVALID_FLAGS = tuple(
     [(f"{name}-tol-{label}", argv + ["--tol", tol])
@@ -112,8 +89,10 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("adder.erasure-scaling",
                 ["check", "erasure-scaling", "--erasure-p", "0.5",
                  "--channel", "channels/adder.json"]))
+    # The grid's last point is 0.1: a grid ends at its last point, not past the stop.
     out.append(("adder.cfcurve-a-grid-0.16",
                 ["cfcurve", "--a-grid", "0:0.16:0.1", "--channel", "channels/adder.json"]))
+    # A pair is a direction: the rates and witness are those of 1:1.
     for scale in ("1e-12", "1e300"):
         out.append((f"adder.region-weights-{scale}",
                     ["region", "--weights", f"{scale}:{scale}", "--verify",

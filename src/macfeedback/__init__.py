@@ -19,7 +19,7 @@ and information quantities are in bits.
 from .channel import (ConditionalPmf, JointDist, Mac, Pmf, erasure_extend,
                       independent_copy_joint, induced_channel, partner_channels,
                       two_look_channel)
-from .channel_io import ChannelFile, load_channel, load_channel_file, save_channel
+from .channel_io import ChannelFile, load_channel_file, save_channel
 from .errors import ChannelFormatError, InputError
 from .infotheory import (binary_entropy, conditional_entropy, conditional_mi,
                          entropy, joint_entropy, mutual_information)
@@ -51,8 +51,7 @@ __all__ = [
     "cutset_sum_rate", "default_weight_fan", "entropy", "erasure_extend",
     "erasure_scaling_check", "equivalence_classes", "gain_sufficient_condition",
     "grid_capacity", "grid_cl_point", "independent_copy_joint",
-    "induced_channel", "joint_entropy", "load_channel",
-    "load_channel_file", "max_support_input", "maximize_joint_mi",
-    "mutual_information", "partner_channels", "rows_are_permutations",
+    "induced_channel", "joint_entropy", "load_channel_file", "max_support_input",
+    "maximize_joint_mi", "mutual_information", "partner_channels", "rows_are_permutations",
     "save_channel", "single_rate_capacity", "two_look_channel", "verify_additive",
 ]

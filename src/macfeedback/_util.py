@@ -184,11 +184,11 @@ def pair_label(a: str, b: str) -> str:
     return f"({a.translate(_PAIR_ESCAPES)},{b.translate(_PAIR_ESCAPES)})"
 
 
-def fresh_symbol(taken, base: str = "e") -> str:
-    """A label equal to ``base`` or ``base`` plus a numeric suffix, not in ``taken``."""
-    if base not in taken:
-        return base
+def fresh_symbol(taken) -> str:
+    """A label equal to "e" or "e" plus a numeric suffix, not in ``taken``."""
+    if "e" not in taken:
+        return "e"
     k = 2
-    while f"{base}{k}" in taken:
+    while f"e{k}" in taken:
         k += 1
-    return f"{base}{k}"
+    return f"e{k}"

@@ -17,9 +17,11 @@ fixed point of the action.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .channel import Mac
+from .channel import Mac, erasure_extend
 from .errors import InputError
 from .groups import GroupSpec
 
@@ -36,19 +38,15 @@ def adder_mac() -> Mac:
 def erasure_adder_mac(p: float) -> Mac:
     """Binary adder whose output is erased with probability ``p``.
 
-    The output alphabet is ("0", "1", "2", "3", "e"); symbol "3" never
-    occurs and exists only so the group action of
+    The adder's output alphabet with "3" added, under
+    :func:`~macfeedback.channel.erasure_extend`: ("0", "1", "2", "3", "e");
+    symbol "3" never occurs and exists only so the group action of
     :func:`erasure_adder_group` permutes the full alphabet.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"erasure probability must lie in [0, 1], got {p!r}")
-    pmf = np.zeros((2, 2, 5))
-    for i in range(2):
-        for j in range(2):
-            pmf[i, j, i + j] = 1.0 - p
-            pmf[i, j, 4] = p
-    return Mac(("0", "1"), ("0", "1"), ("0", "1", "2", "3", "e"), pmf,
-               name=f"erasure-adder(p={p:g})")
+    adder = adder_mac()
+    four = Mac(adder.x1_alphabet, adder.x2_alphabet, adder.y_alphabet + ("3",),
+               np.pad(adder.pmf, ((0, 0), (0, 0), (0, 1))))
+    return replace(erasure_extend(four, p), name=f"erasure-adder(p={p:g})")
 
 
 def erasure_adder_group() -> GroupSpec:

@@ -62,15 +62,12 @@ class Pmf:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", freeze(probs / probs.sum()))
 
-    def __len__(self) -> int:
-        return len(self.alphabet)
-
     def to_dict(self) -> dict:
         return {"alphabet": list(self.alphabet), "probs": [float(v) for v in self.probs]}
 
     @staticmethod
     def uniform(alphabet) -> "Pmf":
-        alphabet = tuple(alphabet)
+        alphabet = _check_alphabet(alphabet, "Pmf")
         return Pmf(alphabet, np.full(len(alphabet), 1.0 / len(alphabet)))
 
 

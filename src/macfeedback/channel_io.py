@@ -159,16 +159,10 @@ def load_channel_file(path) -> ChannelFile:
     return ChannelFile(mac=mac, group=group, name=name)
 
 
-def load_channel(path) -> Mac:
-    """Parse a channel file and return just the channel law."""
-    return load_channel_file(path).mac
-
-
-def save_channel(mac: Mac, path, group: GroupSpec | None = None,
-                 name: str | None = None) -> None:
+def save_channel(mac: Mac, path, group: GroupSpec | None = None) -> None:
     """Write a channel (and optional group block) as a JSON file."""
     obj = {
-        "name": mac.name if name is None else name,
+        "name": mac.name,
         "x1": list(mac.x1_alphabet),
         "x2": list(mac.x2_alphabet),
         "y": list(mac.y_alphabet),

@@ -40,7 +40,8 @@ from .groups import (EquivClassPartition, GroupSpec, channel_given_sum,
                      equivalence_classes, verify_additive)
 from .infotheory import (conditional_entropy, conditional_mi, kl_divergence_vec,
                          mutual_information)
-from .optimize import DEFAULT_TOL, check_tol, max_support_input, maximize_joint_mi
+from .optimize import (DEFAULT_TOL, _largest_upper, check_tol, max_support_input,
+                       maximize_joint_mi)
 from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, cover_leung_frontier,
                       default_weight_fan)
 
@@ -69,7 +70,8 @@ class SingleRateResult:
     and ``p_star`` is the one for ``xk_star``, the first symbol in label
     order within 1e-13 of the best. ``value`` is that symbol's, so it is
     the value of the printed witness. ``upper`` is the largest
-    outer end of the per-symbol certificates, so ``value <= rate <= upper``.
+    outer end of the per-symbol certificates, read as a cut-set value is
+    (``optimize._largest_upper``), so ``value <= rate <= upper``.
     ``channels`` holds the partner-constant channels those inputs solve,
     keyed like ``inputs``, so that the gain condition and the
     compress-forward curve read them instead of building them again.
@@ -128,7 +130,7 @@ def single_rate_capacity(mac: Mac, user: int, tol: float = DEFAULT_TOL) -> Singl
         maximizer_set=maximizers,
         per_symbol=per_symbol,
         inputs={sym: res.argmax_input for sym, res in solves.items()},
-        upper=max(res.upper for res in solves.values()),
+        upper=_largest_upper(solves.values()),
         channels=channels,
     )
 

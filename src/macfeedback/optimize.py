@@ -69,23 +69,33 @@ def _result(ch: ConditionalPmf, p: np.ndarray, value, upper, iterations, converg
                      iterations, converged)
 
 
-def _divergence_rows(rows: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """D(row_x || py) in bits for every input x, with 0 log 0 = 0."""
-    pos = rows > 0.0
+def _ends(rows: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The two certificate ends of input ``p``: (D, I, max D), with D[x] the
+    divergence D(W_x || pW) in bits (0 log 0 = 0) and I(p) = p . D over the
+    support of ``p``."""
+    py, pos = p @ rows, rows > 0.0
     # Every logarithm taken is of a positive ratio, so nothing warns.
     ratio = np.where(pos, rows / np.where(py > 0.0, py, 1.0), 1.0)
     terms = np.where(pos, rows * np.log2(ratio), 0.0)
     if (py <= 0.0).any():
         # An output reachable from x but not under py means infinite gain.
         terms[pos & (py <= 0.0)] = np.inf
-    return terms.sum(axis=1)
+    div = terms.sum(axis=1)
+    return div, float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
+
+
+def _largest_upper(solves) -> float:
+    """A user's cut-set value: the largest ``upper`` of its partner-channel solves."""
+    best = 0.0
+    for solve in solves:
+        best = max(best, solve.upper)
+    return best
 
 
 def _measured(ch: ConditionalPmf, p: np.ndarray, tol: float, iterations: int) -> OptResult:
-    """The OptResult of input ``p`` with both ends measured at ``p`` on ``ch``:
-    I(p) as p @ D, max D, converged within ``tol``."""
-    div = _divergence_rows(ch.rows, p @ ch.rows)
-    value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
+    """The OptResult of input ``p`` with both ends measured at ``p`` on ``ch``,
+    converged within ``tol``."""
+    _, value, upper = _ends(ch.rows, p)
     return _result(ch, p, value, upper, iterations, upper - value <= tol)
 
 
@@ -109,9 +119,7 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     r = np.full(m, 1.0 / m)
     lower, iterations = -np.inf, 0
     for iterations in range(1, max_iter + 1):
-        div = _divergence_rows(rows, r @ rows)
-        pos = r > 0.0  # div is finite wherever r is positive
-        new_lower, upper = float(r[pos] @ div[pos]), float(div.max())
+        div, new_lower, upper = _ends(rows, r)  # div is finite wherever r is positive
         if new_lower < lower - 1e-12:
             raise RuntimeError(f"capacity lower bound decreased from {lower!r} to {new_lower!r}")
         lower = new_lower
@@ -153,8 +161,8 @@ def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
     while True:
         iterations += 1
         r = np.array([1.0 - a, a])
-        div = _divergence_rows(rows, r @ rows)
-        converged = float(div.max() - r @ div) <= tol
+        div, value, upper = _ends(rows, r)
+        converged = upper - value <= tol
         if converged:
             break
         lo, hi = (a, hi) if div[1] > div[0] else (lo, a)
@@ -162,8 +170,7 @@ def _binary_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
         if mid == lo or mid == hi:
             break
         a = mid
-    return _result(ch, r, float(channel_mi_bits(r, rows)), float(div.max()),
-                   iterations, converged)
+    return _result(ch, r, float(channel_mi_bits(r, rows)), upper, iterations, converged)
 
 
 def _kkt_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
@@ -192,8 +199,7 @@ def _kkt_capacity(ch: ConditionalPmf, tol: float) -> OptResult:
     p, S, iterations = np.full(m, 1.0 / m), [], 0
     with suppress(np.linalg.LinAlgError):
         for iterations in range(1, _NEWTON_STEPS + 1):
-            div = _divergence_rows(rows, p @ rows)
-            value, upper = float(p[p > 0.0] @ div[p > 0.0]), float(div.max())
+            div, value, upper = _ends(rows, p)
             if upper - value <= tol:
                 break
             if iterations < _WARM_STEPS:  # a capacity iteration
@@ -260,13 +266,13 @@ def max_support_input(ch: ConditionalPmf, tol: float = DEFAULT_TOL) -> OptResult
         return _binary_capacity(ch, tol)
     res = _kkt_capacity(ch, tol)
     rows, q = ch.rows, res.argmax_input.probs @ ch.rows
-    face = np.flatnonzero(_divergence_rows(rows, q) >= res.upper - tol)
+    face = np.flatnonzero(_ends(rows, res.argmax_input.probs)[0] >= res.upper - tol)
     p = res.argmax_input.probs.copy()  # plus every vertex, each of mass 1
     for basis in map(list, combinations(face, np.linalg.matrix_rank(rows[face]))):
         error, c = _solve(rows[basis], q)
         if error <= 1e-12 and c.min() >= -1e-12:
             p[basis] += np.maximum(c, 0.0)
     p = clamp_tiny(p / p.sum())
-    upper = float(_divergence_rows(rows, p @ rows).max())
+    upper = _ends(rows, p)[2]
     value = float(channel_mi_bits(p, rows))
     return _result(ch, p, value, upper, res.iterations, res.converged and upper - value <= tol)

@@ -70,20 +70,12 @@ def capacity_gap_bound(ch: ConditionalPmf, grid: GridSpec) -> float:
     return _entropy_continuity(delta / 2.0, ny) + (delta / 2.0) * float(np.log2(max(ny, 2)))
 
 
-def default_grid(ch: ConditionalPmf) -> GridSpec:
-    """Resolution 64 for binary inputs, 24 for ternary: sub-second sweeps."""
-    return GridSpec(resolution=64 if len(ch.input_alphabet) <= 2 else 24)
-
-
-def grid_capacity(ch: ConditionalPmf, grid: GridSpec | None = None) -> tuple[float, float]:
+def grid_capacity(ch: ConditionalPmf, grid: GridSpec) -> tuple[float, float]:
     """Best mutual information on the input lattice, plus its gap bound.
 
     Returns ``(value, gap)`` with the guarantee
-    ``value <= capacity <= value + gap``. Without an explicit grid the
-    resolution follows :func:`default_grid`.
+    ``value <= capacity <= value + gap``.
     """
-    if grid is None:
-        grid = default_grid(ch)
     d = len(ch.input_alphabet)
     if d > grid.max_dims:
         raise InputError(

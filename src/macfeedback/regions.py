@@ -55,6 +55,7 @@ the joint-input sum-rate bound.
 from __future__ import annotations
 
 import io
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -65,7 +66,7 @@ from .channel import (ConditionalPmf, JointDist, Mac, Pmf, partner_channels,
                       two_look_channel)
 from .errors import InputError
 from .infotheory import conditional_mi, mutual_information
-from .optimize import DEFAULT_TOL, max_support_input, maximize_joint_mi
+from .optimize import DEFAULT_TOL, _largest_upper, max_support_input, maximize_joint_mi
 
 RATE_FLOOR = 1e-12
 # Random ascent starts per direction, and the seed they are drawn from.
@@ -121,6 +122,8 @@ class RatePair:
 
     def __post_init__(self):
         for name, v in (("r1", self.r1), ("r2", self.r2)):
+            if not math.isfinite(v):
+                raise InputError(f"RatePair: {name} is not finite ({v!r})")
             if v < -RATE_FLOOR:
                 raise InputError(f"RatePair: {name} is negative ({v!r})")
         object.__setattr__(self, "r1", max(float(self.r1), 0.0))
@@ -716,14 +719,6 @@ def cutset_single_rate(mac: Mac, user: int, model: str,
     if model != "PF":
         channels = {k: two_look_channel(ch) for k, ch in channels.items()}
     return _largest_upper(max_support_input(ch, tol=tol) for ch in channels.values())
-
-
-def _largest_upper(solves) -> float:
-    """A user's cut-set value: the largest ``upper`` of its partner-channel solves."""
-    best = 0.0
-    for solve in solves:
-        best = max(best, solve.upper)
-    return best
 
 
 def cutset_sum_rate(mac: Mac, tol: float = DEFAULT_TOL) -> float:

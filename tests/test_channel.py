@@ -2,13 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from macfeedback import (ChannelFormatError, ConditionalPmf, InputError, JointDist, Mac,
                          Pmf, erasure_extend, independent_copy_joint, induced_channel,
-                         load_channel, load_channel_file, partner_channels, save_channel)
+                         load_channel_file, partner_channels, save_channel)
 from macfeedback import catalog
 from macfeedback._util import table_faults
 
@@ -43,6 +44,10 @@ class TestPmf:
     def test_rejects_empty_alphabet(self):
         with pytest.raises(InputError, match="^Pmf: alphabet is empty$"):
             Pmf((), np.array([]))
+
+    def test_uniform_over_empty_alphabet_rejected(self):
+        with pytest.raises(InputError, match="^Pmf: alphabet is empty$"):
+            Pmf.uniform(())
 
     def test_immutable(self):
         p = Pmf.uniform(("a", "b"))
@@ -288,12 +293,33 @@ class TestChannelFiles:
         mac = random_mac(rng, n1=2, n2=3, ny=4, name="rt")
         path = tmp_path / "ch.json"
         save_channel(mac, path)
-        again = load_channel(path)
+        again = load_channel_file(path).mac
         assert again.x1_alphabet == mac.x1_alphabet
         assert again.x2_alphabet == mac.x2_alphabet
         assert again.y_alphabet == mac.y_alphabet
         assert np.abs(again.pmf - mac.pmf).max() < 1e-15
         assert again.name == "rt"
+
+    def test_shipped_files_are_catalog_members(self):
+        """Each channels/*.json is, bit for bit, the catalog member its file
+        name names: ``<family><100 x parameter>.json``, or ``adder.json``."""
+        families = {"adder": (catalog.adder_mac, None),
+                    "binary_symmetric_q": (catalog.binary_symmetric_mac,
+                                           catalog.binary_symmetric_group),
+                    "erasure_adder_p": (catalog.erasure_adder_mac, catalog.erasure_adder_group)}
+        paths = sorted((Path(__file__).resolve().parent.parent / "channels").glob("*.json"))
+        assert len(paths) == 9
+        for path in paths:
+            family = path.stem.rstrip("0123456789")
+            build, group = families[family]
+            mac = build(int(path.stem[len(family):]) / 100) if group else build()
+            cf = load_channel_file(path)
+            assert cf.mac.pmf.tobytes() == mac.pmf.tobytes(), path.name
+            assert ((cf.mac.x1_alphabet, cf.mac.x2_alphabet, cf.mac.y_alphabet, cf.mac.name)
+                    == (mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet, mac.name)), path.name
+            assert (cf.group is None) == (group is None), path.name
+            if group:
+                assert cf.group.to_dict() == group().to_dict(), path.name
 
     def test_group_load_formats_paths_only_on_rejection(self, tmp_path, monkeypatch):
         from macfeedback import channel_io
@@ -331,7 +357,7 @@ class TestChannelFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ChannelFormatError, match=r"pmf\[0\]\[0\]"):
-            load_channel(path)
+            load_channel_file(path).mac
 
     def test_small_row_drift_normalized(self, tmp_path):
         obj = {
@@ -340,7 +366,7 @@ class TestChannelFiles:
         }
         path = tmp_path / "drift.json"
         path.write_text(json.dumps(obj))
-        mac = load_channel(path)
+        mac = load_channel_file(path).mac
         assert mac.pmf[0, 0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_duplicate_symbol_rejected(self, tmp_path):
@@ -351,19 +377,19 @@ class TestChannelFiles:
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ChannelFormatError, match=r"y\[1\]: duplicate label 'e'"):
-            load_channel(path)
+            load_channel_file(path).mac
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
         with pytest.raises(ChannelFormatError, match="malformed JSON"):
-            load_channel(path)
+            load_channel_file(path).mac
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "missing.json"
         path.write_text(json.dumps({"x1": ["0"], "x2": ["0"], "y": ["0"]}))
         with pytest.raises(ChannelFormatError, match="pmf"):
-            load_channel(path)
+            load_channel_file(path).mac
 
     def test_negative_probability_rejected(self, tmp_path):
         obj = {
@@ -373,7 +399,7 @@ class TestChannelFiles:
         path = tmp_path / "neg.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ChannelFormatError, match="negative"):
-            load_channel(path)
+            load_channel_file(path).mac
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
                                        pytest.param("1" + "0" * 400, id="huge_int")])
@@ -382,7 +408,7 @@ class TestChannelFiles:
         path.write_text('{"x1": ["0"], "x2": ["0", "1"], "y": ["0", "1"], '
                         f'"pmf": [[[0.5, 0.5], [{token}, 1.0]]]}}')
         with pytest.raises(ChannelFormatError, match=r"pmf\[0\]\[1\]\[0\]: non-finite"):
-            load_channel(path)
+            load_channel_file(path).mac
 
 
 class TestJointDist:

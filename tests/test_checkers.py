@@ -13,7 +13,7 @@ from macfeedback import (InputError, JointDist, Mac, Pmf, binary_entropy,
                          classify_additive_gain, compress_forward_curve,
                          conditional_entropy, conditional_mi, cutset_single_rate,
                          erasure_scaling_check, gain_sufficient_condition,
-                         independent_copy_joint, load_channel,
+                         independent_copy_joint, load_channel_file,
                          maximize_joint_mi, mutual_information, partner_channels,
                          save_channel, single_rate_capacity)
 from macfeedback import catalog, checkers
@@ -533,7 +533,7 @@ class TestOneSolvePerPartnerSymbol:
     def test_two_look_rows_are_the_channel_rows(self):
         # The gain terms read the two-look rows without building the channel.
         for path in sorted(self.CHANNELS.glob("*.json")):
-            mac = load_channel(path)
+            mac = load_channel_file(path).mac
             for user in (1, 2):
                 for ch in partner_channels(mac, user).values():
                     rows = two_look_rows(ch.rows)
@@ -541,7 +541,7 @@ class TestOneSolvePerPartnerSymbol:
 
     def test_cfcurve_fallback(self, solves, capsys):
         path = self.CHANNELS / "binary_symmetric_q050.json"
-        mac = load_channel(path)
+        mac = load_channel_file(path).mac
         # No witness on this channel, so cfcurve takes the single-rate fallback.
         assert gain_sufficient_condition(single_rate_capacity(mac, 1)).witness is None
         solves.clear()

@@ -52,15 +52,6 @@ class TestGridCapacity:
         with pytest.raises(InputError):
             grid_capacity(ch, GridSpec(resolution=16, max_dims=3))
 
-    def test_default_grid_by_input_size(self):
-        rng = np.random.default_rng(6)
-        from macfeedback.oracle import default_grid
-
-        assert default_grid(random_conditional(rng, 2, 3)).resolution == 64
-        assert default_grid(random_conditional(rng, 3, 3)).resolution == 24
-        value, gap = grid_capacity(random_conditional(rng, 3, 3))
-        assert 0.0 <= value <= math.log2(3) and gap > 0
-
 
 class TestGridClPoint:
     def test_single_user_weight_noiseless_adder(self):

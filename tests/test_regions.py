@@ -10,7 +10,7 @@ import pytest
 from macfeedback import (CLInput, ConditionalPmf, InputError, Mac, Pmf, RatePair,
                          cover_leung_bounds, cover_leung_frontier,
                          cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                         load_channel, max_support_input, mutual_information,
+                         max_support_input, mutual_information,
                          partner_channels, single_rate_capacity, two_look_channel)
 from macfeedback import catalog, erasure_extend
 from macfeedback.checkers import erasure_scaling_check
@@ -1030,6 +1030,13 @@ class TestRatePair:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             RatePair(-0.1, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", ["r1", "r2"])
+    def test_rejects_non_finite(self, at, bad):
+        rates = {"r1": 0.0, "r2": 0.0, at: bad}
+        with pytest.raises(InputError, match=rf"^RatePair: {at} is not finite \({bad!r}\)$"):
+            RatePair(**rates)
 
     def test_csv_header(self):
         mac = catalog.erasure_adder_mac(1.0)

@@ -7,12 +7,14 @@ Two families recur everywhere:
 * the binary symmetric combination: the output is the mod-2 sum of the
   inputs flipped with probability ``q``.
 
-Both come with a group certificate. For the adder family the group is
-the cyclic group of order 4; integer sums of the inputs never wrap, so
-the cyclic closure agrees with plain addition on every reachable sum.
-Closing the output action under the full group needs one extra output
-symbol ("3") which carries zero probability, and the erasure symbol is a
-fixed point of the action.
+Both come with a cyclic group certificate, built by one rule: Z_n with
+both binary inputs embedded as 0 and 1, acting on the outputs 0..n-1 by
+rotation and fixing any outputs after them. The binary symmetric family
+takes Z_2. The adder family takes Z_4; integer sums of the inputs never
+wrap, so the cyclic closure agrees with plain addition on every reachable
+sum. Closing the output action under the full group needs one extra
+output symbol ("3") which carries zero probability, and the erasure
+symbol is the one fixed output.
 """
 
 from __future__ import annotations
@@ -49,23 +51,19 @@ def erasure_adder_mac(p: float) -> Mac:
     return replace(erasure_extend(four, p), name=f"erasure-adder(p={p:g})")
 
 
+def _cyclic_group(n: int, fixed: int = 0) -> GroupSpec:
+    """Z_n with both binary inputs embedded as 0 and 1; the action rotates
+    outputs 0..n-1 and fixes the ``fixed`` outputs after them."""
+    shift = np.add.outer(np.arange(n), np.arange(n)) % n
+    fixed_rows = np.tile(np.arange(n, n + fixed)[:, None], n)
+    return GroupSpec(elements=tuple(map(str, range(n))), cayley=shift, identity=0,
+                     embed_x1=np.array([0, 1]), embed_x2=np.array([0, 1]),
+                     y_action=np.vstack([shift, fixed_rows]))
+
+
 def erasure_adder_group() -> GroupSpec:
-    """Cyclic-4 certificate for :func:`erasure_adder_mac`."""
-    n = 4
-    cayley = np.fromfunction(lambda a, b: (a + b) % n, (n, n), dtype=np.int64)
-    y_action = np.zeros((5, n), dtype=np.int64)
-    for y in range(4):
-        for g in range(n):
-            y_action[y, g] = (y + g) % n
-    y_action[4, :] = 4  # erasures are fixed by every shift
-    return GroupSpec(
-        elements=("0", "1", "2", "3"),
-        cayley=cayley,
-        identity=0,
-        embed_x1=np.array([0, 1]),
-        embed_x2=np.array([0, 1]),
-        y_action=y_action,
-    )
+    """Cyclic-4 certificate for :func:`erasure_adder_mac`; the erasure is fixed."""
+    return _cyclic_group(4, fixed=1)
 
 
 def binary_symmetric_mac(q: float) -> Mac:
@@ -84,12 +82,4 @@ def binary_symmetric_mac(q: float) -> Mac:
 
 def binary_symmetric_group() -> GroupSpec:
     """Mod-2 certificate for :func:`binary_symmetric_mac`."""
-    cayley = np.array([[0, 1], [1, 0]])
-    return GroupSpec(
-        elements=("0", "1"),
-        cayley=cayley,
-        identity=0,
-        embed_x1=np.array([0, 1]),
-        embed_x2=np.array([0, 1]),
-        y_action=np.array([[0, 1], [1, 0]]),
-    )
+    return _cyclic_group(2)

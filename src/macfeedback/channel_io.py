@@ -31,11 +31,10 @@ from .groups import GroupSpec
 
 @dataclass(frozen=True)
 class ChannelFile:
-    """Everything a channel file carries: the law plus optional extras."""
+    """Everything a channel file carries: the named law plus an optional group."""
 
     mac: Mac
     group: GroupSpec | None = None
-    name: str = ""
 
 
 def _labels(value, path: str) -> tuple[str, ...]:
@@ -122,7 +121,8 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
     raw = obj["group"]
     if not isinstance(raw, dict):
         raise ChannelFormatError("group: expected an object")
-    for key in ("elements", "cayley", "identity", "embed_x1", "embed_x2", "y_action"):
+    keys = ("elements", "cayley", "identity", "embed_x1", "embed_x2", "y_action")
+    for key in keys:
         if key not in raw:
             raise ChannelFormatError(f"group.{key}: missing field")
     n = len(_labels(raw["elements"], "group.elements"))
@@ -130,11 +130,11 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
                               ("embed_x1", (n1,), n), ("embed_x2", (n2,), n),
                               ("y_action", (ny, n), ny)):
         _check_indices(raw[key], f"group.{key}", shape, bound)
-    return GroupSpec.from_dict(raw)  # its own checks all pass by now
+    return GroupSpec(**{key: raw[key] for key in keys})  # its own checks all pass by now
 
 
 def load_channel_file(path) -> ChannelFile:
-    """Parse a channel file into the law, optional group and name."""
+    """Parse a channel file into the named law and optional group."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -155,8 +155,7 @@ def load_channel_file(path) -> ChannelFile:
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ChannelFormatError(f"name: expected a string, got {json.dumps(name)}")
-    mac = Mac(x1, x2, y, pmf, name=name)
-    return ChannelFile(mac=mac, group=group, name=name)
+    return ChannelFile(mac=Mac(x1, x2, y, pmf, name=name), group=group)
 
 
 def save_channel(mac: Mac, path, group: GroupSpec | None = None) -> None:

@@ -46,8 +46,7 @@ from .groups import (channel_given_sum, conditional_mi_spread,
 from .infotheory import mutual_information
 from .optimize import DEFAULT_TOL
 from .regions import (DEFAULT_RESTARTS, DEFAULT_SEED, batch_pentagon, cover_leung_frontier,
-                      cutset_single_rate, cutset_sum_rate, default_weight_fan,
-                      frontier_point)
+                      cutset_single_rate, cutset_sum_rate, frontier_point)
 
 VERIFY_TOL = 1e-9
 MAX_A_POINTS = 100_000
@@ -137,9 +136,8 @@ def _require_group(cf: ChannelFile):
     return cf.group
 
 
-def cmd_singlerate(args) -> dict:
-    cf = load_channel_file(args.channel)
-    out = {"channel": cf.name, "tol": args.tol}
+def cmd_singlerate(cf: ChannelFile, args) -> dict:
+    out = {"channel": cf.mac.name, "tol": args.tol}
     for user in (1, 2):
         res = single_rate_capacity(cf.mac, user, tol=args.tol)
         out[f"user{user}"] = res.to_dict()
@@ -158,9 +156,8 @@ def cmd_singlerate(args) -> dict:
     return out
 
 
-def cmd_region(args) -> tuple[dict, str]:
-    cf = load_channel_file(args.channel)
-    weights = default_weight_fan() if args.weights is None else _parse_weights(args.weights)
+def cmd_region(cf: ChannelFile, args) -> tuple[dict, str]:
+    weights = None if args.weights is None else _parse_weights(args.weights)
     frontier = cover_leung_frontier(
         cf.mac, weights=weights, restarts=args.restarts,
         u_card=args.u_card, seed=args.seed, tol=args.tol)
@@ -190,7 +187,7 @@ def cmd_region(args) -> tuple[dict, str]:
     csv_text += f"{0.0!r},{1.0!r},{0.0!r},{c2!r},outer_bound\n"
     csv_text += f"{1.0!r},{1.0!r},{csum / 2!r},{csum / 2!r},outer_bound\n"
     obj = {
-        "channel": cf.name,
+        "channel": cf.mac.name,
         "model": args.model,
         "frontier": frontier.to_dict(),
         "cutset": {"r1": c1, "r2": c2, "sum": csum},
@@ -198,10 +195,9 @@ def cmd_region(args) -> tuple[dict, str]:
     return obj, csv_text
 
 
-def cmd_check(args) -> dict:
-    cf = load_channel_file(args.channel)
+def cmd_check(cf: ChannelFile, args) -> dict:
     which = args.which
-    out: dict = {"channel": cf.name, "check": which}
+    out: dict = {"channel": cf.mac.name, "check": which}
     if which == "additive":
         group = _require_group(cf)
         out["report"] = verify_additive(cf.mac, group).to_dict()
@@ -230,8 +226,7 @@ def cmd_check(args) -> dict:
     return out
 
 
-def cmd_cfcurve(args) -> tuple[dict, str]:
-    cf = load_channel_file(args.channel)
+def cmd_cfcurve(cf: ChannelFile, args) -> tuple[dict, str]:
     user = args.user
     a_grid = _parse_a_grid(args.a_grid)
     if (args.xk_star is None) != (args.xbar_k is None):
@@ -249,9 +244,7 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
             p_star = sr.p_star
     else:
         xk_star, xbar_k = args.xk_star, args.xbar_k
-        if xk_star not in sr.inputs:
-            raise InputError(f"symbol {xk_star!r} not in the partner alphabet")
-        p_star = sr.inputs[xk_star]
+        p_star = sr.inputs.get(xk_star)  # an unknown symbol is the curve's to reject
     # The curve and its re-evaluation read the partner channels sr solved.
     curve = compress_forward_curve(sr.channels, xk_star, xbar_k, p_star, a_grid)
 
@@ -265,7 +258,7 @@ def cmd_cfcurve(args) -> tuple[dict, str]:
                 )
 
     obj = {
-        "channel": cf.name,
+        "channel": cf.mac.name,
         "user": user,
         "xk_star": xk_star,
         "xbar_k": xbar_k,
@@ -331,17 +324,18 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         for path in (args.json_out, getattr(args, "csv_out", None)):
             _check_output_path(path)
+        cf = load_channel_file(args.channel)
         if args.command == "singlerate":
-            _emit(cmd_singlerate(args), args.json_out)
+            _emit(cmd_singlerate(cf, args), args.json_out)
         elif args.command == "region":
-            obj, csv_text = cmd_region(args)
+            obj, csv_text = cmd_region(cf, args)
             if args.csv_out:
                 _emit(csv_text, args.csv_out)
             _emit(obj, args.json_out)
         elif args.command == "check":
-            _emit(cmd_check(args), args.json_out)
+            _emit(cmd_check(cf, args), args.json_out)
         else:
-            obj, csv_text = cmd_cfcurve(args)
+            obj, csv_text = cmd_cfcurve(cf, args)
             _emit(csv_text, args.csv_out)
             if args.json_out or args.csv_out:
                 _emit(obj, args.json_out)

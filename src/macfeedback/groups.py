@@ -101,20 +101,6 @@ class GroupSpec:
             "y_action": self.y_action.tolist(),
         }
 
-    @staticmethod
-    def from_dict(obj: dict) -> "GroupSpec":
-        try:
-            return GroupSpec(
-                elements=tuple(obj["elements"]),
-                cayley=np.asarray(obj["cayley"]),
-                identity=obj["identity"],
-                embed_x1=np.asarray(obj["embed_x1"]),
-                embed_x2=np.asarray(obj["embed_x2"]),
-                y_action=np.asarray(obj["y_action"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"group block missing field {exc.args[0]!r}") from None
-
 
 def _first_five(bad: np.ndarray, what: str, name) -> list[str]:
     """``name(*idx)`` for the first five index rows of ``bad``, then a count of the rest."""

@@ -618,7 +618,10 @@ def cover_leung_frontier(mac: Mac, weights=None, restarts: int = DEFAULT_RESTART
     ``restarts`` random starts seeded per direction. The (direction, start)
     rows of the whole fan run as one pooled ascent with per-row weights
     (:meth:`_AscentProblem.ascend`); each row takes the steps it would take
-    alone, so a direction's point does not depend on the rest of the fan.
+    alone. The random starts of the direction at position k of ``weights``
+    are stream k of ``SeedSequence(seed).spawn``, so a point depends on its
+    direction's position, not on the other directions: a pair at position k
+    gets the same point in every list of pairs.
 
     Each pair runs as its direction (w1, w2) (:func:`check_weight`), so its
     scale moves no witness or rate; each point is the witness pentagon's

@@ -449,7 +449,7 @@ class TestCfCurve:
         code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file,
                                "--xk-star", xk_star, "--xbar-k", xbar_k)
         assert code == 2
-        assert "'7'" in json.loads(err)["message"]
+        assert json.loads(err)["message"] == "symbol '7' not in the partner alphabet"
 
     def test_bad_grid_rejected(self, capsys, adder_file):
         code, _, err = run_cli(capsys, "cfcurve", "--channel", adder_file,
@@ -692,11 +692,12 @@ def test_check_accepts_flags_it_reads(capsys, adder_file, argv):
 
 
 def test_nan_in_report_exits_one(capsys, adder_file, monkeypatch):
-    monkeypatch.setattr(cli, "cmd_singlerate", lambda args: {"value": math.nan})
+    monkeypatch.setattr(cli, "cmd_singlerate", lambda cf, args: {"value": math.nan})
     code, out, err = run_cli(capsys, "singlerate", "--channel", adder_file)
     assert code == 1
     assert out == ""
     assert "NaN" not in err
+    assert json.loads(err)["error"] == "ValueError"
 
 
 class TestParserReuse:

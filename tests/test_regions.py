@@ -421,6 +421,27 @@ class TestFrontier:
         pt = cover_leung_frontier(mac, weights=[(1e307, 0.0)], restarts=0).points[0]
         assert pt.rates.r1 == pytest.approx(2.0) and pt.value == 1e307 * pt.rates.r1
 
+    def test_point_depends_on_position_not_on_other_pairs(self):
+        # Direction k's random starts are stream k of the seed's spawn, so a
+        # pair at position k of any list gets the default fan's point k, bit
+        # for bit, whatever pairs stand before or after it. At another
+        # position it gets other starts: (0.5, 0.5) alone ends higher than at
+        # position 8 of the default fan.
+        mac = catalog.adder_mac()
+        fan = default_weight_fan()
+        want = {pt.weights: pt for pt in cover_leung_frontier(mac).points}
+        others = [(3 * w1, 3 * w2) for w1, w2 in reversed(fan)]
+        for k in (0, 5, 8, 16):
+            weights = others[:k] + [fan[k]] + others[k:k + 2]
+            got = {pt.weights: pt for pt in cover_leung_frontier(mac, weights=weights).points}
+            (pt, q), (pw, qw) = ((p, p.witness) for p in (got[fan[k]], want[fan[k]]))
+            assert (pt.value, pt.rates) == (pw.value, pw.rates)
+            assert np.array_equal(q.p_u.probs, qw.p_u.probs)
+            assert np.array_equal(q.p_x1_given_u.rows, qw.p_x1_given_u.rows)
+            assert np.array_equal(q.p_x2_given_u.rows, qw.p_x2_given_u.rows)
+        alone = cover_leung_frontier(mac, weights=[fan[8]]).points[0]
+        assert alone.value != want[fan[8]].value
+
     def test_default_weights_are_the_default_fan(self):
         mac = catalog.adder_mac()
         assert (cover_leung_frontier(mac, restarts=1).to_dict()

@@ -60,6 +60,8 @@ INVALID_FLAGS = tuple(
        ("erasure-scaling-weights-empty",
         ["check", "erasure-scaling", "--erasure-p", "0.5", "--weights", ""]),
        ("cfcurve-a-grid-past-1", ["cfcurve", "--a-grid", "0:3:1"]),
+       ("cfcurve-unknown-xk-star", ["cfcurve", "--xk-star", "7", "--xbar-k", "1"]),
+       ("cfcurve-unknown-xbar-k", ["cfcurve", "--xk-star", "0", "--xbar-k", "7"]),
        ("singlerate-restarts-neg5", ["singlerate", "--restarts", "-5"]),
        ("cfcurve-seed-1", ["cfcurve", "--seed", "1"]),
        ("region-csv-out-missing-dir", ["region", "--csv-out", "no-such-dir/f.csv"]),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from itertools import combinations
@@ -72,17 +73,31 @@ def table_faults(t: np.ndarray, sum_axes=None) -> list[tuple[str, tuple[int, ...
             + [("sum", idx, float(sums[idx])) for idx in _indices(off)])
 
 
-_FAULT_TEXT = {"non-finite": "non-finite entry {!r}", "negative": "negative mass {!r}",
-               "above 1": "mass {!r} above 1", "sum": "mass sums to {!r}, not 1"}
+def json_path(root: str, idx) -> str:
+    """``root`` followed by ``[k]`` for each ``k`` in ``idx``: the JSON path of an entry."""
+    return root + "".join(f"[{k}]" for k in idx)
+
+
+def shown(value) -> str:
+    """``value`` as JSON text (``true``, ``null``, ``1.5``) where it has one, else its repr."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+_FAULT_TEXT = {"non-finite": "non-finite probability {!r}", "above 1": "probability {!r} above 1",
+               "negative": "negative probability {!r}", "sum": "row sums to {!r}"}
 
 
 def check_table(t: np.ndarray, where: str, sum_axes=None) -> None:
-    """Raise InputError naming ``where`` and the first of :func:`table_faults`."""
+    """Raise InputError at the JSON path, below ``where``, of the first of
+    :func:`table_faults`: ``Mac[1][1][0]: negative probability -0.01``, or
+    ``pmf[1][0]: row sums to 0.9`` for a channel file's pmf."""
     faults = table_faults(t, sum_axes)
     if faults:
         kind, idx, value = faults[0]
-        at = f" at index {list(idx)}" if idx else ""
-        raise InputError(f"{where}: {_FAULT_TEXT[kind].format(value)}{at}")
+        raise InputError(f"{json_path(where, idx)}: {_FAULT_TEXT[kind].format(value)}")
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

@@ -18,21 +18,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_table, clamp_tiny, freeze, fresh_symbol, pair_label
+from ._util import check_table, clamp_tiny, freeze, fresh_symbol, pair_label, shown
 from .errors import InputError
 
 
 def _check_alphabet(labels, where: str) -> tuple[str, ...]:
+    """``labels`` as a tuple of distinct strings; an InputError names the
+    first rejected label by its JSON path, ``where[k]``."""
+    if isinstance(labels, str):
+        raise InputError(f"{where}: expected a sequence of labels, got the string {labels!r}")
     labels = tuple(labels)
     if len(labels) == 0:
         raise InputError(f"{where}: alphabet is empty")
-    for s in labels:
+    for s in labels:  # the labels before s are strings, so labels.index(s) is its index
         if not isinstance(s, str):
-            raise InputError(f"{where}: expected a string label, got {s!r}")
+            k = labels.index(s)
+            raise InputError(f"{where}[{k}]: expected a string label, got {shown(s)}")
     if len(set(labels)) != len(labels):
-        dup = next(s for s in labels if labels.count(s) > 1)
-        raise InputError(f"{where}: duplicate symbol {dup!r}")
+        k = next(k for k, s in enumerate(labels) if s in labels[:k])
+        raise InputError(f"{where}[{k}]: duplicate label {labels[k]!r}")
     return labels
+
+
+def _table(where: str, table, alphabets, sum_axes=None):
+    """The labels of each ``(path, labels)`` in ``alphabets``, checked at ``path``, and
+    ``table`` clamped, one axis per alphabet, checked at ``where`` over ``sum_axes``."""
+    labels = [_check_alphabet(a, path) for path, a in alphabets]
+    try:
+        t = clamp_tiny(table)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: expected a rectangular array of numbers") from None
+    want = tuple(map(len, labels))
+    if t.shape != want:
+        raise InputError(f"{where}: table shape {t.shape} does not match {want}")
+    check_table(t, where, sum_axes)
+    return labels, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +72,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        alphabet = _check_alphabet(self.alphabet, "Pmf")
-        probs = clamp_tiny(self.probs)
-        if probs.ndim != 1 or probs.shape[0] != len(alphabet):
-            raise InputError(
-                f"Pmf: got {probs.shape} weights for {len(alphabet)} symbols"
-            )
-        check_table(probs, "Pmf")
+        (alphabet,), probs = _table("Pmf", self.probs, (("Pmf", self.alphabet),))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", freeze(probs / probs.sum()))
 
@@ -69,16 +83,6 @@ class Pmf:
     def uniform(alphabet) -> "Pmf":
         alphabet = _check_alphabet(alphabet, "Pmf")
         return Pmf(alphabet, np.full(len(alphabet), 1.0 / len(alphabet)))
-
-
-def _stochastic_rows(rows, where: str | None = None) -> np.ndarray:
-    """``rows`` as a ConditionalPmf holds them: magnitudes below ZERO_CLAMP
-    set to 0, each row scaled to sum to 1. Given ``where``, the clamped rows
-    are first checked as distributions, errors naming ``where``."""
-    rows = clamp_tiny(rows)
-    if where is not None:
-        check_table(rows, where, sum_axes=1)
-    return rows / rows.sum(axis=1)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,17 +98,12 @@ class ConditionalPmf:
     rows: np.ndarray
 
     def __post_init__(self):
-        ia = _check_alphabet(self.input_alphabet, "ConditionalPmf input")
-        oa = _check_alphabet(self.output_alphabet, "ConditionalPmf output")
-        shape = np.shape(self.rows)
-        if shape != (len(ia), len(oa)):
-            raise InputError(
-                f"ConditionalPmf: rows shape {shape} does not match "
-                f"({len(ia)}, {len(oa)})"
-            )
+        (ia, oa), rows = _table("ConditionalPmf", self.rows,
+                                (("ConditionalPmf.input", self.input_alphabet),
+                                 ("ConditionalPmf.output", self.output_alphabet)), sum_axes=1)
         object.__setattr__(self, "input_alphabet", ia)
         object.__setattr__(self, "output_alphabet", oa)
-        object.__setattr__(self, "rows", freeze(_stochastic_rows(self.rows, "ConditionalPmf")))
+        object.__setattr__(self, "rows", freeze(rows / rows.sum(axis=1)[:, None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +112,10 @@ class Mac:
 
     The tensor is indexed ``pmf[x1][x2][y]``. Construction checks the
     labels, the shape and that every ``(x1, x2)`` slice is a distribution
-    (entries in [0, 1], sum within 1e-9 of 1), raising an InputError that
-    names the first faulty index. The tensor is stored as given, with
-    magnitudes below 1e-15 set to 0, not rescaled.
+    (entries in [0, 1], sum within 1e-9 of 1), raising an InputError at the
+    JSON path of the first fault: ``x2[0]`` for a label, as in a channel
+    file, and ``Mac[1][1][0]`` for an entry. The tensor is stored as given,
+    with magnitudes below 1e-15 set to 0, not rescaled.
 
     Feedback variants (no feedback, perfect feedback, one or two
     independent feedback looks) are parameters of the analyses, not state
@@ -129,16 +129,8 @@ class Mac:
     name: str = ""
 
     def __post_init__(self):
-        a1 = _check_alphabet(self.x1_alphabet, "Mac x1")
-        a2 = _check_alphabet(self.x2_alphabet, "Mac x2")
-        ay = _check_alphabet(self.y_alphabet, "Mac y")
-        pmf = clamp_tiny(self.pmf)
-        if pmf.shape != (len(a1), len(a2), len(ay)):
-            raise InputError(
-                f"Mac: pmf shape {pmf.shape} does not match alphabets "
-                f"({len(a1)}, {len(a2)}, {len(ay)})"
-            )
-        check_table(pmf, "Mac", sum_axes=2)
+        alphabets = (("x1", self.x1_alphabet), ("x2", self.x2_alphabet), ("y", self.y_alphabet))
+        (a1, a2, ay), pmf = _table("Mac", self.pmf, alphabets, sum_axes=2)
         object.__setattr__(self, "x1_alphabet", a1)
         object.__setattr__(self, "x2_alphabet", a2)
         object.__setattr__(self, "y_alphabet", ay)
@@ -157,19 +149,12 @@ class JointDist:
     table: np.ndarray
 
     def __post_init__(self):
-        axes = tuple((str(n), _check_alphabet(a, f"JointDist axis {n!r}"))
-                     for n, a in self.axes)
-        names = [n for n, _ in axes]
+        names = [str(n) for n, _ in self.axes]
         if len(set(names)) != len(names):
             raise InputError("JointDist: duplicate axis name")
-        table = clamp_tiny(self.table)
-        want = tuple(len(a) for _, a in axes)
-        if table.shape != want:
-            raise InputError(
-                f"JointDist: table shape {table.shape} does not match {want}"
-            )
-        check_table(table, "JointDist")
-        object.__setattr__(self, "axes", axes)
+        labels, table = _table("JointDist", self.table,
+                               [(f"JointDist.{n}", a) for n, (_, a) in zip(names, self.axes)])
+        object.__setattr__(self, "axes", tuple(zip(names, labels)))
         object.__setattr__(self, "table", freeze(table / table.sum()))
 
     @property
@@ -261,7 +246,8 @@ def two_look_rows(rows: np.ndarray) -> np.ndarray:
     """The rows :func:`two_look_channel` holds for a channel with ``rows``,
     bitwise, without building its ny * ny pair labels or checking products
     of checked rows again."""
-    return _stochastic_rows(_look_pairs(rows))
+    pairs = clamp_tiny(_look_pairs(rows))
+    return pairs / pairs.sum(axis=1)[:, None]
 
 
 def independent_copy_joint(mac: Mac, input_dist: JointDist, copies: int = 1) -> JointDist:

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import clamp_tiny, table_faults
-from .channel import Mac
-from .errors import ChannelFormatError
+from ._util import check_table, clamp_tiny
+from .channel import Mac, _check_alphabet
+from .errors import ChannelFormatError, InputError
 from .groups import GroupSpec
 
 
@@ -38,20 +38,10 @@ class ChannelFile:
 
 
 def _labels(value, path: str) -> tuple[str, ...]:
-    """The labels at ``path``: a non-empty list of distinct JSON strings."""
+    """The labels at ``path``: a non-empty JSON list, checked as an alphabet."""
     if not isinstance(value, list) or not value:
         raise ChannelFormatError(f"{path}: expected a non-empty list of string labels")
-    for k, v in enumerate(value):
-        if not isinstance(v, str):
-            raise ChannelFormatError(f"{path}[{k}]: expected a string label, "
-                                     f"got {json.dumps(v)}")
-        if v in value[:k]:
-            raise ChannelFormatError(f"{path}[{k}]: duplicate label {v!r}")
-    return tuple(value)
-
-
-def _json_path(root: str, idx) -> str:
-    return root + "".join(f"[{k}]" for k in idx)
+    return _check_alphabet(value, path)
 
 
 def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
@@ -77,45 +67,14 @@ def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
                 except OverflowError:  # an integer beyond the float range
                     out[i, j, k] = np.inf
     out = clamp_tiny(out)
-    faults = table_faults(out, sum_axes=2)
-    if faults:
-        kind, idx, v = faults[0]
-        path = _json_path("pmf", idx)
-        what = {"non-finite": f"non-finite probability {v!r}",
-                "negative": f"negative probability {v!r}",
-                "above 1": f"probability {v!r} above 1",
-                "sum": f"row sums to {v!r}"}[kind]
-        raise ChannelFormatError(f"{path}: {what}")
+    check_table(out, "pmf", sum_axes=2)
     return out / out.sum(axis=2, keepdims=True)
 
 
-def _check_indices(value, path: str, shape: tuple[int, ...], bound: int,
-                   at: tuple[int, ...] = ()) -> None:
-    """Reject anything but nested JSON lists of exactly ``shape`` holding
-    integers from 0 to ``bound`` - 1.
-
-    numpy would truncate a float index, read ``true`` as 1 and refuse a
-    ragged table without a path, so the check is made on the JSON values
-    before any array is built. ``true`` loads as a bool, which is not
-    ``int`` by type. The indices ``at`` below ``path`` are formatted into
-    a path only for the entry that is rejected.
-    """
-    if shape and isinstance(value, list) and len(value) == shape[0]:
-        for k, v in enumerate(value):
-            if len(shape) > 1 or type(v) is not int or not 0 <= v < bound:
-                _check_indices(v, path, shape[1:], bound, (*at, k))
-    elif shape:
-        got = len(value) if isinstance(value, list) else json.dumps(value)
-        raise ChannelFormatError(f"{_json_path(path, at)}: expected {shape[0]} entries, got {got}")
-    elif type(value) is not int:
-        raise ChannelFormatError(f"{_json_path(path, at)}: expected an integer index, "
-                                 f"got {json.dumps(value)}")
-    elif not 0 <= value < bound:
-        raise ChannelFormatError(f"{_json_path(path, at)}: index {value} out of range "
-                                 f"for {bound} elements")
-
-
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
+    """The group block, if any. The loader checks what depends on the
+    channel, the row counts of ``embed_x1``, ``embed_x2`` and ``y_action``;
+    :class:`GroupSpec` checks the rest, its message put under ``group.``."""
     if "group" not in obj or obj["group"] is None:
         return None
     raw = obj["group"]
@@ -125,12 +84,16 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
     for key in keys:
         if key not in raw:
             raise ChannelFormatError(f"group.{key}: missing field")
-    n = len(_labels(raw["elements"], "group.elements"))
-    for key, shape, bound in (("cayley", (n, n), n), ("identity", (), n),
-                              ("embed_x1", (n1,), n), ("embed_x2", (n2,), n),
-                              ("y_action", (ny, n), ny)):
-        _check_indices(raw[key], f"group.{key}", shape, bound)
-    return GroupSpec(**{key: raw[key] for key in keys})  # its own checks all pass by now
+    _labels(raw["elements"], "group.elements")
+    for key, rows in (("embed_x1", n1), ("embed_x2", n2), ("y_action", ny)):
+        value = raw[key]
+        if not isinstance(value, list) or len(value) != rows:
+            got = len(value) if isinstance(value, list) else json.dumps(value)
+            raise ChannelFormatError(f"group.{key}: expected {rows} entries, got {got}")
+    try:
+        return GroupSpec(**{key: raw[key] for key in keys})
+    except InputError as exc:
+        raise ChannelFormatError(f"group.{exc}") from None
 
 
 def load_channel_file(path) -> ChannelFile:
@@ -149,13 +112,17 @@ def load_channel_file(path) -> ChannelFile:
     for key in ("x1", "x2", "y"):
         if key not in obj:
             raise ChannelFormatError(f"{key}: missing field")
-    x1, x2, y = (_labels(obj[key], key) for key in ("x1", "x2", "y"))
-    pmf = _parse_pmf(obj, len(x1), len(x2), len(y))
-    group = _parse_group(obj, len(x1), len(x2), len(y))
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ChannelFormatError(f"name: expected a string, got {json.dumps(name)}")
-    return ChannelFile(mac=Mac(x1, x2, y, pmf, name=name), group=group)
+    try:
+        x1, x2, y = (_labels(obj[key], key) for key in ("x1", "x2", "y"))
+        pmf = _parse_pmf(obj, len(x1), len(x2), len(y))
+        group = _parse_group(obj, len(x1), len(x2), len(y))
+        mac = Mac(x1, x2, y, pmf, name=name)
+    except InputError as exc:  # a check of the objects built from the file
+        raise ChannelFormatError(str(exc)) from None
+    return ChannelFile(mac=mac, group=group)
 
 
 def save_channel(mac: Mac, path, group: GroupSpec | None = None) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import SUPPORT_EPS, channel_mi_bits
+from ._util import SUPPORT_EPS, channel_mi_bits, json_path, shown
 from .channel import (ConditionalPmf, Mac, Pmf, _check_alphabet, _check_free_input,
                       partner_channels)
 from .errors import InputError
@@ -29,12 +29,32 @@ ROW_TOL = 1e-10
 PERMUTATION_TOL = 1e-12
 
 
-def _index_array(name: str, value) -> np.ndarray:
-    """``value`` as an int64 array; floats and booleans are not indices."""
-    arr = np.asarray(value)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise InputError(f"{name} must hold integer indices, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+def _check_indices(value, path: str, shape: tuple, bound: int, at: tuple[int, ...] = ()) -> None:
+    """Reject anything but nested lists or tuples of exactly ``shape`` (a
+    ``None`` length takes any) holding integers from 0 to ``bound`` - 1, by
+    an InputError at the JSON path of the first fault, as in
+    ``y_action[2][1]: expected an integer index, got 1.5``.
+
+    Arrays and numpy scalars are read through ``tolist()``, so a float
+    index is rejected, not truncated, and a bool (``true`` in a channel
+    file) is not ``int`` by type. The indices ``at`` below ``path`` are
+    formatted into a path only for the entry that is rejected.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    is_list = isinstance(value, (list, tuple))
+    if shape and is_list and shape[0] in (None, len(value)):
+        for k, v in enumerate(value):
+            if len(shape) > 1 or type(v) is not int or not 0 <= v < bound:
+                _check_indices(v, path, shape[1:], bound, (*at, k))
+    elif shape:
+        want = "a list of" if shape[0] is None else shape[0]
+        got = len(value) if is_list else shown(value)
+        raise InputError(f"{json_path(path, at)}: expected {want} entries, got {got}")
+    elif type(value) is not int:
+        raise InputError(f"{json_path(path, at)}: expected an integer index, got {shown(value)}")
+    elif not 0 <= value < bound:
+        raise InputError(f"{json_path(path, at)}: index {value} out of range for {bound} elements")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,29 +83,18 @@ class GroupSpec:
     y_action: np.ndarray
 
     def __post_init__(self):
-        elements = _check_alphabet(self.elements, "group elements")
+        elements = _check_alphabet(self.elements, "elements")
         n = len(elements)
-        cayley, e1, e2, ya = (_index_array(name, getattr(self, name)) for name in
-                              ("cayley", "embed_x1", "embed_x2", "y_action"))
-        if cayley.shape != (n, n):
-            raise InputError(f"cayley table shape {cayley.shape}, expected ({n}, {n})")
-        if cayley.min(initial=0) < 0 or cayley.max(initial=0) >= n:
-            raise InputError("cayley table has out-of-range indices")
-        if isinstance(self.identity, bool) or not isinstance(self.identity, (int, np.integer)):
-            raise InputError(f"identity must be an integer index, got {self.identity!r}")
-        if not 0 <= self.identity < n:
-            raise InputError("identity index out of range")
-        if ya.ndim != 2 or ya.shape[1] != n:
-            raise InputError(f"y_action shape {ya.shape}, expected (|Y|, {n})")
-        for name, emb in (("embed_x1", e1), ("embed_x2", e2)):
-            if emb.ndim != 1 or (emb.size and (emb.min() < 0 or emb.max() >= n)):
-                raise InputError(f"{name} has out-of-range indices")
-        if ya.size and (ya.min() < 0 or ya.max() >= ya.shape[0]):
-            raise InputError("y_action has out-of-range indices")
-        for name, value in (("elements", elements), ("cayley", cayley),
-                            ("identity", int(self.identity)), ("embed_x1", e1),
-                            ("embed_x2", e2), ("y_action", ya)):
-            object.__setattr__(self, name, value)
+        ya = self.y_action
+        ny = len(ya) if isinstance(ya, (list, tuple)) or np.ndim(ya) else 0
+        for name, shape, bound in (("cayley", (n, n), n), ("identity", (), n),
+                                   ("embed_x1", (None,), n), ("embed_x2", (None,), n),
+                                   ("y_action", (None, n), ny)):
+            value = getattr(self, name)
+            _check_indices(value, name, shape, bound)
+            object.__setattr__(self, name, np.array(value, dtype=np.int64) if shape
+                               else int(value))
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:
@@ -318,15 +327,13 @@ class EquivClassPartition:
 def support_indices(ch: ConditionalPmf, support, caller: str) -> list[int]:
     """Indices, in input-alphabet order, of the ``support`` symbols of ``ch``
     (every input when None); an InputError from ``caller`` names an unknown
-    symbol or an empty support."""
-    given = ch.input_alphabet if support is None else tuple(support)
+    symbol or a ``support`` that :func:`_check_alphabet` rejects."""
+    given = (ch.input_alphabet if support is None
+             else _check_alphabet(support, f"{caller}: support"))
     for s in given:
         if s not in ch.input_alphabet:
             raise InputError(f"{caller}: support symbol {s!r} is not an input of the channel")
-    idx = [k for k, s in enumerate(ch.input_alphabet) if s in given]
-    if not idx:
-        raise InputError(f"{caller}: empty support")
-    return idx
+    return [k for k, s in enumerate(ch.input_alphabet) if s in given]
 
 
 def equivalence_classes(ch: ConditionalPmf, support=None) -> EquivClassPartition:

@@ -34,11 +34,11 @@ class TestPmf:
             Pmf(("a", "a"), np.array([0.5, 0.5]))
 
     def test_rejects_non_string_label(self):
-        with pytest.raises(InputError, match="Pmf: expected a string label, got 0"):
+        with pytest.raises(InputError, match=r"^Pmf\[0\]: expected a string label, got 0$"):
             Pmf((0, "b"), np.array([0.5, 0.5]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(InputError, match=r"^Pmf: got \(3,\) weights for 2 symbols$"):
+        with pytest.raises(InputError, match=r"^Pmf: table shape \(3,\) does not match \(2,\)$"):
             Pmf(("a", "b"), np.array([0.2, 0.3, 0.5]))
 
     def test_rejects_empty_alphabet(self):
@@ -56,18 +56,19 @@ class TestPmf:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(InputError, match="Pmf: non-finite"):
+        with pytest.raises(InputError, match=r"^Pmf\[0\]: non-finite probability"):
             Pmf(("a", "b"), [bad, 1.0])
 
     def test_non_finite_rejected_by_every_table(self):
         rows = np.array([[0.5, 0.5], [math.nan, 1.0]])
-        with pytest.raises(InputError, match="ConditionalPmf: non-finite"):
+        with pytest.raises(InputError,
+                           match=r"^ConditionalPmf\[1\]\[0\]: non-finite probability nan$"):
             ConditionalPmf(("a", "b"), ("0", "1"), rows)
-        with pytest.raises(InputError, match="JointDist: non-finite"):
+        with pytest.raises(InputError, match=r"^JointDist\[1\]\[0\]: non-finite probability nan$"):
             JointDist((("a", ("0", "1")), ("b", ("0", "1"))), rows / 2)
         pmf = catalog.adder_mac().pmf.copy()
         pmf[1, 0, 1] = math.inf
-        with pytest.raises(InputError, match=r"Mac: non-finite entry inf at index \[1, 0, 1\]"):
+        with pytest.raises(InputError, match=r"^Mac\[1\]\[0\]\[1\]: non-finite probability inf$"):
             Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
 
@@ -77,20 +78,20 @@ class TestValidateMac:
     def test_row_sum_violation_names_slice(self):
         pmf = catalog.adder_mac().pmf.copy()
         pmf[0, 1] = pmf[0, 1] * 0.9
-        with pytest.raises(InputError, match=r"Mac: mass sums to 0\.9\d*, not 1 at index \[0, 1\]"):
+        with pytest.raises(InputError, match=r"^Mac\[0\]\[1\]: row sums to 0\.9\d*$"):
             Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
     def test_negative_entry_reported(self):
         pmf = catalog.adder_mac().pmf.copy()
         pmf[1, 1, 0] = -0.01
         pmf[1, 1, 2] = 1.01
-        with pytest.raises(InputError, match=r"Mac: negative mass -0\.01 at index \[1, 1, 0\]"):
+        with pytest.raises(InputError, match=r"^Mac\[1\]\[1\]\[0\]: negative probability -0\.01$"):
             Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
     def test_doubled_law_rejected(self):
         # Such a Mac used to pass as additive and get rates from the oracle.
         mac = catalog.erasure_adder_mac(0.5)
-        with pytest.raises(InputError, match=r"Mac: mass sums to 2\.0, not 1 at index \[0, 0\]"):
+        with pytest.raises(InputError, match=r"^Mac\[0\]\[0\]: row sums to 2\.0$"):
             Mac(mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet, 2 * mac.pmf)
 
 
@@ -99,25 +100,59 @@ class TestLabels:
 
     def test_bool_label_rejected(self):
         pmf = catalog.adder_mac().pmf
-        with pytest.raises(InputError, match="Mac x1: expected a string label, got True"):
+        with pytest.raises(InputError, match=r"^x1\[1\]: expected a string label, got true$"):
             Mac(("0", True), ("0", "1"), ("0", "1", "2"), pmf)
 
     def test_int_and_string_not_merged(self):
         # str(1) == "1" made these a spurious duplicate symbol.
         pmf = catalog.adder_mac().pmf
-        with pytest.raises(InputError, match="Mac x2: expected a string label, got 1"):
+        with pytest.raises(InputError, match=r"^x2\[0\]: expected a string label, got 1$"):
             Mac(("0", "1"), (1, "1"), ("0", "1", "2"), pmf)
 
     def test_every_table_checks_labels(self):
         rows = np.eye(2)
-        with pytest.raises(InputError, match="ConditionalPmf output: expected a string label"):
+        with pytest.raises(InputError,
+                           match=r"^ConditionalPmf\.output\[1\]: expected a string label, got 1\.0$"):
             ConditionalPmf(("a", "b"), ("0", 1.0), rows)
-        with pytest.raises(InputError, match="JointDist axis 'a': expected a string label"):
+        with pytest.raises(InputError,
+                           match=r"^JointDist\.a\[0\]: expected a string label, got null$"):
             JointDist((("a", (None, "1")), ("b", ("0", "1"))), rows / 2)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Pmf("01", [0.5, 0.5]),
+         r"^Pmf: expected a sequence of labels, got the string '01'$"),
+        (lambda: Mac("01", "01", "01", np.full((2, 2, 2), 0.5)),
+         r"^x1: expected a sequence of labels, got the string '01'$"),
+        (lambda: Pmf(("a", "a"), [0.5, 0.5]), r"^Pmf\[1\]: duplicate label 'a'$"),
+    ], ids=["pmf-string", "mac-string", "pmf-duplicate"])
+    def test_rejected_at_label_path(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
 
     def test_string_labels_kept(self):
         mac = Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), catalog.adder_mac().pmf)
         assert mac.x1_alphabet == ("0", "1") and mac.y_alphabet == ("0", "1", "2")
+
+
+class TestTableShape:
+    """A table that is not a rectangular array of numbers, or whose shape is
+    not the alphabets', is an InputError naming the object."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Mac(("0",), ("0",), ("0", "1"), [[["a", 1]]]),
+         "^Mac: expected a rectangular array of numbers$"),
+        (lambda: Pmf(("a", "b"), [0.5, [0.5]]), "^Pmf: expected a rectangular array of numbers$"),
+        (lambda: ConditionalPmf(("a", "b"), ("0", "1"), [[0.5, 0.5], [1.0]]),
+         "^ConditionalPmf: expected a rectangular array of numbers$"),
+        (lambda: ConditionalPmf(("a", "b"), ("0", "1"), np.eye(3)),
+         r"^ConditionalPmf: table shape \(3, 3\) does not match \(2, 2\)$"),
+        (lambda: Mac(("0", "1"), ("0", "1"), ("0", "1"), catalog.adder_mac().pmf),
+         r"^Mac: table shape \(2, 2, 3\) does not match \(2, 2, 2\)$"),
+    ], ids=["mac-not-numbers", "pmf-ragged", "conditional-ragged", "conditional-shape",
+            "mac-shape"])
+    def test_rejected(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
 
 
 class TestTableFaults:
@@ -155,6 +190,10 @@ class TestInducedChannel:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(InputError):
             induced_channel(catalog.adder_mac(), fix_user=2, fixed_symbol="7")
+
+    def test_bad_user_rejected(self):
+        with pytest.raises(InputError, match="^fix_user must be 1 or 2, got 3$"):
+            induced_channel(catalog.adder_mac(), 3, "0")
 
 
 class TestPartnerChannels:
@@ -239,6 +278,18 @@ class TestIndependentCopyJoint:
         expect = (joint_in.table[:, :, None] * w)[:, :, :, None] * w[:, :, None, :]
         assert np.array_equal(j.table, expect)
 
+    @pytest.mark.parametrize("axes, copies, message", [
+        ((("x1", ("0", "1")), ("x2", ("0", "1"))), 3, "^copies must be 1 or 2, got 3$"),
+        ((("x1", ("0", "1")), ("x2", ("0", "1")), ("v", ("0",))), 1,
+         r"^input joint must have exactly two axes \(x1, x2\)$"),
+        ((("y", ("0", "1")), ("x2", ("0", "1"))), 2,
+         "^input axis names collide with output axes y, y'$"),
+    ], ids=["copies", "three-axes", "axis-named-y"])
+    def test_argument_guards(self, axes, copies, message):
+        table = np.full(tuple(len(a) for _, a in axes), 1 / 4)
+        with pytest.raises(InputError, match=message):
+            independent_copy_joint(catalog.adder_mac(), JointDist(axes, table), copies=copies)
+
     def test_axis_mismatch_rejected(self):
         mac = catalog.adder_mac()
         bad = JointDist((("x1", ("0", "1", "2")), ("x2", ("0", "1"))),
@@ -287,6 +338,11 @@ class TestErasureExtend:
             erasure_extend(catalog.adder_mac(), 1.5)
 
 
+def test_binary_symmetric_flip_probability_checked():
+    with pytest.raises(InputError, match=r"^flip probability must lie in \[0, 1\], got 1\.5$"):
+        catalog.binary_symmetric_mac(1.5)
+
+
 class TestChannelFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -322,11 +378,11 @@ class TestChannelFiles:
                 assert cf.group.to_dict() == group().to_dict(), path.name
 
     def test_group_load_formats_paths_only_on_rejection(self, tmp_path, monkeypatch):
-        from macfeedback import channel_io
+        from macfeedback import groups
 
         paths = []
-        real = channel_io._json_path
-        monkeypatch.setattr(channel_io, "_json_path",
+        real = groups.json_path
+        monkeypatch.setattr(groups, "json_path",
                             lambda *args: paths.append(args) or real(*args))
         path = tmp_path / "ch.json"
         save_channel(catalog.erasure_adder_mac(0.25), path,
@@ -339,7 +395,7 @@ class TestChannelFiles:
         with pytest.raises(ChannelFormatError,
                            match=r"^group\.y_action\[2\]\[1\]: expected an integer index, got 1\.5$"):
             load_channel_file(path)
-        assert paths == [("group.y_action", (2, 1))]
+        assert paths == [("y_action", (2, 1))]
 
     def test_round_trip_group(self, tmp_path):
         path = tmp_path / "ch.json"

@@ -167,12 +167,31 @@ class TestGroupSpecIndices:
         with pytest.raises(InputError, match="integer"):
             GroupSpec(**self._fields(**change))
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(elements="01"), "^elements: expected a sequence of labels, got the string '01'$"),
+        (dict(cayley=[[0, 1], [1, 2]]),
+         r"^cayley\[1\]\[1\]: index 2 out of range for 2 elements$"),
+        (dict(cayley=[[0, 1], [1]]), r"^cayley\[1\]: expected 2 entries, got 1$"),
+        (dict(identity=2), "^identity: index 2 out of range for 2 elements$"),
+        (dict(embed_x1=np.array([0, 2])), r"^embed_x1\[1\]: index 2 out of range for 2 elements$"),
+        (dict(embed_x2=np.array([[0, 1]])),
+         r"^embed_x2\[0\]: expected an integer index, got \[0, 1\]$"),
+        (dict(y_action=np.array([[0, 1], [-1, 0]])),
+         r"^y_action\[1\]\[0\]: index -1 out of range for 2 elements$"),
+        (dict(y_action=np.array([0, 1])), r"^y_action\[0\]: expected 2 entries, got 0$"),
+        (dict(y_action=5), "^y_action: expected a list of entries, got 5$"),
+    ], ids=["elements-string", "cayley-range", "cayley-ragged", "identity-range",
+            "embed-range", "embed-rank", "action-range", "action-rank", "action-scalar"])
+    def test_rejected_at_index_path(self, change, message):
+        with pytest.raises(InputError, match=message):
+            GroupSpec(**self._fields(**change))
+
     def test_wrong_cayley_shape_rejected(self):
-        with pytest.raises(InputError, match=r"^cayley table shape \(1, 2\), expected \(2, 2\)$"):
+        with pytest.raises(InputError, match=r"^cayley: expected 2 entries, got 1$"):
             GroupSpec(**self._fields(cayley=[[0, 1]]))
 
     def test_duplicate_elements_rejected(self):
-        with pytest.raises(InputError, match="duplicate symbol '0'"):
+        with pytest.raises(InputError, match=r"^elements\[1\]: duplicate label '0'$"):
             GroupSpec(**self._fields(elements=("0", "0")))
 
     def test_integer_types_accepted(self):
@@ -506,6 +525,12 @@ class TestEquivalenceClasses:
             equivalence_classes(ch, support=("0", "nope"))
         with pytest.raises(InputError, match="support symbol 'x'"):
             equivalence_classes(ch, support=("x", "0", "nope"))
+
+    def test_string_support_rejected(self):
+        ch = ConditionalPmf(("0", "1"), ("0", "1"), np.eye(2))
+        with pytest.raises(InputError, match="^equivalence_classes: support: expected a "
+                                             "sequence of labels, got the string '01'$"):
+            equivalence_classes(ch, support="01")
 
     def test_empty_support_rejected(self):
         ch = ConditionalPmf(("a", "b"), ("0", "1"), np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -62,6 +62,16 @@ class TestPentagonBounds:
         with pytest.raises(InputError):
             cover_leung_bounds(mac, q)
 
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_conditionals_off_the_u_alphabet_rejected(self, user):
+        q = trivial_u_input(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u_card=2)
+        moved = ConditionalPmf(("v0", "v1"), ("0", "1"), np.full((2, 2), 0.5))
+        parts = [q.p_x1_given_u, q.p_x2_given_u]
+        parts[user - 1] = moved
+        with pytest.raises(InputError,
+                           match="^CLInput: conditionals not indexed by the U alphabet$"):
+            CLInput(q.p_u, *parts)
+
     def test_sum_rate_markov_simplification(self):
         # I(U, X1, X2; Y) equals I(X1, X2; Y): U acts only through the inputs.
         rng = np.random.default_rng(1)

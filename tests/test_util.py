@@ -189,7 +189,7 @@ class TestTableFaults:
         faults = table_faults(t, axes)
         assert repr(faults) == repr(listed_faults(t, axes))  # repr: NaN equals NaN
         if faults:
-            with pytest.raises(InputError, match="^T: "):
+            with pytest.raises(InputError, match=r"^T(\[\d+\])*: "):
                 check_table(t, "T", axes)
         else:
             check_table(t, "T", axes)

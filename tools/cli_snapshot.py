@@ -7,7 +7,11 @@ Usage::
 Runs each CLI invocation that ``runs()`` lists against the checkout that
 holds this script: every subcommand on each shipped ``channels/*.json``
 file, a few flag values on ``channels/adder.json``, and the flag values
-and output paths the CLI must reject with exit code 2.
+and output paths the CLI must reject with exit code 2. Then it writes the
+edited copies of ``channels/erasure_adder_p050.json`` that ``MALFORMED``
+lists to ``OUTDIR/malformed/`` and runs ``check additive`` on each; the
+loader must reject each with exit code 2 and a message naming the JSON
+path of the one fault.
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
@@ -17,6 +21,7 @@ summarizes the differences value by value.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -64,6 +69,7 @@ INVALID_FLAGS = tuple(
        ("cfcurve-unknown-xbar-k", ["cfcurve", "--xk-star", "0", "--xbar-k", "7"]),
        ("singlerate-restarts-neg5", ["singlerate", "--restarts", "-5"]),
        ("cfcurve-seed-1", ["cfcurve", "--seed", "1"]),
+       ("region-u-card-0", ["region", "--u-card", "0"]),
        ("region-csv-out-missing-dir", ["region", "--csv-out", "no-such-dir/f.csv"]),
        ("cfcurve-json-out-missing-dir", ["cfcurve", "--json-out", "no-such-dir/x.json"])]
 )
@@ -78,6 +84,26 @@ UNREAD_FLAGS = (
     ("additive-seed-neg3", ["check", "additive", "--seed", "-3"]),
     ("additive-weights", ["check", "additive", "--weights", "1:1"]),
     ("gain-condition-restarts-neg5", ["check", "gain-condition", "--restarts", "-5"]),
+)
+
+# One fault each: (run name, JSON path of the edit, new value or DROP).
+DROP = object()
+MALFORMED = (
+    ("pmf-nan", ("pmf", 0, 1, 0), float("nan")),
+    ("pmf-negative", ("pmf", 1, 1, 0), -0.01),
+    ("pmf-above-1", ("pmf", 0, 0, 0), 1.5),
+    ("pmf-row-sum", ("pmf", 1, 0, 4), 0.4),
+    ("pmf-not-a-number", ("pmf", 0, 0, 1), "0"),
+    ("pmf-block-count", ("pmf", 1), DROP),
+    ("x2-bool-label", ("x2", 1), True),
+    ("y-duplicate-label", ("y", 3), "e"),
+    ("x1-missing", ("x1",), DROP),
+    ("name-not-a-string", ("name",), 7),
+    ("group-cayley-float", ("group", "cayley", 1, 2), 3.0),
+    ("group-action-out-of-range", ("group", "y_action", 4, 0), 5),
+    ("group-cayley-ragged", ("group", "cayley", 2), [2, 3, 0]),
+    ("group-embed-x1-length", ("group", "embed_x1"), [0, 1, 2]),
+    ("group-identity-missing", ("group", "identity"), DROP),
 )
 
 
@@ -95,6 +121,9 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("adder.cfcurve-a-grid-0.16",
                 ["cfcurve", "--a-grid", "0:0.16:0.1", "--channel", "channels/adder.json"]))
     # A pair is a direction: the rates and witness are those of 1:1.
+    out.append(("adder.region-u-card-2",
+                ["region", "--u-card", "2", "--weights", "1:1", "--verify",
+                 "--channel", "channels/adder.json"]))
     for scale in ("1e-12", "1e300"):
         out.append((f"adder.region-weights-{scale}",
                     ["region", "--weights", f"{scale}:{scale}", "--verify",
@@ -107,6 +136,26 @@ def runs() -> list[tuple[str, list[str]]]:
     return out
 
 
+def malformed_runs(outdir: Path) -> list[tuple[str, list[str]]]:
+    """Write each ``MALFORMED`` copy to ``outdir`` and return its run."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    out = []
+    for name, path, value in MALFORMED:
+        doc = json.loads((ROOT / "channels" / "erasure_adder_p050.json").read_text())
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+        target = outdir / f"{name}.json"
+        target.write_text(json.dumps(doc) + "\n")
+        out.append((f"malformed.{name}", ["check", "additive", "--channel", str(target)]))
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -115,7 +164,7 @@ def main(argv=None) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    for name, args in runs():
+    for name, args in runs() + malformed_runs(outdir / "malformed"):
         proc = subprocess.run([sys.executable, "-m", "macfeedback", *args],
                               cwd=ROOT, env=env, capture_output=True)
         (outdir / f"{name}.out").write_bytes(proc.stdout)

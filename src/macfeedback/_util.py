@@ -35,6 +35,43 @@ def clamp_tiny(arr) -> np.ndarray:
     return out
 
 
+def _walk(node, idx, shape, names, where: str, flat: list) -> None:
+    """Append the entries of ``node``, a table's part at ``idx``, to ``flat``: see real_table."""
+    if isinstance(node, np.ndarray):
+        node = node.tolist()
+    depth = len(idx)
+    if depth == len(shape):  # an entry
+        if isinstance(node, bool) or not isinstance(node, numbers.Real):
+            raise InputError(f"{json_path(where, idx)}: not a number")
+        try:
+            flat.append(float(node))
+        except OverflowError:  # an integer beyond the float range
+            flat.append(math.inf)
+    elif not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
+        noun = ("probabilities", "rows", "blocks")[min(len(shape) - depth, 3) - 1]
+        raise InputError(f"{json_path(where, idx)}: expected {shape[depth]} {noun}, "
+                         f"one per {names[depth]} symbol")
+    elif depth + 1 == len(shape) and {float}.issuperset(map(type, node)):  # a row of floats
+        flat.extend(node)
+    else:
+        for k, sub in enumerate(node):
+            _walk(sub, idx + (k,), shape, names, where, flat)
+
+
+def real_table(table, where: str, shape: tuple[int, ...], names) -> np.ndarray:
+    """``table`` as a clamped float64 array of ``shape``. A real-dtype ndarray of that
+    shape is taken as it is; anything else is walked, one list or tuple per axis, and
+    InputError names the JSON path below ``where`` of the first level of the wrong length
+    (``pmf[0]: expected 2 rows, one per x2 symbol``; ``names[d]`` names axis ``d``'s
+    symbols) or entry that is not a real number, such as a bool, string or None
+    (``pmf[0][0][1]: not a number``). An integer beyond the float range becomes inf."""
+    if isinstance(table, np.ndarray) and table.dtype.kind in "fiu" and table.shape == shape:
+        return clamp_tiny(table)
+    flat: list = []
+    _walk(table, (), shape, names, where, flat)
+    return clamp_tiny(flat).reshape(shape)
+
+
 def check_count(name: str, value, least: int) -> None:
     """Reject ``value`` unless it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -42,6 +79,12 @@ def check_count(name: str, value, least: int) -> None:
     if value < least:
         bound = f"at least {least}" if least else "nonnegative"
         raise InputError(f"{name} must be {bound}, got {value!r}")
+
+
+def check_probability(name: str, value) -> None:
+    """Reject ``value`` unless it is a real number (not a bool) in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise InputError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _indices(mask: np.ndarray) -> list[tuple[int, ...]]:

@@ -23,8 +23,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._util import check_probability
 from .channel import Mac, erasure_extend
-from .errors import InputError
 from .groups import GroupSpec
 
 
@@ -68,8 +68,7 @@ def erasure_adder_group() -> GroupSpec:
 
 def binary_symmetric_mac(q: float) -> Mac:
     """Y = X1 xor X2 xor N with N ~ Bernoulli(q), all alphabets {0, 1}."""
-    if not 0.0 <= q <= 1.0:
-        raise InputError(f"flip probability must lie in [0, 1], got {q!r}")
+    check_probability("flip probability", q)
     pmf = np.zeros((2, 2, 2))
     for i in range(2):
         for j in range(2):

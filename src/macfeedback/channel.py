@@ -18,18 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_table, clamp_tiny, freeze, fresh_symbol, pair_label, shown
+from ._util import (check_probability, check_table, clamp_tiny, freeze, fresh_symbol, pair_label,
+                    real_table, shown)
 from .errors import InputError
 
 
 def _check_alphabet(labels, where: str) -> tuple[str, ...]:
-    """``labels`` as a tuple of distinct strings; an InputError names the
-    first rejected label by its JSON path, ``where[k]``."""
-    if isinstance(labels, str):
-        raise InputError(f"{where}: expected a sequence of labels, got the string {labels!r}")
+    """``labels``, a non-empty list or tuple of distinct strings, as a tuple;
+    an InputError names the first rejected label by its JSON path, ``where[k]``."""
+    if not isinstance(labels, (list, tuple)) or not labels:
+        raise InputError(f"{where}: expected a non-empty list of string labels")
     labels = tuple(labels)
-    if len(labels) == 0:
-        raise InputError(f"{where}: alphabet is empty")
     for s in labels:  # the labels before s are strings, so labels.index(s) is its index
         if not isinstance(s, str):
             k = labels.index(s)
@@ -40,17 +39,11 @@ def _check_alphabet(labels, where: str) -> tuple[str, ...]:
     return labels
 
 
-def _table(where: str, table, alphabets, sum_axes=None):
-    """The labels of each ``(path, labels)`` in ``alphabets``, checked at ``path``, and
-    ``table`` clamped, one axis per alphabet, checked at ``where`` over ``sum_axes``."""
-    labels = [_check_alphabet(a, path) for path, a in alphabets]
-    try:
-        t = clamp_tiny(table)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: expected a rectangular array of numbers") from None
-    want = tuple(map(len, labels))
-    if t.shape != want:
-        raise InputError(f"{where}: table shape {t.shape} does not match {want}")
+def _table(where: str, table, paths, alphabets, sum_axes=None):
+    """Each alphabet checked at its path in ``paths``, and ``table``, one axis per
+    alphabet, read by :func:`real_table` and checked at ``where`` over ``sum_axes``."""
+    labels = list(map(_check_alphabet, alphabets, paths))
+    t = real_table(table, where, tuple(map(len, labels)), paths)
     check_table(t, where, sum_axes)
     return labels, t
 
@@ -72,7 +65,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        (alphabet,), probs = _table("Pmf", self.probs, (("Pmf", self.alphabet),))
+        (alphabet,), probs = _table("Pmf", self.probs, ("Pmf",), (self.alphabet,))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", freeze(probs / probs.sum()))
 
@@ -99,8 +92,8 @@ class ConditionalPmf:
 
     def __post_init__(self):
         (ia, oa), rows = _table("ConditionalPmf", self.rows,
-                                (("ConditionalPmf.input", self.input_alphabet),
-                                 ("ConditionalPmf.output", self.output_alphabet)), sum_axes=1)
+                                ("ConditionalPmf.input", "ConditionalPmf.output"),
+                                (self.input_alphabet, self.output_alphabet), sum_axes=1)
         object.__setattr__(self, "input_alphabet", ia)
         object.__setattr__(self, "output_alphabet", oa)
         object.__setattr__(self, "rows", freeze(rows / rows.sum(axis=1)[:, None]))
@@ -111,11 +104,11 @@ class Mac:
     """A two-transmitter channel ``p(y | x1, x2)`` on finite alphabets.
 
     The tensor is indexed ``pmf[x1][x2][y]``. Construction checks the
-    labels, the shape and that every ``(x1, x2)`` slice is a distribution
+    name, labels, shape and that every ``(x1, x2)`` slice is a distribution
     (entries in [0, 1], sum within 1e-9 of 1), raising an InputError at the
-    JSON path of the first fault: ``x2[0]`` for a label, as in a channel
-    file, and ``Mac[1][1][0]`` for an entry. The tensor is stored as given,
-    with magnitudes below 1e-15 set to 0, not rescaled.
+    JSON path of the first fault, as in a channel file: ``name``, ``x2[0]``,
+    ``pmf[0]`` for a level of the wrong length, ``pmf[1][1][0]`` for an entry.
+    The tensor is stored as given, magnitudes below 1e-15 set to 0, not rescaled.
 
     Feedback variants (no feedback, perfect feedback, one or two
     independent feedback looks) are parameters of the analyses, not state
@@ -129,8 +122,11 @@ class Mac:
     name: str = ""
 
     def __post_init__(self):
-        alphabets = (("x1", self.x1_alphabet), ("x2", self.x2_alphabet), ("y", self.y_alphabet))
-        (a1, a2, ay), pmf = _table("Mac", self.pmf, alphabets, sum_axes=2)
+        if not isinstance(self.name, str):
+            raise InputError(f"name: expected a string, got {shown(self.name)}")
+        (a1, a2, ay), pmf = _table("pmf", self.pmf, ("x1", "x2", "y"),
+                                   (self.x1_alphabet, self.x2_alphabet, self.y_alphabet),
+                                   sum_axes=2)
         object.__setattr__(self, "x1_alphabet", a1)
         object.__setattr__(self, "x2_alphabet", a2)
         object.__setattr__(self, "y_alphabet", ay)
@@ -152,8 +148,8 @@ class JointDist:
         names = [str(n) for n, _ in self.axes]
         if len(set(names)) != len(names):
             raise InputError("JointDist: duplicate axis name")
-        labels, table = _table("JointDist", self.table,
-                               [(f"JointDist.{n}", a) for n, (_, a) in zip(names, self.axes)])
+        labels, table = _table("JointDist", self.table, [f"JointDist.{n}" for n in names],
+                               [a for _, a in self.axes])
         object.__setattr__(self, "axes", tuple(zip(names, labels)))
         object.__setattr__(self, "table", freeze(table / table.sum()))
 
@@ -287,8 +283,7 @@ def erasure_extend(mac: Mac, p: float) -> Mac:
     ``"e"`` or, if the alphabet has it, ``"e"`` with the first free
     numeric suffix.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"erasure probability must lie in [0, 1], got {p!r}")
+    check_probability("erasure probability", p)
     n1, n2, ny = mac.shape
     new = np.zeros((n1, n2, ny + 1))
     new[:, :, :ny] = (1.0 - p) * mac.pmf

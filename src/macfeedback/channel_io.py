@@ -8,11 +8,12 @@ A channel file is UTF-8 JSON::
 
 Labels (``x1``, ``x2``, ``y`` and ``group.elements``) are non-empty lists
 of distinct JSON strings; a number, boolean or null label is rejected,
-not converted, and so is a ``name`` that is not a string. Probabilities
-are written with 17 significant digits so that round trips preserve them
-bit-exactly. On load, rows whose sum
-deviates from 1 by less than 1e-9 are renormalized; larger deviations
-are rejected with a message naming the offending path into the document.
+not converted, and so is a ``name`` that is not a string. The loader
+hands the fields as parsed to :class:`Mac` and :class:`GroupSpec`, whose
+checks name the offending path into the document. Probabilities are
+written with 17 significant digits so that round trips preserve them
+bit-exactly. On load, rows whose sum deviates from 1 by less than 1e-9
+are renormalized; larger deviations are rejected.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from ._util import check_table, clamp_tiny
-from .channel import Mac, _check_alphabet
+from .channel import Mac
 from .errors import ChannelFormatError, InputError
 from .groups import GroupSpec
 
@@ -35,40 +33,6 @@ class ChannelFile:
 
     mac: Mac
     group: GroupSpec | None = None
-
-
-def _labels(value, path: str) -> tuple[str, ...]:
-    """The labels at ``path``: a non-empty JSON list, checked as an alphabet."""
-    if not isinstance(value, list) or not value:
-        raise ChannelFormatError(f"{path}: expected a non-empty list of string labels")
-    return _check_alphabet(value, path)
-
-
-def _parse_pmf(obj: dict, n1: int, n2: int, ny: int) -> np.ndarray:
-    if "pmf" not in obj:
-        raise ChannelFormatError("pmf: missing field")
-    raw = obj["pmf"]
-    if not isinstance(raw, list) or len(raw) != n1:
-        raise ChannelFormatError(f"pmf: expected {n1} blocks, one per x1 symbol")
-    out = np.zeros((n1, n2, ny))
-    for i, block in enumerate(raw):
-        if not isinstance(block, list) or len(block) != n2:
-            raise ChannelFormatError(f"pmf[{i}]: expected {n2} rows, one per x2 symbol")
-        for j, row in enumerate(block):
-            if not isinstance(row, list) or len(row) != ny:
-                raise ChannelFormatError(
-                    f"pmf[{i}][{j}]: expected {ny} probabilities, one per y symbol"
-                )
-            for k, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ChannelFormatError(f"pmf[{i}][{j}][{k}]: not a number")
-                try:
-                    out[i, j, k] = v
-                except OverflowError:  # an integer beyond the float range
-                    out[i, j, k] = np.inf
-    out = clamp_tiny(out)
-    check_table(out, "pmf", sum_axes=2)
-    return out / out.sum(axis=2, keepdims=True)
 
 
 def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
@@ -84,7 +48,6 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
     for key in keys:
         if key not in raw:
             raise ChannelFormatError(f"group.{key}: missing field")
-    _labels(raw["elements"], "group.elements")
     for key, rows in (("embed_x1", n1), ("embed_x2", n2), ("y_action", ny)):
         value = raw[key]
         if not isinstance(value, list) or len(value) != rows:
@@ -109,19 +72,17 @@ def load_channel_file(path) -> ChannelFile:
         raise ChannelFormatError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ChannelFormatError(f"{path}: top level must be an object")
-    for key in ("x1", "x2", "y"):
+    for key in ("x1", "x2", "y", "pmf"):
         if key not in obj:
             raise ChannelFormatError(f"{key}: missing field")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise ChannelFormatError(f"name: expected a string, got {json.dumps(name)}")
     try:
-        x1, x2, y = (_labels(obj[key], key) for key in ("x1", "x2", "y"))
-        pmf = _parse_pmf(obj, len(x1), len(x2), len(y))
-        group = _parse_group(obj, len(x1), len(x2), len(y))
-        mac = Mac(x1, x2, y, pmf, name=name)
+        mac = Mac(obj["x1"], obj["x2"], obj["y"], obj["pmf"], name=obj.get("name", ""))
+        group = _parse_group(obj, *mac.shape)
     except InputError as exc:  # a check of the objects built from the file
         raise ChannelFormatError(str(exc)) from None
+    # A Mac keeps its table as given; a file's checked rows are renormalized.
+    mac = Mac(mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet,
+              mac.pmf / mac.pmf.sum(axis=2, keepdims=True), name=mac.name)
     return ChannelFile(mac=mac, group=group)
 
 

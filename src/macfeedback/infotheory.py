@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._util import binary_entropy  # noqa: F401  (part of this module's API)
-from ._util import check_table, clamp_tiny, entropy_bits
+from ._util import check_table, entropy_bits, real_table
 from .channel import JointDist, Pmf
 from .errors import InputError
 
@@ -45,7 +45,7 @@ def entropy(p: Pmf | np.ndarray) -> float:
     if isinstance(p, Pmf):
         table = p.probs
     else:
-        table = clamp_tiny(p)
+        table = real_table(p, "entropy", np.shape(p), ("entropy",) * np.ndim(p))
         check_table(table, "entropy")
     return _floor(float(entropy_bits(table)))
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import LN2, channel_mi_bits, clamp_tiny, pair_label
+from ._util import LN2, channel_mi_bits, check_count, clamp_tiny, pair_label
 from .channel import ConditionalPmf, Mac, Pmf
 from .errors import InputError
 from .infotheory import NUM_FLOOR
@@ -115,6 +115,7 @@ def blahut_arimoto(ch: ConditionalPmf, tol: float = DEFAULT_TOL,
     it never overshoots capacity.
     """
     check_tol(tol)
+    check_count("max_iter", max_iter, 1)
     rows, m = ch.rows, len(ch.input_alphabet)
     r = np.full(m, 1.0 / m)
     lower, iterations = -np.inf, 0

@@ -15,6 +15,8 @@ from macfeedback._util import table_faults
 
 from _gen import random_mac
 
+CHANNELS = Path(__file__).resolve().parent.parent / "channels"
+
 
 class TestPmf:
     def test_rejects_bad_sum(self):
@@ -38,15 +40,15 @@ class TestPmf:
             Pmf((0, "b"), np.array([0.5, 0.5]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(InputError, match=r"^Pmf: table shape \(3,\) does not match \(2,\)$"):
+        with pytest.raises(InputError, match=r"^Pmf: expected 2 probabilities, one per Pmf symbol$"):
             Pmf(("a", "b"), np.array([0.2, 0.3, 0.5]))
 
     def test_rejects_empty_alphabet(self):
-        with pytest.raises(InputError, match="^Pmf: alphabet is empty$"):
+        with pytest.raises(InputError, match="^Pmf: expected a non-empty list of string labels$"):
             Pmf((), np.array([]))
 
     def test_uniform_over_empty_alphabet_rejected(self):
-        with pytest.raises(InputError, match="^Pmf: alphabet is empty$"):
+        with pytest.raises(InputError, match="^Pmf: expected a non-empty list of string labels$"):
             Pmf.uniform(())
 
     def test_immutable(self):
@@ -68,7 +70,7 @@ class TestPmf:
             JointDist((("a", ("0", "1")), ("b", ("0", "1"))), rows / 2)
         pmf = catalog.adder_mac().pmf.copy()
         pmf[1, 0, 1] = math.inf
-        with pytest.raises(InputError, match=r"^Mac\[1\]\[0\]\[1\]: non-finite probability inf$"):
+        with pytest.raises(InputError, match=r"^pmf\[1\]\[0\]\[1\]: non-finite probability inf$"):
             Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
 
@@ -78,20 +80,20 @@ class TestValidateMac:
     def test_row_sum_violation_names_slice(self):
         pmf = catalog.adder_mac().pmf.copy()
         pmf[0, 1] = pmf[0, 1] * 0.9
-        with pytest.raises(InputError, match=r"^Mac\[0\]\[1\]: row sums to 0\.9\d*$"):
+        with pytest.raises(InputError, match=r"^pmf\[0\]\[1\]: row sums to 0\.9\d*$"):
             Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
     def test_negative_entry_reported(self):
         pmf = catalog.adder_mac().pmf.copy()
         pmf[1, 1, 0] = -0.01
         pmf[1, 1, 2] = 1.01
-        with pytest.raises(InputError, match=r"^Mac\[1\]\[1\]\[0\]: negative probability -0\.01$"):
+        with pytest.raises(InputError, match=r"^pmf\[1\]\[1\]\[0\]: negative probability -0\.01$"):
             Mac(("0", "1"), ("0", "1"), ("0", "1", "2"), pmf)
 
     def test_doubled_law_rejected(self):
         # Such a Mac used to pass as additive and get rates from the oracle.
         mac = catalog.erasure_adder_mac(0.5)
-        with pytest.raises(InputError, match=r"^Mac\[0\]\[0\]: row sums to 2\.0$"):
+        with pytest.raises(InputError, match=r"^pmf\[0\]\[0\]: row sums to 2\.0$"):
             Mac(mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet, 2 * mac.pmf)
 
 
@@ -120,9 +122,9 @@ class TestLabels:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Pmf("01", [0.5, 0.5]),
-         r"^Pmf: expected a sequence of labels, got the string '01'$"),
+         r"^Pmf: expected a non-empty list of string labels$"),
         (lambda: Mac("01", "01", "01", np.full((2, 2, 2), 0.5)),
-         r"^x1: expected a sequence of labels, got the string '01'$"),
+         r"^x1: expected a non-empty list of string labels$"),
         (lambda: Pmf(("a", "a"), [0.5, 0.5]), r"^Pmf\[1\]: duplicate label 'a'$"),
     ], ids=["pmf-string", "mac-string", "pmf-duplicate"])
     def test_rejected_at_label_path(self, build, message):
@@ -135,19 +137,19 @@ class TestLabels:
 
 
 class TestTableShape:
-    """A table that is not a rectangular array of numbers, or whose shape is
-    not the alphabets', is an InputError naming the object."""
+    """A table whose levels are not the alphabets' lengths, or whose entries
+    are not numbers, is an InputError at the JSON path of the fault."""
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Mac(("0",), ("0",), ("0", "1"), [[["a", 1]]]),
-         "^Mac: expected a rectangular array of numbers$"),
-        (lambda: Pmf(("a", "b"), [0.5, [0.5]]), "^Pmf: expected a rectangular array of numbers$"),
+         r"^pmf\[0\]\[0\]\[0\]: not a number$"),
+        (lambda: Pmf(("a", "b"), [0.5, [0.5]]), r"^Pmf\[1\]: not a number$"),
         (lambda: ConditionalPmf(("a", "b"), ("0", "1"), [[0.5, 0.5], [1.0]]),
-         "^ConditionalPmf: expected a rectangular array of numbers$"),
+         r"^ConditionalPmf\[1\]: expected 2 probabilities, one per ConditionalPmf\.output symbol$"),
         (lambda: ConditionalPmf(("a", "b"), ("0", "1"), np.eye(3)),
-         r"^ConditionalPmf: table shape \(3, 3\) does not match \(2, 2\)$"),
+         r"^ConditionalPmf: expected 2 rows, one per ConditionalPmf\.input symbol$"),
         (lambda: Mac(("0", "1"), ("0", "1"), ("0", "1"), catalog.adder_mac().pmf),
-         r"^Mac: table shape \(2, 2, 3\) does not match \(2, 2, 2\)$"),
+         r"^pmf\[0\]\[0\]: expected 2 probabilities, one per y symbol$"),
     ], ids=["mac-not-numbers", "pmf-ragged", "conditional-ragged", "conditional-shape",
             "mac-shape"])
     def test_rejected(self, build, message):
@@ -337,10 +339,23 @@ class TestErasureExtend:
         with pytest.raises(InputError, match=r"erasure probability must lie in \[0, 1\], got 1\.5"):
             erasure_extend(catalog.adder_mac(), 1.5)
 
+    @pytest.mark.parametrize("p, shown", [("0.5", "'0.5'"), (None, "None"), (True, "True")],
+                             ids=["string", "null", "bool"])
+    def test_non_real_probability_rejected(self, p, shown):
+        # A string used to raise TypeError from the range comparison.
+        with pytest.raises(InputError,
+                           match=rf"^erasure probability must lie in \[0, 1\], got {shown}$"):
+            erasure_extend(catalog.adder_mac(), p)
+
 
 def test_binary_symmetric_flip_probability_checked():
     with pytest.raises(InputError, match=r"^flip probability must lie in \[0, 1\], got 1\.5$"):
         catalog.binary_symmetric_mac(1.5)
+
+
+def test_binary_symmetric_non_real_flip_probability_rejected():
+    with pytest.raises(InputError, match=r"^flip probability must lie in \[0, 1\], got '0\.5'$"):
+        catalog.binary_symmetric_mac("0.5")
 
 
 class TestChannelFiles:
@@ -363,7 +378,7 @@ class TestChannelFiles:
                     "binary_symmetric_q": (catalog.binary_symmetric_mac,
                                            catalog.binary_symmetric_group),
                     "erasure_adder_p": (catalog.erasure_adder_mac, catalog.erasure_adder_group)}
-        paths = sorted((Path(__file__).resolve().parent.parent / "channels").glob("*.json"))
+        paths = sorted(CHANNELS.glob("*.json"))
         assert len(paths) == 9
         for path in paths:
             family = path.stem.rstrip("0123456789")
@@ -467,6 +482,80 @@ class TestChannelFiles:
             load_channel_file(path).mac
 
 
+_DROP = object()
+_FAULTS = [  # (JSON path of the edit, new value or _DROP, the message of file and code)
+    pytest.param(("pmf", 0, 1, 0), math.nan, "pmf[0][1][0]: non-finite probability nan", id="nan"),
+    pytest.param(("pmf", 1, 1, 0), -0.01, "pmf[1][1][0]: negative probability -0.01",
+                 id="negative"),
+    pytest.param(("pmf", 0, 0, 0), 1.5, "pmf[0][0][0]: probability 1.5 above 1", id="above-1"),
+    pytest.param(("pmf", 1, 0, 4), 0.4, "pmf[1][0]: row sums to 0.9", id="row-sum"),
+    pytest.param(("pmf", 0, 0, 1), "0", "pmf[0][0][1]: not a number", id="string-entry"),
+    pytest.param(("pmf", 0, 1, 2), True, "pmf[0][1][2]: not a number", id="bool-entry"),
+    pytest.param(("pmf", 0, 1, 2), None, "pmf[0][1][2]: not a number", id="null-entry"),
+    pytest.param(("pmf", 0, 1, 2), 10 ** 400, "pmf[0][1][2]: non-finite probability inf",
+                 id="huge-int-entry"),
+    pytest.param(("pmf", 1), _DROP, "pmf: expected 2 blocks, one per x1 symbol", id="no-block"),
+    pytest.param(("pmf", 0, 1), _DROP, "pmf[0]: expected 2 rows, one per x2 symbol", id="no-row"),
+    pytest.param(("pmf", 1, 0, 4), _DROP, "pmf[1][0]: expected 5 probabilities, one per y symbol",
+                 id="no-entry"),
+    pytest.param(("x2",), "0", "x2: expected a non-empty list of string labels", id="x2-string"),
+    pytest.param(("x2",), [], "x2: expected a non-empty list of string labels", id="x2-empty"),
+    pytest.param(("x2",), [0, 1], "x2[0]: expected a string label, got 0", id="x2-numbers"),
+    pytest.param(("x2", 1), True, "x2[1]: expected a string label, got true", id="x2-bool"),
+    pytest.param(("y", 3), "e", "y[4]: duplicate label 'e'", id="y-duplicate"),
+    pytest.param(("name",), 7, "name: expected a string, got 7", id="name-number"),
+    pytest.param(("name",), None, "name: expected a string, got null", id="name-null"),
+    pytest.param(("name",), ["a"], 'name: expected a string, got ["a"]', id="name-list"),
+]
+
+
+_NOT_LABELS = "Pmf: expected a non-empty list of string labels"
+
+
+class TestFileAndCodeAgree:
+    """The loader hands a channel file's fields to Mac as parsed, so a Mac built
+    in code from the same document fails with the file's message."""
+
+    @pytest.mark.parametrize("path, value, message", _FAULTS)
+    def test_same_message(self, tmp_path, path, value, message):
+        doc = json.loads((CHANNELS / "erasure_adder_p050.json").read_text())
+        *outer, last = path
+        node = doc
+        for key in outer:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        with pytest.raises(ChannelFormatError) as from_file:
+            load_channel_file(edited)
+        with pytest.raises(InputError) as from_code:
+            Mac(doc["x1"], doc["x2"], doc["y"], doc["pmf"], name=doc["name"])
+        assert str(from_file.value) == message
+        assert str(from_code.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        # A set's order, and so which label got which mass, varied with the hash seed.
+        (lambda: Pmf({"a", "b", "c"}, [0.7, 0.2, 0.1]), _NOT_LABELS),
+        (lambda: Pmf({"a": 0, "b": 1}, [0.5, 0.5]), _NOT_LABELS),
+        (lambda: Pmf(5, [1.0]), _NOT_LABELS),
+        (lambda: Pmf.uniform(5), _NOT_LABELS),
+        (lambda: Pmf(("a", "b"), ["0.25", "0.75"]), "Pmf[0]: not a number"),
+        (lambda: Pmf(("a", "b"), np.array([True, False])), "Pmf[0]: not a number"),
+        (lambda: Pmf(("a", "b"), [10 ** 400, 1.0]), "Pmf[0]: non-finite probability inf"),
+        (lambda: Mac(("0",), ("0",), ("0", "1"), [[[True, False]]]), "pmf[0][0][0]: not a number"),
+        (lambda: Mac(("0",), ("0",), ("0", "1"), [[[0.5, 0.5]]], name=7),
+         "name: expected a string, got 7"),
+    ], ids=["set-labels", "dict-labels", "int-labels", "uniform-int", "string-entries",
+            "bool-array", "huge-int", "bool-entry", "int-name"])
+    def test_code_only_inputs(self, build, message):
+        with pytest.raises(InputError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
 class TestJointDist:
     def test_marginal_order_respected(self):
         rng = np.random.default_rng(3)
@@ -483,7 +572,7 @@ class TestJointDist:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InputError,
-                           match=r"^JointDist: table shape \(2, 3\) does not match \(2, 2\)$"):
+                           match=r"^JointDist\[0\]: expected 2 probabilities, one per JointDist\.b symbol$"):
             JointDist((("a", ("0", "1")), ("b", ("0", "1"))), np.full((2, 3), 1 / 6))
 
     def test_unknown_marginal_axis_rejected(self):

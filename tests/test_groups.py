@@ -168,7 +168,7 @@ class TestGroupSpecIndices:
             GroupSpec(**self._fields(**change))
 
     @pytest.mark.parametrize("change, message", [
-        (dict(elements="01"), "^elements: expected a sequence of labels, got the string '01'$"),
+        (dict(elements="01"), "^elements: expected a non-empty list of string labels$"),
         (dict(cayley=[[0, 1], [1, 2]]),
          r"^cayley\[1\]\[1\]: index 2 out of range for 2 elements$"),
         (dict(cayley=[[0, 1], [1]]), r"^cayley\[1\]: expected 2 entries, got 1$"),
@@ -529,7 +529,7 @@ class TestEquivalenceClasses:
     def test_string_support_rejected(self):
         ch = ConditionalPmf(("0", "1"), ("0", "1"), np.eye(2))
         with pytest.raises(InputError, match="^equivalence_classes: support: expected a "
-                                             "sequence of labels, got the string '01'$"):
+                                             "non-empty list of string labels$"):
             equivalence_classes(ch, support="01")
 
     def test_empty_support_rejected(self):

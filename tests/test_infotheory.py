@@ -59,6 +59,13 @@ class TestEntropy:
         with pytest.raises(InputError, match=r"^entropy(\[\d\])?: "):
             entropy(np.array(raw))
 
+    @pytest.mark.parametrize("raw", [["0.5", "0.5"], [True, False], np.array([True, False]),
+                                     [0.5, None]], ids=["strings", "bools", "bool-array", "null"])
+    def test_raw_entries_must_be_numbers(self, raw):
+        # Strings and bools used to be read as numbers: 1.0 and 0 bits.
+        with pytest.raises(InputError, match=r"^entropy\[\d\]: not a number$"):
+            entropy(raw)
+
 
 def entropy_reference(table):
     """H in bits by a plain loop over the nonzero entries, with math.log."""

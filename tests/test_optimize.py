@@ -146,6 +146,17 @@ class TestBlahutArimoto:
         assert not res.converged
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("max_iter, message", [
+        (2.5, "^max_iter must be an integer, got 2.5$"),
+        (True, "^max_iter must be an integer, got True$"),
+        (0, "^max_iter must be at least 1, got 0$"),
+        (-1, "^max_iter must be at least 1, got -1$"),
+    ], ids=["float", "bool", "zero", "negative"])
+    def test_bad_max_iter_rejected(self, max_iter, message):
+        # A float used to raise TypeError, and -1 to return a 0-step result.
+        with pytest.raises(InputError, match=message):
+            blahut_arimoto(bsc(0.1), max_iter=max_iter)
+
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_unconverged_value_describes_returned_input(self, max_iter):
         # The loop updates the input after measuring it; a run cut off by

@@ -94,7 +94,15 @@ MALFORMED = (
     ("pmf-above-1", ("pmf", 0, 0, 0), 1.5),
     ("pmf-row-sum", ("pmf", 1, 0, 4), 0.4),
     ("pmf-not-a-number", ("pmf", 0, 0, 1), "0"),
+    ("pmf-true", ("pmf", 0, 1, 2), True),
+    ("pmf-null", ("pmf", 0, 1, 2), None),
+    ("pmf-huge-int", ("pmf", 0, 1, 2), 10 ** 400),
     ("pmf-block-count", ("pmf", 1), DROP),
+    ("pmf-row-count", ("pmf", 0, 1), DROP),
+    ("pmf-row-length", ("pmf", 1, 0, 4), DROP),
+    ("pmf-missing", ("pmf",), DROP),
+    ("x2-string", ("x2",), "0"),
+    ("x2-empty", ("x2",), []),
     ("x2-bool-label", ("x2", 1), True),
     ("y-duplicate-label", ("y", 3), "e"),
     ("x1-missing", ("x1",), DROP),

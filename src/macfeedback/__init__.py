@@ -20,7 +20,7 @@ from .channel import (ConditionalPmf, JointDist, Mac, Pmf, erasure_extend,
                       independent_copy_joint, induced_channel, partner_channels,
                       two_look_channel)
 from .channel_io import ChannelFile, load_channel_file, save_channel
-from .errors import ChannelFormatError, InputError
+from .errors import InputError
 from .infotheory import (binary_entropy, conditional_entropy, conditional_mi,
                          entropy, joint_entropy, mutual_information)
 from .optimize import OptResult, blahut_arimoto, max_support_input, maximize_joint_mi
@@ -40,7 +40,7 @@ from . import catalog
 
 __all__ = [
     "AdditiveClassification", "AdditivityReport", "CFCurve", "CLInput",
-    "ChannelFile", "ChannelFormatError", "ConditionalPmf", "EquivClassPartition",
+    "ChannelFile", "ConditionalPmf", "EquivClassPartition",
     "GainConditionReport", "GridSpec", "GroupSpec", "InputError",
     "JointDist", "Mac", "OptResult", "Pmf", "RatePair", "RegionFrontier",
     "ScalingReport", "SingleRateResult", "binary_entropy", "blahut_arimoto",

@@ -41,7 +41,7 @@ def _walk(node, idx, shape, names, where: str, flat: list) -> None:
         node = node.tolist()
     depth = len(idx)
     if depth == len(shape):  # an entry
-        if isinstance(node, bool) or not isinstance(node, numbers.Real):
+        if not is_number(node):
             raise InputError(f"{json_path(where, idx)}: not a number")
         try:
             flat.append(float(node))
@@ -72,9 +72,15 @@ def real_table(table, where: str, shape: tuple[int, ...], names) -> np.ndarray:
     return clamp_tiny(flat).reshape(shape)
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is an instance of ``kind`` (a real number, or ``numbers.Integral``
+    for a count) that is not a bool: ``True`` is not 1, nor ``"0.5"`` a probability."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, least: int) -> None:
     """Reject ``value`` unless it is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_number(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = f"at least {least}" if least else "nonnegative"
@@ -83,37 +89,8 @@ def check_count(name: str, value, least: int) -> None:
 
 def check_probability(name: str, value) -> None:
     """Reject ``value`` unless it is a real number (not a bool) in [0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+    if not (is_number(value) and 0.0 <= value <= 1.0):
         raise InputError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def _indices(mask: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(int(k) for k in idx) for idx in np.argwhere(mask)]
-
-
-def table_faults(t: np.ndarray, sum_axes=None) -> list[tuple[str, tuple[int, ...], float]]:
-    """Every fault of a probability table, as ``(kind, index, value)``.
-
-    Kinds come in this order: "non-finite" entries (when there is one,
-    nothing else is checked: NaN passes every comparison), "negative"
-    entries, entries "above 1" by more than SUM_TOL, and "sum" faults, one
-    per slice over ``sum_axes`` (default: all axes) whose total is off 1
-    by more than SUM_TOL, indexed over the remaining axes. A clean table
-    costs one min, max and sum (NaN fails ``min() >= 0``: the full listing).
-    """
-    if t.size and t.min() >= 0.0 and t.max() <= 1.0 + SUM_TOL:
-        if abs(t.sum(axis=sum_axes) - 1.0).max() <= SUM_TOL:
-            return []
-    bad = ~np.isfinite(t)
-    if bad.any():
-        return [("non-finite", idx, float(t[idx])) for idx in _indices(bad)]
-    sums = t.sum(axis=sum_axes)
-    neg = t < 0.0
-    over = t > 1.0 + SUM_TOL
-    off = np.abs(sums - 1.0) > SUM_TOL
-    return ([("negative", idx, float(t[idx])) for idx in _indices(neg)]
-            + [("above 1", idx, float(t[idx])) for idx in _indices(over)]
-            + [("sum", idx, float(sums[idx])) for idx in _indices(off)])
 
 
 def json_path(root: str, idx) -> str:
@@ -129,18 +106,29 @@ def shown(value) -> str:
         return repr(value)
 
 
-_FAULT_TEXT = {"non-finite": "non-finite probability {!r}", "above 1": "probability {!r} above 1",
-               "negative": "negative probability {!r}", "sum": "row sums to {!r}"}
-
-
 def check_table(t: np.ndarray, where: str, sum_axes=None) -> None:
-    """Raise InputError at the JSON path, below ``where``, of the first of
-    :func:`table_faults`: ``Mac[1][1][0]: negative probability -0.01``, or
-    ``pmf[1][0]: row sums to 0.9`` for a channel file's pmf."""
-    faults = table_faults(t, sum_axes)
-    if faults:
-        kind, idx, value = faults[0]
-        raise InputError(f"{json_path(where, idx)}: {_FAULT_TEXT[kind].format(value)}")
+    """Raise InputError at the JSON path, below ``where``, of the first fault of a
+    probability table: ``Mac[1][1][0]: negative probability -0.01``, or
+    ``pmf[1][0]: row sums to 0.9`` for a channel file's pmf.
+
+    The checks run in this order, each finding its first fault in index order:
+    a non-finite entry (when there is one, nothing else is checked: NaN passes
+    every comparison), a negative entry, an entry above 1 by more than SUM_TOL,
+    and a slice over ``sum_axes`` (default: all axes) whose total is off 1 by
+    more than SUM_TOL, indexed over the remaining axes. A clean table costs one
+    min, max and sum (NaN fails ``min() >= 0``: the full checks).
+    """
+    if t.size and t.min() >= 0.0 and t.max() <= 1.0 + SUM_TOL:
+        if abs(t.sum(axis=sum_axes) - 1.0).max() <= SUM_TOL:
+            return
+    sums = t.sum(axis=sum_axes)
+    for bad, values, text in ((~np.isfinite(t), t, "non-finite probability {!r}"),
+                              (t < 0.0, t, "negative probability {!r}"),
+                              (t > 1.0 + SUM_TOL, t, "probability {!r} above 1"),
+                              (np.abs(sums - 1.0) > SUM_TOL, sums, "row sums to {!r}")):
+        if bad.any():
+            idx = tuple(int(k) for k in np.argwhere(bad)[0])
+            raise InputError(f"{json_path(where, idx)}: {text.format(float(values[idx]))}")
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

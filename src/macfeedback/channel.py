@@ -14,12 +14,13 @@ group tables (see :mod:`macfeedback.groups`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (check_probability, check_table, clamp_tiny, freeze, fresh_symbol, pair_label,
-                    real_table, shown)
+from ._util import (check_probability, check_table, clamp_tiny, freeze, fresh_symbol, is_number,
+                    pair_label, real_table, shown)
 from .errors import InputError
 
 
@@ -174,6 +175,12 @@ class JointDist:
         return t.transpose(perm) if perm != sorted(perm) else t
 
 
+def _check_one_or_two(name: str, value) -> None:
+    """Reject ``value`` unless it is the integer 1 or 2 (not ``True`` or ``1.0``)."""
+    if not (is_number(value, numbers.Integral) and value in (1, 2)):
+        raise InputError(f"{name} must be 1 or 2, got {value!r}")
+
+
 def partner_channels(mac: Mac, user: int) -> dict[str, ConditionalPmf]:
     """Point-to-point channels of ``user`` with the partner held at each constant.
 
@@ -181,8 +188,7 @@ def partner_channels(mac: Mac, user: int) -> dict[str, ConditionalPmf]:
     free user's alphabet to the output alphabet. This is the one place
     where a user number picks axes of ``mac.pmf``.
     """
-    if user not in (1, 2):
-        raise InputError(f"user must be 1 or 2, got {user!r}")
+    _check_one_or_two("user", user)
     if user == 1:
         free, partner = mac.x1_alphabet, mac.x2_alphabet
         by_partner = mac.pmf.transpose(1, 0, 2)
@@ -211,8 +217,7 @@ def induced_channel(mac: Mac, fix_user: int, fixed_symbol: str) -> ConditionalPm
     ``fix_user`` is the transmitter held at ``fixed_symbol``; the returned
     channel maps the free user's alphabet to the output alphabet.
     """
-    if fix_user not in (1, 2):
-        raise InputError(f"fix_user must be 1 or 2, got {fix_user!r}")
+    _check_one_or_two("fix_user", fix_user)
     channels = partner_channels(mac, 3 - fix_user)
     if fixed_symbol not in channels:
         raise InputError(
@@ -253,8 +258,7 @@ def independent_copy_joint(mac: Mac, input_dist: JointDist, copies: int = 1) -> 
     the second output axis (named ``y'``) is a statistically identical,
     conditionally independent draw of the channel given the same inputs.
     """
-    if copies not in (1, 2):
-        raise InputError(f"copies must be 1 or 2, got {copies!r}")
+    _check_one_or_two("copies", copies)
     if len(input_dist.axes) != 2:
         raise InputError("input joint must have exactly two axes (x1, x2)")
     (n1, a1), (n2, a2) = input_dist.axes

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import Mac
-from .errors import ChannelFormatError, InputError
+from .errors import InputError
 from .groups import GroupSpec
 
 
@@ -43,20 +43,20 @@ def _parse_group(obj: dict, n1: int, n2: int, ny: int) -> GroupSpec | None:
         return None
     raw = obj["group"]
     if not isinstance(raw, dict):
-        raise ChannelFormatError("group: expected an object")
+        raise InputError("group: expected an object")
     keys = ("elements", "cayley", "identity", "embed_x1", "embed_x2", "y_action")
     for key in keys:
         if key not in raw:
-            raise ChannelFormatError(f"group.{key}: missing field")
+            raise InputError(f"group.{key}: missing field")
     for key, rows in (("embed_x1", n1), ("embed_x2", n2), ("y_action", ny)):
         value = raw[key]
         if not isinstance(value, list) or len(value) != rows:
             got = len(value) if isinstance(value, list) else json.dumps(value)
-            raise ChannelFormatError(f"group.{key}: expected {rows} entries, got {got}")
+            raise InputError(f"group.{key}: expected {rows} entries, got {got}")
     try:
         return GroupSpec(**{key: raw[key] for key in keys})
     except InputError as exc:
-        raise ChannelFormatError(f"group.{exc}") from None
+        raise InputError(f"group.{exc}") from None
 
 
 def load_channel_file(path) -> ChannelFile:
@@ -65,21 +65,18 @@ def load_channel_file(path) -> ChannelFile:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ChannelFormatError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"{path}: malformed JSON: {exc}") from None
+        raise InputError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ChannelFormatError(f"{path}: top level must be an object")
+        raise InputError(f"{path}: top level must be an object")
     for key in ("x1", "x2", "y", "pmf"):
         if key not in obj:
-            raise ChannelFormatError(f"{key}: missing field")
-    try:
-        mac = Mac(obj["x1"], obj["x2"], obj["y"], obj["pmf"], name=obj.get("name", ""))
-        group = _parse_group(obj, *mac.shape)
-    except InputError as exc:  # a check of the objects built from the file
-        raise ChannelFormatError(str(exc)) from None
+            raise InputError(f"{key}: missing field")
+    mac = Mac(obj["x1"], obj["x2"], obj["y"], obj["pmf"], name=obj.get("name", ""))
+    group = _parse_group(obj, *mac.shape)
     # A Mac keeps its table as given; a file's checked rows are renormalized.
     mac = Mac(mac.x1_alphabet, mac.x2_alphabet, mac.y_alphabet,
               mac.pmf / mac.pmf.sum(axis=2, keepdims=True), name=mac.name)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import entropy_bits
+from ._util import check_probability, entropy_bits, is_number
 from .channel import (ConditionalPmf, JointDist, Mac, Pmf, _check_free_input,
                       erasure_extend, partner_channels, two_look_rows)
 from .errors import InputError
@@ -346,9 +346,10 @@ def compress_forward_curve(channels: dict[str, ConditionalPmf], xk_star: str, xb
     the gain condition; it is infinite when the divergence term blows up
     and NaN when the denominator vanishes.
     """
-    a_grid = tuple(float(a) for a in a_grid)
-    if not a_grid or any(not 0.0 <= a <= 1.0 for a in a_grid):
+    a_grid = tuple(a_grid)
+    if not a_grid or not all(is_number(a) and 0.0 <= a <= 1.0 for a in a_grid):
         raise InputError("a_grid must be a non-empty subset of [0, 1]")
+    a_grid = tuple(map(float, a_grid))
     if list(a_grid) != sorted(a_grid):
         raise InputError("a_grid must be sorted")
     if a_grid[0] != 0.0:
@@ -388,8 +389,8 @@ def compress_forward_rate(channels: dict[str, ConditionalPmf], xk_star: str, xba
     in [0, 1].
     """
     _check_free_input(channels, p_star, (xk_star, xbar_k))
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise InputError(f"a ({a!r}) and b ({b!r}) must lie in [0, 1]")
+    check_probability("a", a)
+    check_probability("b", b)
     other_alpha = tuple(channels)
     y_alpha = channels[xk_star].output_alphabet
     pk = np.zeros(len(other_alpha))

@@ -2,12 +2,6 @@
 
 
 class InputError(ValueError):
-    """Raised when an argument violates a documented precondition."""
-
-
-class ChannelFormatError(InputError):
-    """Raised when a channel file cannot be parsed into a valid model.
-
-    The message names the JSON path of the offending element so that the
-    file can be fixed without guesswork.
-    """
+    """Raised when an argument violates a documented precondition, or a channel
+    file cannot be read into a valid model; the message names the JSON path of
+    the offending element, so that a file can be fixed without guesswork."""

@@ -36,16 +36,27 @@ def _names(names) -> tuple[str, ...]:
     return (names,) if isinstance(names, str) else tuple(names)
 
 
+def _shape(table) -> tuple[int, ...]:
+    """The lengths met going down the first entries of nested lists: the shape of
+    ``table``, or, if it is ragged, the shape its first entries claim."""
+    shape = ()
+    while isinstance(table, (list, tuple)) and table:
+        shape, table = shape + (len(table),), table[0]
+    return shape + np.shape(table)
+
+
 def entropy(p: Pmf | np.ndarray) -> float:
     """Shannon entropy H(p) in bits, with 0 log 0 = 0.
 
     A raw array is one distribution over all its entries and is checked
-    like a :class:`Pmf` table; InputError names the first fault.
+    like a :class:`Pmf` table; InputError names the first fault, such as
+    a ragged list's first level of the wrong length (``entropy[1]``).
     """
     if isinstance(p, Pmf):
         table = p.probs
     else:
-        table = real_table(p, "entropy", np.shape(p), ("entropy",) * np.ndim(p))
+        shape = _shape(p)
+        table = real_table(p, "entropy", shape, ("entropy",) * len(shape))
         check_table(table, "entropy")
     return _floor(float(entropy_bits(table)))
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import LN2, channel_mi_bits, check_count, clamp_tiny, pair_label
+from ._util import LN2, channel_mi_bits, check_count, clamp_tiny, is_number, pair_label
 from .channel import ConditionalPmf, Mac, Pmf
 from .errors import InputError
 from .infotheory import NUM_FLOOR
@@ -51,8 +51,9 @@ class OptResult:
 
 
 def check_tol(tol: float) -> None:
-    """Reject a stopping tolerance that is not positive and finite (NaN included)."""
-    if not 0.0 < tol < np.inf:
+    """Reject a stopping tolerance that is not a positive, finite real number (NaN,
+    a bool or a string included)."""
+    if not (is_number(tol) and 0.0 < tol < np.inf):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
 
 

@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _TINY, LN2, check_count, project_rows_to_simplex
+from ._util import _TINY, LN2, check_count, is_number, project_rows_to_simplex
 from .channel import (ConditionalPmf, JointDist, Mac, Pmf, partner_channels,
                       two_look_channel)
 from .errors import InputError
@@ -185,9 +184,9 @@ def default_weight_fan(n: int = 17) -> list[tuple[float, float]]:
 
 
 def _weight_floats(weight) -> tuple[float, float]:
-    """A weight pair as two Python floats; anything but two real numbers raises."""
+    """A weight pair as two Python floats; anything but two real numbers (not bools) raises."""
     pair = tuple(weight) if np.iterable(weight) else ()
-    if len(pair) != 2 or not all(isinstance(w, numbers.Real) for w in pair):
+    if len(pair) != 2 or not all(map(is_number, pair)):
         raise InputError(f"weight {weight!r} is not a pair of numbers")
     return float(pair[0]), float(pair[1])
 

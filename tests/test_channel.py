@@ -2,16 +2,17 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macfeedback import (ChannelFormatError, ConditionalPmf, InputError, JointDist, Mac,
+from macfeedback import (ConditionalPmf, InputError, JointDist, Mac,
                          Pmf, erasure_extend, independent_copy_joint, induced_channel,
                          load_channel_file, partner_channels, save_channel)
 from macfeedback import catalog
-from macfeedback._util import table_faults
+from macfeedback._util import check_table
 
 from _gen import random_mac
 
@@ -158,17 +159,27 @@ class TestTableShape:
 
 
 class TestTableFaults:
+    # check_table raises the first fault; each next table repairs the one before,
+    # so the listing is met in full, in order.
     def test_kinds_in_order_with_indices(self):
         t = np.array([[0.5, 0.5], [-0.2, 1.3], [0.3, 0.3]])
-        faults = table_faults(t, sum_axes=1)
-        assert [(kind, idx) for kind, idx, _ in faults] == [
-            ("negative", (1, 0)), ("above 1", (1, 1)), ("sum", (1,)), ("sum", (2,))]
-        assert [v for _, _, v in faults] == pytest.approx([-0.2, 1.3, 1.1, 0.6])
+        for (r, c), v, message in [((1, 0), 0.2, "T[1][0]: negative probability -0.2"),
+                                   ((1, 1), 0.3, "T[1][1]: probability 1.3 above 1"),
+                                   ((1, 0), 0.7, "T[1]: row sums to 0.5"),
+                                   ((2, 0), 0.7, "T[2]: row sums to 0.6")]:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                check_table(t, "T", sum_axes=1)
+            t[r, c] = v
+        check_table(t, "T", sum_axes=1)
 
     def test_non_finite_reported_alone(self):
+        # The negative entry at [0][0] comes first by index, but not by kind.
         t = np.array([[-0.5, math.nan], [math.inf, 0.5]])
-        assert [(kind, idx) for kind, idx, _ in table_faults(t)] == [
-            ("non-finite", (0, 1)), ("non-finite", (1, 0))]
+        with pytest.raises(InputError, match=r"^T\[0\]\[1\]: non-finite probability nan$"):
+            check_table(t, "T")
+        t[0, 1] = 0.5
+        with pytest.raises(InputError, match=r"^T\[1\]\[0\]: non-finite probability inf$"):
+            check_table(t, "T")
 
 
 class TestInducedChannel:
@@ -407,10 +418,22 @@ class TestChannelFiles:
         doc = json.loads(path.read_text())
         doc["group"]["y_action"][2][1] = 1.5
         path.write_text(json.dumps(doc))
-        with pytest.raises(ChannelFormatError,
+        with pytest.raises(InputError,
                            match=r"^group\.y_action\[2\]\[1\]: expected an integer index, got 1\.5$"):
             load_channel_file(path)
         assert paths == [("y_action", (2, 1))]
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("embed_x2", lambda rows: rows + [0], "group.embed_x2: expected 2 entries, got 3"),
+        ("y_action", lambda rows: rows[:4], "group.y_action: expected 5 entries, got 4")],
+        ids=["embed-x2-long", "y-action-short"])
+    def test_group_rows_one_per_channel_symbol(self, tmp_path, key, edit, message):
+        doc = json.loads((CHANNELS / "erasure_adder_p050.json").read_text())
+        doc["group"][key] = edit(doc["group"][key])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_channel_file(path)
 
     def test_round_trip_group(self, tmp_path):
         path = tmp_path / "ch.json"
@@ -427,7 +450,7 @@ class TestChannelFiles:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ChannelFormatError, match=r"pmf\[0\]\[0\]"):
+        with pytest.raises(InputError, match=r"pmf\[0\]\[0\]"):
             load_channel_file(path).mac
 
     def test_small_row_drift_normalized(self, tmp_path):
@@ -447,19 +470,19 @@ class TestChannelFiles:
         }
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ChannelFormatError, match=r"y\[1\]: duplicate label 'e'"):
+        with pytest.raises(InputError, match=r"y\[1\]: duplicate label 'e'"):
             load_channel_file(path).mac
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
-        with pytest.raises(ChannelFormatError, match="malformed JSON"):
+        with pytest.raises(InputError, match="malformed JSON"):
             load_channel_file(path).mac
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "missing.json"
         path.write_text(json.dumps({"x1": ["0"], "x2": ["0"], "y": ["0"]}))
-        with pytest.raises(ChannelFormatError, match="pmf"):
+        with pytest.raises(InputError, match="pmf"):
             load_channel_file(path).mac
 
     def test_negative_probability_rejected(self, tmp_path):
@@ -469,7 +492,7 @@ class TestChannelFiles:
         }
         path = tmp_path / "neg.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ChannelFormatError, match="negative"):
+        with pytest.raises(InputError, match="negative"):
             load_channel_file(path).mac
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
@@ -478,7 +501,7 @@ class TestChannelFiles:
         path = tmp_path / "nonfinite.json"
         path.write_text('{"x1": ["0"], "x2": ["0", "1"], "y": ["0", "1"], '
                         f'"pmf": [[[0.5, 0.5], [{token}, 1.0]]]}}')
-        with pytest.raises(ChannelFormatError, match=r"pmf\[0\]\[1\]\[0\]: non-finite"):
+        with pytest.raises(InputError, match=r"pmf\[0\]\[1\]\[0\]: non-finite"):
             load_channel_file(path).mac
 
 
@@ -529,7 +552,7 @@ class TestFileAndCodeAgree:
             node[last] = value
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
-        with pytest.raises(ChannelFormatError) as from_file:
+        with pytest.raises(InputError) as from_file:
             load_channel_file(edited)
         with pytest.raises(InputError) as from_code:
             Mac(doc["x1"], doc["x2"], doc["y"], doc["pmf"], name=doc["name"])

@@ -551,6 +551,16 @@ def test_unwritable_json_out_writes_no_csv(capsys, tmp_path, adder_file):
     assert not csv_path.exists()
 
 
+def test_json_out_write_failure_exits_two(capsys, tmp_path, adder_file):
+    # The directory exists, so only the write itself can fail.
+    path = str(tmp_path / ("x" * 300))
+    code, out, err = run_cli(capsys, "singlerate", "--json-out", path, "--channel", adder_file)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc == {"error": "input", "message": f"cannot write {path!r}: File name too long"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["erasure_adder_p050.json"]
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", [["singlerate"], ["check", "gain-condition"],
                                      ["cfcurve"], ["region", "--weights", "1:1"]])

@@ -66,6 +66,15 @@ class TestEntropy:
         with pytest.raises(InputError, match=r"^entropy\[\d\]: not a number$"):
             entropy(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ([[0.5, 0.25], [0.25]],
+         r"^entropy\[1\]: expected 2 probabilities, one per entropy symbol$"),
+        ([0.5, [0.5]], r"^entropy\[1\]: not a number$")], ids=["short-row", "list-entry"])
+    def test_ragged_list_names_its_first_fault(self, raw, message):
+        # np.shape used to raise numpy's ValueError on these.
+        with pytest.raises(InputError, match=message):
+            entropy(raw)
+
 
 def entropy_reference(table):
     """H in bits by a plain loop over the nonzero entries, with math.log."""

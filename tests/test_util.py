@@ -1,6 +1,8 @@
-"""Euclidean projection onto the probability simplex, the table validator and labels."""
+"""Euclidean projection onto the probability simplex, the table validator, the
+number rule and labels."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from macfeedback import InputError
+from macfeedback import (InputError, JointDist, catalog, compress_forward_curve,
+                         compress_forward_rate, independent_copy_joint,
+                         induced_channel, partner_channels, single_rate_capacity)
+from macfeedback.regions import check_weight
 from macfeedback._util import (SUM_TOL, check_table, fresh_symbol, pair_label,
-                               project_rows_to_simplex, table_faults)
+                               project_rows_to_simplex)
 
 
 def brute_force_projection(v):
@@ -179,25 +184,80 @@ def tables(draw):
     return t, axes
 
 
+_TEXT = {"non-finite": "non-finite probability {!r}", "negative": "negative probability {!r}",
+         "above 1": "probability {!r} above 1", "sum": "row sums to {!r}"}
+
+
 class TestTableFaults:
     @settings(max_examples=400, deadline=None)
     @given(tables())
     def test_shortcut_agrees_with_every_check(self, drawn):
-        # A clean table returns early; every other table is listed in full,
-        # so the faults and the first one's message are the same either way.
+        # A clean table returns early; every other table raises the first fault
+        # of the listing, at its index and with its value.
         t, axes = drawn
-        faults = table_faults(t, axes)
-        assert repr(faults) == repr(listed_faults(t, axes))  # repr: NaN equals NaN
+        faults = listed_faults(t, axes)
         if faults:
-            with pytest.raises(InputError, match=r"^T(\[\d+\])*: "):
+            kind, idx, value = faults[0]
+            message = "T" + "".join(f"[{k}]" for k in idx) + ": " + _TEXT[kind].format(value)
+            with pytest.raises(InputError) as raised:
                 check_table(t, "T", axes)
+            assert str(raised.value) == message
         else:
             check_table(t, "T", axes)
 
     def test_nan_takes_the_full_listing(self):
         t = np.array([[0.5, np.nan], [0.25, 0.75]])
-        assert [f[:2] for f in table_faults(t, 1)] == [("non-finite", (0, 1))]
-        assert table_faults(np.zeros((0, 3)), 1) == []
+        with pytest.raises(InputError, match=r"^T\[0\]\[1\]: non-finite probability nan$"):
+            check_table(t, "T", 1)
+        check_table(np.zeros((0, 3)), "T", 1)
+
+
+_MAC = catalog.erasure_adder_mac(0.5)
+_SR = single_rate_capacity(_MAC, 1)
+_INPUTS = JointDist((("x1", _MAC.x1_alphabet), ("x2", _MAC.x2_alphabet)), np.full((2, 2), 0.25))
+
+
+def _curve(a_grid):
+    return compress_forward_curve(_SR.channels, _SR.xk_star, "1", _SR.p_star, a_grid)
+
+
+def _rate(a, b):
+    return compress_forward_rate(_SR.channels, _SR.xk_star, "1", _SR.p_star, a, b)
+
+
+class TestNumberRule:
+    """A bool is not a number, nor a string, nor a float a count: each boundary
+    refuses them with its own message. Each of these was read as a number or
+    raised TypeError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: single_rate_capacity(_MAC, 1, tol=True),
+         "tol must be positive and finite, got True"),
+        (lambda: single_rate_capacity(_MAC, 1, tol="1e-9"),
+         "tol must be positive and finite, got '1e-9'"),
+        (lambda: single_rate_capacity(_MAC, True), "user must be 1 or 2, got True"),
+        (lambda: partner_channels(_MAC, 1.0), "user must be 1 or 2, got 1.0"),
+        (lambda: induced_channel(_MAC, True, "0"), "fix_user must be 1 or 2, got True"),
+        (lambda: independent_copy_joint(_MAC, _INPUTS, copies=True),
+         "copies must be 1 or 2, got True"),
+        (lambda: check_weight((True, 1)), "weight (True, 1) is not a pair of numbers"),
+        (lambda: _curve(["0", "0.1"]), "a_grid must be a non-empty subset of [0, 1]"),
+        (lambda: _curve([0.0, True]), "a_grid must be a non-empty subset of [0, 1]"),
+        (lambda: _curve([0.0, None]), "a_grid must be a non-empty subset of [0, 1]"),
+        (lambda: _rate("0.5", 0.5), "a must lie in [0, 1], got '0.5'"),
+        (lambda: _rate(True, 0.5), "a must lie in [0, 1], got True"),
+        (lambda: _rate(0.5, True), "b must lie in [0, 1], got True"),
+    ], ids=["tol-true", "tol-string", "user-true", "user-float", "fix-user-true", "copies-true",
+            "weight-true", "a-grid-strings", "a-grid-true", "a-grid-none", "a-string", "a-true",
+            "b-true"])
+    def test_refused(self, call, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_integers_of_numpy_are_numbers(self):
+        assert single_rate_capacity(_MAC, np.int64(1)).value == _SR.value
+        assert check_weight((np.float64(1.0), np.int64(1))) == (0.5, 0.5)
+        assert _curve(np.array([0.0, 0.5])).a_grid == (0.0, 0.5)
 
 
 class TestLabels:

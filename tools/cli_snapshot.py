@@ -6,12 +6,15 @@ Usage::
 
 Runs each CLI invocation that ``runs()`` lists against the checkout that
 holds this script: every subcommand on each shipped ``channels/*.json``
-file, a few flag values on ``channels/adder.json``, and the flag values
-and output paths the CLI must reject with exit code 2. Then it writes the
-edited copies of ``channels/erasure_adder_p050.json`` that ``MALFORMED``
-lists to ``OUTDIR/malformed/`` and runs ``check additive`` on each; the
-loader must reject each with exit code 2 and a message naming the JSON
-path of the one fault.
+file, a few flag values on ``channels/adder.json``, and the flag values,
+output paths and missing ``--channel`` file the CLI must reject with exit
+code 2. Then it writes the edited copies of
+``channels/erasure_adder_p050.json`` that ``MALFORMED`` lists, and the
+files ``NOT_A_DOCUMENT`` lists, to ``OUTDIR/malformed/`` and runs
+``check additive`` on each from that directory, so that a message naming
+the file names it alike in every snapshot; the loader must reject each
+with exit code 2 and a message naming the one fault, by its JSON path
+where it has one.
 Each run is a fresh ``python -m macfeedback`` process with ``src`` on
 ``PYTHONPATH``; its stdout, stderr and exit code go to
 ``OUTDIR/<run>.out``, ``.err`` and ``.code``. Snapshots of two checkouts
@@ -112,6 +115,13 @@ MALFORMED = (
     ("group-cayley-ragged", ("group", "cayley", 2), [2, 3, 0]),
     ("group-embed-x1-length", ("group", "embed_x1"), [0, 1, 2]),
     ("group-identity-missing", ("group", "identity"), DROP),
+    ("group-action-row-count", ("group", "y_action", 4), DROP),
+)
+
+# Files that are not a channel document: (run name, file text).
+NOT_A_DOCUMENT = (
+    ("not-json", "{ not json\n"),
+    ("top-level-list", "[]\n"),
 )
 
 
@@ -136,6 +146,8 @@ def runs() -> list[tuple[str, list[str]]]:
         out.append((f"adder.region-weights-{scale}",
                     ["region", "--weights", f"{scale}:{scale}", "--verify",
                      "--channel", "channels/adder.json"]))
+    out.append(("no-such-file.singlerate",
+                ["singlerate", "--channel", "channels/no-such-file.json"]))
     for name, argv in INVALID_FLAGS:
         out.append((f"adder.{name}", argv + ["--channel", "channels/adder.json"]))
     for name, argv in UNREAD_FLAGS:
@@ -145,7 +157,8 @@ def runs() -> list[tuple[str, list[str]]]:
 
 
 def malformed_runs(outdir: Path) -> list[tuple[str, list[str]]]:
-    """Write each ``MALFORMED`` copy to ``outdir`` and return its run."""
+    """Write each ``MALFORMED`` copy and ``NOT_A_DOCUMENT`` file to ``outdir`` and
+    return its run, the channel path relative to ``outdir``."""
     outdir.mkdir(parents=True, exist_ok=True)
     out = []
     for name, path, value in MALFORMED:
@@ -158,9 +171,11 @@ def malformed_runs(outdir: Path) -> list[tuple[str, list[str]]]:
             del node[last]
         else:
             node[last] = value
-        target = outdir / f"{name}.json"
-        target.write_text(json.dumps(doc) + "\n")
-        out.append((f"malformed.{name}", ["check", "additive", "--channel", str(target)]))
+        (outdir / f"{name}.json").write_text(json.dumps(doc) + "\n")
+        out.append((f"malformed.{name}", ["check", "additive", "--channel", f"{name}.json"]))
+    for name, text in NOT_A_DOCUMENT:
+        (outdir / f"{name}.json").write_text(text)
+        out.append((f"malformed.{name}", ["check", "additive", "--channel", f"{name}.json"]))
     return out
 
 
@@ -172,9 +187,11 @@ def main(argv=None) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    for name, args in runs() + malformed_runs(outdir / "malformed"):
+    malformed = outdir / "malformed"
+    for cwd, (name, args) in ([(ROOT, run) for run in runs()]
+                              + [(malformed, run) for run in malformed_runs(malformed)]):
         proc = subprocess.run([sys.executable, "-m", "macfeedback", *args],
-                              cwd=ROOT, env=env, capture_output=True)
+                              cwd=cwd, env=env, capture_output=True)
         (outdir / f"{name}.out").write_bytes(proc.stdout)
         (outdir / f"{name}.err").write_bytes(proc.stderr)
         (outdir / f"{name}.code").write_text(f"{proc.returncode}\n")
